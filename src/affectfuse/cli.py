@@ -13,13 +13,13 @@ Conventions shared by every subcommand:
   * ``--config FILE`` reads ``key = value`` lines overriding built-in
     defaults (explicit flags still win)
   * relative paths resolve against ``AFFECTFUSE_DATA_ROOT`` when it is set
-  * ``--jobs N`` runs per-recording fusion in N worker processes
+  * ``--jobs N`` (N >= 1) runs the per-recording fusion of ``raaw`` and
+    ``physio`` in N worker processes; the other subcommands accept and ignore it
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -40,16 +40,16 @@ from .errors import DataError, NumericError, ParameterError
 from .fuse import FusionConfig, PhysioConfig, agreement_stats, physio_fuse, raaw
 from .latefusion import FusionPlan, fuse_predictions
 from .metrics import ScoreReport, ccc, macro_f1, partition_ccc
-from .seqmodel import RegressorConfig, SequenceModel, evaluate, save_checkpoint, train
+from .seqmodel import RegressorConfig, SequenceModel, save_checkpoint, train
 
 __all__ = ["main", "build_parser"]
 
-# Per-task protocol defaults: (label rate hz, window samples, hop samples).
+# Per-task protocol defaults: (window samples, hop samples).
 TASK_DEFAULTS = {
-    "wilder": (4.0, 200, 100),
-    "sent": (4.0, 200, 100),
-    "stress": (2.0, 300, 50),
-    "physio": (2.0, 300, 50),
+    "wilder": (200, 100),
+    "sent": (200, 100),
+    "stress": (300, 50),
+    "physio": (300, 50),
 }
 # Mid-grid learning rates; override with --lr for grid runs.
 TASK_LR = {"wilder": 1e-3, "sent": 5e-3, "stress": 5e-4, "physio": 5e-4}
@@ -85,6 +85,15 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
+
+
+def _read_gold(gold_dir: Path, rec: str) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and values of ``<gold_dir>/<rec>.csv``."""
+    path = gold_dir / f"{rec}.csv"
+    if not path.is_file():
+        raise DataError(f"no gold file for recording {rec!r}: {path}")
+    ts, values, _ = dataio.read_gold_csv(path)
+    return ts, values
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +140,8 @@ def _convert_config_value(text: str):
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=101, help="base random seed")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes for per-recording fusion")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for per-recording fusion (raaw, physio); >= 1")
     sp.add_argument("--config", default=None, help="file of 'key = value' default overrides")
 
 
@@ -398,14 +408,8 @@ def cmd_discretize(args) -> int:
         raise DataError(f"no segments in {args.segments}")
     method = args.method or ("kmeans" if args.target == "valence" else "gmm")
 
-    golds: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for seg in segments:
-        if seg.recording_id not in golds:
-            path = gold_dir / f"{seg.recording_id}.csv"
-            if not path.is_file():
-                raise DataError(f"no gold file for recording {seg.recording_id!r}: {path}")
-            ts, values, _ = dataio.read_gold_csv(path)
-            golds[seg.recording_id] = (ts, values)
+    recordings = dict.fromkeys(seg.recording_id for seg in segments)  # first-seen order
+    golds = {rec: _read_gold(gold_dir, rec) for rec in recordings}
 
     rows = []
     for seg in segments:
@@ -446,20 +450,21 @@ def cmd_discretize(args) -> int:
 # train
 
 
-def _read_split_map(partitions_path: Path) -> dataio.Partition:
-    return dataio.read_partition_csv(partitions_path)
+def _train_window(args) -> dataio.WindowSpec:
+    window_n, hop_n = TASK_DEFAULTS[args.task]
+    return dataio.WindowSpec(
+        window=args.window if args.window is not None else window_n,
+        hop=args.hop if args.hop is not None else hop_n,
+    )
 
 
 def _train_regression(args) -> int:
     if not args.gold or not args.partitions:
         raise ParameterError("regression training needs --gold and --partitions")
-    rate, window_n, hop_n = TASK_DEFAULTS[args.task]
-    window_n = args.window if args.window is not None else window_n
-    hop_n = args.hop if args.hop is not None else hop_n
-    spec = dataio.WindowSpec(window=window_n, hop=hop_n)
+    spec = _train_window(args)
     features_dir = _resolve(args.features)
     gold_dir = _resolve(args.gold)
-    partition = _read_split_map(_resolve(args.partitions))
+    partition = dataio.read_partition_csv(_resolve(args.partitions))
 
     gold_files = sorted(gold_dir.glob("*.csv"))
     if not gold_files:
@@ -510,7 +515,7 @@ def _train_regression(args) -> int:
     model = SequenceModel(config)
     _info(
         f"training {args.task} regressor: dim {input_dim}, hidden {config.hidden_dim}, "
-        f"{len(items['train'])} train windows, rate {rate} Hz"
+        f"{len(items['train'])} train windows"
     )
     history = train(
         model, items["train"], items["devel"],
@@ -534,10 +539,7 @@ def _train_regression(args) -> int:
 def _train_sent(args) -> int:
     if not args.segments or not args.labels:
         raise ParameterError("sent training needs --segments and --labels")
-    _, window_n, hop_n = TASK_DEFAULTS[args.task]
-    window_n = args.window if args.window is not None else window_n
-    hop_n = args.hop if args.hop is not None else hop_n
-    spec = dataio.WindowSpec(window=window_n, hop=hop_n)
+    spec = _train_window(args)
     features_dir = _resolve(args.features)
     segments = dataio.read_segments_csv(_resolve(args.segments))
     labels = dataio.read_labels_csv(_resolve(args.labels))
@@ -615,7 +617,7 @@ def _train_sent(args) -> int:
             pred_labels[seg.segment_id] = int(np.argmax(logits))
             logit_rows[seg.segment_id] = logits
         dataio.write_labels_csv(out / "preds" / f"{split}_labels.csv", pred_labels)
-        _write_logits_csv(out / "preds" / f"{split}_logits.csv", logit_rows)
+        dataio.write_logits_csv(out / "preds" / f"{split}_logits.csv", logit_rows)
     _emit("devel_f1", repr(round(history.best_metric(), 6)))
     _emit("best_epoch", history.best_epoch)
     _emit("epochs_run", len(history.rows))
@@ -641,13 +643,8 @@ def _read_pred_dir(pred_dir: Path, gold_dir: Path):
         raise DataError(f"no prediction files under {pred_dir}")
     for path in files:
         rec = path.stem
-        _, pvals = dataio.read_prediction_csv(path)
-        gpath = gold_dir / f"{rec}.csv"
-        if not gpath.is_file():
-            raise DataError(f"no gold file for recording {rec!r}: {gpath}")
-        _, gvals, _ = dataio.read_gold_csv(gpath)
-        preds[rec] = pvals
-        golds[rec] = gvals
+        _, preds[rec] = dataio.read_prediction_csv(path)
+        _, golds[rec] = _read_gold(gold_dir, rec)
     return preds, golds
 
 
@@ -713,32 +710,6 @@ def _stream_names(stream_dirs: list[Path]) -> list[str]:
     return unique
 
 
-def _write_logits_csv(path: Path, rows: dict[str, np.ndarray]) -> None:
-    if not rows:
-        raise DataError("no logits to write")
-    width = len(next(iter(rows.values())))
-    header = "segment_id," + ",".join(f"l{i}" for i in range(width))
-    lines = [header]
-    for seg_id in sorted(rows):
-        vec = np.asarray(rows[seg_id], dtype=np.float64)
-        lines.append(seg_id + "," + ",".join(repr(float(v)) for v in vec))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _read_logits_csv(path: Path) -> dict[str, np.ndarray]:
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("segment_id,"):
-        raise DataError(f"{path}: expected a 'segment_id,l0,...' header")
-    out = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        out[parts[0]] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-    return out
-
-
 def _fuse_late_regression(args) -> int:
     if not args.gold or not args.partitions:
         raise ParameterError("regression fusion needs --gold and --partitions")
@@ -746,7 +717,7 @@ def _fuse_late_regression(args) -> int:
     if len(stream_dirs) < 2:
         raise ParameterError("late fusion needs at least two --streams directories")
     gold_dir = _resolve(args.gold)
-    partition = _read_split_map(_resolve(args.partitions))
+    partition = dataio.read_partition_csv(_resolve(args.partitions))
 
     names = _stream_names(stream_dirs)
 
@@ -775,11 +746,7 @@ def _fuse_late_regression(args) -> int:
     gold = {}
     for split in ("train", "devel"):
         for rec in splits[split]:
-            gpath = gold_dir / f"{rec}.csv"
-            if not gpath.is_file():
-                raise DataError(f"no gold file for recording {rec!r}: {gpath}")
-            _, gvals, _ = dataio.read_gold_csv(gpath)
-            gold[rec] = gvals
+            _, gold[rec] = _read_gold(gold_dir, rec)
 
     spec = None
     if args.window is not None:
@@ -821,7 +788,7 @@ def _fuse_late_sent(args) -> int:
             path = d / f"{split}_logits.csv"
             if not path.is_file():
                 continue
-            rows = _read_logits_csv(path)
+            rows = dataio.read_logits_csv(path)
             per_item.update(rows)
             ids = tuple(sorted(rows))
             if split in splits and splits[split] != ids:
@@ -897,6 +864,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        if args.jobs < 1:
+            raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

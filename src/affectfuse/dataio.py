@@ -8,10 +8,9 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +40,8 @@ __all__ = [
     "write_segments_csv",
     "read_labels_csv",
     "write_labels_csv",
+    "read_logits_csv",
+    "write_logits_csv",
     "write_warp_path_csv",
     "slice_by_span",
 ]
@@ -52,12 +53,54 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_lines(path: Path | str) -> list[str]:
+def _expand_header(pattern: str, width: int) -> str:
+    """The header a pattern stands for at ``width`` columns.
+
+    A pattern ending in ``x0,...`` names numbered columns, at least one:
+    ``segment_id,l0,...`` at width 3 is ``segment_id,l0,l1``.
+    """
+    if not pattern.endswith(",..."):
+        return pattern
+    *fixed, first, _ = pattern.split(",")
+    numbered = [f"{first[:-1]}{i}" for i in range(max(1, width - len(fixed)))]
+    return ",".join(fixed + numbered)
+
+
+def _read_table(path: Path | str, formats: Mapping[str, Callable]) -> tuple[str, Iterator]:
+    """Header of a CSV plus an iterator over its parsed data rows.
+
+    ``formats`` maps each accepted header pattern to the parser of its rows.
+    Every reader goes through here, so each rejects the same inputs with a
+    :class:`DataError` naming the file: a missing or empty file, a header
+    matching no pattern, a row whose width differs from the header's, and a
+    row its parser fails on with ``ValueError`` or ``ParameterError``.
+    Blank lines are skipped.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"missing file: {path}")
-    text = path.read_text()
-    return [ln for ln in text.splitlines() if ln.strip()]
+    lines = (ln for ln in path.read_text().splitlines() if ln.strip())
+    header = next(lines, "").strip()
+    if not header:
+        raise DataError(f"{path}: empty file")
+    width = header.count(",") + 1
+    parse = next((f for h, f in formats.items() if _expand_header(h, width) == header), None)
+    if parse is None:
+        expected = " or ".join(repr(h) for h in formats)
+        raise DataError(f"{path}: expected header {expected}, got {header!r}")
+
+    def rows():
+        for ln in lines:
+            fields = ln.split(",")
+            try:
+                if len(fields) != width:
+                    raise ValueError(f"{len(fields)} fields, header has {width}")
+                row = parse(fields)
+            except (ValueError, ParameterError) as exc:
+                raise DataError(f"{path}: malformed row {ln!r}: {exc}") from exc
+            yield row
+
+    return header, rows()
 
 
 def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
@@ -166,15 +209,21 @@ class Segment:
 # label-grid alignment and windowing
 
 
-def _check_uniform_grid(label_ts: np.ndarray) -> int:
-    if label_ts.ndim != 1 or label_ts.size < 2:
-        raise ParameterError("label grid needs at least 2 timestamps")
-    diffs = np.diff(label_ts)
-    step = int(round(float(np.median(diffs))))
-    if np.any(np.abs(diffs - step) > 1):  # rounded-ms grids may wobble by 1 ms
-        raise ParameterError("label grid must be uniform")
-    if step <= 0:
-        raise ParameterError("label timestamps must be strictly increasing")
+def uniform_step_ms(timestamps_ms: np.ndarray) -> float:
+    """Median step of a uniform, strictly increasing millisecond grid.
+
+    Every step must lie within 1 ms of the median, since grids of rounded
+    milliseconds wobble by 1 ms (333/334 ms at 3 Hz).
+    """
+    ts = np.asarray(timestamps_ms, dtype=np.int64)
+    if ts.ndim != 1 or ts.size < 2:
+        raise ParameterError("a timestamp grid needs at least 2 timestamps")
+    diffs = np.diff(ts)
+    step = float(np.median(diffs))
+    if np.any(diffs <= 0):
+        raise ParameterError("timestamps must be strictly increasing")
+    if np.any(np.abs(diffs - step) > 1):
+        raise ParameterError("timestamps must form a uniform grid")
     return step
 
 
@@ -187,7 +236,7 @@ def align_to_labels(features: FeatureSequence, label_timestamps_ms) -> np.ndarra
     zero outside any word.
     """
     label_ts = np.asarray(label_timestamps_ms, dtype=np.int64)
-    step = _check_uniform_grid(label_ts)
+    step = int(round(uniform_step_ms(label_ts)))
     out = np.zeros((label_ts.size, features.n_features))
     if features.end_timestamps_ms is None:
         ft = features.timestamps_ms
@@ -268,23 +317,16 @@ def slice_by_span(timestamps_ms: np.ndarray, start_ms: int, end_ms: int) -> np.n
 # two-column signal CSVs
 
 
+_TIMESTAMP_VALUE = np.dtype([("ts", np.int64), ("value", np.float64)])
+
+
 def _read_two_column(path: Path | str, expected_header: str) -> tuple[np.ndarray, np.ndarray]:
-    lines = _read_lines(path)
-    if not lines or lines[0].strip() != expected_header:
-        raise DataError(f"{path}: expected header {expected_header!r}")
-    ts, vals = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise DataError(f"{path}: malformed row {ln!r}")
-        try:
-            ts.append(int(parts[0]))
-            vals.append(float(parts[1]))
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed row {ln!r}") from exc
-    if not ts:
+    # parsed straight into one array: no per-row Python lists for 1 kHz signals
+    _, rows = _read_table(path, {expected_header: lambda f: (int(f[0]), float(f[1]))})
+    table = np.fromiter(rows, dtype=_TIMESTAMP_VALUE)
+    if not table.size:
         raise DataError(f"{path}: no data rows")
-    return np.asarray(ts, dtype=np.int64), np.asarray(vals)
+    return np.ascontiguousarray(table["ts"]), np.ascontiguousarray(table["value"])
 
 
 def _write_two_column(path: Path | str, header: str, ts: np.ndarray, vals: np.ndarray) -> None:
@@ -293,21 +335,11 @@ def _write_two_column(path: Path | str, header: str, ts: np.ndarray, vals: np.nd
     _write_lines(path, lines)
 
 
-def _rate_from_timestamps(ts: np.ndarray, path) -> float:
-    if ts.size < 2:
-        return 1.0
-    diffs = np.diff(ts)
-    step = float(np.median(diffs))
-    if step <= 0 or np.any(np.abs(diffs - step) > 1):
-        raise DataError(f"{path}: timestamps must form a uniform grid")
-    return 1000.0 / step
-
-
 def read_annotation_csv(path: Path | str, rater_id: str, kind: str) -> AnnotationTrace:
     """Load one rater's trace from a ``timestamp_ms,value`` CSV."""
     ts, vals = _read_two_column(path, "timestamp_ms,value")
-    rate = _rate_from_timestamps(ts, path)
     try:
+        rate = 1000.0 / uniform_step_ms(ts) if ts.size > 1 else 1.0
         return AnnotationTrace(rater_id=rater_id, sample_rate_hz=rate, values=vals, kind=kind)
     except ParameterError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -346,36 +378,24 @@ def list_recordings(annotations_dir: Path | str, kind: str) -> list[str]:
 
 def read_feature_csv(path: Path | str, recording_id: str, feature_set: str) -> FeatureSequence:
     """Load a feature CSV: ``timestamp_ms,f0,...`` or ``start_ms,end_ms,f0,...`` for words."""
-    lines = _read_lines(path)
-    header = lines[0].split(",")
-    word_mode = header[:2] == ["start_ms", "end_ms"]
-    if not word_mode and header[:1] != ["timestamp_ms"]:
-        raise DataError(f"{path}: unrecognized feature header {lines[0]!r}")
-    meta_cols = 2 if word_mode else 1
-    expected = [f"f{i}" for i in range(len(header) - meta_cols)]
-    if header[meta_cols:] != expected:
-        raise DataError(f"{path}: feature columns must be named f0,f1,...")
-    ts, ends, rows = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise DataError(f"{path}: malformed row {ln!r}")
-        try:
-            ts.append(int(parts[0]))
-            if word_mode:
-                ends.append(int(parts[1]))
-            rows.append([float(v) for v in parts[meta_cols:]])
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed row {ln!r}") from exc
-    if not rows:
+    header, parsed = _read_table(
+        path,
+        {
+            "timestamp_ms,f0,...": lambda f: (int(f[0]), None, [float(v) for v in f[1:]]),
+            "start_ms,end_ms,f0,...": lambda f: (int(f[0]), int(f[1]), [float(v) for v in f[2:]]),
+        },
+    )
+    parsed = list(parsed)
+    if not parsed:
         raise DataError(f"{path}: no data rows")
+    ts, ends, rows = zip(*parsed)
     try:
         return FeatureSequence(
             recording_id=recording_id,
             feature_set=feature_set,
             matrix=np.asarray(rows),
             timestamps_ms=np.asarray(ts, dtype=np.int64),
-            end_timestamps_ms=np.asarray(ends, dtype=np.int64) if word_mode else None,
+            end_timestamps_ms=np.asarray(ends, dtype=np.int64) if header.startswith("start_ms,") else None,
         )
     except ParameterError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -431,15 +451,9 @@ def write_partition_csv(path: Path | str, partition: Partition) -> None:
 
 def read_partition_csv(path: Path | str) -> Partition:
     """Load a partition map; a recording assigned to two splits is rejected."""
-    lines = _read_lines(path)
-    if lines[0].strip() != "recording_id,partition":
-        raise DataError(f"{path}: expected header 'recording_id,partition'")
+    _, rows = _read_table(path, {"recording_id,partition": lambda f: (f[0].strip(), f[1].strip())})
     assignment: dict[str, str] = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise DataError(f"{path}: malformed row {ln!r}")
-        rid, split = parts[0].strip(), parts[1].strip()
+    for rid, split in rows:
         if split not in SPLITS:
             raise DataError(f"{path}: unknown split {split!r} for recording {rid!r}")
         if rid in assignment and assignment[rid] != split:
@@ -456,20 +470,14 @@ def write_segments_csv(path: Path | str, segments: Sequence[Segment]) -> None:
 
 
 def read_segments_csv(path: Path | str) -> list[Segment]:
-    lines = _read_lines(path)
-    if lines[0].strip() != "segment_id,recording_id,start_ms,end_ms,partition":
-        raise DataError(f"{path}: unexpected segment header {lines[0]!r}")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise DataError(f"{path}: malformed row {ln!r}")
-        try:
-            seg = Segment(parts[0], parts[1], int(parts[2]), int(parts[3]), parts[4])
-        except (ValueError, ParameterError) as exc:
-            raise DataError(f"{path}: bad segment row {ln!r}: {exc}") from exc
-        out.append(seg)
-    return out
+    _, rows = _read_table(
+        path,
+        {
+            "segment_id,recording_id,start_ms,end_ms,partition":
+                lambda f: Segment(f[0], f[1], int(f[2]), int(f[3]), f[4]),
+        },
+    )
+    return list(rows)
 
 
 def write_labels_csv(path: Path | str, labels: Mapping[str, int]) -> None:
@@ -479,16 +487,23 @@ def write_labels_csv(path: Path | str, labels: Mapping[str, int]) -> None:
 
 
 def read_labels_csv(path: Path | str) -> dict[str, int]:
-    lines = _read_lines(path)
-    if lines[0].strip() != "segment_id,class":
-        raise DataError(f"{path}: expected header 'segment_id,class'")
-    out: dict[str, int] = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise DataError(f"{path}: malformed row {ln!r}")
-        out[parts[0]] = int(parts[1])
-    return out
+    _, rows = _read_table(path, {"segment_id,class": lambda f: (f[0], int(f[1]))})
+    return dict(rows)
+
+
+def write_logits_csv(path: Path | str, logits: Mapping[str, np.ndarray]) -> None:
+    """Per-segment class logits as ``segment_id,l0,l1,...`` rows sorted by id."""
+    if not logits:
+        raise DataError("no logits to write")
+    width = len(next(iter(logits.values())))
+    lines = ["segment_id," + ",".join(f"l{i}" for i in range(width))]
+    lines += [seg_id + "," + ",".join(_fmt(v) for v in logits[seg_id]) for seg_id in sorted(logits)]
+    _write_lines(path, lines)
+
+
+def read_logits_csv(path: Path | str) -> dict[str, np.ndarray]:
+    _, rows = _read_table(path, {"segment_id,l0,...": lambda f: (f[0], np.array([float(v) for v in f[1:]]))})
+    return dict(rows)
 
 
 def write_warp_path_csv(path: Path | str, warp_path) -> None:

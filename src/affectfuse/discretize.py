@@ -479,7 +479,6 @@ def validate_clusters(points, assignments, n_classes: int = 5, min_share: float 
             b = min(b, dist[i, labels == c].mean())
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
-    share_min = counts[counts > 0].min() / labels.size if labels.size else 0.0
     min_ok = bool(counts.min() >= min_share * labels.size) if counts.min() > 0 else False
     return ClusterReport(
         silhouette=float(scores.mean()),

@@ -9,8 +9,9 @@ from typing import Sequence
 import numpy as np
 
 from .align import AlignmentResult, multi_align
-from .core import AnnotationTrace, RaterSet, resample, savitzky_golay, standardize, standardize_values
+from .core import AnnotationTrace, RaterSet, resample, savitzky_golay, standardize
 from .errors import ParameterError
+from .metrics import moments
 
 __all__ = [
     "FusionConfig",
@@ -68,16 +69,6 @@ def _trace_values(trace) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _pearson_or_none(x: np.ndarray, y: np.ndarray) -> float | None:
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = np.sqrt((dx**2).mean())
-    sy = np.sqrt((dy**2).mean())
-    if sx == 0.0 or sy == 0.0:
-        return None
-    return float((dx * dy).mean() / (sx * sy))
-
-
 def ewe_weights(traces: Sequence[np.ndarray]) -> np.ndarray:
     """Evaluator-weighted-estimator weights for a set of equal-length traces.
 
@@ -96,9 +87,8 @@ def ewe_weights(traces: Sequence[np.ndarray]) -> np.ndarray:
     total = mat.sum(axis=0)
     raw = np.zeros(k)
     for i in range(k):
-        others_mean = (total - mat[i]) / (k - 1)
-        r = _pearson_or_none(mat[i], others_mean)
-        raw[i] = max(0.0, r) if r is not None else 0.0
+        m = moments(mat[i], (total - mat[i]) / (k - 1))
+        raw[i] = max(0.0, m.correlation()) if m.var_p != 0.0 and m.var_g != 0.0 else 0.0
     if raw.sum() <= 0.0:
         warnings.warn("no trace has positive inter-rater correlation; using uniform weights")
         return np.full(k, 1.0 / k)
@@ -123,11 +113,11 @@ def _pairwise_agreement(mat: np.ndarray, recording_id: str) -> tuple[float, floa
     k = mat.shape[0]
     for i in range(k):
         for j in range(i + 1, k):
-            r = _pearson_or_none(mat[i], mat[j])
-            if r is None:
+            m = moments(mat[i], mat[j])
+            if m.var_p == 0.0 or m.var_g == 0.0:
                 skipped += 1
             else:
-                ccs.append(r)
+                ccs.append(m.correlation())
     if skipped:
         warnings.warn(
             f"recording {recording_id!r}: {skipped} rater pair(s) with a constant trace "

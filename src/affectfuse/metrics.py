@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,33 @@ def _check_pair(pred, gold, name: str) -> tuple[np.ndarray, np.ndarray]:
     return p, g
 
 
+class Moments(NamedTuple):
+    """Population moments of a pair of equal-length float64 sequences."""
+
+    mean_p: np.float64
+    mean_g: np.float64
+    dev_p: np.ndarray
+    dev_g: np.ndarray
+    var_p: np.float64
+    var_g: np.float64
+    cov: np.float64
+
+    def correlation(self) -> float:
+        """Pearson correlation; callers check for a zero variance first."""
+        return float(self.cov / (np.sqrt(self.var_p) * np.sqrt(self.var_g)))
+
+
+def moments(p: np.ndarray, g: np.ndarray) -> Moments:
+    """Means, centred values, population (1/N) variances and covariance.
+
+    The one place CCC, Pearson correlation, the CCC training loss and the
+    rater weighting get their moments from; inputs are float64 arrays.
+    """
+    mp, mg = p.mean(), g.mean()
+    dp, dg = p - mp, g - mg
+    return Moments(mp, mg, dp, dg, (dp**2).mean(), (dg**2).mean(), (dp * dg).mean())
+
+
 def ccc(pred, gold) -> float:
     """Concordance correlation coefficient with population (1/N) moments.
 
@@ -44,20 +71,13 @@ def ccc(pred, gold) -> float:
     offset prediction cannot score 1. Constant inputs raise
     :class:`DegenerateInputError` rather than silently scoring 0.
     """
-    p, g = _check_pair(pred, gold, "ccc")
-    mp, mg = p.mean(), g.mean()
-    dp, dg = p - mp, g - mg
-    vp = (dp**2).mean()
-    vg = (dg**2).mean()
-    cov = (dp * dg).mean()
-    return float(2.0 * cov / (vp + vg + (mp - mg) ** 2))
+    m = moments(*_check_pair(pred, gold, "ccc"))
+    return float(2.0 * m.cov / (m.var_p + m.var_g + (m.mean_p - m.mean_g) ** 2))
 
 
 def pearson(pred, gold) -> float:
     """Population product-moment correlation of two sequences."""
-    p, g = _check_pair(pred, gold, "pearson")
-    dp, dg = p - p.mean(), g - g.mean()
-    return float((dp * dg).mean() / (np.sqrt((dp**2).mean()) * np.sqrt((dg**2).mean())))
+    return moments(*_check_pair(pred, gold, "pearson")).correlation()
 
 
 def macro_f1(pred, gold, n_classes: int = 5) -> float:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .metrics import macro_f1
+from .metrics import macro_f1, moments
 
 __all__ = [
     "RegressorConfig",
@@ -30,18 +30,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-# Search grids used by the experiments; configs may deviate when overridden
-# explicitly (tiny models in tests, for instance).
-HIDDEN_GRID = (32, 64, 128)
-LAYER_GRID = (1, 2, 4)
-LR_GRIDS = {
-    "wilder": (0.0001, 0.001, 0.005),
-    "sent": (0.001, 0.005, 0.01),
-    "stress": (0.0001, 0.0002, 0.0005, 0.001),
-    "physio": (0.0001, 0.0002, 0.0005, 0.001),
-}
-L2_GRID = (0.0, 0.01)
 
 
 @dataclass(frozen=True)
@@ -97,21 +85,12 @@ def ccc_loss(pred, gold, eps: float = 1e-12) -> tuple[float, np.ndarray]:
     if p.shape != g.shape or p.ndim != 1 or p.size < 2:
         raise ParameterError("ccc_loss needs two equal-length 1-d sequences of length >= 2")
     t = p.size
-    mp, mg = p.mean(), g.mean()
-    dp, dg = p - mp, g - mg
-    vp = (dp**2).mean()
-    vg = (dg**2).mean()
-    cov = (dp * dg).mean()
-    md = mp - mg
-    denom = vp + vg + md * md + eps
-    loss = 1.0 - 2.0 * cov / denom
-    dccc = (2.0 * dg / t * denom - 2.0 * cov * (2.0 * dp / t + 2.0 * md / t)) / denom**2
+    m = moments(p, g)
+    md = m.mean_p - m.mean_g
+    denom = m.var_p + m.var_g + md * md + eps
+    loss = 1.0 - 2.0 * m.cov / denom
+    dccc = (2.0 * m.dev_g / t * denom - 2.0 * m.cov * (2.0 * m.dev_p / t + 2.0 * md / t)) / denom**2
     return float(loss), -dccc
-
-
-def ccc_guarded(pred, gold, eps: float = 1e-12) -> float:
-    """Guarded CCC used for in-training monitoring; never raises on collapse."""
-    return 1.0 - ccc_loss(pred, gold, eps)[0]
 
 
 def cross_entropy_loss(logits, label: int) -> tuple[float, np.ndarray]:
@@ -435,17 +414,17 @@ class TrainHistory:
 def evaluate(model: SequenceModel, dataset: Sequence[tuple]) -> float:
     """Devel-style score on full sequences.
 
-    Regression: guarded CCC on the concatenation of all sequences (a
-    collapsed model scores near 0 rather than erroring). Classification:
-    macro F1 over items, with absent-class warnings silenced since they are
-    routine mid-training.
+    Regression: 1 - :func:`ccc_loss`, an epsilon-guarded CCC, on the
+    concatenation of all sequences (a collapsed model scores near 0 rather
+    than erroring). Classification: macro F1 over items, with absent-class
+    warnings silenced since they are routine mid-training.
     """
     if not dataset:
         raise ParameterError("cannot evaluate on an empty dataset")
     if model.config.head == "regression":
         preds = np.concatenate([model.predict(x) for x, _ in dataset])
         golds = np.concatenate([np.asarray(y, dtype=np.float64) for _, y in dataset])
-        return ccc_guarded(preds, golds, eps=model.config.loss_eps)
+        return 1.0 - ccc_loss(preds, golds, eps=model.config.loss_eps)[0]
     pred_labels = np.asarray([model.predict_class(x) for x, _ in dataset])
     gold_labels = np.asarray([int(y) for _, y in dataset])
     with warnings.catch_warnings():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affectfuse.cli import main
+from affectfuse.cli import build_parser, main
 from affectfuse.dataio import (
     read_gold_csv,
     read_labels_csv,
@@ -732,3 +732,73 @@ class TestDataRoot:
             ]
         )
         assert rc == 0
+
+
+class TestBadInputExitCodes:
+    def test_non_integer_label_exit_3(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("segment_id,class\ns0,1\ns1,x\n")
+        gold = tmp_path / "gold.csv"
+        gold.write_text("segment_id,class\ns0,1\ns1,2\n")
+        rc = main(["eval", "--pred-labels", str(pred), "--gold-labels", str(gold)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "pred.csv" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["discretize", "eval"])
+    def test_empty_csv_exit_3(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        if command == "discretize":
+            argv = [
+                "discretize", "--gold", str(tmp_path / "gold"), "--segments", str(empty),
+                "--target", "valence", "--out", str(tmp_path / "labels.csv"),
+            ]
+        else:
+            gold = tmp_path / "gold.csv"
+            gold.write_text("segment_id,class\ns0,1\n")
+            argv = ["eval", "--pred-labels", str(empty), "--gold-labels", str(gold)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "empty.csv" in captured.err
+
+
+# The smallest argument list each subcommand parses; --jobs is checked before
+# any of these paths is touched.
+MINIMAL_ARGV = {
+    "synth": ["--out", "{t}/out"],
+    "raaw": ["--annotations", "{t}/ann", "--out", "{t}/out"],
+    "physio": ["--annotations", "{t}/ann", "--eda", "{t}/eda", "--out", "{t}/out"],
+    "discretize": ["--gold", "{t}/gold", "--segments", "{t}/s.csv", "--target", "valence",
+                   "--out", "{t}/out"],
+    "train": ["--task", "stress", "--features", "{t}/f", "--out", "{t}/out"],
+    "eval": [],
+    "fuse-late": ["--task", "stress", "--streams", "{t}/a", "{t}/b", "--out", "{t}/out"],
+}
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", list(MINIMAL_ARGV))
+    def test_below_one_exit_2(self, tmp_path, capsys, command, jobs):
+        argv = [command] + [a.replace("{t}", str(tmp_path)) for a in MINIMAL_ARGV[command]]
+        rc = main(argv + ["--jobs", jobs])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--jobs" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_below_one_from_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs = 0\n")
+        rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_accepted_by_every_subcommand(self):
+        _, subparsers = build_parser()
+        assert len(subparsers) == 7
+        for sp in subparsers:
+            assert any("--jobs" in a.option_strings for a in sp._actions)

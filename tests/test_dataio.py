@@ -17,16 +17,19 @@ from affectfuse.dataio import (
     read_feature_csv,
     read_gold_csv,
     read_labels_csv,
+    read_logits_csv,
     read_partition_csv,
     read_prediction_csv,
     read_rater_set,
     read_segments_csv,
     slice_by_span,
+    uniform_step_ms,
     window,
     write_annotation_csv,
     write_feature_csv,
     write_gold_csv,
     write_labels_csv,
+    write_logits_csv,
     write_partition_csv,
     write_prediction_csv,
     write_segments_csv,
@@ -76,6 +79,12 @@ class TestAnnotationRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("timestamp_ms,value\n0,1.0\n250,nan\n")
         with pytest.raises(DataError):
+            read_annotation_csv(path, rater_id="x", kind="valence")
+
+    def test_repeated_timestamp_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("timestamp_ms,value\n0,1.0\n0,2.0\n1,3.0\n")
+        with pytest.raises(DataError, match="strictly increasing"):
             read_annotation_csv(path, rater_id="x", kind="valence")
 
 
@@ -240,6 +249,63 @@ class TestSegments:
         assert path.read_text().splitlines()[1] == "s1,0"
         assert read_labels_csv(path) == {"s1": 0, "s2": 4}
 
+    def test_non_integer_label_names_file(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("segment_id,class\ns0,1\ns1,x\n")
+        with pytest.raises(DataError, match="labels.csv"):
+            read_labels_csv(path)
+
+
+class TestLogitsCsv:
+    def test_roundtrip_sorted_and_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = {"s2": rng.normal(size=5), "s1": rng.normal(size=5)}
+        path = tmp_path / "devel_logits.csv"
+        write_logits_csv(path, rows)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "segment_id,l0,l1,l2,l3,l4"
+        assert lines[1].startswith("s1,")
+        back = read_logits_csv(path)
+        assert sorted(back) == ["s1", "s2"]
+        for seg, vec in rows.items():
+            assert np.array_equal(back[seg], vec)
+
+    @pytest.mark.parametrize(
+        "row", ["s1,0.5,zz", "s1,0.5", "s1,0.5,0.25,0.125"], ids=["non-float", "short", "long"]
+    )
+    def test_malformed_row_names_file(self, tmp_path, row):
+        path = tmp_path / "devel_logits.csv"
+        path.write_text(f"segment_id,l0,l1\ns0,0.1,0.2\n{row}\n")
+        with pytest.raises(DataError, match="devel_logits.csv"):
+            read_logits_csv(path)
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "devel_logits.csv"
+        path.write_text("segment_id,l1,l0\ns0,0.1,0.2\n")
+        with pytest.raises(DataError):
+            read_logits_csv(path)
+
+
+EVERY_READER = {
+    "annotation": lambda p: read_annotation_csv(p, rater_id="r", kind="arousal"),
+    "feature": lambda p: read_feature_csv(p, recording_id="rec", feature_set="x"),
+    "gold": read_gold_csv,
+    "prediction": read_prediction_csv,
+    "partition": read_partition_csv,
+    "segments": read_segments_csv,
+    "labels": read_labels_csv,
+    "logits": read_logits_csv,
+}
+
+
+@pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("reader", list(EVERY_READER))
+def test_every_reader_rejects_empty_file(tmp_path, reader, content):
+    path = tmp_path / "empty.csv"
+    path.write_text(content)
+    with pytest.raises(DataError, match="empty.csv"):
+        EVERY_READER[reader](path)
+
 
 class TestAlignToLabels:
     def test_frame_features_nearest_match(self):
@@ -298,6 +364,19 @@ class TestAlignToLabels:
         )
         with pytest.raises(ParameterError):
             align_to_labels(fs, np.array([0, 250, 1000]))
+
+
+class TestUniformStep:
+    def test_wobbling_grid_gives_median_step(self):
+        assert uniform_step_ms(grid_timestamps_ms(10, 3.0)) == 333.0
+        assert uniform_step_ms(np.array([0, 500, 1000])) == 500.0
+
+    @pytest.mark.parametrize(
+        "ts", [[0], [0, 250, 250, 500], [500, 250, 0]], ids=["single", "repeat", "decreasing"]
+    )
+    def test_bad_grids_rejected(self, ts):
+        with pytest.raises(ParameterError):
+            uniform_step_ms(np.array(ts))
 
 
 class TestWindow:

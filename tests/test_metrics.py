@@ -5,17 +5,26 @@ import pytest
 
 from affectfuse.errors import DegenerateInputError, ParameterError
 from affectfuse.metrics import ScoreReport, ccc, combined, macro_f1, partition_ccc, pearson
+from affectfuse.seqmodel import ccc_loss
 
 from _oracles import direct_ccc, direct_pearson
+
+
+def _loss_ccc(p, g) -> float:
+    """CCC as the training loss sees it, with the epsilon guard off."""
+    return 1.0 - ccc_loss(p, g, eps=0.0)[0]
 
 
 class TestCcc:
     def test_identity_is_exactly_one(self):
         x = np.array([0.2, -1.4, 3.7, 0.0, 5.5])
         assert ccc(x, x) == 1.0
+        assert _loss_ccc(x, x) == pytest.approx(ccc(x, x), abs=1e-12)
 
     def test_reversal_is_exactly_minus_one(self):
-        assert ccc(np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])) == -1.0
+        x, y = np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])
+        assert ccc(x, y) == -1.0
+        assert _loss_ccc(x, y) == pytest.approx(ccc(x, y), abs=1e-12)
 
     def test_matches_direct_formula_on_random_pairs(self):
         rng = np.random.default_rng(1234)
@@ -25,6 +34,7 @@ class TestCcc:
             y = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 4.0), size=n)
             assert ccc(x, y) == pytest.approx(direct_ccc(x, y), abs=1e-12)
             assert pearson(x, y) == pytest.approx(direct_pearson(x, y), abs=1e-12)
+            assert _loss_ccc(x, y) == pytest.approx(ccc(x, y), abs=1e-12)
 
     def test_scale_shift_sensitivity(self):
         # CCC penalizes scale and location shifts, Pearson does not
