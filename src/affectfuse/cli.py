@@ -6,6 +6,11 @@ corpus, ``raaw`` and ``physio`` fuse annotations into gold standards,
 one sequence model on one feature set, ``eval`` scores prediction
 directories, and ``fuse-late`` stacks several prediction streams.
 
+``train`` and ``fuse-late`` have one body each for all four tasks. Only
+reading the items and writing the predictions depend on the task: gold
+grids and per-recording traces for wilder, stress and physio; labelled
+segments (or per-segment logits) and class labels for sent.
+
 Conventions shared by every subcommand:
   * progress goes to stderr, machine-readable ``key=value`` lines to stdout
   * exit codes: 0 ok, 2 bad parameters or usage, 3 data problems, 4 numeric
@@ -44,15 +49,14 @@ from .seqmodel import RegressorConfig, SequenceModel, save_checkpoint, train
 
 __all__ = ["main", "build_parser"]
 
-# Per-task protocol defaults: (window samples, hop samples).
+# Per-task protocol defaults: train window and hop in samples, and the
+# mid-grid learning rate (override with --window, --hop and --lr).
 TASK_DEFAULTS = {
-    "wilder": (200, 100),
-    "sent": (200, 100),
-    "stress": (300, 50),
-    "physio": (300, 50),
+    "wilder": (200, 100, 1e-3),
+    "sent": (200, 100, 5e-3),
+    "stress": (300, 50, 5e-4),
+    "physio": (300, 50, 5e-4),
 }
-# Mid-grid learning rates; override with --lr for grid runs.
-TASK_LR = {"wilder": 1e-3, "sent": 5e-3, "stress": 5e-4, "physio": 5e-4}
 
 DATA_ROOT_ENV = "AFFECTFUSE_DATA_ROOT"
 
@@ -87,13 +91,9 @@ def _jsonable(value):
     return value
 
 
-def _read_gold(gold_dir: Path, rec: str) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps and values of ``<gold_dir>/<rec>.csv``."""
-    path = gold_dir / f"{rec}.csv"
-    if not path.is_file():
-        raise DataError(f"no gold file for recording {rec!r}: {path}")
-    ts, values, _ = dataio.read_gold_csv(path)
-    return ts, values
+def _metric_key(config: RegressorConfig) -> str:
+    """Stdout key of a model's devel score: macro F1 or CCC by its head."""
+    return "devel_f1" if config.head == "classification" else "devel_ccc"
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +409,7 @@ def cmd_discretize(args) -> int:
     method = args.method or ("kmeans" if args.target == "valence" else "gmm")
 
     recordings = dict.fromkeys(seg.recording_id for seg in segments)  # first-seen order
-    golds = {rec: _read_gold(gold_dir, rec) for rec in recordings}
+    golds = {rec: dataio.read_gold_csv(gold_dir / f"{rec}.csv") for rec in recordings}
 
     rows = []
     for seg in segments:
@@ -450,19 +450,10 @@ def cmd_discretize(args) -> int:
 # train
 
 
-def _train_window(args) -> dataio.WindowSpec:
-    window_n, hop_n = TASK_DEFAULTS[args.task]
-    return dataio.WindowSpec(
-        window=args.window if args.window is not None else window_n,
-        hop=args.hop if args.hop is not None else hop_n,
-    )
-
-
-def _train_regression(args) -> int:
+def _regression_training(args, features_dir: Path, spec: dataio.WindowSpec):
+    """Items of recordings with gold and features: train windows, full devel sequences."""
     if not args.gold or not args.partitions:
         raise ParameterError("regression training needs --gold and --partitions")
-    spec = _train_window(args)
-    features_dir = _resolve(args.features)
     gold_dir = _resolve(args.gold)
     partition = dataio.read_partition_csv(_resolve(args.partitions))
 
@@ -470,22 +461,18 @@ def _train_regression(args) -> int:
     if not gold_files:
         raise DataError(f"no gold files under {gold_dir}")
     items: dict[str, list] = {s: [] for s in dataio.SPLITS}
-    full: dict[str, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {
-        s: {} for s in dataio.SPLITS
-    }
-    input_dim = None
+    full: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {s: {} for s in dataio.SPLITS}
     for path in gold_files:
         rec = path.stem
         fpath = features_dir / f"{rec}.csv"
         if not fpath.is_file():
             _info(f"skipping {rec}: no feature file {fpath}")
             continue
-        ts, gold_values, _ = dataio.read_gold_csv(path)
+        ts, gold_values = dataio.read_gold_csv(path)
         fseq = dataio.read_feature_csv(fpath, recording_id=rec, feature_set=features_dir.name)
         x = dataio.align_to_labels(fseq, ts)
-        input_dim = x.shape[1]
         split = partition.split_of(rec)
-        full[split][rec] = (ts, x, gold_values)
+        full[split][rec] = (ts, x)
         if split == "train":
             xw = dataio.window(x, spec)
             yw = dataio.window(gold_values, spec)
@@ -494,58 +481,25 @@ def _train_regression(args) -> int:
             ]
         else:
             items[split].append((x, gold_values))
-    if input_dim is None:
-        raise DataError("no recordings had both gold and features")
     if not items["train"] or not items["devel"]:
         raise DataError("need train and devel recordings with gold and features")
 
-    config = RegressorConfig(
-        input_dim=input_dim,
-        hidden_dim=args.hidden,
-        layers=args.layers,
-        bidirectional=args.bidirectional,
-        head="regression",
-        learning_rate=args.lr if args.lr is not None else TASK_LR[args.task],
-        l2_penalty=args.l2,
-        batch_size=args.batch,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        seed=args.seed,
-    )
-    model = SequenceModel(config)
-    _info(
-        f"training {args.task} regressor: dim {input_dim}, hidden {config.hidden_dim}, "
-        f"{len(items['train'])} train windows"
-    )
-    history = train(
-        model, items["train"], items["devel"],
-        progress=lambda e, l, m: _info(f"epoch {e}: loss {l:.4f} devel_ccc {m:.4f}"),
-    )
+    def write_preds(model: SequenceModel, preds_dir: Path) -> None:
+        for split in dataio.SPLITS:
+            for rec, (ts, x) in sorted(full[split].items()):
+                dataio.write_prediction_csv(preds_dir / split / f"{rec}.csv", ts, model.predict(x))
 
-    out = _resolve(args.out)
-    save_checkpoint(out / "model.json", model)
-    history.write_csv(out / "history.csv")
-    for split in dataio.SPLITS:
-        for rec, (ts, x, _gold) in sorted(full[split].items()):
-            preds = model.predict(x)
-            dataio.write_prediction_csv(out / "preds" / split / f"{rec}.csv", ts, preds)
-    _emit("devel_ccc", repr(round(history.best_metric(), 6)))
-    _emit("best_epoch", history.best_epoch)
-    _emit("epochs_run", len(history.rows))
-    _emit("out", out)
-    return 0
+    return items["train"], items["devel"], {"head": "regression"}, write_preds
 
 
-def _train_sent(args) -> int:
+def _sent_training(args, features_dir: Path, spec: dataio.WindowSpec):
+    """Items of labelled segments: train windows, full devel segments."""
     if not args.segments or not args.labels:
         raise ParameterError("sent training needs --segments and --labels")
-    spec = _train_window(args)
-    features_dir = _resolve(args.features)
     segments = dataio.read_segments_csv(_resolve(args.segments))
     labels = dataio.read_labels_csv(_resolve(args.labels))
 
     feats: dict[str, dataio.FeatureSequence] = {}
-    input_dim = None
     seg_x: dict[str, np.ndarray] = {}
     for seg in segments:
         if seg.recording_id not in feats:
@@ -561,7 +515,6 @@ def _train_sent(args) -> int:
         if x.shape[0] < 1:
             raise DataError(f"segment {seg.segment_id!r} covers no feature frames")
         seg_x[seg.segment_id] = x
-        input_dim = x.shape[1]
 
     items: dict[str, list] = {s: [] for s in dataio.SPLITS}
     seg_by_split: dict[str, list] = {s: [] for s in dataio.SPLITS}
@@ -581,54 +534,63 @@ def _train_sent(args) -> int:
     if not items["train"] or not items["devel"]:
         raise DataError("need labeled train and devel segments")
 
-    n_classes = max(labels.values()) + 1 if labels else 5
-    n_classes = max(n_classes, 5)
+    def write_preds(model: SequenceModel, preds_dir: Path) -> None:
+        for split, split_segments in seg_by_split.items():
+            if not split_segments:
+                continue
+            logits = {seg.segment_id: model.predict(seg_x[seg.segment_id]) for seg in split_segments}
+            dataio.write_labels_csv(
+                preds_dir / f"{split}_labels.csv",
+                {seg_id: int(np.argmax(row)) for seg_id, row in logits.items()},
+            )
+            dataio.write_logits_csv(preds_dir / f"{split}_logits.csv", logits)
+
+    head = {"head": "classification", "n_classes": max(max(labels.values()) + 1, 5)}
+    return items["train"], items["devel"], head, write_preds
+
+
+def cmd_train(args) -> int:
+    window_n, hop_n, lr = TASK_DEFAULTS[args.task]
+    spec = dataio.WindowSpec(
+        window=args.window if args.window is not None else window_n,
+        hop=args.hop if args.hop is not None else hop_n,
+    )
+    # (train items, devel items, the config's head fields, prediction writer)
+    read_items = _sent_training if args.task == "sent" else _regression_training
+    train_items, devel_items, head, write_preds = read_items(args, _resolve(args.features), spec)
     config = RegressorConfig(
-        input_dim=input_dim,
+        input_dim=train_items[0][0].shape[1],
         hidden_dim=args.hidden,
         layers=args.layers,
         bidirectional=args.bidirectional,
-        head="classification",
-        n_classes=n_classes,
-        learning_rate=args.lr if args.lr is not None else TASK_LR[args.task],
+        learning_rate=args.lr if args.lr is not None else lr,
         l2_penalty=args.l2,
         batch_size=args.batch,
         max_epochs=args.epochs,
         patience=args.patience,
         seed=args.seed,
+        **head,
     )
+    metric = _metric_key(config)
     model = SequenceModel(config)
-    _info(f"training sentiment classifier: dim {input_dim}, {len(items['train'])} train windows")
+    _info(
+        f"training {args.task} {config.head} model: dim {config.input_dim}, "
+        f"hidden {config.hidden_dim}, {len(train_items)} train windows"
+    )
     history = train(
-        model, items["train"], items["devel"],
-        progress=lambda e, l, m: _info(f"epoch {e}: loss {l:.4f} devel_f1 {m:.4f}"),
+        model, train_items, devel_items,
+        progress=lambda e, l, m: _info(f"epoch {e}: loss {l:.4f} {metric} {m:.4f}"),
     )
 
     out = _resolve(args.out)
     save_checkpoint(out / "model.json", model)
     history.write_csv(out / "history.csv")
-    for split in dataio.SPLITS:
-        if not seg_by_split[split]:
-            continue
-        pred_labels = {}
-        logit_rows = {}
-        for seg in seg_by_split[split]:
-            logits = model.predict(seg_x[seg.segment_id])
-            pred_labels[seg.segment_id] = int(np.argmax(logits))
-            logit_rows[seg.segment_id] = logits
-        dataio.write_labels_csv(out / "preds" / f"{split}_labels.csv", pred_labels)
-        dataio.write_logits_csv(out / "preds" / f"{split}_logits.csv", logit_rows)
-    _emit("devel_f1", repr(round(history.best_metric(), 6)))
+    write_preds(model, out / "preds")
+    _emit(metric, repr(round(history.best_metric(), 6)))
     _emit("best_epoch", history.best_epoch)
     _emit("epochs_run", len(history.rows))
     _emit("out", out)
     return 0
-
-
-def cmd_train(args) -> int:
-    if args.task == "sent":
-        return _train_sent(args)
-    return _train_regression(args)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +606,7 @@ def _read_pred_dir(pred_dir: Path, gold_dir: Path):
     for path in files:
         rec = path.stem
         _, preds[rec] = dataio.read_prediction_csv(path)
-        _, golds[rec] = _read_gold(gold_dir, rec)
+        _, golds[rec] = dataio.read_gold_csv(gold_dir / f"{rec}.csv")
     return preds, golds
 
 
@@ -710,79 +672,53 @@ def _stream_names(stream_dirs: list[Path]) -> list[str]:
     return unique
 
 
-def _fuse_late_regression(args) -> int:
+def _regression_streams(args, stream_dirs: dict[str, Path]):
+    """Per-recording traces of every stream, over recordings all streams cover."""
     if not args.gold or not args.partitions:
         raise ParameterError("regression fusion needs --gold and --partitions")
-    stream_dirs = [_resolve(s) for s in args.streams]
-    if len(stream_dirs) < 2:
-        raise ParameterError("late fusion needs at least two --streams directories")
     gold_dir = _resolve(args.gold)
     partition = dataio.read_partition_csv(_resolve(args.partitions))
-
-    names = _stream_names(stream_dirs)
 
     splits: dict[str, tuple[str, ...]] = {}
     for split in dataio.SPLITS:
         recs = [
             r for r in partition.recordings(split)
-            if all((d / split / f"{r}.csv").is_file() for d in stream_dirs)
+            if all((d / split / f"{r}.csv").is_file() for d in stream_dirs.values())
         ]
         if recs:
             splits[split] = tuple(recs)
-    if "train" not in splits or "devel" not in splits:
-        raise DataError("streams do not cover train and devel recordings")
 
     streams: dict[str, dict[str, np.ndarray]] = {}
     ts_by_rec: dict[str, np.ndarray] = {}
-    for name, d in zip(names, stream_dirs):
+    for name, d in stream_dirs.items():
         preds = {}
         for split, recs in splits.items():
             for rec in recs:
-                ts, vals = dataio.read_prediction_csv(d / split / f"{rec}.csv")
-                preds[rec] = vals
+                ts, preds[rec] = dataio.read_prediction_csv(d / split / f"{rec}.csv")
                 ts_by_rec.setdefault(rec, ts)
         streams[name] = preds
+    gold = {
+        rec: dataio.read_gold_csv(gold_dir / f"{rec}.csv")[1]
+        for split in ("train", "devel") for rec in splits.get(split, ())
+    }
 
-    gold = {}
-    for split in ("train", "devel"):
-        for rec in splits[split]:
-            _, gold[rec] = _read_gold(gold_dir, rec)
+    def write_preds(predictions: dict, preds_dir: Path) -> None:
+        for split, recs in predictions.items():
+            for rec, vals in sorted(recs.items()):
+                dataio.write_prediction_csv(preds_dir / split / f"{rec}.csv", ts_by_rec[rec], vals)
 
-    spec = None
-    if args.window is not None:
-        spec = dataio.WindowSpec(window=args.window, hop=args.hop or args.window)
-    plan = FusionPlan(
-        streams=streams, gold=gold, splits=splits, window_spec=spec,
-        seed=args.seed, max_epochs=args.epochs, patience=args.patience,
-        batch_size=args.batch,
-    )
-    _info(f"fusing {len(streams)} streams over {sum(len(v) for v in splits.values())} recordings")
-    result = fuse_predictions(plan, task="regression")
-
-    out = _resolve(args.out)
-    save_checkpoint(out / "model.json", result.model)
-    result.history.write_csv(out / "history.csv")
-    for split, recs in result.predictions.items():
-        for rec, vals in sorted(recs.items()):
-            dataio.write_prediction_csv(out / "preds" / split / f"{rec}.csv", ts_by_rec[rec], vals)
-    _emit("devel_ccc", repr(round(result.devel_score, 6)))
-    _emit("streams", ",".join(result.stream_order))
-    _emit("out", out)
-    return 0
+    return streams, gold, splits, write_preds
 
 
-def _fuse_late_sent(args) -> int:
+def _sent_streams(args, stream_dirs: dict[str, Path]):
+    """Per-segment logits of every stream, read from ``<split>_logits.csv``."""
     if not args.gold_labels:
         raise ParameterError("sent fusion needs --gold-labels")
-    stream_dirs = [_resolve(s) for s in args.streams]
-    if len(stream_dirs) < 2:
-        raise ParameterError("late fusion needs at least two --streams directories")
     gold_labels = dataio.read_labels_csv(_resolve(args.gold_labels))
 
-    names = _stream_names(stream_dirs)
     splits: dict[str, tuple[str, ...]] = {}
     streams: dict[str, dict[str, np.ndarray]] = {}
-    for name, d in zip(names, stream_dirs):
+    for name, d in stream_dirs.items():
         per_item: dict[str, np.ndarray] = {}
         for split in dataio.SPLITS:
             path = d / f"{split}_logits.csv"
@@ -795,38 +731,51 @@ def _fuse_late_sent(args) -> int:
                 raise DataError(f"streams disagree on {split} segment ids")
             splits[split] = ids
         streams[name] = per_item
-    if "train" not in splits or "devel" not in splits:
-        raise DataError("streams do not cover train and devel logits")
+    scored = set(splits.get("train", ())) | set(splits.get("devel", ()))
+    gold = {seg: int(lab) for seg, lab in gold_labels.items() if seg in scored}
 
-    gold = {
-        seg: int(lab) for seg, lab in gold_labels.items()
-        if seg in set(splits.get("train", ())) | set(splits.get("devel", ()))
-    }
-    plan = FusionPlan(
-        streams=streams, gold=gold, splits=splits, seed=args.seed,
-        max_epochs=args.epochs, patience=args.patience, batch_size=args.batch,
+    def write_preds(predictions: dict, preds_dir: Path) -> None:
+        for split, seg_preds in predictions.items():
+            dataio.write_labels_csv(
+                preds_dir / f"{split}_labels.csv",
+                {seg: int(lab) for seg, lab in seg_preds.items()},
+            )
+
+    return streams, gold, splits, write_preds
+
+
+def cmd_fuse_late(args) -> int:
+    stream_dirs = [_resolve(s) for s in args.streams]
+    if len(stream_dirs) < 2:
+        raise ParameterError("late fusion needs at least two --streams directories")
+    spec = None
+    if args.window is not None:
+        spec = dataio.WindowSpec(window=args.window, hop=args.hop or args.window)
+    task = "sent" if args.task == "sent" else "regression"
+    # (streams, train and devel gold, items per split, prediction writer)
+    read_streams = _sent_streams if task == "sent" else _regression_streams
+    streams, gold, splits, write_preds = read_streams(
+        args, dict(zip(_stream_names(stream_dirs), stream_dirs))
     )
-    _info(f"fusing {len(streams)} logit streams")
-    result = fuse_predictions(plan, task="sent")
+    if "train" not in splits or "devel" not in splits:
+        raise DataError("streams do not cover train and devel items")
+
+    plan = FusionPlan(
+        streams=streams, gold=gold, splits=splits, window_spec=spec,
+        seed=args.seed, max_epochs=args.epochs, patience=args.patience,
+        batch_size=args.batch,
+    )
+    _info(f"fusing {len(streams)} {task} streams over {sum(len(v) for v in splits.values())} items")
+    result = fuse_predictions(plan, task=task)
 
     out = _resolve(args.out)
     save_checkpoint(out / "model.json", result.model)
     result.history.write_csv(out / "history.csv")
-    for split, seg_preds in result.predictions.items():
-        dataio.write_labels_csv(
-            out / "preds" / f"{split}_labels.csv",
-            {seg: int(lab) for seg, lab in seg_preds.items()},
-        )
-    _emit("devel_f1", repr(round(result.devel_score, 6)))
+    write_preds(result.predictions, out / "preds")
+    _emit(_metric_key(result.config), repr(round(result.devel_score, 6)))
     _emit("streams", ",".join(result.stream_order))
     _emit("out", out)
     return 0
-
-
-def cmd_fuse_late(args) -> int:
-    if args.task == "sent":
-        return _fuse_late_sent(args)
-    return _fuse_late_regression(args)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,14 @@ def _read_table(path: Path | str, formats: Mapping[str, Callable]) -> tuple[str,
     return header, rows()
 
 
+def _int64(text: str) -> int:
+    """``int(text)``, rejecting a value numpy's int64 cannot hold."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is beyond the int64 range")
+    return value
+
+
 def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -323,7 +331,10 @@ _TIMESTAMP_VALUE = np.dtype([("ts", np.int64), ("value", np.float64)])
 def _read_two_column(path: Path | str, expected_header: str) -> tuple[np.ndarray, np.ndarray]:
     # parsed straight into one array: no per-row Python lists for 1 kHz signals
     _, rows = _read_table(path, {expected_header: lambda f: (int(f[0]), float(f[1]))})
-    table = np.fromiter(rows, dtype=_TIMESTAMP_VALUE)
+    try:
+        table = np.fromiter(rows, dtype=_TIMESTAMP_VALUE)
+    except OverflowError as exc:  # caught here, not per row: 1 kHz signals
+        raise DataError(f"{path}: a timestamp is beyond the int64 range") from exc
     if not table.size:
         raise DataError(f"{path}: no data rows")
     return np.ascontiguousarray(table["ts"]), np.ascontiguousarray(table["value"])
@@ -335,12 +346,24 @@ def _write_two_column(path: Path | str, header: str, ts: np.ndarray, vals: np.nd
     _write_lines(path, lines)
 
 
-def read_annotation_csv(path: Path | str, rater_id: str, kind: str) -> AnnotationTrace:
-    """Load one rater's trace from a ``timestamp_ms,value`` CSV."""
+def _read_grid(path: Path | str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Timestamps, values and step in ms of a ``timestamp_ms,value`` CSV.
+
+    More than one sample must lie on a uniform grid (see
+    :func:`uniform_step_ms`); a single sample gets a step of 1000 ms.
+    """
     ts, vals = _read_two_column(path, "timestamp_ms,value")
     try:
-        rate = 1000.0 / uniform_step_ms(ts) if ts.size > 1 else 1.0
-        return AnnotationTrace(rater_id=rater_id, sample_rate_hz=rate, values=vals, kind=kind)
+        return ts, vals, uniform_step_ms(ts) if ts.size > 1 else 1000.0
+    except ParameterError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def read_annotation_csv(path: Path | str, rater_id: str, kind: str) -> AnnotationTrace:
+    """Load one rater's trace from a ``timestamp_ms,value`` CSV."""
+    _, vals, step = _read_grid(path)
+    try:
+        return AnnotationTrace(rater_id=rater_id, sample_rate_hz=1000.0 / step, values=vals, kind=kind)
     except ParameterError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -381,8 +404,8 @@ def read_feature_csv(path: Path | str, recording_id: str, feature_set: str) -> F
     header, parsed = _read_table(
         path,
         {
-            "timestamp_ms,f0,...": lambda f: (int(f[0]), None, [float(v) for v in f[1:]]),
-            "start_ms,end_ms,f0,...": lambda f: (int(f[0]), int(f[1]), [float(v) for v in f[2:]]),
+            "timestamp_ms,f0,...": lambda f: (_int64(f[0]), None, [float(v) for v in f[1:]]),
+            "start_ms,end_ms,f0,...": lambda f: (_int64(f[0]), _int64(f[1]), [float(v) for v in f[2:]]),
         },
     )
     parsed = list(parsed)
@@ -427,12 +450,13 @@ def write_gold_csv(path: Path | str, timestamps_ms: np.ndarray, values: np.ndarr
         side.write_text(json.dumps(dict(metadata), indent=2, sort_keys=True) + "\n")
 
 
-def read_gold_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Read a gold CSV; returns (timestamps_ms, values, sidecar metadata or {})."""
-    ts, vals = _read_two_column(path, "timestamp_ms,value")
-    side = Path(path).with_suffix(".json")
-    meta = json.loads(side.read_text()) if side.is_file() else {}
-    return ts, vals, meta
+def read_gold_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and values of a gold CSV on a uniform grid.
+
+    The ``.json`` sidecar :func:`write_gold_csv` leaves is never read here.
+    """
+    ts, vals, _ = _read_grid(path)
+    return ts, vals
 
 
 def write_prediction_csv(path: Path | str, timestamps_ms: np.ndarray, preds: np.ndarray) -> None:
@@ -474,7 +498,7 @@ def read_segments_csv(path: Path | str) -> list[Segment]:
         path,
         {
             "segment_id,recording_id,start_ms,end_ms,partition":
-                lambda f: Segment(f[0], f[1], int(f[2]), int(f[3]), f[4]),
+                lambda f: Segment(f[0], f[1], _int64(f[2]), _int64(f[3]), f[4]),
         },
     )
     return list(rows)
@@ -487,7 +511,7 @@ def write_labels_csv(path: Path | str, labels: Mapping[str, int]) -> None:
 
 
 def read_labels_csv(path: Path | str) -> dict[str, int]:
-    _, rows = _read_table(path, {"segment_id,class": lambda f: (f[0], int(f[1]))})
+    _, rows = _read_table(path, {"segment_id,class": lambda f: (f[0], _int64(f[1]))})
     return dict(rows)
 
 

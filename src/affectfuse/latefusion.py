@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import WindowSpec, window
 from .errors import ParameterError
-from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, evaluate, train
+from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, train
 
 __all__ = [
     "REGRESSION_FUSION",
@@ -160,14 +160,14 @@ def fuse_predictions(plan: FusionPlan, task: str = "regression") -> FusionResult
             train_items.append((x, y))
     devel_items = [(stacked[i], gold_vec(i)) for i in plan.splits["devel"]]
 
+    # train restores the best epoch's parameters, whose devel score it logged
     history = train(model, train_items, devel_items)
-    devel_score = evaluate(model, devel_items)
 
     result = FusionResult(
         stream_order=order,
         config=config,
         history=history,
-        devel_score=devel_score,
+        devel_score=history.best_metric(),
         model=model,
     )
     for split, ids in plan.splits.items():

@@ -25,6 +25,10 @@ def _values(stdout: str) -> dict[str, str]:
     return out
 
 
+def _sidecar(gold_csv: Path) -> dict:
+    return json.loads(gold_csv.with_suffix(".json").read_text())
+
+
 def _tree_digest(root: Path) -> list[tuple[str, str]]:
     files = sorted(p for p in root.rglob("*") if p.is_file())
     return [
@@ -112,7 +116,8 @@ class TestRaaw:
         files = sorted(out.glob("*.csv"))
         assert len(files) == 8
         for f in files:
-            ts, vals, meta = read_gold_csv(f)
+            ts, vals = read_gold_csv(f)
+            meta = _sidecar(f)
             assert ts.size == vals.size == 81
             assert "weights" in meta
             assert meta["converged"] in (True, False)
@@ -226,7 +231,7 @@ class TestPhysio:
         captured = capsys.readouterr()
         assert rc == 0
         assert float(_values(captured.out)["agreement_mean"]) > 0.5
-        _, _, meta = read_gold_csv(sorted((tmp_path / "pg").glob("*.csv"))[0])
+        meta = _sidecar(sorted((tmp_path / "pg").glob("*.csv"))[0])
         assert meta["sg_window"] == 26
         assert any(r.startswith("physio:") for r in meta["rater_ids"])
         assert meta["removed_rater"] not in meta["rater_ids"]
@@ -378,7 +383,7 @@ class TestTrainRegression:
         # gold values overflow the loss -> numeric failure, not a crash
         bad_gold = tmp_path / "gold"
         for f in sorted((corpus / "gold").glob("*.csv")):
-            ts, vals, _ = read_gold_csv(f)
+            ts, _ = read_gold_csv(f)
             lines = ["timestamp_ms,value"]
             lines += [f"{int(t)},{1e200 * (1 if i % 2 else -1)}" for i, t in enumerate(ts)]
             (bad_gold / f.name).parent.mkdir(parents=True, exist_ok=True)
@@ -641,7 +646,7 @@ class TestConfigFile:
             ]
         )
         assert rc == 0
-        _, _, meta = read_gold_csv(sorted((tmp_path / "g1").glob("*.csv"))[0])
+        meta = _sidecar(sorted((tmp_path / "g1").glob("*.csv"))[0])
         assert meta["iterations"] == 2
         assert meta["converged"] is False
         # explicit flag beats the config value
@@ -661,7 +666,7 @@ class TestConfigFile:
             ]
         )
         assert rc == 0
-        _, _, meta = read_gold_csv(sorted((tmp_path / "g2").glob("*.csv"))[0])
+        meta = _sidecar(sorted((tmp_path / "g2").glob("*.csv"))[0])
         assert meta["iterations"] == 3
 
     def test_unknown_key_exit_2(self, corpus, tmp_path, capsys):
@@ -763,6 +768,90 @@ class TestBadInputExitCodes:
         captured = capsys.readouterr()
         assert rc == 3
         assert "empty.csv" in captured.err
+
+    def test_timestamp_beyond_int64_exit_3(self, tmp_path, capsys):
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        (pred_dir / "rec.csv").write_text("timestamp_ms,pred\n0,0.1\n99999999999999999999999,0.2\n")
+        rc = main(["eval", "--pred", str(pred_dir), "--gold", str(tmp_path / "gold")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "rec.csv" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_class_beyond_int64_exit_3(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("segment_id,class\ns0,1\ns1,99999999999999999999999\n")
+        gold = tmp_path / "gold.csv"
+        gold.write_text("segment_id,class\ns0,1\ns1,2\n")
+        rc = main(["eval", "--pred-labels", str(pred), "--gold-labels", str(gold)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "pred.csv" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_feature_timestamp_beyond_int64_exit_3(self, corpus, tmp_path, capsys):
+        features = tmp_path / "modal_a"
+        features.mkdir()
+        for f in sorted((corpus / "data" / "features" / "modal_a").glob("*.csv")):
+            (features / f.name).write_text(f.read_text())
+        bad = sorted(features.glob("*.csv"))[0]
+        bad.write_text(bad.read_text() + "99999999999999999999999,0.1,0.2,0.3,0.4\n")
+        rc = main(
+            [
+                "train", "--task", "stress", "--features", str(features),
+                "--gold", str(corpus / "gold"), "--partitions", str(corpus / "data" / "partitions.csv"),
+                "--out", str(tmp_path / "m"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert bad.name in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_non_uniform_gold_grid_exit_3(self, corpus, tmp_path, capsys):
+        gold = tmp_path / "gold"
+        gold.mkdir()
+        for f in sorted((corpus / "gold").glob("*.csv")):
+            (gold / f.name).write_text(f.read_text())
+        bad = sorted(gold.glob("*.csv"))[0]
+        lines = bad.read_text().splitlines()
+        t, _, v = lines[3].partition(",")
+        lines[3] = f"{int(t) + 100},{v}"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(
+            [
+                "train", "--task", "stress", "--features", str(corpus / "data" / "features" / "modal_a"),
+                "--gold", str(gold), "--partitions", str(corpus / "data" / "partitions.csv"),
+                "--out", str(tmp_path / "m"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert bad.name in captured.err
+        assert "uniform" in captured.err
+
+    def test_corrupt_gold_sidecar_is_ignored(self, corpus, trained, tmp_path, capsys):
+        runs = {}
+        for name, sidecar in (("valid", None), ("corrupt", "{not json")):
+            gold = tmp_path / name
+            gold.mkdir()
+            for f in sorted((corpus / "gold").glob("*")):
+                (gold / f.name).write_text(sidecar if f.suffix == ".json" and sidecar else f.read_text())
+            assert main(["eval", "--pred", str(trained / "modal_a" / "preds" / "devel"), "--gold", str(gold)]) == 0
+            rc = main(
+                [
+                    "train", "--task", "stress", "--features", str(corpus / "data" / "features" / "modal_a"),
+                    "--gold", str(gold), "--partitions", str(corpus / "data" / "partitions.csv"),
+                    "--out", str(tmp_path / "m"), "--window", "30", "--hop", "15",
+                    "--hidden", "4", "--epochs", "2", "--seed", "9",
+                ]
+            )
+            assert rc == 0
+            runs[name] = capsys.readouterr()
+        assert "{not json" in (tmp_path / "corrupt" / "rec_000.json").read_text()
+        assert runs["corrupt"].out == runs["valid"].out
+        assert "Traceback" not in runs["corrupt"].err
 
 
 # The smallest argument list each subcommand parses; --jobs is checked before

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -164,17 +166,31 @@ class TestGoldPredictionCsv:
         vals = np.array([0.1, -0.2, 0.3, 0.0, 1.5])
         path = tmp_path / "rec.csv"
         write_gold_csv(path, ts, vals, metadata={"weights": [0.5, 0.5], "iterations": 3})
-        ts2, vals2, meta = read_gold_csv(path)
+        ts2, vals2 = read_gold_csv(path)
         assert np.array_equal(ts2, ts)
         assert np.array_equal(vals2, vals)
+        meta = json.loads(path.with_suffix(".json").read_text())
         assert meta["iterations"] == 3
 
     def test_gold_without_sidecar(self, tmp_path):
         path = tmp_path / "rec.csv"
         write_gold_csv(path, np.array([0, 500]), np.array([1.0, 2.0]))
-        _, _, meta = read_gold_csv(path)
-        assert meta == {}
+        _, vals = read_gold_csv(path)
+        assert np.array_equal(vals, [1.0, 2.0])
         assert not (tmp_path / "rec.json").exists()
+
+    def test_gold_sidecar_never_read(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        write_gold_csv(path, np.array([0, 500]), np.array([1.0, 2.0]), metadata={"iterations": 1})
+        path.with_suffix(".json").write_text("{not json")
+        _, vals = read_gold_csv(path)
+        assert np.array_equal(vals, [1.0, 2.0])
+
+    def test_gold_non_uniform_grid_rejected(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        write_gold_csv(path, np.array([0, 500, 1000, 1600]), np.zeros(4))
+        with pytest.raises(DataError, match="rec.csv.*uniform grid"):
+            read_gold_csv(path)
 
     def test_prediction_roundtrip(self, tmp_path):
         path = tmp_path / "pred.csv"
@@ -188,7 +204,7 @@ class TestGoldPredictionCsv:
         vals = rng.normal(size=100) * 1e-7
         path = tmp_path / "rec.csv"
         write_gold_csv(path, np.arange(100) * 250, vals)
-        _, back, _ = read_gold_csv(path)
+        _, back = read_gold_csv(path)
         assert np.array_equal(back, vals)
 
 
@@ -296,6 +312,24 @@ EVERY_READER = {
     "labels": read_labels_csv,
     "logits": read_logits_csv,
 }
+
+
+BEYOND_INT64 = {
+    "annotation": "timestamp_ms,value\n0,0.1\n99999999999999999999999,0.2\n",
+    "feature": "timestamp_ms,f0\n0,0.1\n-99999999999999999999999,0.2\n",
+    "gold": "timestamp_ms,value\n0,0.1\n99999999999999999999999,0.2\n",
+    "prediction": "timestamp_ms,pred\n99999999999999999999999,0.2\n",
+    "segments": "segment_id,recording_id,start_ms,end_ms,partition\ns0,r,0,99999999999999999999999,train\n",
+    "labels": "segment_id,class\ns0,99999999999999999999999\n",
+}
+
+
+@pytest.mark.parametrize("reader", list(BEYOND_INT64))
+def test_integer_beyond_int64_rejected(tmp_path, reader):
+    path = tmp_path / "big.csv"
+    path.write_text(BEYOND_INT64[reader])
+    with pytest.raises(DataError, match="big.csv.*int64"):
+        EVERY_READER[reader](path)
 
 
 @pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank-lines"])
