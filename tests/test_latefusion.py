@@ -12,6 +12,7 @@ from affectfuse.latefusion import (
     FusionResult,
     fuse_predictions,
 )
+from affectfuse.seqmodel import evaluate
 
 
 def _regression_setup(rng, n_train=4, n_devel=2, n_test=2, t=40):
@@ -118,7 +119,12 @@ class TestRegressionFusion:
             assert set(result.predictions[split]) == set(ids)
             for rid in ids:
                 assert result.predictions[split][rid].shape == (40,)
-        assert result.devel_score == result.history.best_metric()
+        # the returned model is the one whose devel score was reported
+        devel_items = [
+            (np.stack([streams["a"][rid], streams["b"][rid]], axis=1), gold[rid])
+            for rid in splits["devel"]
+        ]
+        assert evaluate(result.model, devel_items) == result.devel_score
 
     def test_stream_length_mismatch_rejected(self):
         rng = np.random.default_rng(2)

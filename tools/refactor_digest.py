@@ -18,9 +18,9 @@ in a fresh process per command with ``--jobs 1``:
   ``raaw --dump-paths``, ``physio`` and ``discretize --model-out``.
 
 Printed: each command's stdout with the run root replaced by ``<run>``, then
-the file count and one sha256 over the sorted ``path digest`` lines of every
-file written. ``--files`` also prints those per-file lines. Standard library
-only; the full run takes a few minutes on two cores.
+one sorted ``path sha256`` line per file written, the file count and one
+sha256 over those lines, so a diff of two outputs names the files that
+differ. Standard library only; the full run takes a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", required=True, help="source tree holding src/affectfuse")
     parser.add_argument("--work", default=None, help="directory for the run outputs (default: a temp dir)")
-    parser.add_argument("--files", action="store_true", help="also print one digest line per file")
     args = parser.parse_args()
     src = Path(args.src).resolve()
     if not (src / "src" / "affectfuse").is_dir():
@@ -127,8 +126,7 @@ def main() -> int:
             print(f"## {name}")
             print("\n".join(run_path(src, work / name, commands)))
         digests = file_digests(work)
-    if args.files:
-        print("\n".join(digests))
+    print("\n".join(digests))
     print(f"files={len(digests)}")
     print(f"digest={hashlib.sha256(chr(10).join(digests).encode()).hexdigest()}")
     return 0
