@@ -462,6 +462,7 @@ def _regression_training(args, features_dir: Path, spec: dataio.WindowSpec):
         raise DataError(f"no gold files under {gold_dir}")
     items: dict[str, list] = {s: [] for s in dataio.SPLITS}
     full: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {s: {} for s in dataio.SPLITS}
+    width = None
     for path in gold_files:
         rec = path.stem
         fpath = features_dir / f"{rec}.csv"
@@ -469,7 +470,8 @@ def _regression_training(args, features_dir: Path, spec: dataio.WindowSpec):
             _info(f"skipping {rec}: no feature file {fpath}")
             continue
         ts, gold_values = dataio.read_gold_csv(path)
-        fseq = dataio.read_feature_csv(fpath, recording_id=rec, feature_set=features_dir.name)
+        fseq = dataio.read_feature_csv(fpath, rec, features_dir.name, n_features=width)
+        width = fseq.n_features
         x = dataio.align_to_labels(fseq, ts)
         split = partition.split_of(rec)
         full[split][rec] = (ts, x)
@@ -501,14 +503,16 @@ def _sent_training(args, features_dir: Path, spec: dataio.WindowSpec):
 
     feats: dict[str, dataio.FeatureSequence] = {}
     seg_x: dict[str, np.ndarray] = {}
+    width = None
     for seg in segments:
         if seg.recording_id not in feats:
             fpath = features_dir / f"{seg.recording_id}.csv"
             if not fpath.is_file():
                 raise DataError(f"no feature file for recording {seg.recording_id!r}: {fpath}")
             feats[seg.recording_id] = dataio.read_feature_csv(
-                fpath, recording_id=seg.recording_id, feature_set=features_dir.name
+                fpath, seg.recording_id, features_dir.name, n_features=width
             )
+            width = feats[seg.recording_id].n_features
         fseq = feats[seg.recording_id]
         mask = dataio.slice_by_span(fseq.timestamps_ms, seg.start_ms, seg.end_ms)
         x = fseq.matrix[mask]
@@ -614,8 +618,10 @@ def cmd_eval(args) -> int:
     if args.pred_labels or args.gold_labels:
         if not (args.pred_labels and args.gold_labels):
             raise ParameterError("classification eval needs --pred-labels and --gold-labels")
-        pred_map = dataio.read_labels_csv(_resolve(args.pred_labels))
-        gold_map = dataio.read_labels_csv(_resolve(args.gold_labels))
+        if args.classes < 2:
+            raise ParameterError(f"--classes must be >= 2, got {args.classes}")
+        pred_map = dataio.read_labels_csv(_resolve(args.pred_labels), n_classes=args.classes)
+        gold_map = dataio.read_labels_csv(_resolve(args.gold_labels), n_classes=args.classes)
         shared = sorted(set(pred_map) & set(gold_map))
         if not shared:
             raise DataError("no shared segment ids between predictions and gold labels")

@@ -399,8 +399,13 @@ def list_recordings(annotations_dir: Path | str, kind: str) -> list[str]:
 # feature CSVs
 
 
-def read_feature_csv(path: Path | str, recording_id: str, feature_set: str) -> FeatureSequence:
-    """Load a feature CSV: ``timestamp_ms,f0,...`` or ``start_ms,end_ms,f0,...`` for words."""
+def read_feature_csv(
+    path: Path | str, recording_id: str, feature_set: str, n_features: int | None = None
+) -> FeatureSequence:
+    """Load a feature CSV: ``timestamp_ms,f0,...`` or ``start_ms,end_ms,f0,...`` for words.
+
+    With ``n_features`` (the width of a set's other files) a file of another width is bad data.
+    """
     header, parsed = _read_table(
         path,
         {
@@ -412,6 +417,8 @@ def read_feature_csv(path: Path | str, recording_id: str, feature_set: str) -> F
     if not parsed:
         raise DataError(f"{path}: no data rows")
     ts, ends, rows = zip(*parsed)
+    if n_features is not None and len(rows[0]) != n_features:
+        raise DataError(f"{path}: {len(rows[0])} feature columns, expected {n_features}")
     try:
         return FeatureSequence(
             recording_id=recording_id,
@@ -510,9 +517,14 @@ def write_labels_csv(path: Path | str, labels: Mapping[str, int]) -> None:
     _write_lines(path, lines)
 
 
-def read_labels_csv(path: Path | str) -> dict[str, int]:
+def read_labels_csv(path: Path | str, n_classes: int | None = None) -> dict[str, int]:
+    """``segment_id,class`` rows; with ``n_classes`` a class outside [0, n_classes) is bad data."""
     _, rows = _read_table(path, {"segment_id,class": lambda f: (f[0], _int64(f[1]))})
-    return dict(rows)
+    labels = dict(rows)
+    for seg_id, label in labels.items():
+        if n_classes is not None and not 0 <= label < n_classes:
+            raise DataError(f"{path}: segment {seg_id!r} has class {label}, outside [0, {n_classes - 1}]")
+    return labels
 
 
 def write_logits_csv(path: Path | str, logits: Mapping[str, np.ndarray]) -> None:

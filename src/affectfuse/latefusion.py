@@ -115,15 +115,8 @@ def fuse_predictions(plan: FusionPlan, task: str = "regression") -> FusionResult
     if task not in ("regression", "sent"):
         raise ParameterError(f"unknown fusion task {task!r}")
     order = tuple(plan.streams.keys())
-
-    def stack(item: str) -> np.ndarray:
-        if task == "regression":
-            return _stack_regression(plan, order, item)
-        return _stack_sent(plan, order, item)
-
-    stacked = {
-        item: stack(item) for ids in plan.splits.values() for item in ids
-    }
+    stack = _stack_regression if task == "regression" else _stack_sent
+    stacked = {item: stack(plan, order, item) for ids in plan.splits.values() for item in ids}
     input_dim = next(iter(stacked.values())).shape[1]
     for item, mat in stacked.items():
         if mat.shape[1] != input_dim:
@@ -162,20 +155,13 @@ def fuse_predictions(plan: FusionPlan, task: str = "regression") -> FusionResult
 
     # train restores the best epoch's parameters, whose devel score it logged
     history = train(model, train_items, devel_items)
-
-    result = FusionResult(
+    # one item at a time, so memory does not grow with the number predicted
+    predict = model.predict if task == "regression" else model.predict_class
+    return FusionResult(
         stream_order=order,
         config=config,
         history=history,
         devel_score=history.best_metric(),
+        predictions={split: {i: predict(stacked[i]) for i in ids} for split, ids in plan.splits.items()},
         model=model,
     )
-    for split, ids in plan.splits.items():
-        out: dict = {}
-        for item in ids:
-            if task == "regression":
-                out[item] = model.predict(stacked[item])
-            else:
-                out[item] = model.predict_class(stacked[item])
-        result.predictions[split] = out
-    return result

@@ -1,8 +1,18 @@
-"""Recurrent sequence baselines: LSTM forward/backward, CCC loss, Adam, training.
+"""Recurrent sequence baselines: batched LSTM forward/backward, CCC loss, Adam, training.
 
-Everything is float64 numpy. Gradients are exact reverse-mode BPTT and are
-checked against central finite differences in the test suite, so any change
-here must keep forward and backward in lockstep.
+Everything is float64 numpy. A batch of ragged (T_i, D) sequences runs at once,
+packed time-major into a zero-padded (T_max, B, D) array with its lengths. Per
+layer and direction, ``X @ W + b`` is one matrix product over all steps, the
+recurrence steps over time with a (B, H) @ (H, 4H) product, one ``tanh`` gives
+every gate (sigmoid(x) = 0.5 * (1 + tanh(x / 2))), and the backward pass forms
+dW, dU and dX as matrix products and db as a sum after its time loop (Appleyard,
+Kocisky & Blunsom 2016, arXiv:1604.01946). Padding follows each item's last step and the
+heads give it zero gradient (regression scores each item's valid slice,
+classification mean-pools valid steps); the backward direction reverses each
+item within its own length (step t reads step L - 1 - t), padding left in place.
+So padding never reaches an output or a gradient. Single-sequence ``forward``
+and ``predict`` are batches of one. Gradients are exact reverse-mode BPTT,
+checked against finite differences and a per-sequence step-loop reference.
 """
 
 from __future__ import annotations
@@ -65,15 +75,6 @@ class RegressorConfig:
             raise ParameterError("batch_size, max_epochs must be >= 1 and patience >= 0")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def ccc_loss(pred, gold, eps: float = 1e-12) -> tuple[float, np.ndarray]:
     """1 - CCC with an epsilon-guarded denominator, plus d(loss)/d(pred).
 
@@ -133,23 +134,15 @@ class SequenceModel:
 
     # -- construction -------------------------------------------------------
 
-    def _layer_input_dim(self, layer: int) -> int:
-        if layer == 0:
-            return self.config.input_dim
-        return self.config.hidden_dim * len(self._dirs)
-
-    @property
-    def _out_dim(self) -> int:
-        return self.config.hidden_dim * len(self._dirs)
-
     def _init_params(self) -> dict[str, np.ndarray]:
         cfg = self.config
         rng = np.random.default_rng([cfg.seed, 0])
         scale = 1.0 / np.sqrt(cfg.hidden_dim)
         h = cfg.hidden_dim
+        out_dim = h * len(self._dirs)
         params: dict[str, np.ndarray] = {}
         for layer in range(cfg.layers):
-            d_in = self._layer_input_dim(layer)
+            d_in = cfg.input_dim if layer == 0 else out_dim
             for d in self._dirs:
                 params[f"l{layer}{d}_W"] = rng.uniform(-scale, scale, size=(d_in, 4 * h))
                 params[f"l{layer}{d}_U"] = rng.uniform(-scale, scale, size=(h, 4 * h))
@@ -157,7 +150,7 @@ class SequenceModel:
                 b[h : 2 * h] += 1.0  # forget-gate bias starts open
                 params[f"l{layer}{d}_b"] = b
         n_out = 1 if cfg.head == "regression" else cfg.n_classes
-        params["head_W"] = rng.uniform(-scale, scale, size=(self._out_dim, n_out))
+        params["head_W"] = rng.uniform(-scale, scale, size=(out_dim, n_out))
         params["head_b"] = rng.uniform(-scale, scale, size=n_out)
         return params
 
@@ -166,65 +159,86 @@ class SequenceModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _run_direction(self, x: np.ndarray, layer: int, d: str) -> tuple[np.ndarray, dict]:
+    def _pack(self, xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-padded time-major (T_max, B, D) array of a batch, plus each item's length."""
+        seqs = [np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in xs]
+        if not seqs:
+            raise ParameterError("empty batch")
+        d = self.config.input_dim
+        for x in seqs:
+            if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != d:
+                raise ParameterError(f"expected input dim {d}, got a sequence of shape {x.shape}")
+        lengths = np.array([x.shape[0] for x in seqs])
+        packed = np.zeros((lengths.max(), len(seqs), d))
+        for b, x in enumerate(seqs):
+            packed[: x.shape[0], b] = x
+        return packed, lengths
+
+    def _recur(self, x: np.ndarray, layer: int, d: str, order, keep: bool) -> tuple[np.ndarray, dict]:
+        """One layer and direction over a packed (T, B, D_in) input, read in step ``order``."""
         h = self.config.hidden_dim
+        x = x[order]
+        t_len, bsz, d_in = x.shape
         w = self.params[f"l{layer}{d}_W"]
-        u = self.params[f"l{layer}{d}_U"]
-        b = self.params[f"l{layer}{d}_b"]
-        t_len = x.shape[0]
-        gates = np.empty((t_len, 4 * h))
-        cells = np.empty((t_len, h))
-        hidden = np.empty((t_len, h))
-        h_prev = np.zeros(h)
-        c_prev = np.zeros(h)
+        # one tanh gives every gate: sigmoid(x) = half * tanh(half * x) + shift
+        # for input, forget and output, and the candidate is tanh(x) itself
+        half = np.repeat([0.5, 0.5, 1.0, 0.5], h)
+        shift = np.repeat([0.5, 0.5, 0.0, 0.5], h)
+        u = self.params[f"l{layer}{d}_U"] * half
+        xw = ((x.reshape(-1, d_in) @ w + self.params[f"l{layer}{d}_b"]) * half).reshape(t_len, bsz, 4 * h)
+        hidden = np.empty((t_len, bsz, h))
+        gates = np.empty((t_len if keep else 1, bsz, 4 * h))
+        cells = np.empty((t_len, bsz, h)) if keep else None
+        h_prev = c_prev = np.zeros((bsz, h))
         for t in range(t_len):
-            pre = x[t] @ w + h_prev @ u + b
-            gi = _sigmoid(pre[:h])
-            gf = _sigmoid(pre[h : 2 * h])
-            gg = np.tanh(pre[2 * h : 3 * h])
-            go = _sigmoid(pre[3 * h :])
-            c_prev = gf * c_prev + gi * gg
-            h_prev = go * np.tanh(c_prev)
-            gates[t] = np.concatenate([gi, gf, gg, go])
-            cells[t] = c_prev
+            g = gates[t if keep else 0]
+            np.tanh(xw[t] + h_prev @ u, out=g)
+            g *= half
+            g += shift
+            c_prev = g[:, h : 2 * h] * c_prev + g[:, :h] * g[:, 2 * h : 3 * h]
+            h_prev = g[:, 3 * h :] * np.tanh(c_prev)
             hidden[t] = h_prev
-        return hidden, {"x": x, "gates": gates, "cells": cells, "hidden": hidden}
+            if keep:
+                cells[t] = c_prev
+        return hidden[order], {"x": x, "gates": gates, "cells": cells, "hidden": hidden, "order": order}
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Run the full stack; returns (output, cache) for the backward pass.
+    def forward_batch(self, xs: Sequence[np.ndarray], keep_cache: bool = True) -> tuple[list[np.ndarray], dict]:
+        """Run the full stack on a batch of (T_i, D) sequences; returns (outputs, cache).
 
-        Output is per-step predictions (T,) for regression, class logits
-        (n_classes,) for classification.
+        Outputs are per item: per-step predictions (T_i,) for regression,
+        class logits (n_classes,) for classification. Without ``keep_cache``
+        only each layer's output is held, and the cache cannot be passed to
+        :meth:`backward`.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.config.input_dim:
-            raise ParameterError(
-                f"expected input dim {self.config.input_dim}, got {x.shape[1]}"
-            )
-        cache: dict = {"layers": []}
+        x, lengths = self._pack(xs)
+        steps = np.arange(x.shape[0])[:, None]
+        valid = steps < lengths
+        # the backward direction reads step L-1-t at step t; padding stays put
+        order = {"f": slice(None), "b": (np.where(valid, lengths - 1 - steps, steps), np.arange(x.shape[1]))}
+        cache: dict = {"lengths": lengths, "valid": valid, "layers": []}
         current = x
         for layer in range(self.config.layers):
-            per_dir = {}
-            outs = []
-            for d in self._dirs:
-                xin = current if d == "f" else current[::-1]
-                hid, c = self._run_direction(xin, layer, d)
-                per_dir[d] = c
-                outs.append(hid if d == "f" else hid[::-1])
-            cache["layers"].append(per_dir)
-            current = np.concatenate(outs, axis=1)
+            runs = [self._recur(current, layer, d, order[d], keep_cache) for d in self._dirs]
+            if keep_cache:
+                cache["layers"].append(dict(zip(self._dirs, (c for _, c in runs))))
+            current = np.concatenate([hid for hid, _ in runs], axis=2)
         cache["features"] = current
+        head_w, head_b = self.params["head_W"], self.params["head_b"]
         if self.config.head == "regression":
-            out = (current @ self.params["head_W"])[:, 0] + self.params["head_b"][0]
-        else:
-            pooled = current.mean(axis=0)
-            cache["pooled"] = pooled
-            out = pooled @ self.params["head_W"] + self.params["head_b"]
-        return out, cache
+            out = ((current.reshape(-1, current.shape[2]) @ head_w)[:, 0] + head_b[0]).reshape(valid.shape)
+            return np.split(out.T[valid.T], np.cumsum(lengths)[:-1]), cache
+        pooled = (current * valid[:, :, None]).sum(axis=0) / lengths[:, None]
+        cache["pooled"] = pooled
+        return list(pooled @ head_w + head_b), cache
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+        """:meth:`forward_batch` on one sequence; returns (output, cache)."""
+        outs, cache = self.forward_batch([x])
+        return outs[0], cache
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forward pass on a full sequence without keeping the cache."""
-        return self.forward(x)[0]
+        return self.forward_batch([x], keep_cache=False)[0][0]
 
     def predict_class(self, x: np.ndarray) -> int:
         if self.config.head != "classification":
@@ -233,105 +247,81 @@ class SequenceModel:
 
     # -- backward -----------------------------------------------------------
 
-    def _back_direction(
-        self, d_hidden: np.ndarray, layer: int, d: str, cache: dict, grads: dict
-    ) -> np.ndarray:
+    def _recur_back(self, d_hidden: np.ndarray, layer: int, d: str, cache: dict, grads: dict) -> np.ndarray:
+        """Backward through one layer and direction; accumulates dW, dU, db and returns dX."""
         h = self.config.hidden_dim
-        w = self.params[f"l{layer}{d}_W"]
-        u = self.params[f"l{layer}{d}_U"]
-        x = cache["x"]
-        gates = cache["gates"]
-        cells = cache["cells"]
-        hidden = cache["hidden"]
-        t_len = x.shape[0]
-        dw = grads[f"l{layer}{d}_W"]
-        du = grads[f"l{layer}{d}_U"]
-        db = grads[f"l{layer}{d}_b"]
-        dx = np.zeros_like(x)
-        dh_next = np.zeros(h)
-        dc_next = np.zeros(h)
+        x, gates, cells, hidden, order = (cache[k] for k in ("x", "gates", "cells", "hidden", "order"))
+        d_hidden = d_hidden[order]
+        t_len, bsz, d_in = x.shape
+        c_prev, h_prev = (np.concatenate([np.zeros((1, bsz, h)), a[:-1]]) for a in (cells, hidden))
+        gi, gf, gg, go = (gates[:, :, k * h : (k + 1) * h] for k in range(4))
+        tc = np.tanh(cells)
+        dc_dh = go * (1.0 - tc * tc)
+        # d(pre) = [dc, dc, dc, dh] * local, gate by gate
+        local = np.concatenate(
+            [gg * gi * (1.0 - gi), c_prev * gf * (1.0 - gf), gi * (1.0 - gg * gg), tc * go * (1.0 - go)],
+            axis=2,
+        )
+        u_t = self.params[f"l{layer}{d}_U"].T
+        dpre = np.empty_like(gates)
+        dh_next = dc_next = np.zeros((bsz, h))
         for t in range(t_len - 1, -1, -1):
-            gi = gates[t, :h]
-            gf = gates[t, h : 2 * h]
-            gg = gates[t, 2 * h : 3 * h]
-            go = gates[t, 3 * h :]
-            tc = np.tanh(cells[t])
             dh = d_hidden[t] + dh_next
-            dc = dh * go * (1.0 - tc * tc) + dc_next
-            c_prev = cells[t - 1] if t > 0 else np.zeros(h)
-            h_prev = hidden[t - 1] if t > 0 else np.zeros(h)
-            dpre = np.concatenate(
-                [
-                    dc * gg * gi * (1.0 - gi),
-                    dc * c_prev * gf * (1.0 - gf),
-                    dc * gi * (1.0 - gg * gg),
-                    dh * tc * go * (1.0 - go),
-                ]
-            )
-            dw += np.outer(x[t], dpre)
-            du += np.outer(h_prev, dpre)
-            db += dpre
-            dx[t] = dpre @ w.T
-            dh_next = dpre @ u.T
-            dc_next = dc * gf
-        return dx
+            dc = dh * dc_dh[t] + dc_next
+            np.multiply(np.concatenate([dc, dc, dc, dh], axis=1), local[t], out=dpre[t])
+            dh_next = dpre[t] @ u_t
+            dc_next = dc * gf[t]
+        flat = dpre.reshape(t_len * bsz, 4 * h)
+        grads[f"l{layer}{d}_W"] += x.reshape(-1, d_in).T @ flat
+        grads[f"l{layer}{d}_U"] += h_prev.reshape(-1, h).T @ flat
+        grads[f"l{layer}{d}_b"] += flat.sum(axis=0)
+        return (flat @ self.params[f"l{layer}{d}_W"].T).reshape(t_len, bsz, d_in)[order]
 
-    def backward(self, d_out: np.ndarray, cache: dict, grads: dict) -> None:
-        """Accumulate gradients into ``grads`` given d(loss)/d(output)."""
+    def backward(self, d_outs: Sequence[np.ndarray], cache: dict, grads: dict) -> None:
+        """Accumulate gradients into ``grads`` given each item's d(loss)/d(output)."""
         cfg = self.config
-        features = cache["features"]
+        features, valid = cache["features"], cache["valid"]
         if cfg.head == "regression":
-            d_vec = np.asarray(d_out, dtype=np.float64)
-            grads["head_W"] += features.T @ d_vec[:, None]
-            grads["head_b"] += np.array([d_vec.sum()])
-            d_feat = d_vec[:, None] @ self.params["head_W"].T
+            d_vec = np.zeros(valid.shape)
+            d_vec.T[valid.T] = np.concatenate(d_outs)
+            grads["head_W"] += features.reshape(-1, features.shape[2]).T @ d_vec.reshape(-1, 1)
+            grads["head_b"] += d_vec.sum()
+            d_feat = d_vec[:, :, None] * self.params["head_W"][:, 0]
         else:
-            d_logits = np.asarray(d_out, dtype=np.float64)
-            grads["head_W"] += np.outer(cache["pooled"], d_logits)
-            grads["head_b"] += d_logits
-            d_pooled = self.params["head_W"] @ d_logits
-            d_feat = np.tile(d_pooled / features.shape[0], (features.shape[0], 1))
+            d_logits = np.asarray(d_outs, dtype=np.float64)
+            grads["head_W"] += cache["pooled"].T @ d_logits
+            grads["head_b"] += d_logits.sum(axis=0)
+            d_feat = valid[:, :, None] * ((d_logits @ self.params["head_W"].T) / cache["lengths"][:, None])
         h = cfg.hidden_dim
         for layer in range(cfg.layers - 1, -1, -1):
-            d_next = None
-            for di, d in enumerate(self._dirs):
-                d_hid = d_feat[:, di * h : (di + 1) * h]
-                if d == "b":
-                    d_hid = d_hid[::-1]
-                dx = self._back_direction(d_hid, layer, d, cache["layers"][layer][d], grads)
-                if d == "b":
-                    dx = dx[::-1]
-                d_next = dx if d_next is None else d_next + dx
-            d_feat = d_next
+            d_feat = sum(
+                self._recur_back(d_feat[:, :, i * h : (i + 1) * h], layer, d, cache["layers"][layer][d], grads)
+                for i, d in enumerate(self._dirs)
+            )
 
     # -- batched loss -------------------------------------------------------
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {n: np.zeros_like(self.params[n]) for n in self.param_names}
 
     def loss_and_grads(self, batch: Sequence[tuple]) -> tuple[float, dict[str, np.ndarray]]:
         """Mean loss over a batch of (sequence, target) pairs plus gradients.
 
-        The L2 penalty applies to weight matrices only (not biases) and adds
+        The whole batch runs as one packed forward and backward pass. The L2
+        penalty applies to weight matrices only (not biases) and adds
         ``2 * l2_penalty * w`` to each weight gradient.
         """
         if not batch:
             raise ParameterError("empty batch")
         cfg = self.config
-        grads = self.zero_grads()
-        total = 0.0
-        for x, y in batch:
-            out, cache = self.forward(x)
-            if cfg.head == "regression":
-                loss, d_out = ccc_loss(out, y, eps=cfg.loss_eps)
-            else:
-                loss, d_out = cross_entropy_loss(out, y)
-            total += loss
-            self.backward(d_out, cache, grads)
+        outs, cache = self.forward_batch([x for x, _ in batch])
+        losses = [
+            ccc_loss(out, y, eps=cfg.loss_eps) if cfg.head == "regression" else cross_entropy_loss(out, y)
+            for out, (_, y) in zip(outs, batch)
+        ]
+        grads = {n: np.zeros_like(self.params[n]) for n in self.param_names}
+        self.backward([d_out for _, d_out in losses], cache, grads)
         n = len(batch)
         for name in grads:
             grads[name] /= n
-        loss_value = total / n
+        loss_value = sum(loss for loss, _ in losses) / n
         if cfg.l2_penalty > 0.0:
             for name in self.param_names:
                 if name.endswith("_b"):
@@ -412,7 +402,7 @@ class TrainHistory:
 
 
 def evaluate(model: SequenceModel, dataset: Sequence[tuple]) -> float:
-    """Devel-style score on full sequences.
+    """Devel-style score on full sequences, run in batches of ``batch_size``.
 
     Regression: 1 - :func:`ccc_loss`, an epsilon-guarded CCC, on the
     concatenation of all sequences (a collapsed model scores near 0 rather
@@ -421,11 +411,16 @@ def evaluate(model: SequenceModel, dataset: Sequence[tuple]) -> float:
     """
     if not dataset:
         raise ParameterError("cannot evaluate on an empty dataset")
+    size = model.config.batch_size
+    outs = [
+        out
+        for start in range(0, len(dataset), size)
+        for out in model.forward_batch([x for x, _ in dataset[start : start + size]], keep_cache=False)[0]
+    ]
     if model.config.head == "regression":
-        preds = np.concatenate([model.predict(x) for x, _ in dataset])
         golds = np.concatenate([np.asarray(y, dtype=np.float64) for _, y in dataset])
-        return 1.0 - ccc_loss(preds, golds, eps=model.config.loss_eps)[0]
-    pred_labels = np.asarray([model.predict_class(x) for x, _ in dataset])
+        return 1.0 - ccc_loss(np.concatenate(outs), golds, eps=model.config.loss_eps)[0]
+    pred_labels = np.asarray([int(np.argmax(out)) for out in outs])
     gold_labels = np.asarray([int(y) for _, y in dataset])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -113,3 +113,123 @@ def silhouette_reference(points: np.ndarray, labels: np.ndarray) -> float:
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
     return float(scores.mean())
+
+
+def _loop_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _loop_direction(params, h, x, layer, d):
+    w, u, b = (params[f"l{layer}{d}_{n}"] for n in ("W", "U", "b"))
+    t_len = x.shape[0]
+    gates = np.empty((t_len, 4 * h))
+    cells = np.empty((t_len, h))
+    hidden = np.empty((t_len, h))
+    h_prev = np.zeros(h)
+    c_prev = np.zeros(h)
+    for t in range(t_len):
+        pre = x[t] @ w + h_prev @ u + b
+        gi = _loop_sigmoid(pre[:h])
+        gf = _loop_sigmoid(pre[h : 2 * h])
+        gg = np.tanh(pre[2 * h : 3 * h])
+        go = _loop_sigmoid(pre[3 * h :])
+        c_prev = gf * c_prev + gi * gg
+        h_prev = go * np.tanh(c_prev)
+        gates[t] = np.concatenate([gi, gf, gg, go])
+        cells[t] = c_prev
+        hidden[t] = h_prev
+    return hidden, {"x": x, "gates": gates, "cells": cells, "hidden": hidden}
+
+
+def _loop_back_direction(params, h, d_hidden, layer, d, cache, grads):
+    w, u = params[f"l{layer}{d}_W"], params[f"l{layer}{d}_U"]
+    x, gates, cells, hidden = cache["x"], cache["gates"], cache["cells"], cache["hidden"]
+    dx = np.zeros_like(x)
+    dh_next = np.zeros(h)
+    dc_next = np.zeros(h)
+    for t in range(x.shape[0] - 1, -1, -1):
+        gi, gf, gg, go = (gates[t, k * h : (k + 1) * h] for k in range(4))
+        tc = np.tanh(cells[t])
+        dh = d_hidden[t] + dh_next
+        dc = dh * go * (1.0 - tc * tc) + dc_next
+        c_prev = cells[t - 1] if t > 0 else np.zeros(h)
+        h_prev = hidden[t - 1] if t > 0 else np.zeros(h)
+        dpre = np.concatenate(
+            [
+                dc * gg * gi * (1.0 - gi),
+                dc * c_prev * gf * (1.0 - gf),
+                dc * gi * (1.0 - gg * gg),
+                dh * tc * go * (1.0 - go),
+            ]
+        )
+        grads[f"l{layer}{d}_W"] += np.outer(x[t], dpre)
+        grads[f"l{layer}{d}_U"] += np.outer(h_prev, dpre)
+        grads[f"l{layer}{d}_b"] += dpre
+        dx[t] = dpre @ w.T
+        dh_next = dpre @ u.T
+        dc_next = dc * gf
+    return dx
+
+
+def loop_lstm_loss_and_grads(model, batch) -> tuple[float, dict]:
+    """``SequenceModel.loss_and_grads`` one sequence and one timestep at a time.
+
+    The package's first LSTM, kept as a reference: each item runs alone
+    through explicit per-step loops (boolean-mask sigmoid, per-step outer
+    products), with the backward direction on the reversed item, so there is
+    no batching, padding or masking to get wrong.
+    """
+    from affectfuse.seqmodel import ccc_loss, cross_entropy_loss
+
+    cfg, params = model.config, model.params
+    h = cfg.hidden_dim
+    dirs = ("f", "b") if cfg.bidirectional else ("f",)
+    grads = {n: np.zeros_like(params[n]) for n in model.param_names}
+    total = 0.0
+    for x, y in batch:
+        current = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        caches = []
+        for layer in range(cfg.layers):
+            per_dir, outs = {}, []
+            for d in dirs:
+                hid, per_dir[d] = _loop_direction(params, h, current if d == "f" else current[::-1], layer, d)
+                outs.append(hid if d == "f" else hid[::-1])
+            caches.append(per_dir)
+            current = np.concatenate(outs, axis=1)
+        if cfg.head == "regression":
+            out = (current @ params["head_W"])[:, 0] + params["head_b"][0]
+            loss, d_out = ccc_loss(out, y, eps=cfg.loss_eps)
+            grads["head_W"] += current.T @ d_out[:, None]
+            grads["head_b"] += np.array([d_out.sum()])
+            d_feat = d_out[:, None] @ params["head_W"].T
+        else:
+            pooled = current.mean(axis=0)
+            loss, d_out = cross_entropy_loss(pooled @ params["head_W"] + params["head_b"], y)
+            grads["head_W"] += np.outer(pooled, d_out)
+            grads["head_b"] += d_out
+            d_feat = np.tile(params["head_W"] @ d_out / current.shape[0], (current.shape[0], 1))
+        total += loss
+        for layer in range(cfg.layers - 1, -1, -1):
+            d_next = 0.0
+            for di, d in enumerate(dirs):
+                d_hid = d_feat[:, di * h : (di + 1) * h]
+                if d == "f":
+                    d_next = d_next + _loop_back_direction(params, h, d_hid, layer, d, caches[layer][d], grads)
+                else:
+                    dx = _loop_back_direction(params, h, d_hid[::-1], layer, d, caches[layer][d], grads)
+                    d_next = d_next + dx[::-1]
+            d_feat = d_next
+    n = len(batch)
+    for name in grads:
+        grads[name] /= n
+    loss_value = total / n
+    for name in model.param_names:
+        if cfg.l2_penalty > 0.0 and not name.endswith("_b"):
+            loss_value += cfg.l2_penalty * float(np.sum(params[name] ** 2))
+            grads[name] += 2.0 * cfg.l2_penalty * params[name]
+    return loss_value, grads

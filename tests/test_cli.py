@@ -831,6 +831,43 @@ class TestBadInputExitCodes:
         assert bad.name in captured.err
         assert "uniform" in captured.err
 
+    @pytest.mark.parametrize("task", ["stress", "sent"])
+    def test_mixed_feature_widths_exit_3(self, corpus, tmp_path, capsys, task):
+        features = tmp_path / "modal_a"
+        features.mkdir()
+        for f in sorted((corpus / "data" / "features" / "modal_a").glob("*.csv")):
+            (features / f.name).write_text(f.read_text())
+        bad = sorted(features.glob("*.csv"))[3]
+        rows = [line.rsplit(",", 1)[0] for line in bad.read_text().splitlines()]
+        bad.write_text("\n".join(rows) + "\n")
+        argv = ["train", "--task", task, "--features", str(features), "--out", str(tmp_path / "m")]
+        if task == "stress":
+            argv += ["--gold", str(corpus / "gold"), "--partitions", str(corpus / "data" / "partitions.csv")]
+        else:
+            labels = tmp_path / "labels.csv"
+            labels.write_text("segment_id,class\ns0,1\n")
+            argv += ["--segments", str(corpus / "data" / "segments.csv"), "--labels", str(labels)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{bad}: 3 feature columns" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("which", ["pred", "gold"])
+    def test_class_outside_range_exit_3(self, tmp_path, capsys, which):
+        files = {"pred": "segment_id,class\ns0,1\ns1,3\n", "gold": "segment_id,class\ns0,1\ns1,2\n"}
+        files[which] = "segment_id,class\ns0,1\ns1,-1\n" if which == "pred" else "segment_id,class\ns0,5\ns1,2\n"
+        for name, text in files.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        rc = main(
+            ["eval", "--pred-labels", str(tmp_path / "pred.csv"), "--gold-labels", str(tmp_path / "gold.csv"),
+             "--classes", "5"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{which}.csv" in captured.err
+        assert "outside [0, 4]" in captured.err
+
     def test_corrupt_gold_sidecar_is_ignored(self, corpus, trained, tmp_path, capsys):
         runs = {}
         for name, sidecar in (("valid", None), ("corrupt", "{not json")):

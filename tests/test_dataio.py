@@ -159,6 +159,13 @@ class TestFeatureCsv:
         with pytest.raises(DataError):
             read_feature_csv(path, "rec", "x")
 
+    def test_width_other_than_expected_names_file(self, tmp_path):
+        path = tmp_path / "narrow.csv"
+        path.write_text("timestamp_ms,f0,f1\n0,1.0,2.0\n")
+        assert read_feature_csv(path, "rec", "x", n_features=2).n_features == 2
+        with pytest.raises(DataError, match="narrow.csv: 2 feature columns, expected 3"):
+            read_feature_csv(path, "rec", "x", n_features=3)
+
 
 class TestGoldPredictionCsv:
     def test_gold_roundtrip_with_sidecar(self, tmp_path):
@@ -270,6 +277,15 @@ class TestSegments:
         path.write_text("segment_id,class\ns0,1\ns1,x\n")
         with pytest.raises(DataError, match="labels.csv"):
             read_labels_csv(path)
+
+    def test_class_outside_range_names_file(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("segment_id,class\ns0,4\ns1,-1\n")
+        assert read_labels_csv(path) == {"s0": 4, "s1": -1}
+        with pytest.raises(DataError, match=r"labels.csv: segment 's1' has class -1, outside \[0, 4\]"):
+            read_labels_csv(path, n_classes=5)
+        with pytest.raises(DataError, match="segment 's0' has class 4"):
+            read_labels_csv(path, n_classes=4)
 
 
 class TestLogitsCsv:

@@ -16,7 +16,7 @@ from affectfuse.seqmodel import (
     train,
 )
 
-from _oracles import fd_gradient
+from _oracles import fd_gradient, loop_lstm_loss_and_grads
 
 
 def _toy_regression(rng, n_items=6, t=20, d=3):
@@ -197,6 +197,67 @@ class TestGradients:
                 assert np.allclose(g0[n], g1[n])
             else:
                 assert np.allclose(g1[n] - g0[n], 2 * 0.5 * m0.params[n])
+
+
+def _ragged_batch(rng, head, lengths, d=3):
+    return [
+        (rng.normal(size=(n, d)), rng.normal(size=n) if head == "regression" else i % 5)
+        for i, n in enumerate(lengths)
+    ]
+
+
+def _assert_matches_loop(model, batch):
+    loss, grads = model.loss_and_grads(batch)
+    ref_loss, ref_grads = loop_lstm_loss_and_grads(model, batch)
+    assert loss == pytest.approx(ref_loss, rel=1e-10, abs=0)
+    for name in model.param_names:
+        # relative to the largest entry of each gradient array
+        scale = np.max(np.abs(ref_grads[name]))
+        assert np.max(np.abs(grads[name] - ref_grads[name])) <= 1e-10 * scale, name
+
+
+class TestBatchedAgainstLoop:
+    @pytest.mark.parametrize("head", ["regression", "classification"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_ragged_batch_matches_step_loop(self, head, layers, bidirectional):
+        cfg = RegressorConfig(
+            input_dim=3, hidden_dim=5, layers=layers, bidirectional=bidirectional,
+            head=head, l2_penalty=0.01, seed=23,
+        )
+        batch = _ragged_batch(np.random.default_rng(24), head, [7, 2, 9, 7, 2])
+        _assert_matches_loop(SequenceModel(cfg), batch)
+
+    def test_length_one_classification_items(self):
+        # sent fusion feeds one-step items; pooling must use valid steps only
+        cfg = RegressorConfig(
+            input_dim=3, hidden_dim=4, layers=2, bidirectional=True, head="classification", seed=25
+        )
+        batch = _ragged_batch(np.random.default_rng(26), "classification", [1, 1, 7, 1])
+        _assert_matches_loop(SequenceModel(cfg), batch)
+
+    @pytest.mark.parametrize("head", ["regression", "classification"])
+    def test_padding_does_not_leak(self, head):
+        cfg = RegressorConfig(
+            input_dim=3, hidden_dim=5, layers=2, bidirectional=True, head=head, seed=27
+        )
+        model = SequenceModel(cfg)
+        rng = np.random.default_rng(28)
+        xs = [rng.normal(size=(n, 3)) for n in (4, 2)]
+        alone, _ = model.forward_batch(xs)
+        padded, _ = model.forward_batch(xs + [rng.normal(size=(11, 3))])
+        for a, b in zip(alone, padded):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12
+        for x, a in zip(xs, alone):
+            assert np.max(np.abs(model.predict(x) - a)) <= 1e-12
+
+    def test_mixed_width_batch_rejected(self):
+        model = SequenceModel(RegressorConfig(input_dim=3, hidden_dim=4))
+        rng = np.random.default_rng(29)
+        batch = [(rng.normal(size=(5, 3)), rng.normal(size=5)), (rng.normal(size=(5, 2)), rng.normal(size=5))]
+        with pytest.raises(ParameterError, match=r"expected input dim 3, got a sequence of shape \(5, 2\)"):
+            model.loss_and_grads(batch)
 
 
 class TestForward:

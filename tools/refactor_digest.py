@@ -20,7 +20,9 @@ in a fresh process per command with ``--jobs 1``:
 Printed: each command's stdout with the run root replaced by ``<run>``, then
 one sorted ``path sha256`` line per file written, the file count and one
 sha256 over those lines, so a diff of two outputs names the files that
-differ. Standard library only; the full run takes a few minutes on two cores.
+differ. Each command's wall seconds, and each path's total, go to stderr, so
+timings never enter that diff. Standard library only; the full run takes a
+few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ACC10 = [
@@ -90,16 +93,22 @@ def run_path(src: Path, root: Path, commands: list[list[str]]) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
     env.pop("AFFECTFUSE_DATA_ROOT", None)
     lines = []
+    total = 0.0
     for template in commands:
         argv = [a.replace("{R}", str(root)) for a in template] + ["--jobs", "1"]
+        start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "affectfuse", *argv],
             env=env, capture_output=True, text=True,
         )
+        seconds = time.perf_counter() - start
+        total += seconds
+        print(f"{root.name} {argv[0]}: {seconds:.2f} s", file=sys.stderr)
         if proc.returncode != 0:
             sys.exit(f"{argv[0]} under {root} exited {proc.returncode}:\n{proc.stderr}")
         lines.append(f"$ {' '.join(template)}")
         lines += proc.stdout.replace(str(root), "<run>").splitlines()
+    print(f"{root.name} total: {total:.2f} s", file=sys.stderr)
     return lines
 
 
