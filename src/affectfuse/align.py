@@ -44,20 +44,26 @@ class AlignmentResult:
     warped: np.ndarray  # (n_raters, grid_length)
     paths: tuple[WarpPath, ...]
     reference: np.ndarray
-    iterations: int
+    iterations: int  # DTW rounds run
     converged: bool
+    stop_reason: str  # "converged", "cycle" or "max_iter"
 
 
 def dtw(a, b, band: int | None = None) -> WarpPath:
     """Optimal-cost DTW path between 1-d sequences ``a`` (source) and ``b`` (reference).
 
-    Local cost is ``|a[i] - b[j]|``. With ``band`` given, cells outside the
-    Sakoe-Chiba band ``|i - j| <= band`` are unreachable; the band must be at
-    least ``|len(a) - len(b)|`` or no path exists. Ties during traceback
-    (up to a relative tolerance that absorbs float rounding between
-    equal-cost alternatives) prefer the diagonal step, then the
-    source-advancing step, then the reference-advancing step, so the
-    returned path is deterministic and stable under affine input maps.
+    Local cost is ``|a[i] - b[j]|``; both inputs must be finite. With
+    ``band`` given, cells outside the Sakoe-Chiba band ``|i - j| <= band``
+    are unreachable; the band must be at least ``|len(a) - len(b)|`` or no
+    path exists. ``band=None`` (or any band of ``max(n, m) - 1`` or more)
+    leaves every cell reachable. Ties during traceback (up to a relative
+    tolerance that absorbs float rounding between equal-cost alternatives)
+    prefer the diagonal step, then the source-advancing step, then the
+    reference-advancing step, so the returned path is deterministic and
+    stable under affine input maps.
+
+    Only the band is stored: an (n+1) x (2*band+2) table, so memory grows
+    with ``n * band`` rather than ``n * m``.
 
     Returns
     -------
@@ -69,6 +75,8 @@ def dtw(a, b, band: int | None = None) -> WarpPath:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
         raise ParameterError("dtw inputs must be non-empty 1-d sequences")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ParameterError("dtw inputs must be finite (no NaN or inf)")
     n, m = a.size, b.size
     if band is not None:
         band = int(band)
@@ -78,23 +86,38 @@ def dtw(a, b, band: int | None = None) -> WarpPath:
             raise ParameterError(
                 f"band {band} < length difference {abs(n - m)}: no feasible path"
             )
+    # a wider band reaches no further cell
+    band = max(n, m) - 1 if band is None else min(band, max(n, m) - 1)
+    width = 2 * band + 1
 
-    # Padded cost-to-reach table; row i column j = best cost ending at
-    # sample pair (i-1, j-1). Row recurrence D[i,j] = c + min(diag, up, left)
-    # is evaluated with the left-dependency folded into a running minimum:
-    # D[i,j] = S[j] + accmin(A + c - S)[j] where S is the in-row cumsum of c.
-    dmat = np.full((n + 1, m + 1), np.inf)
-    dmat[0, 0] = 0.0
-    for i in range(1, n + 1):
-        jlo = 1 if band is None else max(1, i - band)
-        jhi = m if band is None else min(m, i + band)
-        if jlo > jhi:
-            continue
-        crow = np.abs(a[i - 1] - b[jlo - 1 : jhi])
-        best_prev = np.minimum(dmat[i - 1, jlo - 1 : jhi], dmat[i - 1, jlo : jhi + 1])
-        scan = np.cumsum(crow)
-        dmat[i, jlo : jhi + 1] = scan + np.minimum.accumulate(best_prev + crow - scan)
-    if not np.isfinite(dmat[n, m]):
+    # Banded cost-to-reach table: column k of row i holds the best cost
+    # ending at sample pair (i-1, j-1) with j = i - band + k; row 0 and the
+    # last column are padding that stays inf, except the origin (0, 0).
+    # Row i's band runs over columns lo[i-1]..hi[i-1]; its diagonal and up
+    # predecessors are columns k and k+1 of row i-1. The recurrence
+    # D[i,j] = c + min(diag, up, left) is evaluated with the left dependency
+    # folded into a running minimum: D = S + accmin(min(diag, up) + c - S),
+    # S the in-row prefix sum of c. Costs left of the band are zero, so S
+    # matches a prefix sum started at the band's first cell bit for bit.
+    rows = np.arange(n)
+    lo = np.maximum(band - rows, 0)
+    hi = np.minimum(band + m - 1 - rows, width - 1)
+    b_pad = np.concatenate([np.zeros(band), b, np.zeros(n + band - m)])
+    local = np.subtract(a[:, None], np.lib.stride_tricks.sliding_window_view(b_pad, width))
+    np.abs(local, out=local)
+    local[np.arange(width) < lo[:, None]] = 0.0
+    scan = np.cumsum(local, axis=1)
+    dmat = np.full((n + 1, width + 1), np.inf)
+    dmat[0, band] = 0.0
+    for i, k0, k1 in zip(range(1, n + 1), lo.tolist(), (hi + 1).tolist()):
+        prev, cur = dmat[i - 1], dmat[i, k0:k1]
+        crow, srow = local[i - 1, k0:k1], scan[i - 1, k0:k1]
+        np.minimum(prev[k0:k1], prev[k0 + 1 : k1 + 1], out=cur)
+        cur += crow
+        cur -= srow
+        np.minimum.accumulate(cur, out=cur)
+        cur += srow
+    if not np.isfinite(dmat[n, m - n + band]):
         raise ParameterError("no feasible warp path under the given band")
 
     # Traceback with deterministic tie-breaking: diagonal, then source
@@ -104,20 +127,22 @@ def dtw(a, b, band: int | None = None) -> WarpPath:
     # round apart by ~1e-16, and a strict comparison would let that noise
     # pick different paths for inputs equal up to an affine map. Integer
     # inputs keep exact table values, so the tolerance never fires there.
+    item = dmat.item
     i, j = n, m
     rev = [(i - 1, j - 1)]
     while i > 1 or j > 1:
-        options = (
-            (dmat[i - 1, j - 1], i - 1, j - 1),
-            (dmat[i - 1, j], i - 1, j),
-            (dmat[i, j - 1], i, j - 1),
-        )
-        best = min(opt[0] for opt in options)
+        k = j - i + band
+        diag = item(i - 1, k)
+        up = item(i - 1, k + 1)
+        left = item(i, k - 1) if k else np.inf
+        best = min(diag, up, left)
         tol = 1e-9 * max(1.0, abs(best))
-        for val, pi, pj in options:
-            if val <= best + tol:
-                i, j = pi, pj
-                break
+        if diag <= best + tol:
+            i, j = i - 1, j - 1
+        elif up <= best + tol:
+            i -= 1
+        else:
+            j -= 1
         rev.append((i - 1, j - 1))
     pairs = np.asarray(rev[::-1], dtype=np.int64)
     cost = float(np.abs(a[pairs[:, 0]] - b[pairs[:, 1]]).sum())
@@ -160,11 +185,20 @@ def multi_align(
     (defensively re-standardized) traces; every trace is DTW-warped onto the
     reference grid, the reference becomes the mean of the warped traces, and
     the loop repeats until the largest reference change drops below ``tol``
-    or ``max_iter`` rounds have run. The grid keeps the input length, so the
-    warped traces line up with the original label grid.
+    (``stop_reason="converged"``) or ``max_iter`` rounds have run
+    (``"max_iter"``). The grid keeps the input length, so the warped traces
+    line up with the original label grid.
+
+    A round depends only on the reference it starts from, so once a
+    reference repeats bitwise (period p rounds) every later round repeats
+    too. The loop then stops at the first round R not before the current
+    one with R = ``max_iter`` (mod p), at most p - 1 rounds later, and
+    returns round R's result, which is bitwise the one ``max_iter`` rounds
+    would return (``stop_reason="cycle"``, ``converged=False``).
+    ``iterations`` is the number of rounds run.
 
     ``reference=k`` (an integer rater index) skips the iteration and warps
-    every trace once onto rater k's trace.
+    every trace once onto rater k's trace (``stop_reason="converged"``).
 
     ``band`` defaults to 10% of the sequence length.
     """
@@ -185,24 +219,36 @@ def multi_align(
         ref = traces[int(reference)]
         paths = tuple(dtw(tr, ref, band=band) for tr in traces)
         warped = np.stack([warp_to_reference(tr, p, length) for tr, p in zip(traces, paths)])
-        return AlignmentResult(warped=warped, paths=paths, reference=ref, iterations=1, converged=True)
+        return AlignmentResult(
+            warped=warped, paths=paths, reference=ref, iterations=1, converged=True,
+            stop_reason="converged",
+        )
     if reference != "mean":
         raise ParameterError("reference must be 'mean' or a rater index")
 
     ref = traces.mean(axis=0)
     warped = traces
     paths: tuple[WarpPath, ...] = ()
-    converged = False
+    stop_reason = "max_iter"
+    last_round = max_iter
+    seen = {ref.tobytes(): 0}  # reference bytes -> rounds run when it was current
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    while iterations < last_round:
+        iterations += 1
         paths = tuple(dtw(tr, ref, band=band) for tr in traces)
         warped = np.stack([warp_to_reference(tr, p, length) for tr, p in zip(traces, paths)])
         new_ref = warped.mean(axis=0)
         delta = float(np.max(np.abs(new_ref - ref)))
         ref = new_ref
         if delta < tol:
-            converged = True
+            stop_reason = "converged"
             break
+        if stop_reason == "max_iter":
+            first = seen.setdefault(ref.tobytes(), iterations)
+            if first < iterations:
+                stop_reason = "cycle"
+                last_round = iterations + (max_iter - iterations) % (iterations - first)
     return AlignmentResult(
-        warped=warped, paths=paths, reference=ref, iterations=iterations, converged=converged
+        warped=warped, paths=paths, reference=ref, iterations=iterations,
+        converged=stop_reason == "converged", stop_reason=stop_reason,
     )

@@ -666,15 +666,13 @@ def _stream_names(stream_dirs: list[Path]) -> list[str]:
         if sum(1 for s in stream_dirs if (s.name or "") == base) > 1 and d.parent.name:
             base = f"{d.parent.name}_{base}"
         names.append(base)
-    seen: dict[str, int] = {}
-    unique = []
+    unique: list[str] = []
     for name in names:
-        if name in seen:
-            seen[name] += 1
-            unique.append(f"{name}{seen[name]}")
-        else:
-            seen[name] = 0
-            unique.append(name)
+        candidate, bump = name, 0
+        while candidate in unique:
+            bump += 1
+            candidate = f"{name}{bump}"
+        unique.append(candidate)
     return unique
 
 
@@ -720,7 +718,6 @@ def _sent_streams(args, stream_dirs: dict[str, Path]):
     """Per-segment logits of every stream, read from ``<split>_logits.csv``."""
     if not args.gold_labels:
         raise ParameterError("sent fusion needs --gold-labels")
-    gold_labels = dataio.read_labels_csv(_resolve(args.gold_labels))
 
     splits: dict[str, tuple[str, ...]] = {}
     streams: dict[str, dict[str, np.ndarray]] = {}
@@ -737,6 +734,9 @@ def _sent_streams(args, stream_dirs: dict[str, Path]):
                 raise DataError(f"streams disagree on {split} segment ids")
             splits[split] = ids
         streams[name] = per_item
+    # a gold class without a logit column in every stream is bad data
+    width = min((len(v) for rows in streams.values() for v in rows.values()), default=None)
+    gold_labels = dataio.read_labels_csv(_resolve(args.gold_labels), n_classes=width)
     scored = set(splits.get("train", ())) | set(splits.get("devel", ()))
     gold = {seg: int(lab) for seg, lab in gold_labels.items() if seg in scored}
 

@@ -176,6 +176,7 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
             "degenerate_raters": degenerate,
             "iterations": alignment.iterations,
             "converged": alignment.converged,
+            "stop_reason": alignment.stop_reason,
         },
     )
 

@@ -233,3 +233,94 @@ def loop_lstm_loss_and_grads(model, batch) -> tuple[float, dict]:
             loss_value += cfg.l2_penalty * float(np.sum(params[name] ** 2))
             grads[name] += 2.0 * cfg.l2_penalty * params[name]
     return loss_value, grads
+
+
+def full_table_dtw(a, b, band=None):
+    """``align.dtw`` over the full (n+1) x (m+1) table, one band row at a time.
+
+    The package's first DTW, kept as a reference for the banded table: each
+    row recomputes its local costs and prefix sums, and every cell outside
+    the band stays in the table as inf.
+    """
+    from affectfuse.align import WarpPath
+    from affectfuse.errors import ParameterError
+
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
+        raise ParameterError("dtw inputs must be non-empty 1-d sequences")
+    n, m = a.size, b.size
+    if band is not None:
+        band = int(band)
+        if band < 0:
+            raise ParameterError("band must be >= 0")
+        if band < abs(n - m):
+            raise ParameterError(
+                f"band {band} < length difference {abs(n - m)}: no feasible path"
+            )
+
+    dmat = np.full((n + 1, m + 1), np.inf)
+    dmat[0, 0] = 0.0
+    for i in range(1, n + 1):
+        jlo = 1 if band is None else max(1, i - band)
+        jhi = m if band is None else min(m, i + band)
+        if jlo > jhi:
+            continue
+        crow = np.abs(a[i - 1] - b[jlo - 1 : jhi])
+        best_prev = np.minimum(dmat[i - 1, jlo - 1 : jhi], dmat[i - 1, jlo : jhi + 1])
+        scan = np.cumsum(crow)
+        dmat[i, jlo : jhi + 1] = scan + np.minimum.accumulate(best_prev + crow - scan)
+    if not np.isfinite(dmat[n, m]):
+        raise ParameterError("no feasible warp path under the given band")
+
+    i, j = n, m
+    rev = [(i - 1, j - 1)]
+    while i > 1 or j > 1:
+        options = (
+            (dmat[i - 1, j - 1], i - 1, j - 1),
+            (dmat[i - 1, j], i - 1, j),
+            (dmat[i, j - 1], i, j - 1),
+        )
+        best = min(opt[0] for opt in options)
+        tol = 1e-9 * max(1.0, abs(best))
+        for val, pi, pj in options:
+            if val <= best + tol:
+                i, j = pi, pj
+                break
+        rev.append((i - 1, j - 1))
+    pairs = np.asarray(rev[::-1], dtype=np.int64)
+    cost = float(np.abs(a[pairs[:, 0]] - b[pairs[:, 1]]).sum())
+    return WarpPath(pairs=pairs, cost=cost)
+
+
+def loop_multi_align(rater_set, *, max_iter=20, tol=1e-4, band=None):
+    """``align.multi_align`` with a mean reference, always run to ``max_iter``
+    or convergence, over :func:`full_table_dtw`.
+
+    The package's first iteration loop, kept as a reference for the cycle
+    stop: it never looks back at earlier references. Returns
+    ``(warped, paths, reference, iterations, converged)``.
+    """
+    from affectfuse.align import default_band, warp_to_reference
+    from affectfuse.core import standardize_values
+
+    length = rater_set.n_samples
+    if band is None:
+        band = default_band(length)
+    traces = np.stack([standardize_values(t.values)[0] for t in rater_set.traces])
+
+    ref = traces.mean(axis=0)
+    warped = traces
+    paths = ()
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        paths = tuple(full_table_dtw(tr, ref, band=band) for tr in traces)
+        warped = np.stack([warp_to_reference(tr, p, length) for tr, p in zip(traces, paths)])
+        new_ref = warped.mean(axis=0)
+        delta = float(np.max(np.abs(new_ref - ref)))
+        ref = new_ref
+        if delta < tol:
+            converged = True
+            break
+    return warped, paths, ref, iterations, converged

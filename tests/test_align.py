@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affectfuse import align
 from affectfuse.align import WarpPath, default_band, dtw, multi_align, warp_to_reference
 from affectfuse.core import AnnotationTrace, RaterSet
 from affectfuse.errors import ParameterError
 from affectfuse.metrics import pearson
 
-from _oracles import brute_dtw_cost
+from _oracles import brute_dtw_cost, full_table_dtw, loop_multi_align
 
 
 def _rater_set(arrays, rate=4.0, kind="valence"):
@@ -22,6 +25,14 @@ def _rater_set(arrays, rate=4.0, kind="valence"):
         for i, vals in enumerate(arrays)
     )
     return RaterSet(recording_id="rec", traces=traces)
+
+
+def _cycling_rater_set():
+    rng = np.random.default_rng(1)
+    n = int(rng.integers(40, 120))
+    base = np.cumsum(rng.normal(size=n))
+    arrays = [np.roll(base, int(rng.integers(-4, 5))) + rng.normal(0, 0.5, n) for _ in range(4)]
+    return _rater_set(arrays, rate=2.0, kind="arousal")
 
 
 class TestDtw:
@@ -91,6 +102,46 @@ class TestDtw:
             dtw(np.array([]), np.zeros(3), band=3)
         with pytest.raises(ParameterError):
             dtw(np.zeros(3), np.zeros(3), band=-1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_rejects_non_finite_input(self, bad, side):
+        seqs = {"a": np.array([1.0, 2.0, 3.0]), "b": np.array([1.0, 2.0, 3.0])}
+        seqs[side][1] = bad
+        with pytest.raises(ParameterError, match="must be finite"):
+            dtw(seqs["a"], seqs["b"], band=3)
+
+
+@st.composite
+def _dtw_case(draw):
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 24))
+    band = draw(st.sampled_from(["zero", "gap", "default", "none"]))
+    band = {"zero": 0, "gap": abs(n - m), "default": default_band(max(n, m)), "none": None}[band]
+    if draw(st.booleans()):
+        # small integers: many exact ties, so the traceback's tie rule decides
+        values = st.integers(0, 3).map(float)
+    else:
+        values = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+    a = draw(st.lists(values, min_size=n, max_size=n))
+    b = draw(st.lists(values, min_size=m, max_size=m))
+    return np.array(a), np.array(b), band
+
+
+class TestBandedDtwMatchesFullTable:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_dtw_case())
+    def test_same_pairs_and_cost(self, case):
+        a, b, band = case
+        try:
+            want = full_table_dtw(a, b, band=band)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                dtw(a, b, band=band)
+            return
+        got = dtw(a, b, band=band)
+        assert np.array_equal(got.pairs, want.pairs)
+        assert got.cost == want.cost
 
 
 class TestWarpPath:
@@ -165,10 +216,49 @@ class TestMultiAlign:
         )
         result = multi_align(rs, max_iter=10)
         assert result.converged
+        assert result.stop_reason == "converged"
         assert result.iterations <= 10
         for i in range(3):
             for j in range(i + 1, 3):
                 assert pearson(result.warped[i], result.warped[j]) > 0.97
+
+    def test_cycle_stop_matches_full_run(self):
+        # this set reaches a period-2 cycle of references after a few rounds
+        rs = _cycling_rater_set()
+        for max_iter in (9, 20):
+            result = multi_align(rs, max_iter=max_iter)
+            warped, paths, ref, iterations, converged = loop_multi_align(rs, max_iter=max_iter)
+            assert iterations == max_iter and not converged
+            # the full run's reference repeats with period 2
+            assert np.array_equal(ref, loop_multi_align(rs, max_iter=max_iter - 2)[2])
+            assert result.stop_reason == "cycle"
+            assert not result.converged
+            assert result.iterations < max_iter
+            assert (max_iter - result.iterations) % 2 == 0
+            assert np.array_equal(result.warped, warped)
+            assert np.array_equal(result.reference, ref)
+            assert len(result.paths) == len(paths)
+            for got, want in zip(result.paths, paths):
+                assert np.array_equal(got.pairs, want.pairs)
+                assert got.cost == want.cost
+
+    @pytest.mark.parametrize(
+        ("case", "max_iter", "stop_reason"),
+        [("converges", 10, "converged"), ("cycles", 20, "cycle"), ("cycles", 3, "max_iter")],
+    )
+    def test_one_dtw_call_per_trace_per_round(self, monkeypatch, case, max_iter, stop_reason):
+        if case == "converges":
+            rng = np.random.default_rng(21)
+            base = np.sin(2 * np.pi * np.arange(300) / 60.0)
+            rs = _rater_set([np.roll(base, s) + rng.normal(0, 0.02, 300) for s in (3, 0, -3)])
+        else:
+            rs = _cycling_rater_set()
+        calls = []
+        real_dtw = align.dtw
+        monkeypatch.setattr(align, "dtw", lambda *a, **k: calls.append(1) or real_dtw(*a, **k))
+        result = multi_align(rs, max_iter=max_iter)
+        assert result.stop_reason == stop_reason
+        assert len(calls) == len(rs) * result.iterations
 
     def test_grid_length_matches_input(self):
         rng = np.random.default_rng(22)
@@ -183,6 +273,7 @@ class TestMultiAlign:
         rs = _rater_set([np.roll(base, 2), base])
         result = multi_align(rs, reference=1)
         assert result.converged
+        assert result.stop_reason == "converged"
         assert result.iterations == 1
         # rater 1 is the reference: its warped copy is its standardized self
         std1 = (base - base.mean()) / base.std()

@@ -122,6 +122,8 @@ class TestRaaw:
             assert "weights" in meta
             assert meta["converged"] in (True, False)
             assert meta["iterations"] >= 1
+            assert meta["stop_reason"] in ("converged", "cycle", "max_iter")
+            assert meta["converged"] == (meta["stop_reason"] == "converged")
 
     def test_parallel_jobs_byte_identical(self, corpus, tmp_path):
         ann = corpus / "data" / "annotations"
@@ -572,6 +574,50 @@ class TestSentPath:
         vals = _values(captured.out)
         assert "devel_f1" in vals
         assert (sent_run / "fused" / "preds" / "devel_labels.csv").is_file()
+
+
+def _logit_streams(root: Path, names, width: int = 5) -> Path:
+    """Hand-written train/devel logits for each stream plus a labels CSV."""
+    rng = np.random.default_rng(3)
+    segs = {"train": [f"t{i}" for i in range(6)], "devel": [f"d{i}" for i in range(4)]}
+    for name in names:
+        (root / name).mkdir(parents=True, exist_ok=True)
+        for split, ids in segs.items():
+            rows = [f"{seg}," + ",".join(f"{v:.3f}" for v in rng.normal(size=width)) for seg in ids]
+            header = "segment_id," + ",".join(f"l{k}" for k in range(width))
+            (root / name / f"{split}_logits.csv").write_text("\n".join([header, *rows]) + "\n")
+    labels = root / "labels.csv"
+    ids = segs["train"] + segs["devel"]
+    labels.write_text("segment_id,class\n" + "".join(f"{seg},{i % width}\n" for i, seg in enumerate(ids)))
+    return labels
+
+
+class TestFuseLateSentStreams:
+    def test_clashing_names_keep_every_stream(self, tmp_path, monkeypatch, capsys):
+        # relative dirs have no parent to qualify with: a, a, a1 must not collapse
+        monkeypatch.chdir(tmp_path)
+        _logit_streams(tmp_path, ["a", "a1"])
+        rc = main(
+            ["fuse-late", "--task", "sent", "--streams", "a", "a", "a1", "--gold-labels", "labels.csv",
+             "--out", "fused", "--epochs", "1", "--batch", "4"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert _values(captured.out)["streams"] == "a,a1,a11"
+        model = json.loads((tmp_path / "fused" / "model.json").read_text())
+        assert model["config"]["input_dim"] == 3 * 5
+
+    def test_gold_class_beyond_logit_width_exit_3(self, tmp_path, capsys):
+        labels = _logit_streams(tmp_path, ["a", "b"])
+        labels.write_text(labels.read_text().replace("t3,3", "t3,7"))
+        rc = main(
+            ["fuse-late", "--task", "sent", "--streams", str(tmp_path / "a"), str(tmp_path / "b"),
+             "--gold-labels", str(labels), "--out", str(tmp_path / "fused"), "--epochs", "1"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{labels}: segment 't3' has class 7, outside [0, 4]" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestFuseLateRegression:
