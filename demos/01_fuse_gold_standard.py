@@ -40,7 +40,7 @@ gold = raaw(raters)
 print("\nfused gold standard:")
 print(f"  agreement (mean pairwise CC) {gold.metadata['pre_agreement_mean']:.4f} before alignment")
 print(f"  agreement {gold.agreement_mean:.4f} after "
-      f"{gold.metadata['iterations']} alignment rounds (converged: {gold.metadata['converged']})")
+      f"{gold.metadata['iterations']} alignment rounds (stop reason: {gold.metadata['stop_reason']})")
 print("  rater weights:", ", ".join(
     f"{r}={w:.3f}" for r, w in zip(gold.metadata["rater_ids"], gold.weights)))
 print(f"  CCC vs latent {ccc(gold.values, target):.4f}")

@@ -46,7 +46,9 @@ class AlignmentResult:
     reference: np.ndarray
     iterations: int  # DTW rounds run
     converged: bool
-    stop_reason: str  # "converged", "cycle" or "max_iter"
+    stop_reason: str  # "converged", "stalled" or "max_iter"
+    objective: tuple[float, ...]  # per round: summed path cost J
+    max_delta: tuple[float, ...]  # per round: largest reference change
 
 
 def dtw(a, b, band: int | None = None) -> WarpPath:
@@ -171,6 +173,10 @@ def default_band(length: int) -> int:
     return max(1, int(round(0.1 * length)))
 
 
+# J must fall by more than this times max(1, J) per round: dtw's tie tolerance
+STALL_RTOL = 1e-9
+
+
 def multi_align(
     rater_set: RaterSet,
     *,
@@ -182,32 +188,28 @@ def multi_align(
     """Align all traces of a rater set onto one common time grid.
 
     Iterative reference-based scheme: the reference starts as the mean of the
-    (defensively re-standardized) traces; every trace is DTW-warped onto the
-    reference grid, the reference becomes the mean of the warped traces, and
-    the loop repeats until the largest reference change drops below ``tol``
-    (``stop_reason="converged"``) or ``max_iter`` rounds have run
-    (``"max_iter"``). The grid keeps the input length, so the warped traces
-    line up with the original label grid.
-
-    A round depends only on the reference it starts from, so once a
-    reference repeats bitwise (period p rounds) every later round repeats
-    too. The loop then stops at the first round R not before the current
-    one with R = ``max_iter`` (mod p), at most p - 1 rounds later, and
-    returns round R's result, which is bitwise the one ``max_iter`` rounds
-    would return (``stop_reason="cycle"``, ``converged=False``).
-    ``iterations`` is the number of rounds run.
+    (defensively re-standardized) traces; every trace is DTW-warped onto it,
+    and each reference sample becomes the median of all samples, pooled over
+    the traces, that the paths map to it. This minimises
+    J = sum_k sum_{(i, j) in path k} |x_k[i] - r[j]| by turns: DTW picks the
+    cheapest paths for the reference, the median minimises J index by index
+    for those paths, so a round's summed path cost (``objective``) never rises
+    beyond dtw's tie tolerance. The loop stops when the largest reference
+    change (``max_delta``) drops below ``tol`` (``stop_reason="converged"``),
+    when J falls by no more than ``STALL_RTOL * max(1, J)`` (``"stalled"``)
+    or after ``max_iter`` rounds (``"max_iter"``). ``warped`` holds each
+    trace's per-index averages under the last paths, on the input's grid.
 
     ``reference=k`` (an integer rater index) skips the iteration and warps
     every trace once onto rater k's trace (``stop_reason="converged"``).
-
     ``band`` defaults to 10% of the sequence length.
     """
     if len(rater_set) < 2:
         raise ParameterError("multi_align needs at least 2 traces")
     if max_iter < 1:
         raise ParameterError("max_iter must be >= 1")
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
     length = rater_set.n_samples
     if band is None:
         band = default_band(length)
@@ -221,34 +223,32 @@ def multi_align(
         warped = np.stack([warp_to_reference(tr, p, length) for tr, p in zip(traces, paths)])
         return AlignmentResult(
             warped=warped, paths=paths, reference=ref, iterations=1, converged=True,
-            stop_reason="converged",
+            stop_reason="converged", objective=(sum(p.cost for p in paths),), max_delta=(0.0,),
         )
     if reference != "mean":
         raise ParameterError("reference must be 'mean' or a rater index")
 
     ref = traces.mean(axis=0)
-    warped = traces
-    paths: tuple[WarpPath, ...] = ()
-    stop_reason = "max_iter"
-    last_round = max_iter
-    seen = {ref.tobytes(): 0}  # reference bytes -> rounds run when it was current
-    iterations = 0
-    while iterations < last_round:
-        iterations += 1
+    costs, deltas = [], []
+    while len(costs) < max_iter:
         paths = tuple(dtw(tr, ref, band=band) for tr in traces)
-        warped = np.stack([warp_to_reference(tr, p, length) for tr, p in zip(traces, paths)])
-        new_ref = warped.mean(axis=0)
-        delta = float(np.max(np.abs(new_ref - ref)))
+        # pooled median per reference index: the middle of its sorted run
+        ref_idx = np.concatenate([p.pairs[:, 1] for p in paths])
+        values = np.concatenate([tr[p.pairs[:, 0]] for tr, p in zip(traces, paths)])
+        values = values[np.lexsort((values, ref_idx))]
+        counts = np.bincount(ref_idx, minlength=length)
+        start = np.cumsum(counts) - counts
+        new_ref = 0.5 * (values[start + (counts - 1) // 2] + values[start + counts // 2])
+        deltas.append(float(np.max(np.abs(new_ref - ref))))
+        costs.append(float(sum(p.cost for p in paths)))
         ref = new_ref
-        if delta < tol:
-            stop_reason = "converged"
+        stalled = len(costs) > 1 and costs[-2] - costs[-1] <= STALL_RTOL * max(1.0, costs[-2])
+        stop_reason = "converged" if deltas[-1] < tol else "stalled" if stalled else "max_iter"
+        if stop_reason != "max_iter":
             break
-        if stop_reason == "max_iter":
-            first = seen.setdefault(ref.tobytes(), iterations)
-            if first < iterations:
-                stop_reason = "cycle"
-                last_round = iterations + (max_iter - iterations) % (iterations - first)
+    warped = np.stack([warp_to_reference(tr, p, length) for tr, p in zip(traces, paths)])
     return AlignmentResult(
-        warped=warped, paths=paths, reference=ref, iterations=iterations,
+        warped=warped, paths=paths, reference=ref, iterations=len(costs),
         converged=stop_reason == "converged", stop_reason=stop_reason,
+        objective=tuple(costs), max_delta=tuple(deltas),
     )

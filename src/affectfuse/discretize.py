@@ -447,6 +447,10 @@ class ClusterReport:
     min_share_ok: bool
 
 
+# float64 elements in one block of pairwise differences (8 MB)
+SILHOUETTE_BLOCK = 1 << 20
+
+
 def validate_clusters(points, assignments, n_classes: int = 5, min_share: float = 0.05) -> ClusterReport:
     """Mean silhouette and class-share sanity of an assignment.
 
@@ -465,20 +469,23 @@ def validate_clusters(points, assignments, n_classes: int = 5, min_share: float 
     counts = np.bincount(labels, minlength=n_classes)
     if np.count_nonzero(counts) < 2:
         raise ParameterError("silhouette needs at least 2 non-empty classes")
-    dist = np.sqrt(np.maximum(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2), 0.0))
-    scores = np.zeros(labels.size)
-    for i in range(labels.size):
-        own = labels[i]
-        if counts[own] <= 1:
-            continue  # singleton: contributes 0
-        a = dist[i, labels == own].sum() / (counts[own] - 1)
-        b = np.inf
-        for c in range(n_classes):
-            if c == own or counts[c] == 0:
-                continue
-            b = min(b, dist[i, labels == c].mean())
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    # per-class distance sums, one block of rows at a time: memory stays at
+    # about SILHOUETTE_BLOCK floats whatever the number of points
+    n, rows = labels.size, max(1, SILHOUETTE_BLOCK // pts.size)
+    onehot = (labels[:, None] == np.arange(n_classes)).astype(np.float64)
+    sums = np.empty((n, n_classes))
+    for lo in range(0, n, rows):
+        diff = pts[lo : lo + rows, None, :] - pts[None, :, :]
+        np.square(diff, out=diff)
+        sums[lo : lo + rows] = np.sqrt(diff.sum(axis=2)) @ onehot
+    own = counts[labels]
+    a = sums[np.arange(n), labels] / np.maximum(own - 1, 1)
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
+    means[np.arange(n), labels] = np.inf
+    b = means.min(axis=1)  # mean distance to the nearest other non-empty class
+    denom = np.maximum(a, b)
+    keep = (own > 1) & (denom > 0.0)  # singletons and all-zero distances score 0
+    scores = np.where(keep, b - a, 0.0) / np.where(keep, denom, 1.0)
     min_ok = bool(counts.min() >= min_share * labels.size) if counts.min() > 0 else False
     return ClusterReport(
         silhouette=float(scores.mean()),

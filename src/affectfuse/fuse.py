@@ -177,6 +177,8 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
             "iterations": alignment.iterations,
             "converged": alignment.converged,
             "stop_reason": alignment.stop_reason,
+            "objective": alignment.objective,
+            "max_delta": alignment.max_delta,
         },
     )
 

@@ -123,14 +123,19 @@ def fuse_predictions(plan: FusionPlan, task: str = "regression") -> FusionResult
             raise ParameterError(f"inconsistent stacked width for item {item!r}")
 
     shape = REGRESSION_FUSION if task == "regression" else SENT_FUSION
+    head = {"head": "regression"}
+    if task == "sent":
+        # one output per class: as many as the narrowest stream has logits
+        head = {"head": "classification",
+                "n_classes": min(np.size(plan.streams[n][i]) for n in order for i in stacked)}
     config = RegressorConfig(
         input_dim=input_dim,
-        head="regression" if task == "regression" else "classification",
         seed=plan.seed,
         max_epochs=plan.max_epochs,
         patience=plan.patience,
         batch_size=plan.batch_size,
         **shape,
+        **head,
     )
     model = SequenceModel(config)
 

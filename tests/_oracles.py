@@ -291,36 +291,3 @@ def full_table_dtw(a, b, band=None):
     pairs = np.asarray(rev[::-1], dtype=np.int64)
     cost = float(np.abs(a[pairs[:, 0]] - b[pairs[:, 1]]).sum())
     return WarpPath(pairs=pairs, cost=cost)
-
-
-def loop_multi_align(rater_set, *, max_iter=20, tol=1e-4, band=None):
-    """``align.multi_align`` with a mean reference, always run to ``max_iter``
-    or convergence, over :func:`full_table_dtw`.
-
-    The package's first iteration loop, kept as a reference for the cycle
-    stop: it never looks back at earlier references. Returns
-    ``(warped, paths, reference, iterations, converged)``.
-    """
-    from affectfuse.align import default_band, warp_to_reference
-    from affectfuse.core import standardize_values
-
-    length = rater_set.n_samples
-    if band is None:
-        band = default_band(length)
-    traces = np.stack([standardize_values(t.values)[0] for t in rater_set.traces])
-
-    ref = traces.mean(axis=0)
-    warped = traces
-    paths = ()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        paths = tuple(full_table_dtw(tr, ref, band=band) for tr in traces)
-        warped = np.stack([warp_to_reference(tr, p, length) for tr, p in zip(traces, paths)])
-        new_ref = warped.mean(axis=0)
-        delta = float(np.max(np.abs(new_ref - ref)))
-        ref = new_ref
-        if delta < tol:
-            converged = True
-            break
-    return warped, paths, ref, iterations, converged

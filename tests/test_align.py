@@ -6,12 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectfuse import align
-from affectfuse.align import WarpPath, default_band, dtw, multi_align, warp_to_reference
-from affectfuse.core import AnnotationTrace, RaterSet
+from affectfuse.align import (
+    STALL_RTOL,
+    WarpPath,
+    default_band,
+    dtw,
+    multi_align,
+    warp_to_reference,
+)
+from affectfuse.core import AnnotationTrace, RaterSet, standardize_values
 from affectfuse.errors import ParameterError
 from affectfuse.metrics import pearson
 
-from _oracles import brute_dtw_cost, full_table_dtw, loop_multi_align
+from _oracles import brute_dtw_cost, full_table_dtw
 
 
 def _rater_set(arrays, rate=4.0, kind="valence"):
@@ -27,12 +34,49 @@ def _rater_set(arrays, rate=4.0, kind="valence"):
     return RaterSet(recording_id="rec", traces=traces)
 
 
-def _cycling_rater_set():
+def _noisy_rater_set():
+    """Four lagged noisy walks that need 6 rounds to converge."""
     rng = np.random.default_rng(1)
     n = int(rng.integers(40, 120))
     base = np.cumsum(rng.normal(size=n))
     arrays = [np.roll(base, int(rng.integers(-4, 5))) + rng.normal(0, 0.5, n) for _ in range(4)]
     return _rater_set(arrays, rate=2.0, kind="arousal")
+
+
+def _alternating_paths(monkeypatch, n=10):
+    """Three random traces and a dtw stub whose rounds alternate between the
+    identity path and a one-step lag, each reported at cost 1."""
+    lagged = [(0, 0)] + [(i, i - 1) for i in range(1, n)] + [(n - 1, n - 1)]
+    paths = [WarpPath(pairs=np.stack([np.arange(n)] * 2, axis=1), cost=1.0),
+             WarpPath(pairs=np.array(lagged), cost=1.0)]
+    calls = []
+
+    def stub(a, b, band=None):
+        calls.append(1)
+        return paths[(len(calls) - 1) // 3 % 2]
+
+    monkeypatch.setattr(align, "dtw", stub)
+    return _rater_set(list(np.random.default_rng(4).normal(size=(3, n))))
+
+
+def _assert_non_increasing(objective):
+    for before, after in zip(objective, objective[1:]):
+        assert after <= before + STALL_RTOL * max(1.0, before)
+
+
+@st.composite
+def _rater_case(draw):
+    n_raters = draw(st.integers(2, 5))
+    length = draw(st.integers(8, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # small integers: many exact ties in the tables and in the medians
+        arrays = rng.integers(0, 4, size=(n_raters, length)).astype(float)
+    else:
+        base = np.cumsum(rng.normal(size=length))
+        arrays = [np.roll(base, int(rng.integers(-3, 4))) + rng.normal(0, 0.5, length)
+                  for _ in range(n_raters)]
+    return _rater_set(list(arrays)), draw(st.sampled_from([None, 0, 1, 3]))
 
 
 class TestDtw:
@@ -129,7 +173,7 @@ def _dtw_case(draw):
 
 
 class TestBandedDtwMatchesFullTable:
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(_dtw_case())
     def test_same_pairs_and_cost(self, case):
         a, b, band = case
@@ -142,6 +186,17 @@ class TestBandedDtwMatchesFullTable:
         got = dtw(a, b, band=band)
         assert np.array_equal(got.pairs, want.pairs)
         assert got.cost == want.cost
+
+
+class TestObjectiveNeverRises:
+    @settings(max_examples=150)
+    @given(_rater_case())
+    def test_objective_non_increasing(self, case):
+        rs, band = case
+        result = multi_align(rs, band=band)
+        assert len(result.objective) == len(result.max_delta) == result.iterations
+        _assert_non_increasing(result.objective)
+        assert (result.max_delta[-1] < 1e-4) == result.converged
 
 
 class TestWarpPath:
@@ -222,43 +277,80 @@ class TestMultiAlign:
             for j in range(i + 1, 3):
                 assert pearson(result.warped[i], result.warped[j]) > 0.97
 
-    def test_cycle_stop_matches_full_run(self):
-        # this set reaches a period-2 cycle of references after a few rounds
-        rs = _cycling_rater_set()
-        for max_iter in (9, 20):
-            result = multi_align(rs, max_iter=max_iter)
-            warped, paths, ref, iterations, converged = loop_multi_align(rs, max_iter=max_iter)
-            assert iterations == max_iter and not converged
-            # the full run's reference repeats with period 2
-            assert np.array_equal(ref, loop_multi_align(rs, max_iter=max_iter - 2)[2])
-            assert result.stop_reason == "cycle"
-            assert not result.converged
-            assert result.iterations < max_iter
-            assert (max_iter - result.iterations) % 2 == 0
-            assert np.array_equal(result.warped, warped)
-            assert np.array_equal(result.reference, ref)
-            assert len(result.paths) == len(paths)
-            for got, want in zip(result.paths, paths):
-                assert np.array_equal(got.pairs, want.pairs)
-                assert got.cost == want.cost
-
     @pytest.mark.parametrize(
         ("case", "max_iter", "stop_reason"),
-        [("converges", 10, "converged"), ("cycles", 20, "cycle"), ("cycles", 3, "max_iter")],
+        [("converges", 10, "converged"), ("alternates", 20, "stalled"), ("noisy", 3, "max_iter")],
     )
     def test_one_dtw_call_per_trace_per_round(self, monkeypatch, case, max_iter, stop_reason):
         if case == "converges":
             rng = np.random.default_rng(21)
             base = np.sin(2 * np.pi * np.arange(300) / 60.0)
             rs = _rater_set([np.roll(base, s) + rng.normal(0, 0.02, 300) for s in (3, 0, -3)])
+        elif case == "alternates":
+            rs = _alternating_paths(monkeypatch)
         else:
-            rs = _cycling_rater_set()
+            rs = _noisy_rater_set()
         calls = []
-        real_dtw = align.dtw
-        monkeypatch.setattr(align, "dtw", lambda *a, **k: calls.append(1) or real_dtw(*a, **k))
+        inner_dtw = align.dtw
+        monkeypatch.setattr(align, "dtw", lambda *a, **k: calls.append(1) or inner_dtw(*a, **k))
         result = multi_align(rs, max_iter=max_iter)
         assert result.stop_reason == stop_reason
         assert len(calls) == len(rs) * result.iterations
+
+    def test_equal_cost_paths_stall(self, monkeypatch):
+        # rounds alternate between two paths of equal cost: J cannot fall,
+        # while the reference keeps moving between their two medians
+        rs = _alternating_paths(monkeypatch)
+        result = multi_align(rs, max_iter=20)
+        assert result.stop_reason == "stalled"
+        assert not result.converged
+        assert result.iterations == 2
+        assert result.objective == (3.0, 3.0)
+        assert result.max_delta[-1] >= 1e-4
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 20])
+    def test_round_diagnostics(self, max_iter):
+        rs = _noisy_rater_set()
+        result = multi_align(rs, max_iter=max_iter)
+        assert len(result.objective) == len(result.max_delta) == result.iterations
+        assert result.iterations <= max_iter
+        # the last entry is the summed cost of the paths the result holds
+        assert result.objective[-1] == sum(p.cost for p in result.paths)
+        _assert_non_increasing(result.objective)
+        assert (result.max_delta[-1] < 1e-4) == (result.stop_reason == "converged")
+
+    def test_median_reference_minimises_cost_for_fixed_paths(self):
+        rs = _noisy_rater_set()
+        traces = np.stack([standardize_values(t.values)[0] for t in rs.traces])
+        result = multi_align(rs, max_iter=1)
+        ref_idx = np.concatenate([p.pairs[:, 1] for p in result.paths])
+        values = np.concatenate([tr[p.pairs[:, 0]] for tr, p in zip(traces, result.paths)])
+
+        def cost(ref):
+            return float(np.abs(values - ref[ref_idx]).sum())
+
+        best = cost(result.reference)
+        pooled_mean = np.bincount(ref_idx, weights=values) / np.bincount(ref_idx)
+        assert best <= cost(pooled_mean)
+        assert best <= cost(result.warped.mean(axis=0))
+        rng = np.random.default_rng(3)
+        slack = 1e-12 * best
+        for scale in (1e-6, 1e-3, 1e-1):
+            for _ in range(20):
+                assert best <= cost(result.reference + rng.normal(0, scale, rs.n_samples)) + slack
+            for j in rng.choice(rs.n_samples, size=10, replace=False):
+                for step in (-scale, scale):
+                    moved = result.reference.copy()
+                    moved[j] += step
+                    assert best <= cost(moved) + slack
+
+    def test_even_count_median_is_midpoint(self):
+        # two raters on the identity path: each reference sample is the
+        # mean of the two standardized samples mapped to it
+        rs = _rater_set([np.arange(6.0), np.arange(6.0) ** 2])
+        result = multi_align(rs, max_iter=1, band=0)
+        std = np.stack([standardize_values(t.values)[0] for t in rs.traces])
+        assert np.allclose(result.reference, std.mean(axis=0), rtol=0, atol=1e-15)
 
     def test_grid_length_matches_input(self):
         rng = np.random.default_rng(22)
@@ -314,6 +406,12 @@ class TestMultiAlign:
             multi_align(rs, max_iter=0)
         with pytest.raises(ParameterError):
             multi_align(rs, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        rs = _rater_set([np.arange(8.0), np.arange(8.0) ** 2])
+        with pytest.raises(ParameterError, match="tol must be positive and finite"):
+            multi_align(rs, tol=tol)
 
 
 class TestDefaultBand:

@@ -122,8 +122,10 @@ class TestRaaw:
             assert "weights" in meta
             assert meta["converged"] in (True, False)
             assert meta["iterations"] >= 1
-            assert meta["stop_reason"] in ("converged", "cycle", "max_iter")
+            assert meta["stop_reason"] in ("converged", "stalled", "max_iter")
             assert meta["converged"] == (meta["stop_reason"] == "converged")
+            assert len(meta["objective"]) == len(meta["max_delta"]) == meta["iterations"]
+            assert (meta["max_delta"][-1] < meta["fusion"]["tol"]) == meta["converged"]
 
     def test_parallel_jobs_byte_identical(self, corpus, tmp_path):
         ann = corpus / "data" / "annotations"
@@ -259,6 +261,32 @@ class TestPhysio:
         captured = capsys.readouterr()
         assert rc == 2
         assert "rec_001.csv" in captured.err
+
+
+def _fusion_argv(command: str, corpus: Path, out: Path) -> list[str]:
+    argv = [command, "--annotations", str(corpus / "data" / "annotations"), "--kind", "arousal",
+            "--out", str(out)]
+    return argv + ["--eda", str(corpus / "data" / "eda")] if command == "physio" else argv
+
+
+class TestNonFiniteTol:
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["raaw", "physio"])
+    def test_flag_exit_2(self, corpus, tmp_path, capsys, command, tol):
+        rc = main(_fusion_argv(command, corpus, tmp_path / "g") + ["--tol", tol])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "tol must be positive and finite" in captured.err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("command", ["raaw", "physio"])
+    def test_config_exit_2(self, corpus, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = nan\n")
+        rc = main(_fusion_argv(command, corpus, tmp_path / "g") + ["--config", str(cfg)])
+        assert rc == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
 
 class TestDiscretize:
@@ -607,6 +635,19 @@ class TestFuseLateSentStreams:
         model = json.loads((tmp_path / "fused" / "model.json").read_text())
         assert model["config"]["input_dim"] == 3 * 5
 
+    def test_seven_class_streams(self, tmp_path, capsys):
+        labels = _logit_streams(tmp_path, ["a", "b"], width=7)
+        assert ",6\n" in labels.read_text()
+        rc = main(
+            ["fuse-late", "--task", "sent", "--streams", str(tmp_path / "a"), str(tmp_path / "b"),
+             "--gold-labels", str(labels), "--out", str(tmp_path / "fused"), "--epochs", "1"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        model = json.loads((tmp_path / "fused" / "model.json").read_text())
+        assert model["config"]["n_classes"] == 7
+        assert model["config"]["input_dim"] == 2 * 7
+
     def test_gold_class_beyond_logit_width_exit_3(self, tmp_path, capsys):
         labels = _logit_streams(tmp_path, ["a", "b"])
         labels.write_text(labels.read_text().replace("t3,3", "t3,7"))
@@ -674,7 +715,7 @@ class TestFuseLateRegression:
 
 class TestConfigFile:
     def test_config_sets_defaults_cli_wins(self, corpus, tmp_path, capsys):
-        # rec_000 needs 4 refinement rounds to converge, so a cap below that
+        # rec_000 needs 5 refinement rounds to converge, so a cap below that
         # binds and the sidecar iteration count exposes the effective max-iter
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# fusion settings\nmax-iter = 2\n")

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from affectfuse import discretize
 from affectfuse.discretize import (
     ClusterModel,
     assign_nearest,
@@ -259,6 +262,31 @@ class TestValidateClusters:
         report = validate_clusters(pts, labels, n_classes=2)
         ref = silhouette_reference(pts, labels)
         assert report.silhouette == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 100, discretize.SILHOUETTE_BLOCK])
+    def test_row_blocks_match_reference(self, monkeypatch, block):
+        # uneven classes, a singleton, two empty classes and a duplicated point
+        rng = np.random.default_rng(41)
+        pts, labels = _blobs(rng, [(0, 0, 1), (3, 3, 0), (-3, 2, 2)], per=9, sigma=0.8)
+        pts = np.vstack([pts, pts[:1], [[9.0, 9.0, 9.0]]])
+        labels = np.concatenate([labels, labels[:1], [4]])
+        monkeypatch.setattr(discretize, "SILHOUETTE_BLOCK", block)
+        report = validate_clusters(pts, labels, n_classes=6)
+        assert report.silhouette == pytest.approx(silhouette_reference(pts, labels), abs=1e-12)
+        assert report.class_counts == (10, 9, 9, 0, 1, 0)
+
+    def test_memory_bounded_in_points(self):
+        rng = np.random.default_rng(42)
+        pts = rng.normal(size=(3000, 5))
+        labels = np.arange(3000) % 5
+        tracemalloc.start()
+        try:
+            validate_clusters(pts, labels, n_classes=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the full 3000 x 3000 x 5 difference array alone would be 360 MB
+        assert peak < 32 * 2**20
 
     def test_min_share_exact_boundary(self):
         pts = np.concatenate([np.zeros((5, 1)), np.ones((95, 1))])

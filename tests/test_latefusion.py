@@ -192,6 +192,16 @@ class TestSentFusion:
         assert all(isinstance(v, int) for v in preds.values())
         assert result.devel_score > 0.5
 
+    def test_head_sized_from_logit_width(self):
+        # seven-class logits with gold classes 5 and 6: the head needs 7 outputs
+        rng = np.random.default_rng(9)
+        streams, gold, splits = _sent_setup(rng, n_classes=7)
+        plan = FusionPlan(streams=streams, gold=gold, splits=splits, max_epochs=3, batch_size=8)
+        result = fuse_predictions(plan, task="sent")
+        assert result.config.n_classes == 7
+        assert result.config.input_dim == 14
+        assert all(0 <= v < 7 for v in result.predictions["devel"].values())
+
     def test_fusion_beats_or_matches_collapsed_stream(self):
         # one stream is pure noise; the trained fusion should still lean on
         # the informative one and beat chance
