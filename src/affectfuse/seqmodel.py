@@ -115,47 +115,50 @@ class SequenceModel:
     Gate pre-activations are packed [input, forget, candidate, output].
     Weights start uniform in +-1/sqrt(hidden_dim) with the forget-gate bias
     shifted by +1; the head is a per-step linear map for regression and a
-    mean-pool-then-linear map for classification.
+    mean-pool-then-linear map for classification. All parameters live in one
+    flat float64 vector ``theta``; ``params`` maps each name to a view of it.
     """
 
     def __init__(self, config: RegressorConfig, params: dict[str, np.ndarray] | None = None):
         self.config = config
         self._dirs = ("f", "b") if config.bidirectional else ("f",)
-        self.param_names: list[str] = []
-        for layer in range(config.layers):
-            for d in self._dirs:
-                for name in ("W", "U", "b"):
-                    self.param_names.append(f"l{layer}{d}_{name}")
-        self.param_names += ["head_W", "head_b"]
-        self.params = params if params is not None else self._init_params()
-        for name in self.param_names:
-            if name not in self.params:
-                raise ParameterError(f"missing parameter {name!r}")
-
-    # -- construction -------------------------------------------------------
-
-    def _init_params(self) -> dict[str, np.ndarray]:
-        cfg = self.config
-        rng = np.random.default_rng([cfg.seed, 0])
-        scale = 1.0 / np.sqrt(cfg.hidden_dim)
-        h = cfg.hidden_dim
+        h = config.hidden_dim
         out_dim = h * len(self._dirs)
-        params: dict[str, np.ndarray] = {}
-        for layer in range(cfg.layers):
-            d_in = cfg.input_dim if layer == 0 else out_dim
+        self.shapes: dict[str, tuple[int, ...]] = {}
+        for layer in range(config.layers):
+            d_in = config.input_dim if layer == 0 else out_dim
             for d in self._dirs:
-                params[f"l{layer}{d}_W"] = rng.uniform(-scale, scale, size=(d_in, 4 * h))
-                params[f"l{layer}{d}_U"] = rng.uniform(-scale, scale, size=(h, 4 * h))
-                b = rng.uniform(-scale, scale, size=4 * h)
-                b[h : 2 * h] += 1.0  # forget-gate bias starts open
-                params[f"l{layer}{d}_b"] = b
-        n_out = 1 if cfg.head == "regression" else cfg.n_classes
-        params["head_W"] = rng.uniform(-scale, scale, size=(out_dim, n_out))
-        params["head_b"] = rng.uniform(-scale, scale, size=n_out)
-        return params
+                self.shapes.update({f"l{layer}{d}_W": (d_in, 4 * h), f"l{layer}{d}_U": (h, 4 * h)})
+                self.shapes[f"l{layer}{d}_b"] = (4 * h,)
+        n_out = 1 if config.head == "regression" else config.n_classes
+        self.shapes.update(head_W=(out_dim, n_out), head_b=(n_out,))
+        self.param_names = list(self.shapes)
+        self._ends = np.cumsum([int(np.prod(shape)) for shape in self.shapes.values()])
+        self.theta = np.zeros(self._ends[-1])
+        self.params = self.named(self.theta)
+        if params is None:
+            self._init_params()
+        else:
+            _copy_named(self.params, params, "parameter")
+
+    # -- parameter layout ---------------------------------------------------
+
+    def named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a flat vector laid out like ``theta``, by parameter name."""
+        parts = np.split(flat, self._ends[:-1])
+        return {name: part.reshape(shape) for (name, shape), part in zip(self.shapes.items(), parts)}
+
+    def _init_params(self) -> None:
+        rng = np.random.default_rng([self.config.seed, 0])
+        h = self.config.hidden_dim
+        # one draw in layout order gives the values of one draw per array
+        self.theta[...] = rng.uniform(-1.0 / np.sqrt(h), 1.0 / np.sqrt(h), size=self.theta.size)
+        for layer in range(self.config.layers):
+            for d in self._dirs:
+                self.params[f"l{layer}{d}_b"][h : 2 * h] += 1.0  # forget-gate bias starts open
 
     def param_count(self) -> int:
-        return int(sum(self.params[n].size for n in self.param_names))
+        return int(self.theta.size)
 
     # -- forward ------------------------------------------------------------
 
@@ -301,11 +304,12 @@ class SequenceModel:
 
     # -- batched loss -------------------------------------------------------
 
-    def loss_and_grads(self, batch: Sequence[tuple]) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean loss over a batch of (sequence, target) pairs plus gradients.
+    def loss_and_grads(self, batch: Sequence[tuple]) -> tuple[float, np.ndarray]:
+        """Mean loss over a batch of (sequence, target) pairs plus its gradient.
 
-        The whole batch runs as one packed forward and backward pass. The L2
-        penalty applies to weight matrices only (not biases) and adds
+        The whole batch runs as one packed forward and backward pass. The
+        gradient is one flat vector laid out like ``theta``. The L2 penalty
+        applies to weight matrices only (not biases) and adds
         ``2 * l2_penalty * w`` to each weight gradient.
         """
         if not batch:
@@ -316,11 +320,11 @@ class SequenceModel:
             ccc_loss(out, y, eps=cfg.loss_eps) if cfg.head == "regression" else cross_entropy_loss(out, y)
             for out, (_, y) in zip(outs, batch)
         ]
-        grads = {n: np.zeros_like(self.params[n]) for n in self.param_names}
+        grad = np.zeros_like(self.theta)
+        grads = self.named(grad)
         self.backward([d_out for _, d_out in losses], cache, grads)
         n = len(batch)
-        for name in grads:
-            grads[name] /= n
+        grad /= n
         loss_value = sum(loss for loss, _ in losses) / n
         if cfg.l2_penalty > 0.0:
             for name in self.param_names:
@@ -328,34 +332,28 @@ class SequenceModel:
                     continue
                 loss_value += cfg.l2_penalty * float(np.sum(self.params[name] ** 2))
                 grads[name] += 2.0 * cfg.l2_penalty * self.params[name]
-        return loss_value, grads
+        return loss_value, grad
 
-    # -- flat views for finite-difference checks ----------------------------
 
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([self.params[n].ravel() for n in self.param_names])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        pos = 0
-        for n in self.param_names:
-            size = self.params[n].size
-            self.params[n] = flat[pos : pos + size].reshape(self.params[n].shape).copy()
-            pos += size
-        if pos != flat.size:
-            raise ParameterError("flat parameter vector has the wrong length")
-
-    def flat_grads(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate([grads[n].ravel() for n in self.param_names])
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {n: v.copy() for n, v in self.params.items()}
-
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        self.params = {n: v.copy() for n, v in snapshot.items()}
+def _copy_named(views: dict[str, np.ndarray], values: dict, what: str) -> None:
+    """Copy named arrays into views of the same names and shapes (checked: assignment broadcasts)."""
+    for name in values:
+        if name not in views:
+            raise ParameterError(f"unknown {what} {name!r}")
+    for name, view in views.items():
+        if name not in values:
+            raise ParameterError(f"missing {what} {name!r}")
+        try:
+            value = np.asarray(values[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{what} {name!r} is not a numeric array: {exc}") from None
+        if value.shape != view.shape:
+            raise ParameterError(f"{what} {name!r} has shape {value.shape}, expected {view.shape}")
+        view[...] = value
 
 
 class Adam:
-    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8; updates ``theta``, ``m``, ``v`` in place."""
 
     def __init__(self, model: SequenceModel, lr: float | None = None):
         self.lr = float(lr if lr is not None else model.config.learning_rate)
@@ -363,20 +361,20 @@ class Adam:
         self.beta2 = 0.999
         self.eps = 1e-8
         self.t = 0
-        self.m = {n: np.zeros_like(p) for n, p in model.params.items()}
-        self.v = {n: np.zeros_like(p) for n, p in model.params.items()}
+        self.m = np.zeros_like(model.theta)
+        self.v = np.zeros_like(model.theta)
 
-    def step(self, model: SequenceModel, grads: dict[str, np.ndarray]) -> None:
+    def step(self, model: SequenceModel, grad: np.ndarray) -> None:
+        if np.shape(grad) != model.theta.shape:
+            raise ParameterError(f"gradient of shape {np.shape(grad)}, expected {model.theta.shape}")
         self.t += 1
         corr1 = 1.0 - self.beta1**self.t
         corr2 = 1.0 - self.beta2**self.t
-        for n in model.param_names:
-            g = grads[n]
-            self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
-            self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
-            model.params[n] = model.params[n] - self.lr * (self.m[n] / corr1) / (
-                np.sqrt(self.v[n] / corr2) + self.eps
-            )
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        model.theta -= self.lr * (self.m / corr1) / (np.sqrt(self.v / corr2) + self.eps)
 
 
 @dataclass
@@ -449,20 +447,20 @@ def train(
     adam = Adam(model)
     history = TrainHistory()
     best_metric = float("-inf")
-    best_params = model.snapshot()
+    best = model.theta.copy()
     streak = 0
     for epoch in range(1, cfg.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_set))
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
-            loss, grads = model.loss_and_grads(batch)
+            loss, grad = model.loss_and_grads(batch)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
-            adam.step(model, grads)
-            for name in model.param_names:
-                if not np.all(np.isfinite(model.params[name])):
-                    raise NumericError(f"non-finite parameter {name!r} at epoch {epoch}")
+            adam.step(model, grad)
+            if not np.all(np.isfinite(model.theta)):
+                name = next(n for n, p in model.params.items() if not np.all(np.isfinite(p)))
+                raise NumericError(f"non-finite parameter {name!r} at epoch {epoch}")
             losses.append(loss)
         metric = evaluate(model, devel_set)
         history.rows.append((epoch, float(np.mean(losses)), float(metric)))
@@ -470,7 +468,7 @@ def train(
             progress(epoch, float(np.mean(losses)), float(metric))
         if metric > best_metric:
             best_metric = metric
-            best_params = model.snapshot()
+            best = model.theta.copy()
             history.best_epoch = epoch
             streak = 0
         else:
@@ -478,7 +476,7 @@ def train(
             if streak >= max(1, cfg.patience):
                 history.stopped_early = True
                 break
-    model.restore(best_params)
+    model.theta[...] = best
     return history
 
 
@@ -497,8 +495,8 @@ def save_checkpoint(path: Path | str, model: SequenceModel, adam: Adam | None = 
         payload["optimizer"] = {
             "t": adam.t,
             "lr": adam.lr,
-            "m": {n: adam.m[n].tolist() for n in model.param_names},
-            "v": {n: adam.v[n].tolist() for n in model.param_names},
+            "m": {n: a.tolist() for n, a in model.named(adam.m).items()},
+            "v": {n: a.tolist() for n, a in model.named(adam.v).items()},
         }
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
@@ -510,12 +508,12 @@ def load_checkpoint(path: Path | str) -> tuple[SequenceModel, Adam | None]:
     if payload.get("kind") != "sequence_model" or payload.get("format_version") != 1:
         raise ParameterError(f"{path}: not a version-1 sequence model checkpoint")
     config = RegressorConfig(**payload["config"])
-    params = {n: np.asarray(v, dtype=np.float64) for n, v in payload["params"].items()}
-    model = SequenceModel(config, params=params)
+    model = SequenceModel(config, params=payload.get("params", {}))
     adam = None
     if "optimizer" in payload:
-        adam = Adam(model, lr=payload["optimizer"]["lr"])
-        adam.t = int(payload["optimizer"]["t"])
-        adam.m = {n: np.asarray(v, dtype=np.float64) for n, v in payload["optimizer"]["m"].items()}
-        adam.v = {n: np.asarray(v, dtype=np.float64) for n, v in payload["optimizer"]["v"].items()}
+        optimizer = payload["optimizer"]
+        adam = Adam(model, lr=optimizer["lr"])
+        adam.t = int(optimizer["t"])
+        _copy_named(model.named(adam.m), optimizer.get("m", {}), "optimizer m entry")
+        _copy_named(model.named(adam.v), optimizer.get("v", {}), "optimizer v entry")
     return model, adam

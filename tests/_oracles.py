@@ -235,6 +235,66 @@ def loop_lstm_loss_and_grads(model, batch) -> tuple[float, dict]:
     return loss_value, grads
 
 
+def per_array_loss_and_grads(model, batch) -> tuple[float, dict]:
+    """``SequenceModel.loss_and_grads`` with one gradient array per parameter name.
+
+    The package's gradient bookkeeping before the flat buffer: the model's own
+    forward and backward passes fill a dict of zeroed arrays, each is divided
+    by the batch size, and the L2 term is added name by name.
+    """
+    from affectfuse.seqmodel import ccc_loss, cross_entropy_loss
+
+    cfg = model.config
+    outs, cache = model.forward_batch([x for x, _ in batch])
+    losses = [
+        ccc_loss(out, y, eps=cfg.loss_eps) if cfg.head == "regression" else cross_entropy_loss(out, y)
+        for out, (_, y) in zip(outs, batch)
+    ]
+    grads = {n: np.zeros_like(model.params[n]) for n in model.param_names}
+    model.backward([d_out for _, d_out in losses], cache, grads)
+    n = len(batch)
+    for name in grads:
+        grads[name] /= n
+    loss_value = sum(loss for loss, _ in losses) / n
+    if cfg.l2_penalty > 0.0:
+        for name in model.param_names:
+            if name.endswith("_b"):
+                continue
+            loss_value += cfg.l2_penalty * float(np.sum(model.params[name] ** 2))
+            grads[name] += 2.0 * cfg.l2_penalty * model.params[name]
+    return loss_value, grads
+
+
+class PerArrayAdam:
+    """``seqmodel.Adam`` one parameter array at a time, with dict moments.
+
+    The package's first optimizer: each step builds new moment and parameter
+    arrays per name. The new parameters are copied into the model's arrays
+    rather than rebinding them, so the model keeps its own layout.
+    """
+
+    def __init__(self, model, lr: float | None = None):
+        self.lr = float(lr if lr is not None else model.config.learning_rate)
+        self.beta1 = 0.9
+        self.beta2 = 0.999
+        self.eps = 1e-8
+        self.t = 0
+        self.m = {n: np.zeros_like(p) for n, p in model.params.items()}
+        self.v = {n: np.zeros_like(p) for n, p in model.params.items()}
+
+    def step(self, model, grads: dict) -> None:
+        self.t += 1
+        corr1 = 1.0 - self.beta1**self.t
+        corr2 = 1.0 - self.beta2**self.t
+        for n in model.param_names:
+            g = grads[n]
+            self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
+            self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
+            model.params[n][...] = model.params[n] - self.lr * (self.m[n] / corr1) / (
+                np.sqrt(self.v[n] / corr2) + self.eps
+            )
+
+
 def full_table_dtw(a, b, band=None):
     """``align.dtw`` over the full (n+1) x (m+1) table, one band row at a time.
 

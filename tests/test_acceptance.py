@@ -275,20 +275,19 @@ def test_criterion_07_pca():
 
 def _max_fd_error(model: SequenceModel, batch: list[tuple]) -> float:
     delta = 1e-5
-    _, grads = model.loss_and_grads(batch)
-    analytic = model.flat_grads(grads)
-    flat = model.flat_params()
+    _, analytic = model.loss_and_grads(batch)
+    flat = model.theta.copy()
     fd = np.empty_like(analytic)
     for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] += delta
-        model.set_flat_params(bumped)
+        model.theta[...] = bumped
         up = model.loss_and_grads(batch)[0]
         bumped[i] -= 2 * delta
-        model.set_flat_params(bumped)
+        model.theta[...] = bumped
         down = model.loss_and_grads(batch)[0]
         fd[i] = (up - down) / (2 * delta)
-    model.set_flat_params(flat)
+    model.theta[...] = flat
     denom = np.maximum(np.abs(fd) + np.abs(analytic), 1e-8)
     return float(np.max(np.abs(fd - analytic) / denom))
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from affectfuse.seqmodel import (
     train,
 )
 
-from _oracles import fd_gradient, loop_lstm_loss_and_grads
+from _oracles import PerArrayAdam, fd_gradient, loop_lstm_loss_and_grads, per_array_loss_and_grads
 
 
 def _toy_regression(rng, n_items=6, t=20, d=3):
@@ -140,17 +142,16 @@ class TestCrossEntropy:
 class TestGradients:
     def _check_model(self, cfg, batch, tol=1e-4):
         model = SequenceModel(cfg)
-        _, grads = model.loss_and_grads(batch)
-        flat_analytic = model.flat_grads(grads)
+        _, flat_analytic = model.loss_and_grads(batch)
 
         def loss_at(theta):
-            saved = model.flat_params()
-            model.set_flat_params(theta)
+            saved = model.theta.copy()
+            model.theta[...] = theta
             loss, _ = model.loss_and_grads(batch)
-            model.set_flat_params(saved)
+            model.theta[...] = saved
             return loss
 
-        theta0 = model.flat_params()
+        theta0 = model.theta.copy()
         rng = np.random.default_rng(0)
         idx = rng.choice(theta0.size, size=min(60, theta0.size), replace=False)
         for i in idx:
@@ -186,8 +187,9 @@ class TestGradients:
         cfg1 = RegressorConfig(input_dim=3, hidden_dim=4, l2_penalty=0.5, seed=5)
         batch = [(rng.normal(size=(8, 3)), rng.normal(size=8))]
         m0, m1 = SequenceModel(cfg0), SequenceModel(cfg1)
-        loss0, g0 = m0.loss_and_grads(batch)
-        loss1, g1 = m1.loss_and_grads(batch)
+        loss0, flat0 = m0.loss_and_grads(batch)
+        loss1, flat1 = m1.loss_and_grads(batch)
+        g0, g1 = m0.named(flat0), m1.named(flat1)
         w_sq = sum(
             float(np.sum(m0.params[n] ** 2)) for n in m0.param_names if not n.endswith("_b")
         )
@@ -207,7 +209,8 @@ def _ragged_batch(rng, head, lengths, d=3):
 
 
 def _assert_matches_loop(model, batch):
-    loss, grads = model.loss_and_grads(batch)
+    loss, grad = model.loss_and_grads(batch)
+    grads = model.named(grad)
     ref_loss, ref_grads = loop_lstm_loss_and_grads(model, batch)
     assert loss == pytest.approx(ref_loss, rel=1e-10, abs=0)
     for name in model.param_names:
@@ -300,10 +303,10 @@ class TestAdam:
         cfg = RegressorConfig(input_dim=2, hidden_dim=3, learning_rate=0.1, seed=1)
         model = SequenceModel(cfg)
         before = model.params["head_W"].copy()
-        grads = {n: np.zeros_like(p) for n, p in model.params.items()}
-        grads["head_W"] = np.ones_like(before)
+        grad = np.zeros_like(model.theta)
+        model.named(grad)["head_W"][...] = 1.0
         adam = Adam(model)
-        adam.step(model, grads)
+        adam.step(model, grad)
         # with m_hat = g and v_hat = g*g, the first update is lr * g/(|g|+eps)
         expect = before - 0.1 * 1.0 / (1.0 + 1e-8)
         assert np.allclose(model.params["head_W"], expect, atol=1e-12)
@@ -312,10 +315,90 @@ class TestAdam:
     def test_zero_grad_leaves_params(self):
         model = SequenceModel(RegressorConfig(input_dim=2, hidden_dim=3))
         adam = Adam(model)
-        before = model.snapshot()
-        adam.step(model, {n: np.zeros_like(p) for n, p in model.params.items()})
-        for n, p in model.params.items():
-            assert np.array_equal(p, before[n])
+        before = model.theta.copy()
+        adam.step(model, np.zeros_like(model.theta))
+        assert np.array_equal(model.theta, before)
+
+
+    def test_wrong_shaped_gradient_rejected(self):
+        model = SequenceModel(RegressorConfig(input_dim=2, hidden_dim=3))
+        adam = Adam(model)
+        with pytest.raises(ParameterError, match="gradient of shape"):
+            adam.step(model, np.zeros(1))
+        assert adam.t == 0
+
+
+def _bits(flat):
+    return np.ascontiguousarray(flat).tobytes()
+
+
+class TestFlatAgainstPerArray:
+    """Flat gradient and in-place Adam against the per-array oracles, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg, lengths",
+        [
+            (RegressorConfig(input_dim=3, hidden_dim=5, learning_rate=1e-2, l2_penalty=0.05, seed=41), [9, 4, 9]),
+            (
+                RegressorConfig(
+                    input_dim=3, hidden_dim=4, layers=2, bidirectional=True, head="classification",
+                    learning_rate=1e-2, l2_penalty=0.05, seed=42,
+                ),
+                [6, 1, 8, 3],
+            ),
+        ],
+        ids=["regression", "bidirectional-classification"],
+    )
+    def test_rounds_bit_equal(self, cfg, lengths):
+        batch = _ragged_batch(np.random.default_rng(43), cfg.head, lengths)
+        model, ref = SequenceModel(cfg), SequenceModel(cfg)
+        adam, ref_adam = Adam(model), PerArrayAdam(ref)
+
+        def flat(named):
+            return np.concatenate([named[n].ravel() for n in model.param_names])
+
+        for _ in range(6):
+            loss, grad = model.loss_and_grads(batch)
+            ref_loss, ref_grads = per_array_loss_and_grads(ref, batch)
+            assert loss == ref_loss
+            assert _bits(grad) == _bits(flat(ref_grads))
+            adam.step(model, grad)
+            ref_adam.step(ref, ref_grads)
+            assert _bits(model.theta) == _bits(flat(ref.params))
+            assert _bits(adam.m) == _bits(flat(ref_adam.m))
+            assert _bits(adam.v) == _bits(flat(ref_adam.v))
+        assert not np.array_equal(model.theta, SequenceModel(cfg).theta)
+
+
+def _assert_params_view_theta(model):
+    for n, p in model.params.items():
+        assert np.shares_memory(p, model.theta), n
+    before = {n: p.copy() for n, p in model.params.items()}
+    Adam(model, lr=1e-2).step(model, np.ones_like(model.theta))
+    for n, p in model.params.items():
+        assert not np.array_equal(p, before[n]), n
+
+
+class TestParamsAreViews:
+    CFG = RegressorConfig(
+        input_dim=3, hidden_dim=4, layers=2, bidirectional=True, learning_rate=5e-3,
+        max_epochs=4, patience=1, seed=44,
+    )
+
+    def test_after_construction(self):
+        _assert_params_view_theta(SequenceModel(self.CFG))
+
+    def test_after_training_restores_best_epoch(self):
+        items = _toy_regression(np.random.default_rng(45), n_items=3, t=10)
+        model = SequenceModel(self.CFG)
+        train(model, items, items)
+        _assert_params_view_theta(model)
+
+    def test_after_load_checkpoint(self, tmp_path):
+        model = SequenceModel(self.CFG)
+        save_checkpoint(tmp_path / "model.json", model, Adam(model))
+        back, _ = load_checkpoint(tmp_path / "model.json")
+        _assert_params_view_theta(back)
 
 
 class TestTraining:
@@ -427,8 +510,8 @@ class TestCheckpoint:
         adam = Adam(model)
         rng = np.random.default_rng(17)
         batch = [(rng.normal(size=(8, 3)), rng.normal(size=8))]
-        _, grads = model.loss_and_grads(batch)
-        adam.step(model, grads)
+        _, grad = model.loss_and_grads(batch)
+        adam.step(model, grad)
         path = tmp_path / "model.json"
         save_checkpoint(path, model, adam)
         back, adam2 = load_checkpoint(path)
@@ -437,9 +520,8 @@ class TestCheckpoint:
             assert np.array_equal(back.params[n], model.params[n])
         assert adam2 is not None
         assert adam2.t == 1
-        for n in model.param_names:
-            assert np.array_equal(adam2.m[n], adam.m[n])
-            assert np.array_equal(adam2.v[n], adam.v[n])
+        assert np.array_equal(adam2.m, adam.m)
+        assert np.array_equal(adam2.v, adam.v)
 
     def test_roundtrip_without_optimizer(self, tmp_path):
         model = SequenceModel(RegressorConfig(input_dim=2, hidden_dim=3))
@@ -454,6 +536,33 @@ class TestCheckpoint:
         path = tmp_path / "other.json"
         path.write_text('{"kind": "class_model", "format_version": 1}\n')
         with pytest.raises(ParameterError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "section, name, value, message",
+        [
+            ("params", "l0f_U", [[0.0] * 20] * 4, r"parameter 'l0f_U' has shape \(4, 20\), expected \(5, 20\)"),
+            ("params", "head_b", None, r"missing parameter 'head_b'"),
+            ("params", "l9f_W", [0.0], r"unknown parameter 'l9f_W'"),
+            ("params", "head_W", [[0.0], [1.0, 2.0]], r"parameter 'head_W' is not a numeric array"),
+            ("m", "head_W", [1.0], r"optimizer m entry 'head_W' has shape \(1,\), expected \(5, 1\)"),
+            ("v", "l0f_b", None, r"missing optimizer v entry 'l0f_b'"),
+            ("m", "extra", [0.0], r"unknown optimizer m entry 'extra'"),
+        ],
+        ids=["wrong-shape", "missing", "unknown", "ragged", "broadcastable-moment", "missing-moment", "unknown-moment"],
+    )
+    def test_malformed_entries_rejected(self, tmp_path, section, name, value, message):
+        model = SequenceModel(RegressorConfig(input_dim=3, hidden_dim=5, seed=32))
+        path = tmp_path / "model.json"
+        save_checkpoint(path, model, Adam(model))
+        payload = json.loads(path.read_text())
+        entries = payload["params"] if section == "params" else payload["optimizer"][section]
+        if value is None:
+            del entries[name]
+        else:
+            entries[name] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParameterError, match=message):
             load_checkpoint(path)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -21,8 +21,10 @@ Printed: each command's stdout with the run root replaced by ``<run>``, then
 one sorted ``path sha256`` line per file written, the file count and one
 sha256 over those lines, so a diff of two outputs names the files that
 differ. Each command's wall seconds, and each path's total, go to stderr, so
-timings never enter that diff. Standard library only; the full run takes a
-few minutes on two cores.
+timings never enter that diff. ``--work DIR`` keeps the run tree under DIR,
+which must be empty or missing; without it the tree goes to a temporary
+directory that is deleted afterwards. Standard library only; the full run
+takes a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -120,21 +122,35 @@ def file_digests(root: Path) -> list[str]:
     ]
 
 
+def run_all(src: Path, work: Path) -> list[str]:
+    """Run every path under ``work``, print their stdout and return the file digests."""
+    for name, commands in PATHS.items():
+        print(f"## {name}")
+        print("\n".join(run_path(src, work / name, commands)))
+    return file_digests(work)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", required=True, help="source tree holding src/affectfuse")
-    parser.add_argument("--work", default=None, help="directory for the run outputs (default: a temp dir)")
+    parser.add_argument(
+        "--work", default=None,
+        help="empty or missing directory to create and keep the run outputs in (default: a deleted temp dir)",
+    )
     args = parser.parse_args()
     src = Path(args.src).resolve()
     if not (src / "src" / "affectfuse").is_dir():
         parser.error(f"no src/affectfuse under {src}")
 
-    with tempfile.TemporaryDirectory(dir=args.work) as tmp:
-        work = Path(tmp)
-        for name, commands in PATHS.items():
-            print(f"## {name}")
-            print("\n".join(run_path(src, work / name, commands)))
-        digests = file_digests(work)
+    if args.work is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = run_all(src, Path(tmp))
+    else:
+        work = Path(args.work).resolve()
+        if work.exists() and (not work.is_dir() or any(work.iterdir())):
+            parser.error(f"--work {work} is not an empty directory")
+        work.mkdir(parents=True, exist_ok=True)
+        digests = run_all(src, work)
     print("\n".join(digests))
     print(f"files={len(digests)}")
     print(f"digest={hashlib.sha256(chr(10).join(digests).encode()).hexdigest()}")
