@@ -63,6 +63,7 @@ from .seqmodel import (
     ccc_loss,
     cross_entropy_loss,
     evaluate,
+    fit,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -132,6 +133,7 @@ __all__ = [
     "cross_entropy_loss",
     "train",
     "evaluate",
+    "fit",
     "save_checkpoint",
     "load_checkpoint",
     "FusionPlan",

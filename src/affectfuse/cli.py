@@ -6,10 +6,12 @@ corpus, ``raaw`` and ``physio`` fuse annotations into gold standards,
 one sequence model on one feature set, ``eval`` scores prediction
 directories, and ``fuse-late`` stacks several prediction streams.
 
-``train`` and ``fuse-late`` have one body each for all four tasks. Only
-reading the items and writing the predictions depend on the task: gold
-grids and per-recording traces for wilder, stress and physio; labelled
-segments (or per-segment logits) and class labels for sent.
+``train`` and ``fuse-late`` both fit through :func:`affectfuse.seqmodel.fit`
+(``fuse-late`` by way of :func:`affectfuse.latefusion.fuse_predictions`) and
+share one output tail: ``model.json``, ``history.csv``, ``preds/`` and the
+devel metric line. Only reading the items and writing the predictions depend
+on the task: gold grids and per-recording traces for wilder, stress and
+physio; labelled segments (or per-segment logits) and class labels for sent.
 
 Conventions shared by every subcommand:
   * progress goes to stderr, machine-readable ``key=value`` lines to stdout
@@ -28,11 +30,14 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio, synth
+from .core import grid_timestamps_ms
 from .discretize import (
     fit_class_model,
     model_project,
@@ -45,7 +50,7 @@ from .errors import DataError, NumericError, ParameterError
 from .fuse import FusionConfig, PhysioConfig, agreement_stats, physio_fuse, raaw
 from .latefusion import FusionPlan, fuse_predictions
 from .metrics import ScoreReport, ccc, macro_f1, partition_ccc
-from .seqmodel import RegressorConfig, SequenceModel, save_checkpoint, train
+from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, fit, save_checkpoint
 
 __all__ = ["main", "build_parser"]
 
@@ -301,17 +306,16 @@ def cmd_synth(args) -> int:
 # raaw / physio (parallel per recording)
 
 
-def _fuse_worker(task) -> tuple[str, object]:
-    mode, ann_root, rec, kind, fusion_kwargs, eda_dir, physio_kwargs = task
-    rater_set = dataio.read_rater_set(Path(ann_root), rec, kind)
-    fusion = FusionConfig(**fusion_kwargs)
-    if mode == "raaw":
-        return rec, raaw(rater_set, fusion)
-    eda_path = Path(eda_dir) / f"{rec}.csv"
+def _fuse_worker(task: tuple[Path, str, str, FusionConfig | PhysioConfig, Path | None]) -> tuple[str, object]:
+    """raaw with a FusionConfig, physio fusion with a PhysioConfig, of one recording."""
+    ann_root, rec, kind, config, eda_dir = task
+    rater_set = dataio.read_rater_set(ann_root, rec, kind)
+    if isinstance(config, FusionConfig):
+        return rec, raaw(rater_set, config)
+    eda_path = eda_dir / f"{rec}.csv"
     if not eda_path.is_file():
         raise ParameterError(f"missing EDA file for recording {rec!r}: {eda_path}")
     eda = dataio.read_annotation_csv(eda_path, rater_id=eda_path.stem, kind="physio")
-    config = PhysioConfig(fusion=fusion, **physio_kwargs)
     return rec, physio_fuse(rater_set, eda, config)
 
 
@@ -330,25 +334,16 @@ def _run_fusion(args, mode: str) -> int:
     recordings = dataio.list_recordings(ann_root, args.kind)
     if not recordings:
         raise DataError(f"no recordings with {args.kind!r} annotations under {ann_root}")
-    fusion_kwargs = {
-        "max_iter": args.max_iter,
-        "tol": args.tol,
-        "band": args.band,
-        "reference": _parse_reference(args.reference),
-    }
-    physio_kwargs = {}
-    eda_dir = None
+    fusion = FusionConfig(
+        max_iter=args.max_iter, tol=args.tol, band=args.band, reference=_parse_reference(args.reference)
+    )
+    config, eda_dir = fusion, None
     if mode == "physio":
         eda_dir = _resolve(args.eda)
-        physio_kwargs = {
-            "sg_window": args.sg_window,
-            "sg_polyorder": args.sg_order,
-            "target_hz": args.target_hz,
-        }
-    tasks = [
-        (mode, str(ann_root), rec, args.kind, fusion_kwargs, str(eda_dir) if eda_dir else None, physio_kwargs)
-        for rec in recordings
-    ]
+        config = PhysioConfig(
+            fusion=fusion, sg_window=args.sg_window, sg_polyorder=args.sg_order, target_hz=args.target_hz
+        )
+    tasks = [(ann_root, rec, args.kind, config, eda_dir) for rec in recordings]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = dict(pool.map(_fuse_worker, tasks))
@@ -360,7 +355,7 @@ def _run_fusion(args, mode: str) -> int:
     for rec in recordings:
         gold = results[rec]
         golds.append(gold)
-        ts = dataio.grid_timestamps_ms(len(gold.values), gold.sample_rate_hz)
+        ts = grid_timestamps_ms(len(gold.values), gold.sample_rate_hz)
         metadata = _jsonable(
             {
                 "recording_id": gold.recording_id,
@@ -369,7 +364,7 @@ def _run_fusion(args, mode: str) -> int:
                 "weights": gold.weights,
                 "agreement_mean": gold.agreement_mean,
                 "agreement_std": gold.agreement_std,
-                "fusion": fusion_kwargs,
+                "fusion": asdict(fusion),
                 **gold.metadata,
             }
         )
@@ -450,8 +445,36 @@ def cmd_discretize(args) -> int:
 # train
 
 
-def _regression_training(args, features_dir: Path, spec: dataio.WindowSpec):
-    """Items of recordings with gold and features: train windows, full devel sequences."""
+def _write_traces(ts_by_rec: dict[str, np.ndarray], outputs: dict, preds_dir: Path) -> None:
+    """``<split>/<rec>.csv`` per-step predictions on each recording's gold timestamps."""
+    for split, preds in outputs.items():
+        for rec in sorted(preds):
+            dataio.write_prediction_csv(preds_dir / split / f"{rec}.csv", ts_by_rec[rec], preds[rec])
+
+
+def _write_labels(outputs: dict, preds_dir: Path, logits: bool = False) -> None:
+    """``<split>_labels.csv`` per split; logit rows (``logits``) get argmax labels and ``<split>_logits.csv``."""
+    for split, rows in outputs.items():
+        labels = {i: int(np.argmax(v)) for i, v in rows.items()} if logits else rows
+        dataio.write_labels_csv(preds_dir / f"{split}_labels.csv", labels)
+        if logits:
+            dataio.write_logits_csv(preds_dir / f"{split}_logits.csv", rows)
+
+
+def _write_run(out: Path, model: SequenceModel, history: TrainHistory, outputs, write_preds, **extra) -> int:
+    """Output tail of ``train`` and ``fuse-late``: files, then the metric, ``extra`` and ``out`` lines."""
+    save_checkpoint(out / "model.json", model)
+    history.write_csv(out / "history.csv")
+    write_preds(outputs, out / "preds")
+    _emit(_metric_key(model.config), repr(round(history.best_metric(), 6)))
+    for key, value in extra.items():
+        _emit(key, value)
+    _emit("out", out)
+    return 0
+
+
+def _regression_training(args, features_dir: Path):
+    """Aligned features and gold of every recording with both, by split in gold-file order."""
     if not args.gold or not args.partitions:
         raise ParameterError("regression training needs --gold and --partitions")
     gold_dir = _resolve(args.gold)
@@ -460,8 +483,8 @@ def _regression_training(args, features_dir: Path, spec: dataio.WindowSpec):
     gold_files = sorted(gold_dir.glob("*.csv"))
     if not gold_files:
         raise DataError(f"no gold files under {gold_dir}")
-    items: dict[str, list] = {s: [] for s in dataio.SPLITS}
-    full: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {s: {} for s in dataio.SPLITS}
+    inputs, targets, ts_by_rec = {}, {}, {}
+    splits: dict[str, list[str]] = {s: [] for s in dataio.SPLITS}
     width = None
     for path in gold_files:
         rec = path.stem
@@ -469,40 +492,26 @@ def _regression_training(args, features_dir: Path, spec: dataio.WindowSpec):
         if not fpath.is_file():
             _info(f"skipping {rec}: no feature file {fpath}")
             continue
-        ts, gold_values = dataio.read_gold_csv(path)
+        ts_by_rec[rec], targets[rec] = dataio.read_gold_csv(path)
         fseq = dataio.read_feature_csv(fpath, rec, features_dir.name, n_features=width)
         width = fseq.n_features
-        x = dataio.align_to_labels(fseq, ts)
-        split = partition.split_of(rec)
-        full[split][rec] = (ts, x)
-        if split == "train":
-            xw = dataio.window(x, spec)
-            yw = dataio.window(gold_values, spec)
-            items["train"] += [
-                (wx, wy) for (_, wx), (_, wy) in zip(xw, yw) if len(wy) >= 2
-            ]
-        else:
-            items[split].append((x, gold_values))
-    if not items["train"] or not items["devel"]:
+        inputs[rec] = dataio.align_to_labels(fseq, ts_by_rec[rec])
+        splits[partition.split_of(rec)].append(rec)
+    if not splits["train"] or not splits["devel"]:
         raise DataError("need train and devel recordings with gold and features")
-
-    def write_preds(model: SequenceModel, preds_dir: Path) -> None:
-        for split in dataio.SPLITS:
-            for rec, (ts, x) in sorted(full[split].items()):
-                dataio.write_prediction_csv(preds_dir / split / f"{rec}.csv", ts, model.predict(x))
-
-    return items["train"], items["devel"], {"head": "regression"}, write_preds
+    splits = {s: tuple(ids) for s, ids in splits.items() if ids}
+    return inputs, targets, splits, {"head": "regression"}, partial(_write_traces, ts_by_rec)
 
 
-def _sent_training(args, features_dir: Path, spec: dataio.WindowSpec):
-    """Items of labelled segments: train windows, full devel segments."""
+def _sent_training(args, features_dir: Path):
+    """Feature frames and labels of every segment by split, in segment order; test needs no label."""
     if not args.segments or not args.labels:
         raise ParameterError("sent training needs --segments and --labels")
     segments = dataio.read_segments_csv(_resolve(args.segments))
     labels = dataio.read_labels_csv(_resolve(args.labels))
 
     feats: dict[str, dataio.FeatureSequence] = {}
-    seg_x: dict[str, np.ndarray] = {}
+    inputs: dict[str, np.ndarray] = {}
     width = None
     for seg in segments:
         if seg.recording_id not in feats:
@@ -518,39 +527,18 @@ def _sent_training(args, features_dir: Path, spec: dataio.WindowSpec):
         x = fseq.matrix[mask]
         if x.shape[0] < 1:
             raise DataError(f"segment {seg.segment_id!r} covers no feature frames")
-        seg_x[seg.segment_id] = x
+        inputs[seg.segment_id] = x
 
-    items: dict[str, list] = {s: [] for s in dataio.SPLITS}
-    seg_by_split: dict[str, list] = {s: [] for s in dataio.SPLITS}
+    splits: dict[str, list[str]] = {s: [] for s in dataio.SPLITS}
     for seg in segments:
-        seg_by_split[seg.partition].append(seg)
-        if seg.partition == "test" and seg.segment_id not in labels:
-            continue
-        if seg.segment_id not in labels:
+        splits[seg.partition].append(seg.segment_id)
+        if seg.segment_id not in labels and seg.partition != "test":
             raise DataError(f"no label for {seg.partition} segment {seg.segment_id!r}")
-        label = labels[seg.segment_id]
-        if seg.partition == "train":
-            items["train"] += [
-                (wx, label) for _, wx in dataio.window(seg_x[seg.segment_id], spec)
-            ]
-        else:
-            items[seg.partition].append((seg_x[seg.segment_id], label))
-    if not items["train"] or not items["devel"]:
+    if not splits["train"] or not splits["devel"]:
         raise DataError("need labeled train and devel segments")
-
-    def write_preds(model: SequenceModel, preds_dir: Path) -> None:
-        for split, split_segments in seg_by_split.items():
-            if not split_segments:
-                continue
-            logits = {seg.segment_id: model.predict(seg_x[seg.segment_id]) for seg in split_segments}
-            dataio.write_labels_csv(
-                preds_dir / f"{split}_labels.csv",
-                {seg_id: int(np.argmax(row)) for seg_id, row in logits.items()},
-            )
-            dataio.write_logits_csv(preds_dir / f"{split}_logits.csv", logits)
-
+    splits = {s: tuple(ids) for s, ids in splits.items() if ids}
     head = {"head": "classification", "n_classes": max(max(labels.values()) + 1, 5)}
-    return items["train"], items["devel"], head, write_preds
+    return inputs, labels, splits, head, partial(_write_labels, logits=True)
 
 
 def cmd_train(args) -> int:
@@ -559,11 +547,11 @@ def cmd_train(args) -> int:
         window=args.window if args.window is not None else window_n,
         hop=args.hop if args.hop is not None else hop_n,
     )
-    # (train items, devel items, the config's head fields, prediction writer)
+    # (inputs, targets and splits by item id, the config's head fields, prediction writer)
     read_items = _sent_training if args.task == "sent" else _regression_training
-    train_items, devel_items, head, write_preds = read_items(args, _resolve(args.features), spec)
+    inputs, targets, splits, head, write_preds = read_items(args, _resolve(args.features))
     config = RegressorConfig(
-        input_dim=train_items[0][0].shape[1],
+        input_dim=inputs[splits["train"][0]].shape[1],
         hidden_dim=args.hidden,
         layers=args.layers,
         bidirectional=args.bidirectional,
@@ -576,25 +564,18 @@ def cmd_train(args) -> int:
         **head,
     )
     metric = _metric_key(config)
-    model = SequenceModel(config)
     _info(
         f"training {args.task} {config.head} model: dim {config.input_dim}, "
-        f"hidden {config.hidden_dim}, {len(train_items)} train windows"
+        f"hidden {config.hidden_dim}, {len(splits['train'])} train items"
     )
-    history = train(
-        model, train_items, devel_items,
+    model, history, outputs = fit(
+        config, inputs, targets, splits, spec,
         progress=lambda e, l, m: _info(f"epoch {e}: loss {l:.4f} {metric} {m:.4f}"),
     )
-
-    out = _resolve(args.out)
-    save_checkpoint(out / "model.json", model)
-    history.write_csv(out / "history.csv")
-    write_preds(model, out / "preds")
-    _emit(metric, repr(round(history.best_metric(), 6)))
-    _emit("best_epoch", history.best_epoch)
-    _emit("epochs_run", len(history.rows))
-    _emit("out", out)
-    return 0
+    return _write_run(
+        _resolve(args.out), model, history, outputs, write_preds,
+        best_epoch=history.best_epoch, epochs_run=len(history.rows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -705,13 +686,7 @@ def _regression_streams(args, stream_dirs: dict[str, Path]):
         rec: dataio.read_gold_csv(gold_dir / f"{rec}.csv")[1]
         for split in ("train", "devel") for rec in splits.get(split, ())
     }
-
-    def write_preds(predictions: dict, preds_dir: Path) -> None:
-        for split, recs in predictions.items():
-            for rec, vals in sorted(recs.items()):
-                dataio.write_prediction_csv(preds_dir / split / f"{rec}.csv", ts_by_rec[rec], vals)
-
-    return streams, gold, splits, write_preds
+    return streams, gold, splits, partial(_write_traces, ts_by_rec)
 
 
 def _sent_streams(args, stream_dirs: dict[str, Path]):
@@ -736,27 +711,15 @@ def _sent_streams(args, stream_dirs: dict[str, Path]):
         streams[name] = per_item
     # a gold class without a logit column in every stream is bad data
     width = min((len(v) for rows in streams.values() for v in rows.values()), default=None)
-    gold_labels = dataio.read_labels_csv(_resolve(args.gold_labels), n_classes=width)
-    scored = set(splits.get("train", ())) | set(splits.get("devel", ()))
-    gold = {seg: int(lab) for seg, lab in gold_labels.items() if seg in scored}
-
-    def write_preds(predictions: dict, preds_dir: Path) -> None:
-        for split, seg_preds in predictions.items():
-            dataio.write_labels_csv(
-                preds_dir / f"{split}_labels.csv",
-                {seg: int(lab) for seg, lab in seg_preds.items()},
-            )
-
-    return streams, gold, splits, write_preds
+    gold = dataio.read_labels_csv(_resolve(args.gold_labels), n_classes=width)
+    return streams, gold, splits, _write_labels
 
 
 def cmd_fuse_late(args) -> int:
     stream_dirs = [_resolve(s) for s in args.streams]
     if len(stream_dirs) < 2:
         raise ParameterError("late fusion needs at least two --streams directories")
-    spec = None
-    if args.window is not None:
-        spec = dataio.WindowSpec(window=args.window, hop=args.hop or args.window)
+    spec = dataio.WindowSpec(args.window, args.hop or args.window) if args.window is not None else None
     task = "sent" if args.task == "sent" else "regression"
     # (streams, train and devel gold, items per split, prediction writer)
     read_streams = _sent_streams if task == "sent" else _regression_streams
@@ -773,15 +736,10 @@ def cmd_fuse_late(args) -> int:
     )
     _info(f"fusing {len(streams)} {task} streams over {sum(len(v) for v in splits.values())} items")
     result = fuse_predictions(plan, task=task)
-
-    out = _resolve(args.out)
-    save_checkpoint(out / "model.json", result.model)
-    result.history.write_csv(out / "history.csv")
-    write_preds(result.predictions, out / "preds")
-    _emit(_metric_key(result.config), repr(round(result.devel_score, 6)))
-    _emit("streams", ",".join(result.stream_order))
-    _emit("out", out)
-    return 0
+    return _write_run(
+        _resolve(args.out), result.model, result.history, result.predictions, write_preds,
+        streams=",".join(result.stream_order),
+    )
 
 
 # ---------------------------------------------------------------------------

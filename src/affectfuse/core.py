@@ -12,6 +12,7 @@ __all__ = [
     "KINDS",
     "AnnotationTrace",
     "RaterSet",
+    "grid_timestamps_ms",
     "standardize",
     "standardize_values",
     "resample",
@@ -31,6 +32,11 @@ def _as_readonly(values: np.ndarray) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
+
+
+def grid_timestamps_ms(n: int, rate_hz: float) -> np.ndarray:
+    """Integer millisecond timestamps of an ``n``-sample uniform grid starting at 0."""
+    return np.rint(np.arange(n) * 1000.0 / rate_hz).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ class AnnotationTrace:
 
     def timestamps_ms(self) -> np.ndarray:
         """Integer millisecond timestamps of the sample grid."""
-        return np.rint(np.arange(len(self)) * 1000.0 / self.sample_rate_hz).astype(np.int64)
+        return grid_timestamps_ms(len(self), self.sample_rate_hz)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ __all__ = [
     "read_logits_csv",
     "write_logits_csv",
     "write_warp_path_csv",
+    "read_model_file",
     "slice_by_span",
 ]
 
@@ -549,6 +550,26 @@ def write_warp_path_csv(path: Path | str, warp_path) -> None:
     _write_lines(path, lines)
 
 
-def grid_timestamps_ms(n: int, rate_hz: float) -> np.ndarray:
-    """Millisecond timestamps of a uniform grid starting at 0."""
-    return np.rint(np.arange(n) * 1000.0 / rate_hz).astype(np.int64)
+# ---------------------------------------------------------------------------
+# model files: one JSON object with a ``kind`` and a ``format_version``
+
+
+def read_model_file(path: Path | str, kind: str, build: Callable[[dict], object]):
+    """``build(payload)`` of a version-1 JSON model file of ``kind``.
+
+    Every fault is a ParameterError naming the file: missing or unreadable,
+    not JSON, another kind or version, or a ``KeyError``, ``TypeError`` or
+    ``ValueError`` from ``build`` (a missing, unknown or malformed entry).
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
+        raise ParameterError(f"{path}: cannot read a JSON model file: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("kind") != kind or payload.get("format_version") != 1:
+        raise ParameterError(f"{path}: not a version-1 {kind} file")
+    try:
+        return build(payload)
+    except KeyError as exc:
+        raise ParameterError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: {exc}") from None

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import read_model_file
 from .errors import NumericError, ParameterError
 
 __all__ = [
@@ -523,9 +524,11 @@ def save_class_model(path: Path | str, model: ClusterModel) -> None:
 
 
 def load_class_model(path: Path | str) -> ClusterModel:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("kind") != "class_model" or payload.get("format_version") != 1:
-        raise ParameterError(f"{path}: not a version-1 class model file")
+    """The class model of a :func:`save_class_model` file; a bad file is a ParameterError naming it."""
+    return read_model_file(path, "class_model", _class_model_from)
+
+
+def _class_model_from(payload: dict) -> ClusterModel:
     return ClusterModel(
         target=payload["target"],
         method=payload["method"],

@@ -1,10 +1,11 @@
-"""Late fusion: a small LSTM trained on stacked prediction streams.
+"""Late fusion: the baseline's sequence model fitted on stacked prediction streams.
 
 Regression streams are per-step prediction traces stacked into a
 (T, n_streams) input per recording. Sentiment-class streams are per-segment
 logit vectors concatenated into one length-1 sequence per segment. Either
-way the fusion model trains on the train split, is early-stopped on devel,
-and never needs test gold.
+way :func:`~affectfuse.seqmodel.fit` trains the fusion model on the train
+split, early-stops it on devel and predicts every item; it never needs test
+gold.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataio import WindowSpec, window
+from .dataio import WindowSpec
 from .errors import ParameterError
-from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, train
+from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, fit
 
 __all__ = [
     "REGRESSION_FUSION",
@@ -67,15 +68,14 @@ class FusionPlan:
         for split in ("train", "devel"):
             if not self.splits.get(split):
                 raise ParameterError(f"late fusion needs a non-empty {split!r} split")
+            no_gold = [item for item in self.splits[split] if item not in self.gold]
+            if no_gold:
+                raise ParameterError(f"no gold for {split} item {no_gold[0]!r}")
         items = {i for ids in self.splits.values() for i in ids}
         for name, preds in self.streams.items():
             missing = sorted(items - set(preds))
             if missing:
                 raise ParameterError(f"stream {name!r} is missing items: {missing[:5]}")
-        for split in ("train", "devel"):
-            for item in self.splits[split]:
-                if item not in self.gold:
-                    raise ParameterError(f"no gold for {split} item {item!r}")
 
 
 @dataclass
@@ -89,19 +89,12 @@ class FusionResult:
 
 
 def _stack_regression(plan: FusionPlan, order: tuple[str, ...], item: str) -> np.ndarray:
-    traces = []
-    length = None
-    for name in order:
-        tr = np.asarray(plan.streams[name][item], dtype=np.float64)
+    traces = [np.asarray(plan.streams[name][item], dtype=np.float64) for name in order]
+    for name, tr in zip(order, traces):
         if tr.ndim != 1:
             raise ParameterError(f"stream {name!r} item {item!r} is not a 1-d trace")
-        if length is None:
-            length = tr.size
-        elif tr.size != length:
-            raise ParameterError(
-                f"stream lengths disagree for item {item!r}: {length} vs {tr.size}"
-            )
-        traces.append(tr)
+        if tr.size != traces[0].size:
+            raise ParameterError(f"stream lengths disagree for item {item!r}: {traces[0].size} vs {tr.size}")
     return np.stack(traces, axis=1)
 
 
@@ -111,7 +104,10 @@ def _stack_sent(plan: FusionPlan, order: tuple[str, ...], item: str) -> np.ndarr
 
 
 def fuse_predictions(plan: FusionPlan, task: str = "regression") -> FusionResult:
-    """Train the fusion model and predict every item in every split."""
+    """Stack the streams per item, fit the fusion model and predict every item in every split.
+
+    Sentiment predictions are class labels, the argmax of the fused logits.
+    """
     if task not in ("regression", "sent"):
         raise ParameterError(f"unknown fusion task {task!r}")
     order = tuple(plan.streams.keys())
@@ -137,36 +133,15 @@ def fuse_predictions(plan: FusionPlan, task: str = "regression") -> FusionResult
         **shape,
         **head,
     )
-    model = SequenceModel(config)
-
-    def gold_vec(item: str):
-        if task == "regression":
-            g = np.asarray(plan.gold[item], dtype=np.float64)
-            if g.size != stacked[item].shape[0]:
-                raise ParameterError(f"gold length mismatch for item {item!r}")
-            return g
-        return int(plan.gold[item])
-
-    train_items = []
-    for item in plan.splits["train"]:
-        x, y = stacked[item], gold_vec(item)
-        if task == "regression" and plan.window_spec is not None:
-            xw = window(x, plan.window_spec)
-            yw = window(y, plan.window_spec)
-            train_items += [(wx, wy) for (_, wx), (_, wy) in zip(xw, yw) if len(wy) >= 2]
-        else:
-            train_items.append((x, y))
-    devel_items = [(stacked[i], gold_vec(i)) for i in plan.splits["devel"]]
-
-    # train restores the best epoch's parameters, whose devel score it logged
-    history = train(model, train_items, devel_items)
-    # one item at a time, so memory does not grow with the number predicted
-    predict = model.predict if task == "regression" else model.predict_class
+    model, history, outputs = fit(config, stacked, plan.gold, plan.splits, plan.window_spec)
+    if task == "sent":
+        outputs = {split: {i: int(np.argmax(v)) for i, v in out.items()} for split, out in outputs.items()}
+    # fit restores the best epoch's parameters, whose devel score it logged
     return FusionResult(
         stream_order=order,
         config=config,
         history=history,
         devel_score=history.best_metric(),
-        predictions={split: {i: predict(stacked[i]) for i in ids} for split, ids in plan.splits.items()},
+        predictions=outputs,
         model=model,
     )

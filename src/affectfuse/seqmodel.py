@@ -21,10 +21,11 @@ import json
 import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dataio import WindowSpec, read_model_file, window
 from .errors import NumericError, ParameterError
 from .metrics import macro_f1, moments
 
@@ -37,6 +38,7 @@ __all__ = [
     "cross_entropy_loss",
     "train",
     "evaluate",
+    "fit",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -243,11 +245,6 @@ class SequenceModel:
         """Forward pass on a full sequence without keeping the cache."""
         return self.forward_batch([x], keep_cache=False)[0][0]
 
-    def predict_class(self, x: np.ndarray) -> int:
-        if self.config.head != "classification":
-            raise ParameterError("predict_class needs a classification head")
-        return int(np.argmax(self.predict(x)))
-
     # -- backward -----------------------------------------------------------
 
     def _recur_back(self, d_hidden: np.ndarray, layer: int, d: str, cache: dict, grads: dict) -> np.ndarray:
@@ -386,10 +383,7 @@ class TrainHistory:
     stopped_early: bool = False
 
     def best_metric(self) -> float:
-        for epoch, _, metric in self.rows:
-            if epoch == self.best_epoch:
-                return metric
-        return float("-inf")
+        return next((metric for epoch, _, metric in self.rows if epoch == self.best_epoch), float("-inf"))
 
     def write_csv(self, path: Path | str) -> None:
         lines = ["epoch,train_loss,devel_metric"]
@@ -480,6 +474,45 @@ def train(
     return history
 
 
+def fit(
+    config: RegressorConfig,
+    inputs: Mapping[str, np.ndarray],
+    targets: Mapping[str, np.ndarray | int],
+    splits: Mapping[str, Sequence[str]],
+    window_spec: WindowSpec | None = None,
+    progress=None,
+) -> tuple[SequenceModel, TrainHistory, dict[str, dict[str, np.ndarray]]]:
+    """Train a new model on (T, D) inputs by item id, then predict every item of every split.
+
+    ``targets``: each train and devel item's per-step gold (regression) or class label;
+    ``splits``: each split's item ids, in order. With ``window_spec`` train items are
+    cut into windows: a regression window keeps its gold slice and is dropped below 2
+    samples, a class window keeps the item's label. Devel items stay whole for early
+    stopping (see :func:`train`). ``outputs``: split -> item id -> output on the item.
+    """
+    regression = config.head == "regression"
+    if regression:
+        for item in (*splits.get("train", ()), *splits.get("devel", ())):
+            if np.size(targets[item]) != len(inputs[item]):
+                raise ParameterError(f"gold length mismatch for item {item!r}")
+    train_items = []
+    for item in splits.get("train", ()):
+        x, y = inputs[item], targets[item]
+        if window_spec is None:
+            train_items.append((x, y))
+        elif regression:
+            pairs = zip(window(x, window_spec), window(y, window_spec))
+            train_items += [(wx, wy) for (_, wx), (_, wy) in pairs if len(wy) >= 2]
+        else:
+            train_items += [(wx, y) for _, wx in window(x, window_spec)]
+    devel_items = [(inputs[i], targets[i]) for i in splits.get("devel", ())]
+    model = SequenceModel(config)
+    history = train(model, train_items, devel_items, progress=progress)
+    # one item at a time, so memory does not grow with the number predicted
+    outputs = {split: {i: model.predict(inputs[i]) for i in ids} for split, ids in splits.items()}
+    return model, history, outputs
+
+
 # ---------------------------------------------------------------------------
 # checkpoints (deterministic JSON: repr-formatted floats, sorted keys)
 
@@ -504,16 +537,17 @@ def save_checkpoint(path: Path | str, model: SequenceModel, adam: Adam | None = 
 
 
 def load_checkpoint(path: Path | str) -> tuple[SequenceModel, Adam | None]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("kind") != "sequence_model" or payload.get("format_version") != 1:
-        raise ParameterError(f"{path}: not a version-1 sequence model checkpoint")
-    config = RegressorConfig(**payload["config"])
-    model = SequenceModel(config, params=payload.get("params", {}))
+    """Model and saved optimizer (or None) of a checkpoint; a bad file is a ParameterError naming it."""
+    return read_model_file(path, "sequence_model", _from_checkpoint)
+
+
+def _from_checkpoint(payload: dict) -> tuple[SequenceModel, Adam | None]:
+    model = SequenceModel(RegressorConfig(**payload["config"]), params=payload["params"])
     adam = None
     if "optimizer" in payload:
         optimizer = payload["optimizer"]
         adam = Adam(model, lr=optimizer["lr"])
         adam.t = int(optimizer["t"])
-        _copy_named(model.named(adam.m), optimizer.get("m", {}), "optimizer m entry")
-        _copy_named(model.named(adam.v), optimizer.get("v", {}), "optimizer v entry")
+        _copy_named(model.named(adam.m), optimizer["m"], "optimizer m entry")
+        _copy_named(model.named(adam.v), optimizer["v"], "optimizer v entry")
     return model, adam

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .core import AnnotationTrace, RaterSet
+from .core import AnnotationTrace, RaterSet, grid_timestamps_ms
 from .errors import ParameterError
 
 __all__ = ["SynthConfig", "gen_latent", "gen_raters", "gen_eda", "gen_features", "write_corpus"]
@@ -202,7 +202,7 @@ def write_corpus(
     for i, rid in enumerate(recording_ids):
         sub = _recording_config(config, i)
         latent = gen_latent(sub)
-        ts = dataio.grid_timestamps_ms(latent.size, sub.rate_hz)
+        ts = grid_timestamps_ms(latent.size, sub.rate_hz)
         raters, _ = gen_raters(sub, latent)
         for trace in raters.traces:
             dataio.write_annotation_csv(
@@ -217,7 +217,7 @@ def write_corpus(
                 timestamps_ms=ts,
             )
             dataio.write_feature_csv(out / "features" / fset / f"{rid}.csv", feats)
-        dataio._write_two_column(out / "latent" / f"{rid}.csv", "timestamp_ms,value", ts, latent)
+        dataio.write_gold_csv(out / "latent" / f"{rid}.csv", ts, latent)
 
         srng = np.random.default_rng([int(config.seed), _SEGMENTS, i])
         pos_ms = 0

@@ -126,6 +126,7 @@ class TestRaaw:
             assert meta["converged"] == (meta["stop_reason"] == "converged")
             assert len(meta["objective"]) == len(meta["max_delta"]) == meta["iterations"]
             assert (meta["max_delta"][-1] < meta["fusion"]["tol"]) == meta["converged"]
+            assert meta["fusion"] == {"band": None, "max_iter": 20, "reference": "mean", "tol": 1e-4}
 
     def test_parallel_jobs_byte_identical(self, corpus, tmp_path):
         ann = corpus / "data" / "annotations"

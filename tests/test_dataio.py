@@ -5,14 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from affectfuse.core import AnnotationTrace
+from affectfuse.core import AnnotationTrace, grid_timestamps_ms
 from affectfuse.dataio import (
     FeatureSequence,
     Partition,
     Segment,
     WindowSpec,
     align_to_labels,
-    grid_timestamps_ms,
     list_recordings,
     merge_segments,
     read_annotation_csv,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -359,6 +361,43 @@ class TestClassModel:
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "something_else", "format_version": 1}\n')
         with pytest.raises(ParameterError):
+            load_class_model(path)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (None, "cannot read .*No such file"),
+            ("{not json", "cannot read .*Expecting"),
+            ('{"kind": "class_model", "format_version": 1}', "missing key 'target'"),
+            ('{"kind": "class_model", "format_version": 2}', "not a version-1 class_model file"),
+        ],
+        ids=["missing-file", "invalid-json", "no-target", "other-version"],
+    )
+    def test_load_bad_file_names_it(self, tmp_path, text, reason):
+        path = tmp_path / "classes.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}: {reason}"):
+            load_class_model(path)
+
+    @pytest.mark.parametrize(
+        "damage, key",
+        [
+            (lambda p: p.pop("seed"), "missing key 'seed'"),
+            (lambda p: p["standardizer"].pop("std"), "missing key 'std'"),
+            (lambda p: p.update(seed=None), "int"),
+        ],
+        ids=["no-seed", "no-std", "bad-seed"],
+    )
+    def test_load_malformed_payload_names_file(self, tmp_path, damage, key):
+        rng = np.random.default_rng(53)
+        matrix, _ = self._train_matrix(rng, n=40)
+        path = tmp_path / "classes.json"
+        save_class_model(path, fit_class_model(matrix, "valence", "kmeans", seed=3))
+        payload = json.loads(path.read_text())
+        damage(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}: .*{key}"):
             load_class_model(path)
 
     def test_assign_nearest_tie_picks_lowest_index(self):

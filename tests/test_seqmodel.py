@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from affectfuse import seqmodel
+from affectfuse.dataio import WindowSpec
 from affectfuse.errors import NumericError, ParameterError
 from affectfuse.seqmodel import (
     Adam,
@@ -13,6 +16,7 @@ from affectfuse.seqmodel import (
     ccc_loss,
     cross_entropy_loss,
     evaluate,
+    fit,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -276,7 +280,7 @@ class TestForward:
         x = np.random.default_rng(1).normal(size=(12, 4))
         out, _ = model.forward(x)
         assert out.shape == (5,)
-        assert model.predict_class(x) == int(np.argmax(out))
+        assert np.array_equal(model.predict(x), out)
 
     def test_wrong_input_width_rejected(self):
         model = SequenceModel(RegressorConfig(input_dim=4))
@@ -485,6 +489,85 @@ class TestTraining:
         assert history.best_metric() > 0.8
 
 
+class TestFit:
+    """``fit``'s windowing rule, seen through the training set it hands to ``train``."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        seen = {}
+        real_train = seqmodel.train
+
+        def spy(model, train_set, devel_set, progress=None):
+            seen["train"], seen["devel"] = list(train_set), list(devel_set)
+            return real_train(model, train_set, devel_set, progress)
+
+        monkeypatch.setattr(seqmodel, "train", spy)
+        return seen
+
+    @staticmethod
+    def _items(rng, lengths, d=2):
+        return {f"r{i}": rng.normal(size=(n, d)) for i, n in enumerate(lengths)}
+
+    def test_regression_windows_keep_gold_slices_and_drop_short_ones(self, seen):
+        rng = np.random.default_rng(3)
+        inputs = self._items(rng, (7, 5, 6, 4))
+        targets = {i: rng.normal(size=len(x)) for i, x in inputs.items()}
+        splits = {"train": ("r0", "r1"), "devel": ("r2",), "test": ("r3",)}
+        cfg = RegressorConfig(input_dim=2, hidden_dim=3, max_epochs=1)
+        fit(cfg, inputs, targets, splits, WindowSpec(window=3, hop=3))
+        # r0 (7 steps): [0:3], [3:6], [6:7] dropped; r1 (5 steps): [0:3], [3:5]
+        expected = [("r0", 0, 3), ("r0", 3, 6), ("r1", 0, 3), ("r1", 3, 5)]
+        assert len(seen["train"]) == len(expected)
+        for (x, y), (item, lo, hi) in zip(seen["train"], expected):
+            assert np.array_equal(x, inputs[item][lo:hi])
+            assert np.array_equal(y, targets[item][lo:hi])
+        # devel items stay whole
+        assert np.array_equal(seen["devel"][0][0], inputs["r2"])
+
+    def test_class_windows_keep_the_item_label(self, seen):
+        rng = np.random.default_rng(4)
+        inputs = self._items(rng, (5, 3, 4))
+        targets = {"r0": 2, "r1": 4, "r2": 1}
+        splits = {"train": ("r0", "r1"), "devel": ("r2",)}
+        cfg = RegressorConfig(input_dim=2, hidden_dim=3, head="classification", max_epochs=1)
+        fit(cfg, inputs, targets, splits, WindowSpec(window=2, hop=2))
+        # every window is kept, a length-1 tail included
+        assert [y for _, y in seen["train"]] == [2, 2, 2, 4, 4]
+        assert [len(x) for x, _ in seen["train"]] == [2, 2, 1, 2, 1]
+
+    def test_without_spec_items_stay_whole(self, seen):
+        rng = np.random.default_rng(5)
+        inputs = self._items(rng, (9, 1, 6))
+        targets = {"r0": 0, "r1": 3, "r2": 1}
+        splits = {"train": ("r0", "r1"), "devel": ("r2",)}
+        cfg = RegressorConfig(input_dim=2, hidden_dim=3, head="classification", max_epochs=1)
+        fit(cfg, inputs, targets, splits)
+        assert len(seen["train"]) == 2
+        for (x, y), item in zip(seen["train"], ("r0", "r1")):
+            assert x is inputs[item] and y == targets[item]
+
+    def test_outputs_cover_every_split_item(self):
+        rng = np.random.default_rng(6)
+        inputs = self._items(rng, (8, 8, 6, 5, 7))
+        targets = {i: rng.normal(size=len(inputs[i])) for i in ("r0", "r1", "r2")}
+        splits = {"train": ("r0", "r1"), "devel": ("r2",), "test": ("r3", "r4")}
+        cfg = RegressorConfig(input_dim=2, hidden_dim=3, max_epochs=2)
+        model, history, outputs = fit(cfg, inputs, targets, splits, WindowSpec(window=4, hop=2))
+        assert {s: tuple(o) for s, o in outputs.items()} == splits
+        for split, ids in splits.items():
+            for i in ids:
+                assert np.array_equal(outputs[split][i], model.predict(inputs[i]))
+        assert len(history.rows) == 2
+
+    def test_gold_length_mismatch_rejected(self):
+        rng = np.random.default_rng(7)
+        inputs = self._items(rng, (6, 6))
+        targets = {"r0": rng.normal(size=6), "r1": rng.normal(size=5)}
+        cfg = RegressorConfig(input_dim=2, hidden_dim=3, max_epochs=1)
+        with pytest.raises(ParameterError, match="gold length mismatch for item 'r1'"):
+            fit(cfg, inputs, targets, {"train": ("r0",), "devel": ("r1",)})
+
+
 class TestHistory:
     def test_csv_format(self, tmp_path):
         from affectfuse.seqmodel import TrainHistory
@@ -563,6 +646,41 @@ class TestCheckpoint:
             entries[name] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(ParameterError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage, key",
+        [
+            (lambda p: p["config"].update(bogus=1), "bogus"),
+            (lambda p: p.pop("config"), "'config'"),
+            (lambda p: p.pop("params"), "'params'"),
+            (lambda p: p["optimizer"].pop("lr"), "'lr'"),
+            (lambda p: p["optimizer"].pop("t"), "'t'"),
+            (lambda p: p["config"].pop("input_dim"), "input_dim"),
+            (lambda p: p["config"].update(hidden_dim="five"), "hidden_dim|str"),
+        ],
+        ids=["unknown-config-key", "no-config", "no-params", "no-lr", "no-t", "no-input-dim", "bad-value"],
+    )
+    def test_malformed_payload_names_file_and_key(self, tmp_path, damage, key):
+        model = SequenceModel(RegressorConfig(input_dim=3, hidden_dim=5, seed=33))
+        path = tmp_path / "model.json"
+        save_checkpoint(path, model, Adam(model))
+        payload = json.loads(path.read_text())
+        damage(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}: .*({key})"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [(None, "cannot read .*No such file"), ("{not json", "cannot read .*Expecting"), ("[1, 2]", "not a version-1")],
+        ids=["missing-file", "invalid-json", "not-an-object"],
+    )
+    def test_unreadable_file_names_it(self, tmp_path, text, reason):
+        path = tmp_path / "model.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}: {reason}"):
             load_checkpoint(path)
 
     def test_deterministic_bytes(self, tmp_path):

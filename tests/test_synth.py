@@ -165,6 +165,9 @@ class TestWriteCorpus:
             assert (tmp_path / "a" / "features" / "modal_a" / f"{rid}.csv").is_file()
             assert (tmp_path / "a" / "features" / "modal_b" / f"{rid}.csv").is_file()
             assert (tmp_path / "a" / "latent" / f"{rid}.csv").is_file()
+        # the latent traces are plain two-column CSVs with no sidecar
+        assert not list((tmp_path / "a" / "latent").glob("*.json"))
+        assert (tmp_path / "a" / "latent" / "rec_000.csv").read_text().startswith("timestamp_ms,value\n0,")
 
         write_corpus(cfg, tmp_path / "b", n_recordings=5)
         digests = {}
