@@ -1,9 +1,9 @@
 """Training the LSTM baseline on synthetic recordings.
 
 A small regression run end to end: generate a few recordings that share
-one feature extractor, window the sequences, train an LSTM with the CCC
-loss, early-stop on the development score, and evaluate the restored best
-model. Everything is plain numpy underneath; the gradients come from
+one feature extractor, then let ``fit`` window the train sequences, train an
+LSTM with the CCC loss, early-stop on the development score and predict
+every recording with the restored best model. Everything is plain numpy underneath; the gradients come from
 backpropagation through time and are finite-difference checked in the
 test suite.
 
@@ -15,33 +15,26 @@ from __future__ import annotations
 import numpy as np
 
 from affectfuse.core import standardize_values
-from affectfuse.dataio import WindowSpec, window
-from affectfuse.seqmodel import RegressorConfig, SequenceModel, evaluate, train
+from affectfuse.dataio import WindowSpec
+from affectfuse.seqmodel import RegressorConfig, evaluate, fit
 from affectfuse.synth import SynthConfig, gen_features, gen_latent
 
 BASE_SEED = 40
 
 # six recordings; the feature extractor (mix_seed) is shared so the devel
 # recordings are solvable with what the train recordings teach
-recordings = {}
+inputs, targets = {}, {}
 for i in range(6):
     cfg = SynthConfig(seed=BASE_SEED + i, duration_s=120.0, feature_dim=6)
     latent = gen_latent(cfg)
-    features = gen_features(cfg, latent, mix_seed=BASE_SEED)
-    recordings[f"rec_{i}"] = (features, standardize_values(latent)[0])
-
+    inputs[f"rec_{i}"] = gen_features(cfg, latent, mix_seed=BASE_SEED)
+    targets[f"rec_{i}"] = standardize_values(latent)[0]
+splits = {"train": ("rec_0", "rec_1", "rec_2", "rec_3"), "devel": ("rec_4", "rec_5")}
 spec = WindowSpec(window=40, hop=20)
-train_set = []
-for rec in ("rec_0", "rec_1", "rec_2", "rec_3"):
-    features, target = recordings[rec]
-    for (start, chunk), (_, gold) in zip(window(features, spec), window(target, spec)):
-        if gold.size >= 2:  # the CCC loss needs at least two steps
-            train_set.append((chunk, gold))
-devel_set = [recordings[rec] for rec in ("rec_4", "rec_5")]  # full sequences
 
 print("=== data ===")
-print(f"4 train recordings -> {len(train_set)} windows of up to {spec.window} steps")
-print(f"2 devel recordings scored on their full {devel_set[0][0].shape[0]}-step sequences")
+print(f"4 train recordings cut into windows of up to {spec.window} steps, every {spec.hop} steps")
+print(f"2 devel recordings scored on their full {inputs['rec_4'].shape[0]}-step sequences")
 
 config = RegressorConfig(
     input_dim=6,
@@ -53,11 +46,10 @@ config = RegressorConfig(
     patience=10,
     seed=BASE_SEED,
 )
-model = SequenceModel(config)
+# windows under 2 steps are dropped: the CCC loss cannot score them
+model, history, outputs = fit(config, inputs, targets, splits, spec)
 print(f"\n=== model ===\n{config.layers}-layer LSTM, hidden {config.hidden_dim}, "
       f"{model.param_count()} parameters, CCC loss")
-
-history = train(model, train_set, devel_set)
 
 print("\n=== training ===")
 for epoch, loss, metric in history.rows[:3]:
@@ -69,9 +61,10 @@ print(f"stopped early: {history.stopped_early}; best epoch {history.best_epoch} 
       f"with devel CCC {history.best_metric():.4f}")
 
 # the best snapshot is restored automatically, so evaluate() reproduces it
+devel_set = [(inputs[rec], targets[rec]) for rec in splits["devel"]]
 print(f"restored model devel CCC: {evaluate(model, devel_set):.4f}")
 
-pred = model.predict(recordings["rec_5"][0])
-gold = recordings["rec_5"][1]
+pred = outputs["devel"]["rec_5"]
+gold = targets["rec_5"]
 print(f"\nrec_5 prediction range [{pred.min():+.2f}, {pred.max():+.2f}] "
       f"vs gold [{gold.min():+.2f}, {gold.max():+.2f}]")

@@ -18,7 +18,8 @@ Conventions shared by every subcommand:
   * exit codes: 0 ok, 2 bad parameters or usage, 3 data problems, 4 numeric
     failures (non-finite loss or parameters)
   * ``--config FILE`` reads ``key = value`` lines overriding built-in
-    defaults (explicit flags still win)
+    defaults (explicit flags still win); a value goes through its option's
+    type, an on/off flag takes ``true`` or ``false``, and ``none`` unsets it
   * relative paths resolve against ``AFFECTFUSE_DATA_ROOT`` when it is set
   * ``--jobs N`` (N >= 1) runs the per-recording fusion of ``raaw`` and
     ``physio`` in N worker processes; the other subcommands accept and ignore it
@@ -30,7 +31,6 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -84,18 +84,6 @@ def _emit(key: str, value) -> None:
     print(f"{key}={value}")
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _metric_key(config: RegressorConfig) -> str:
     """Stdout key of a model's devel score: macro F1 or CCC by its head."""
     return "devel_f1" if config.head == "classification" else "devel_ccc"
@@ -106,10 +94,12 @@ def _metric_key(config: RegressorConfig) -> str:
 
 
 def _load_config_file(path: Path) -> dict[str, str]:
-    if not path.is_file():
-        raise ParameterError(f"config file not found: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -120,23 +110,27 @@ def _load_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _convert_config_value(text: str):
-    low = text.lower()
-    if low in ("none", "null"):
-        return None
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+def _apply_config(values: dict[str, str], subparsers: list[argparse.ArgumentParser]) -> None:
+    """Make config values the defaults of the options they name, for argparse to convert with
+    each option's ``type`` unless a flag overrides them; on/off flags and ``none`` are decided here."""
+    unknown = set(values) - {a.dest for sp in subparsers for a in sp._actions}
+    if unknown:
+        raise ParameterError(f"unknown config key {', '.join(map(repr, sorted(unknown)))}")
+    for sp in subparsers:
+        defaults = {}
+        for action in (a for a in sp._actions if a.dest in values):
+            text, low = values[action.dest], values[action.dest].lower()
+            if action.nargs == 0:
+                if low not in ("true", "false"):
+                    raise ParameterError(f"config key {action.dest!r} takes true or false, got {text!r}")
+                defaults[action.dest] = low == "true"
+            elif low in ("none", "null"):
+                if action.default is not None:
+                    raise ParameterError(f"config key {action.dest!r} cannot be none (default {action.default!r})")
+                defaults[action.dest] = None
+            else:
+                defaults[action.dest] = text
+        sp.set_defaults(**defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +142,33 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes for per-recording fusion (raaw, physio); >= 1")
     sp.add_argument("--config", default=None, help="file of 'key = value' default overrides")
+
+
+def _add_fusion_options(sp: argparse.ArgumentParser, kind: str) -> None:
+    """Options of ``raaw`` and ``physio``; ``kind`` is the command's default annotation kind."""
+    sp.add_argument("--annotations", required=True, help="root with <rec>/<kind>/*.csv")
+    sp.add_argument("--kind", default=kind, choices=("valence", "arousal", "physio"))
+    sp.add_argument("--out", required=True, help="directory for <rec>.csv gold files")
+    sp.add_argument("--max-iter", type=int, default=20)
+    sp.add_argument("--tol", type=float, default=1e-4)
+    sp.add_argument("--band", type=int, default=None, help="warp band; default 10%% of length")
+    sp.add_argument("--reference", default="mean", help="'mean' or a rater index")
+    sp.add_argument("--dump-paths", default=None, help="directory for warp path CSVs")
+
+
+def _add_fit_options(sp: argparse.ArgumentParser) -> None:
+    """Options of ``train`` and ``fuse-late``."""
+    sp.add_argument("--task", required=True, choices=tuple(TASK_DEFAULTS))
+    sp.add_argument("--gold", default=None, help="regression: directory of <rec>.csv gold files")
+    sp.add_argument("--partitions", default=None, help="regression: partitions CSV")
+    sp.add_argument("--out", required=True)
+    sp.add_argument("--window", type=int, default=None,
+                    help="train window in samples; default: the task's (train), full sequences (fuse-late)")
+    sp.add_argument("--hop", type=int, default=None,
+                    help="train hop in samples; default: the task's (train), the window (fuse-late)")
+    sp.add_argument("--epochs", type=int, default=100)
+    sp.add_argument("--patience", type=int, default=15)
+    sp.add_argument("--batch", type=int, default=32)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
@@ -180,31 +201,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     p = sub.add_parser("raaw", help="fuse rater annotations into gold standards")
     _add_common(p)
-    p.add_argument("--annotations", required=True, help="root with <rec>/<kind>/*.csv")
-    p.add_argument("--kind", default="arousal", choices=("valence", "arousal", "physio"))
-    p.add_argument("--out", required=True, help="directory for <rec>.csv gold files")
-    p.add_argument("--max-iter", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--band", type=int, default=None, help="warp band; default 10%% of length")
-    p.add_argument("--reference", default="mean", help="'mean' or a rater index")
-    p.add_argument("--dump-paths", default=None, help="directory for warp path CSVs")
-    register(p, cmd_raaw)
+    _add_fusion_options(p, kind="arousal")
+    register(p, _run_fusion)
 
     p = sub.add_parser("physio", help="fuse annotations with an EDA pseudo-rater")
     _add_common(p)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--kind", default="physio", choices=("valence", "arousal", "physio"))
+    _add_fusion_options(p, kind="physio")
     p.add_argument("--eda", required=True, help="directory with <rec>.csv EDA signals")
-    p.add_argument("--out", required=True)
-    p.add_argument("--max-iter", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--band", type=int, default=None)
-    p.add_argument("--reference", default="mean")
     p.add_argument("--sg-window", type=int, default=26, help="smoothing window in samples")
     p.add_argument("--sg-order", type=int, default=3, help="smoothing polynomial order")
     p.add_argument("--target-hz", type=float, default=None, help="EDA resample rate; default label rate")
-    p.add_argument("--dump-paths", default=None)
-    register(p, cmd_physio)
+    register(p, _run_fusion)
 
     p = sub.add_parser("discretize", help="turn gold standards into sentiment classes")
     _add_common(p)
@@ -220,23 +227,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     p = sub.add_parser("train", help="train one sequence model on one feature set")
     _add_common(p)
-    p.add_argument("--task", required=True, choices=tuple(TASK_DEFAULTS))
+    _add_fit_options(p)
     p.add_argument("--features", required=True, help="directory of <rec>.csv feature files")
-    p.add_argument("--gold", default=None, help="regression: directory of <rec>.csv gold files")
     p.add_argument("--segments", default=None, help="sent: segments CSV")
     p.add_argument("--labels", default=None, help="sent: labels CSV")
-    p.add_argument("--partitions", default=None, help="regression: partitions CSV")
-    p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=None, help="train window in samples")
-    p.add_argument("--hop", type=int, default=None, help="train hop in samples")
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--bidirectional", action="store_true")
     p.add_argument("--lr", type=float, default=None, help="default: mid-grid for the task")
     p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=15)
-    p.add_argument("--batch", type=int, default=32)
     register(p, cmd_train)
 
     p = sub.add_parser("eval", help="score prediction directories")
@@ -255,19 +254,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     p = sub.add_parser("fuse-late", help="fuse >=2 prediction streams with a small model")
     _add_common(p)
-    p.add_argument("--task", required=True, choices=tuple(TASK_DEFAULTS))
+    _add_fit_options(p)
     p.add_argument("--streams", nargs="+", required=True,
                    help="prediction roots with <split>/<rec>.csv (regression) "
                         "or <split>_logits.csv (sent)")
-    p.add_argument("--gold", default=None, help="regression: gold directory")
     p.add_argument("--gold-labels", default=None, help="sent: labels CSV")
-    p.add_argument("--partitions", default=None, help="regression: partitions CSV")
-    p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=None, help="default: full sequences")
-    p.add_argument("--hop", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=15)
-    p.add_argument("--batch", type=int, default=32)
     register(p, cmd_fuse_late)
 
     return parser, subparsers
@@ -328,20 +319,21 @@ def _parse_reference(text: str) -> str | int:
         raise ParameterError(f"--reference must be 'mean' or an integer, got {text!r}")
 
 
-def _run_fusion(args, mode: str) -> int:
+def _run_fusion(args) -> int:
+    """``raaw``, or ``physio`` with an EDA pseudo-rater, of every recording with ``--kind`` annotations."""
     ann_root = _resolve(args.annotations)
     out = _resolve(args.out)
     recordings = dataio.list_recordings(ann_root, args.kind)
     if not recordings:
         raise DataError(f"no recordings with {args.kind!r} annotations under {ann_root}")
-    fusion = FusionConfig(
+    config = FusionConfig(
         max_iter=args.max_iter, tol=args.tol, band=args.band, reference=_parse_reference(args.reference)
     )
-    config, eda_dir = fusion, None
-    if mode == "physio":
+    eda_dir = None
+    if args.command == "physio":
         eda_dir = _resolve(args.eda)
         config = PhysioConfig(
-            fusion=fusion, sg_window=args.sg_window, sg_polyorder=args.sg_order, target_hz=args.target_hz
+            fusion=config, sg_window=args.sg_window, sg_polyorder=args.sg_order, target_hz=args.target_hz
         )
     tasks = [(ann_root, rec, args.kind, config, eda_dir) for rec in recordings]
     if args.jobs > 1:
@@ -351,30 +343,14 @@ def _run_fusion(args, mode: str) -> int:
         results = dict(_fuse_worker(t) for t in tasks)
 
     out.mkdir(parents=True, exist_ok=True)
-    golds = []
-    for rec in recordings:
-        gold = results[rec]
-        golds.append(gold)
+    golds = [results[rec] for rec in recordings]
+    for rec, gold in zip(recordings, golds):
         ts = grid_timestamps_ms(len(gold.values), gold.sample_rate_hz)
-        metadata = _jsonable(
-            {
-                "recording_id": gold.recording_id,
-                "kind": gold.kind,
-                "sample_rate_hz": gold.sample_rate_hz,
-                "weights": gold.weights,
-                "agreement_mean": gold.agreement_mean,
-                "agreement_std": gold.agreement_std,
-                "fusion": asdict(fusion),
-                **gold.metadata,
-            }
-        )
-        dataio.write_gold_csv(out / f"{rec}.csv", ts, gold.values, metadata)
+        dataio.write_gold_csv(out / f"{rec}.csv", ts, gold.values, gold.sidecar())
         _info(f"fused {rec} (agreement {gold.agreement_mean:.3f})")
         if args.dump_paths:
             dump = _resolve(args.dump_paths)
-            rater_ids = gold.metadata.get("rater_ids", [])
-            for idx, path in enumerate(gold.alignment.paths):
-                rid = rater_ids[idx] if idx < len(rater_ids) else str(idx)
+            for rid, path in zip(gold.metadata["rater_ids"], gold.alignment.paths):
                 dataio.write_warp_path_csv(dump / f"{rec}_{rid}.csv", path)
     mean, std = agreement_stats(golds)
     _emit("recordings", len(recordings))
@@ -382,14 +358,6 @@ def _run_fusion(args, mode: str) -> int:
     _emit("agreement_std", repr(round(std, 6)))
     _emit("out", out)
     return 0
-
-
-def cmd_raaw(args) -> int:
-    return _run_fusion(args, "raaw")
-
-
-def cmd_physio(args) -> int:
-    return _run_fusion(args, "physio")
 
 
 # ---------------------------------------------------------------------------
@@ -760,19 +728,7 @@ def main(argv=None) -> int:
             elif token.startswith("--config="):
                 config_path = token.split("=", 1)[1]
         if config_path is not None:
-            overrides = _load_config_file(Path(_resolve(config_path)))
-            dests = {a.dest for sp in subparsers for a in sp._actions}
-            converted = {}
-            for key, text in overrides.items():
-                if key not in dests:
-                    raise ParameterError(f"unknown config key {key!r}")
-                converted[key] = _convert_config_value(text)
-            # rewrite the matching subparser defaults so explicit flags still win
-            for sp in subparsers:
-                own = {a.dest for a in sp._actions}
-                hits = {k: v for k, v in converted.items() if k in own}
-                if hits:
-                    sp.set_defaults(**hits)
+            _apply_config(_load_config_file(Path(_resolve(config_path))), subparsers)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

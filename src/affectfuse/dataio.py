@@ -72,15 +72,19 @@ def _read_table(path: Path | str, formats: Mapping[str, Callable]) -> tuple[str,
 
     ``formats`` maps each accepted header pattern to the parser of its rows.
     Every reader goes through here, so each rejects the same inputs with a
-    :class:`DataError` naming the file: a missing or empty file, a header
-    matching no pattern, a row whose width differs from the header's, and a
-    row its parser fails on with ``ValueError`` or ``ParameterError``.
-    Blank lines are skipped.
+    :class:`DataError` naming the file: a missing, empty or non-UTF-8 file,
+    a header matching no pattern, a row whose width differs from the
+    header's, and a row its parser fails on with ``ValueError`` or
+    ``ParameterError``. Blank lines are skipped.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"missing file: {path}")
-    lines = (ln for ln in path.read_text().splitlines() if ln.strip())
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = (ln for ln in text.splitlines() if ln.strip())
     header = next(lines, "").strip()
     if not header:
         raise DataError(f"{path}: empty file")
@@ -110,6 +114,14 @@ def _int64(text: str) -> int:
     if not -(2**63) <= value < 2**63:
         raise ValueError(f"{value} is beyond the int64 range")
     return value
+
+
+def _check_finite(path: Path | str, values: np.ndarray) -> None:
+    """A DataError naming the file and the first data row holding a NaN or an infinity, if any."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+        raise DataError(f"{path}: non-finite value in data row {row + 1}")
 
 
 def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
@@ -338,6 +350,7 @@ def _read_two_column(path: Path | str, expected_header: str) -> tuple[np.ndarray
         raise DataError(f"{path}: a timestamp is beyond the int64 range") from exc
     if not table.size:
         raise DataError(f"{path}: no data rows")
+    _check_finite(path, table["value"])
     return np.ascontiguousarray(table["ts"]), np.ascontiguousarray(table["value"])
 
 
@@ -350,12 +363,11 @@ def _write_two_column(path: Path | str, header: str, ts: np.ndarray, vals: np.nd
 def _read_grid(path: Path | str) -> tuple[np.ndarray, np.ndarray, float]:
     """Timestamps, values and step in ms of a ``timestamp_ms,value`` CSV.
 
-    More than one sample must lie on a uniform grid (see
-    :func:`uniform_step_ms`); a single sample gets a step of 1000 ms.
+    The samples, at least 2, must lie on a uniform grid (see :func:`uniform_step_ms`).
     """
     ts, vals = _read_two_column(path, "timestamp_ms,value")
     try:
-        return ts, vals, uniform_step_ms(ts) if ts.size > 1 else 1000.0
+        return ts, vals, uniform_step_ms(ts)
     except ParameterError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -420,11 +432,13 @@ def read_feature_csv(
     ts, ends, rows = zip(*parsed)
     if n_features is not None and len(rows[0]) != n_features:
         raise DataError(f"{path}: {len(rows[0])} feature columns, expected {n_features}")
+    matrix = np.asarray(rows, dtype=np.float64)
+    _check_finite(path, matrix)
     try:
         return FeatureSequence(
             recording_id=recording_id,
             feature_set=feature_set,
-            matrix=np.asarray(rows),
+            matrix=matrix,
             timestamps_ms=np.asarray(ts, dtype=np.int64),
             end_timestamps_ms=np.asarray(ends, dtype=np.int64) if header.startswith("start_ms,") else None,
         )
@@ -540,6 +554,8 @@ def write_logits_csv(path: Path | str, logits: Mapping[str, np.ndarray]) -> None
 
 def read_logits_csv(path: Path | str) -> dict[str, np.ndarray]:
     _, rows = _read_table(path, {"segment_id,l0,...": lambda f: (f[0], np.array([float(v) for v in f[1:]]))})
+    rows = list(rows)
+    _check_finite(path, np.array([logits for _, logits in rows]))
     return dict(rows)
 
 

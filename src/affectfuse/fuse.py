@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +62,19 @@ class GoldStandard:
     agreement_std: float
     sample_rate_hz: float
     metadata: dict = field(default_factory=dict)
+
+    def sidecar(self) -> dict:
+        """The JSON sidecar of this gold standard's CSV: every field but ``values`` and ``alignment``,
+        with ``metadata`` merged in."""
+        return {
+            "recording_id": self.recording_id,
+            "kind": self.kind,
+            "sample_rate_hz": self.sample_rate_hz,
+            "weights": self.weights.tolist(),
+            "agreement_mean": self.agreement_mean,
+            "agreement_std": self.agreement_std,
+            **self.metadata,
+        }
 
 
 def _trace_values(trace) -> np.ndarray:
@@ -137,7 +150,7 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
     (iterative reference-based warping), weight the aligned traces by their
     agreement with the others, and fuse by weighted sum. Inter-rater
     agreement is reported on the aligned traces; the pre-alignment numbers
-    are kept in ``metadata``.
+    are kept in ``metadata``, with the alignment settings under ``fusion``.
     """
     config = config or FusionConfig()
     if len(rater_set) < 2:
@@ -170,6 +183,7 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
         agreement_std=agr_std,
         sample_rate_hz=rater_set.sample_rate_hz,
         metadata={
+            "fusion": asdict(config),
             "rater_ids": [t.rater_id for t in rater_set.traces],
             "pre_agreement_mean": pre_mean,
             "pre_agreement_std": pre_std,

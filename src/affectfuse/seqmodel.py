@@ -486,12 +486,15 @@ def fit(
 
     ``targets``: each train and devel item's per-step gold (regression) or class label;
     ``splits``: each split's item ids, in order. With ``window_spec`` train items are
-    cut into windows: a regression window keeps its gold slice and is dropped below 2
-    samples, a class window keeps the item's label. Devel items stay whole for early
-    stopping (see :func:`train`). ``outputs``: split -> item id -> output on the item.
+    cut into windows: a regression window (at least 2 samples long) keeps its gold slice
+    and is dropped below 2 samples, a class window keeps the item's label. Devel items
+    stay whole for early stopping (see :func:`train`). ``outputs``: split -> item id ->
+    output on the item.
     """
     regression = config.head == "regression"
     if regression:
+        if window_spec is not None and window_spec.window < 2:
+            raise ParameterError(f"a regression window needs at least 2 samples, got window {window_spec.window}")
         for item in (*splits.get("train", ()), *splits.get("devel", ())):
             if np.size(targets[item]) != len(inputs[item]):
                 raise ParameterError(f"gold length mismatch for item {item!r}")

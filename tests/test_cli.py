@@ -794,6 +794,67 @@ class TestConfigFile:
         assert rc == 2
 
 
+def _train_argv(corpus: Path, out: Path, gold: Path | None = None) -> list[str]:
+    """A one-epoch ``train --task stress`` run that leaves --hidden and --bidirectional to defaults."""
+    return ["train", "--task", "stress", "--features", str(corpus / "data" / "features" / "modal_a"),
+            "--gold", str(gold or corpus / "gold"), "--partitions", str(corpus / "data" / "partitions.csv"),
+            "--out", str(out), "--window", "30", "--hop", "15", "--epochs", "1", "--seed", "9"]
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize(
+        ("line", "option"),
+        [("hidden = 8.5", "--hidden"), ("band = 3.7", "--band"), ("bidirectional = yes", "'bidirectional'"),
+         ("jobs = none", "'jobs'")],
+    )
+    def test_value_its_option_rejects_exit_2(self, corpus, tmp_path, capsys, line, option):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        argv = _fusion_argv("raaw", corpus, out) if option == "--band" else _train_argv(corpus, out)
+        rc = main(argv + ["--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert option in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_flag_true_turns_it_on(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bidirectional = TRUE\nhidden = 4\n")
+        rc = main(_train_argv(corpus, tmp_path / "m") + ["--config", str(cfg)])
+        assert rc == 0
+        config = json.loads((tmp_path / "m" / "model.json").read_text())["config"]
+        assert config["bidirectional"] is True
+        assert config["hidden_dim"] == 4
+
+    def test_sidecar_records_the_settings_used(self, corpus, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("band = 7\nreference = 1\ntol = 1e-3\n")
+        out = tmp_path / "g"
+        assert main(_fusion_argv("raaw", corpus, out) + ["--config", str(cfg)]) == 0
+        fusion = _sidecar(sorted(out.glob("*.csv"))[0])["fusion"]
+        assert fusion == {"max_iter": 20, "tol": 0.001, "band": 7, "reference": 1}
+
+    def test_none_unsets_a_value(self, corpus, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("band = null\n")
+        out = tmp_path / "g"
+        assert main(_fusion_argv("raaw", corpus, out) + ["--band", "5", "--config", str(cfg)]) == 0
+        assert _sidecar(sorted(out.glob("*.csv"))[0])["fusion"]["band"] == 5
+        assert main(_fusion_argv("raaw", corpus, out) + ["--config", str(cfg)]) == 0
+        assert _sidecar(sorted(out.glob("*.csv"))[0])["fusion"]["band"] is None
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = \xff\n")
+        rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "run.cfg" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestDataRoot:
     def test_env_resolves_relative_paths(self, corpus, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("AFFECTFUSE_DATA_ROOT", str(corpus))
@@ -977,6 +1038,83 @@ class TestBadInputExitCodes:
         assert "{not json" in (tmp_path / "corrupt" / "rec_000.json").read_text()
         assert runs["corrupt"].out == runs["valid"].out
         assert "Traceback" not in runs["corrupt"].err
+
+
+    def test_non_utf8_prediction_exit_3(self, corpus, trained, tmp_path, capsys):
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        src = sorted((trained / "modal_a" / "preds" / "devel").glob("*.csv"))[0]
+        (pred_dir / src.name).write_bytes(src.read_bytes() + b"\xff\xfe")
+        rc = main(["eval", "--pred", str(pred_dir), "--gold", str(corpus / "gold")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{src.name}: not UTF-8" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("which", ["pred", "gold"])
+    def test_non_finite_eval_row_exit_3(self, corpus, trained, tmp_path, capsys, which):
+        dirs = {"pred": trained / "modal_a" / "preds" / "devel", "gold": corpus / "gold"}
+        rec = sorted(dirs["pred"].glob("*.csv"))[0].name
+        copy = tmp_path / which
+        copy.mkdir()
+        for f in dirs[which].glob("*.csv"):
+            (copy / f.name).write_text(f.read_text())
+        lines = (copy / rec).read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + ",nan"
+        (copy / rec).write_text("\n".join(lines) + "\n")
+        dirs[which] = copy
+        rc = main(["eval", "--pred", str(dirs["pred"]), "--gold", str(dirs["gold"])])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{rec}: non-finite value in data row 2" in captured.err
+        assert "ccc=" not in captured.out
+
+    @pytest.mark.parametrize("change", ["nan row", "one row"])
+    def test_bad_train_gold_exit_3(self, corpus, tmp_path, capsys, change):
+        gold = tmp_path / "gold"
+        gold.mkdir()
+        for f in sorted((corpus / "gold").glob("*.csv")):
+            (gold / f.name).write_text(f.read_text())
+        bad = gold / "rec_000.csv"  # a train recording
+        lines = bad.read_text().splitlines()
+        lines = lines[:2] if change == "one row" else lines[:3] + [lines[3].split(",")[0] + ",nan"] + lines[4:]
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(_train_argv(corpus, tmp_path / "m", gold))
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "rec_000.csv" in captured.err
+
+    def test_one_row_annotations_exit_3(self, corpus, tmp_path, capsys):
+        ann = tmp_path / "ann"
+        for f in sorted((corpus / "data" / "annotations").rglob("*.csv")):
+            dest = ann / f.relative_to(corpus / "data" / "annotations")
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            dest.write_text(f.read_text())
+        bad = ann / "rec_000" / "arousal" / "r1.csv"
+        bad.write_text("\n".join(bad.read_text().splitlines()[:2]) + "\n")
+        rc = main(["raaw", "--annotations", str(ann), "--kind", "arousal", "--out", str(tmp_path / "g")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{bad}: a timestamp grid needs at least 2 timestamps" in captured.err
+
+
+class TestWindowOne:
+    def test_train_exit_2(self, corpus, tmp_path, capsys):
+        rc = main(_train_argv(corpus, tmp_path / "m") + ["--window", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "window needs at least 2 samples, got window 1" in captured.err
+
+    def test_fuse_late_exit_2(self, corpus, trained, tmp_path, capsys):
+        rc = main(
+            ["fuse-late", "--task", "stress", "--streams", str(trained / "modal_a" / "preds"),
+             str(trained / "modal_b" / "preds"), "--gold", str(corpus / "gold"),
+             "--partitions", str(corpus / "data" / "partitions.csv"), "--out", str(tmp_path / "f"),
+             "--window", "1", "--epochs", "1"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "window needs at least 2 samples, got window 1" in captured.err
 
 
 # The smallest argument list each subcommand parses; --jobs is checked before

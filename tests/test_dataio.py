@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from affectfuse.core import AnnotationTrace, grid_timestamps_ms
 from affectfuse.dataio import (
@@ -354,6 +356,68 @@ def test_every_reader_rejects_empty_file(tmp_path, reader, content):
     path.write_text(content)
     with pytest.raises(DataError, match="empty.csv"):
         EVERY_READER[reader](path)
+
+
+# A file each reader accepts.
+VALID = {
+    "annotation": "timestamp_ms,value\n0,0.1\n500,0.2\n",
+    "feature": "timestamp_ms,f0\n0,0.1\n",
+    "gold": "timestamp_ms,value\n0,0.1\n500,0.2\n",
+    "prediction": "timestamp_ms,pred\n0,0.1\n",
+    "partition": "recording_id,partition\nr,train\n",
+    "segments": "segment_id,recording_id,start_ms,end_ms,partition\ns0,r,0,500,train\n",
+    "labels": "segment_id,class\ns0,1\n",
+    "logits": "segment_id,l0,l1\ns0,0.1,0.2\n",
+}
+
+
+@pytest.mark.parametrize("reader", list(EVERY_READER))
+def test_every_reader_rejects_non_utf8_bytes(tmp_path, reader):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(VALID[reader].encode() + b"\xff\xfe")
+    with pytest.raises(DataError, match="bytes.csv: not UTF-8"):
+        EVERY_READER[reader](path)
+
+
+NON_FINITE = {
+    "annotation": "timestamp_ms,value\n0,0.1\n\n500,{v}\n1000,0.3\n",
+    "feature": "timestamp_ms,f0,f1\n0,0.1,0.2\n500,0.1,{v}\n",
+    "gold": "timestamp_ms,value\n0,0.1\n500,{v}\n",
+    "prediction": "timestamp_ms,pred\n0,0.1\n500,{v}\n",
+    "logits": "segment_id,l0,l1\ns0,0.1,0.2\ns1,{v},0.2\n",
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+@pytest.mark.parametrize("reader", list(NON_FINITE))
+def test_every_float_reader_rejects_non_finite_values(tmp_path, reader, value):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(NON_FINITE[reader].format(v=value))
+    with pytest.raises(DataError, match="nonfinite.csv: non-finite value in data row 2"):
+        EVERY_READER[reader](path)
+
+
+@pytest.mark.parametrize("reader", ["annotation", "gold"])
+def test_grid_readers_need_two_samples(tmp_path, reader):
+    path = tmp_path / "one.csv"
+    path.write_text("timestamp_ms,value\n0,0.5\n")
+    with pytest.raises(DataError, match="one.csv: a timestamp grid needs at least 2 timestamps"):
+        EVERY_READER[reader](path)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    reader=st.sampled_from(sorted(EVERY_READER)),
+    valid_prefix=st.booleans(),
+    tail=st.binary(max_size=40) | st.text("0123456789,.-+_eEnaif \n\r\xff", max_size=40).map(str.encode),
+)
+def test_every_reader_raises_only_data_error_on_any_bytes(tmp_path, reader, valid_prefix, tail):
+    path = tmp_path / "any.csv"
+    path.write_bytes(VALID[reader].encode() * valid_prefix + tail)
+    try:
+        EVERY_READER[reader](path)
+    except DataError:
+        pass
 
 
 class TestAlignToLabels:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,17 @@ class TestRaaw:
         assert gold.metadata["rater_ids"] == ["r0", "r1", "r2"]
         assert gold.metadata["degenerate_raters"] == []
 
+    def test_sidecar_is_json_with_the_fusion_settings(self):
+        rng = np.random.default_rng(11)
+        config = FusionConfig(max_iter=3, band=9, reference=1)
+        gold = raaw(_rater_set(_sine_raters(rng)), config)
+        side = json.loads(json.dumps(gold.sidecar()))
+        assert side["fusion"] == {"max_iter": 3, "tol": 1e-4, "band": 9, "reference": 1}
+        assert side["weights"] == gold.weights.tolist()
+        assert side["recording_id"] == "rec" and side["kind"] == "valence"
+        assert side["agreement_mean"] == gold.agreement_mean
+        assert {k: side[k] for k in gold.metadata} == json.loads(json.dumps(gold.metadata))
+
     def test_alignment_raises_agreement(self):
         # lagged raters agree poorly on the raw grid; warping fixes that
         rng = np.random.default_rng(12)
@@ -233,6 +246,7 @@ class TestPhysioFuse:
         rng = np.random.default_rng(22)
         rs, eda = self._setup(rng)
         gold = physio_fuse(rs, eda, PhysioConfig(sg_window=26, sg_polyorder=3))
+        assert gold.metadata["fusion"] == {"max_iter": 20, "tol": 1e-4, "band": None, "reference": "mean"}
         assert gold.metadata["sg_window"] == 26
         assert gold.metadata["sg_polyorder"] == 3
         assert gold.metadata["target_hz"] == 4.0

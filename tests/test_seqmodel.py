@@ -567,6 +567,15 @@ class TestFit:
         with pytest.raises(ParameterError, match="gold length mismatch for item 'r1'"):
             fit(cfg, inputs, targets, {"train": ("r0",), "devel": ("r1",)})
 
+    def test_regression_window_below_two_samples_rejected(self, seen):
+        rng = np.random.default_rng(8)
+        inputs = self._items(rng, (6, 6))
+        targets = {i: rng.normal(size=6) for i in inputs}
+        cfg = RegressorConfig(input_dim=2, hidden_dim=3, max_epochs=1)
+        with pytest.raises(ParameterError, match="window needs at least 2 samples, got window 1"):
+            fit(cfg, inputs, targets, {"train": ("r0",), "devel": ("r1",)}, WindowSpec(window=1, hop=1))
+        assert not seen
+
 
 class TestHistory:
     def test_csv_format(self, tmp_path):
