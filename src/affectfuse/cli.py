@@ -19,7 +19,8 @@ Conventions shared by every subcommand:
     failures (non-finite loss or parameters)
   * ``--config FILE`` reads ``key = value`` lines overriding built-in
     defaults (explicit flags still win); a value goes through its option's
-    type, an on/off flag takes ``true`` or ``false``, and ``none`` unsets it
+    type and choices, an on/off flag takes ``true`` or ``false``, ``none``
+    unsets it, and a required option must be given as a flag
   * relative paths resolve against ``AFFECTFUSE_DATA_ROOT`` when it is set
   * ``--jobs N`` (N >= 1) runs the per-recording fusion of ``raaw`` and
     ``physio`` in N worker processes; the other subcommands accept and ignore it
@@ -110,16 +111,19 @@ def _load_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _apply_config(values: dict[str, str], subparsers: list[argparse.ArgumentParser]) -> None:
-    """Make config values the defaults of the options they name, for argparse to convert with
-    each option's ``type`` unless a flag overrides them; on/off flags and ``none`` are decided here."""
+def _apply_config(values: dict[str, str], subparsers: list[argparse.ArgumentParser], command: str | None) -> None:
+    """Make config values the defaults of the options of ``command`` they name, for argparse to convert
+    with each option's ``type`` unless a flag overrides them. Unknown keys, required options, values
+    outside ``choices``, on/off flags and ``none`` are decided here, before any data file is read."""
     unknown = set(values) - {a.dest for sp in subparsers for a in sp._actions}
     if unknown:
         raise ParameterError(f"unknown config key {', '.join(map(repr, sorted(unknown)))}")
-    for sp in subparsers:
+    for sp in (sp for sp in subparsers if sp.prog.split()[-1] == command):
         defaults = {}
         for action in (a for a in sp._actions if a.dest in values):
-            text, low = values[action.dest], values[action.dest].lower()
+            text, low, flag = values[action.dest], values[action.dest].lower(), action.option_strings[0]
+            if action.required:
+                raise ParameterError(f"config key {action.dest!r} names the required option {flag}; give it as a flag")
             if action.nargs == 0:
                 if low not in ("true", "false"):
                     raise ParameterError(f"config key {action.dest!r} takes true or false, got {text!r}")
@@ -128,6 +132,8 @@ def _apply_config(values: dict[str, str], subparsers: list[argparse.ArgumentPars
                 if action.default is not None:
                     raise ParameterError(f"config key {action.dest!r} cannot be none (default {action.default!r})")
                 defaults[action.dest] = None
+            elif action.choices is not None and text not in action.choices:
+                raise ParameterError(f"config key {action.dest!r}: {flag} must be one of {action.choices}, got {text!r}")
             else:
                 defaults[action.dest] = text
         sp.set_defaults(**defaults)
@@ -342,7 +348,6 @@ def _run_fusion(args) -> int:
     else:
         results = dict(_fuse_worker(t) for t in tasks)
 
-    out.mkdir(parents=True, exist_ok=True)
     golds = [results[rec] for rec in recordings]
     for rec, gold in zip(recordings, golds):
         ts = grid_timestamps_ms(len(gold.values), gold.sample_rate_hz)
@@ -476,7 +481,8 @@ def _sent_training(args, features_dir: Path):
     if not args.segments or not args.labels:
         raise ParameterError("sent training needs --segments and --labels")
     segments = dataio.read_segments_csv(_resolve(args.segments))
-    labels = dataio.read_labels_csv(_resolve(args.labels))
+    # discretize puts N segments in at most N classes; a larger class would size the head, so it is bad data
+    labels = dataio.read_labels_csv(_resolve(args.labels), n_classes=max(len(segments), 5))
 
     feats: dict[str, dataio.FeatureSequence] = {}
     inputs: dict[str, np.ndarray] = {}
@@ -728,7 +734,8 @@ def main(argv=None) -> int:
             elif token.startswith("--config="):
                 config_path = token.split("=", 1)[1]
         if config_path is not None:
-            _apply_config(_load_config_file(Path(_resolve(config_path))), subparsers)
+            command = next((t for t in argv if not t.startswith("-")), None)  # the top level takes no values
+            _apply_config(_load_config_file(Path(_resolve(config_path))), subparsers, command)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -1,16 +1,16 @@
 """File formats, label-grid alignment, windowing, partitions, and segments.
 
-All CSV writers format floats with ``repr`` (shortest round-trip form) and
-sort rows deterministically, so reruns under a fixed seed produce
-byte-identical files.
+Every file the package writes goes through :func:`write_table` (CSVs) or one
+sorted-key JSON writer (model files, gold sidecars), and rows are sorted
+deterministically, so reruns under a fixed seed produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,15 +43,17 @@ __all__ = [
     "read_logits_csv",
     "write_logits_csv",
     "write_warp_path_csv",
+    "write_table",
     "read_model_file",
+    "write_model_file",
     "slice_by_span",
 ]
 
 SPLITS = ("train", "devel", "test")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# numbered header patterns, read and written through _expand_header
+_FRAME_HEADER = "timestamp_ms,f0,..."
+_WORD_HEADER = "start_ms,end_ms,f0,..."
+_LOGITS_HEADER = "segment_id,l0,..."
 
 
 def _expand_header(pattern: str, width: int) -> str:
@@ -124,10 +126,27 @@ def _check_finite(path: Path | str, values: np.ndarray) -> None:
         raise DataError(f"{path}: non-finite value in data row {row + 1}")
 
 
-def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
+def _write_text(path: Path | str, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(text)
+
+
+def _write_json(path: Path | str, obj: Mapping, indent: int) -> None:
+    _write_text(path, json.dumps(obj, indent=indent, sort_keys=True) + "\n")
+
+
+def write_table(path: Path | str, header: str, *columns) -> None:
+    """Write ``header`` (a pattern is numbered, see :func:`_expand_header`) and a row per entry of ``columns``.
+
+    Ints are written as digits, floats as the shortest round-trip ``repr`` and
+    strings as given; a 2-d column fills one field per column. Values keep
+    their own type, so each format's writer coerces its columns first.
+    """
+    cols = [np.asarray(c) for c in columns]
+    texts = [[",".join(map(str, r)) for r in c.tolist()] if c.ndim == 2 else map(str, c.tolist()) for c in cols]
+    width = sum(c.shape[1] if c.ndim == 2 else 1 for c in cols)
+    _write_text(path, "\n".join([_expand_header(header, width), *map(",".join, zip(*texts))]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +373,6 @@ def _read_two_column(path: Path | str, expected_header: str) -> tuple[np.ndarray
     return np.ascontiguousarray(table["ts"]), np.ascontiguousarray(table["value"])
 
 
-def _write_two_column(path: Path | str, header: str, ts: np.ndarray, vals: np.ndarray) -> None:
-    lines = [header]
-    lines += [f"{int(t)},{_fmt(v)}" for t, v in zip(ts, vals)]
-    _write_lines(path, lines)
-
-
 def _read_grid(path: Path | str) -> tuple[np.ndarray, np.ndarray, float]:
     """Timestamps, values and step in ms of a ``timestamp_ms,value`` CSV.
 
@@ -382,7 +395,8 @@ def read_annotation_csv(path: Path | str, rater_id: str, kind: str) -> Annotatio
 
 
 def write_annotation_csv(path: Path | str, trace: AnnotationTrace) -> None:
-    _write_two_column(path, "timestamp_ms,value", trace.timestamps_ms(), trace.values)
+    # an AnnotationTrace holds int64 timestamps and float64 values already
+    write_table(path, "timestamp_ms,value", trace.timestamps_ms(), trace.values)
 
 
 def read_rater_set(annotations_dir: Path | str, recording_id: str, kind: str) -> RaterSet:
@@ -422,8 +436,8 @@ def read_feature_csv(
     header, parsed = _read_table(
         path,
         {
-            "timestamp_ms,f0,...": lambda f: (_int64(f[0]), None, [float(v) for v in f[1:]]),
-            "start_ms,end_ms,f0,...": lambda f: (_int64(f[0]), _int64(f[1]), [float(v) for v in f[2:]]),
+            _FRAME_HEADER: lambda f: (_int64(f[0]), None, [float(v) for v in f[1:]]),
+            _WORD_HEADER: lambda f: (_int64(f[0]), _int64(f[1]), [float(v) for v in f[2:]]),
         },
     )
     parsed = list(parsed)
@@ -447,17 +461,11 @@ def read_feature_csv(
 
 
 def write_feature_csv(path: Path | str, features: FeatureSequence) -> None:
-    d = features.n_features
-    cols = ",".join(f"f{i}" for i in range(d))
+    # FeatureSequence holds int64 timestamps and a float64 matrix already
     if features.end_timestamps_ms is None:
-        lines = [f"timestamp_ms,{cols}"]
-        for t, row in zip(features.timestamps_ms, features.matrix):
-            lines.append(f"{int(t)}," + ",".join(_fmt(v) for v in row))
+        write_table(path, _FRAME_HEADER, features.timestamps_ms, features.matrix)
     else:
-        lines = [f"start_ms,end_ms,{cols}"]
-        for t, e, row in zip(features.timestamps_ms, features.end_timestamps_ms, features.matrix):
-            lines.append(f"{int(t)},{int(e)}," + ",".join(_fmt(v) for v in row))
-    _write_lines(path, lines)
+        write_table(path, _WORD_HEADER, features.timestamps_ms, features.end_timestamps_ms, features.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +474,9 @@ def write_feature_csv(path: Path | str, features: FeatureSequence) -> None:
 
 def write_gold_csv(path: Path | str, timestamps_ms: np.ndarray, values: np.ndarray, metadata: Mapping | None = None) -> None:
     """Write a gold CSV and, with metadata given, a ``.json`` sidecar next to it."""
-    _write_two_column(path, "timestamp_ms,value", np.asarray(timestamps_ms), np.asarray(values))
+    write_table(path, "timestamp_ms,value", np.asarray(timestamps_ms, np.int64), np.asarray(values, np.float64))
     if metadata is not None:
-        side = Path(path).with_suffix(".json")
-        side.write_text(json.dumps(dict(metadata), indent=2, sort_keys=True) + "\n")
+        _write_json(Path(path).with_suffix(".json"), dict(metadata), indent=2)
 
 
 def read_gold_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
@@ -482,7 +489,7 @@ def read_gold_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_prediction_csv(path: Path | str, timestamps_ms: np.ndarray, preds: np.ndarray) -> None:
-    _write_two_column(path, "timestamp_ms,pred", np.asarray(timestamps_ms), np.asarray(preds))
+    write_table(path, "timestamp_ms,pred", np.asarray(timestamps_ms, np.int64), np.asarray(preds, np.float64))
 
 
 def read_prediction_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
@@ -490,9 +497,8 @@ def read_prediction_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_partition_csv(path: Path | str, partition: Partition) -> None:
-    lines = ["recording_id,partition"]
-    lines += [f"{rid},{split}" for rid, split in sorted(partition.assignment.items())]
-    _write_lines(path, lines)
+    assignment = sorted(partition.assignment.items())
+    write_table(path, "recording_id,partition", [r for r, _ in assignment], [s for _, s in assignment])
 
 
 def read_partition_csv(path: Path | str) -> Partition:
@@ -509,10 +515,9 @@ def read_partition_csv(path: Path | str) -> Partition:
 
 
 def write_segments_csv(path: Path | str, segments: Sequence[Segment]) -> None:
-    lines = ["segment_id,recording_id,start_ms,end_ms,partition"]
-    for s in segments:
-        lines.append(f"{s.segment_id},{s.recording_id},{s.start_ms},{s.end_ms},{s.partition}")
-    _write_lines(path, lines)
+    ids, recs, starts, ends, splits = ([getattr(s, f.name) for s in segments] for f in fields(Segment))
+    write_table(path, "segment_id,recording_id,start_ms,end_ms,partition", ids, recs,
+                np.asarray(starts, np.int64), np.asarray(ends, np.int64), splits)
 
 
 def read_segments_csv(path: Path | str) -> list[Segment]:
@@ -527,9 +532,8 @@ def read_segments_csv(path: Path | str) -> list[Segment]:
 
 
 def write_labels_csv(path: Path | str, labels: Mapping[str, int]) -> None:
-    lines = ["segment_id,class"]
-    lines += [f"{sid},{int(c)}" for sid, c in sorted(labels.items())]
-    _write_lines(path, lines)
+    ids = sorted(labels)
+    write_table(path, "segment_id,class", ids, np.asarray([labels[i] for i in ids], np.int64))
 
 
 def read_labels_csv(path: Path | str, n_classes: int | None = None) -> dict[str, int]:
@@ -546,14 +550,12 @@ def write_logits_csv(path: Path | str, logits: Mapping[str, np.ndarray]) -> None
     """Per-segment class logits as ``segment_id,l0,l1,...`` rows sorted by id."""
     if not logits:
         raise DataError("no logits to write")
-    width = len(next(iter(logits.values())))
-    lines = ["segment_id," + ",".join(f"l{i}" for i in range(width))]
-    lines += [seg_id + "," + ",".join(_fmt(v) for v in logits[seg_id]) for seg_id in sorted(logits)]
-    _write_lines(path, lines)
+    ids = sorted(logits)
+    write_table(path, _LOGITS_HEADER, ids, np.asarray([logits[i] for i in ids], np.float64))
 
 
 def read_logits_csv(path: Path | str) -> dict[str, np.ndarray]:
-    _, rows = _read_table(path, {"segment_id,l0,...": lambda f: (f[0], np.array([float(v) for v in f[1:]]))})
+    _, rows = _read_table(path, {_LOGITS_HEADER: lambda f: (f[0], np.array([float(v) for v in f[1:]]))})
     rows = list(rows)
     _check_finite(path, np.array([logits for _, logits in rows]))
     return dict(rows)
@@ -561,9 +563,7 @@ def read_logits_csv(path: Path | str) -> dict[str, np.ndarray]:
 
 def write_warp_path_csv(path: Path | str, warp_path) -> None:
     """Debug dump of a warp path as ``src_idx,ref_idx`` rows."""
-    lines = ["src_idx,ref_idx"]
-    lines += [f"{int(s)},{int(r)}" for s, r in warp_path.pairs]
-    _write_lines(path, lines)
+    write_table(path, "src_idx,ref_idx", np.asarray(warp_path.pairs, np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -589,3 +589,8 @@ def read_model_file(path: Path | str, kind: str, build: Callable[[dict], object]
         raise ParameterError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: {exc}") from None
+
+
+def write_model_file(path: Path | str, kind: str, payload: Mapping, indent: int) -> None:
+    """Write ``payload`` as a version-1 JSON model file of ``kind``, the format :func:`read_model_file` reads."""
+    _write_json(path, {**payload, "format_version": 1, "kind": kind}, indent)

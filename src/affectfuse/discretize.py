@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import read_model_file
+from .dataio import read_model_file, write_model_file
 from .errors import NumericError, ParameterError
 
 __all__ = [
@@ -502,8 +501,6 @@ def validate_clusters(points, assignments, n_classes: int = 5, min_share: float 
 def save_class_model(path: Path | str, model: ClusterModel) -> None:
     """Persist a class model as deterministic JSON."""
     payload = {
-        "format_version": 1,
-        "kind": "class_model",
         "target": model.target,
         "method": model.method,
         "seed": model.seed,
@@ -518,9 +515,7 @@ def save_class_model(path: Path | str, model: ClusterModel) -> None:
             k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in model.extras.items()
         },
     }
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_model_file(path, "class_model", payload, indent=2)
 
 
 def load_class_model(path: Path | str) -> ClusterModel:

@@ -17,7 +17,6 @@ checked against finite differences and a per-sequence step-loop reference.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataio import WindowSpec, read_model_file, window
+from .dataio import WindowSpec, read_model_file, window, write_model_file, write_table
 from .errors import NumericError, ParameterError
 from .metrics import macro_f1, moments
 
@@ -386,11 +385,8 @@ class TrainHistory:
         return next((metric for epoch, _, metric in self.rows if epoch == self.best_epoch), float("-inf"))
 
     def write_csv(self, path: Path | str) -> None:
-        lines = ["epoch,train_loss,devel_metric"]
-        lines += [f"{e},{repr(l)},{repr(m)}" for e, l, m in self.rows]
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text("\n".join(lines) + "\n")
+        rows = np.array(self.rows, dtype=[("epoch", np.int64), ("loss", np.float64), ("metric", np.float64)])
+        write_table(path, "epoch,train_loss,devel_metric", rows["epoch"], rows["loss"], rows["metric"])
 
 
 def evaluate(model: SequenceModel, dataset: Sequence[tuple]) -> float:
@@ -522,8 +518,6 @@ def fit(
 
 def save_checkpoint(path: Path | str, model: SequenceModel, adam: Adam | None = None) -> None:
     payload: dict = {
-        "format_version": 1,
-        "kind": "sequence_model",
         "config": asdict(model.config),
         "params": {n: model.params[n].tolist() for n in model.param_names},
     }
@@ -534,9 +528,7 @@ def save_checkpoint(path: Path | str, model: SequenceModel, adam: Adam | None = 
             "m": {n: a.tolist() for n, a in model.named(adam.m).items()},
             "v": {n: a.tolist() for n, a in model.named(adam.v).items()},
         }
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_model_file(path, "sequence_model", payload, indent=1)
 
 
 def load_checkpoint(path: Path | str) -> tuple[SequenceModel, Adam | None]:

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectfuse.cli import build_parser, main
 from affectfuse.dataio import (
@@ -855,6 +858,34 @@ class TestConfigValueTypes:
         assert "Traceback" not in captured.err
 
 
+class TestConfigChecksBeforeReading:
+    @pytest.mark.parametrize(
+        ("command", "line", "option"),
+        [("raaw", "kind = bogus", "--kind"), ("discretize", "method = bogus", "--method"),
+         ("train", "task = stress", "--task"), ("raaw", "out = {out}", "--out")],
+        ids=["choices", "choices-late", "required", "required-out"],
+    )
+    def test_config_value_flags_would_reject_exit_2(self, corpus, tmp_path, capsys, command, line, option):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line.format(out=out) + "\n")
+        data = corpus / "data"
+        argv = {
+            "raaw": ["raaw", "--annotations", str(data / "annotations")],
+            "discretize": ["discretize", "--gold", str(corpus / "gold"), "--segments", str(data / "segments.csv"),
+                           "--target", "arousal", "--out", str(out / "labels.csv")],
+            "train": ["train", "--features", str(data / "features" / "modal_a"), "--gold", str(corpus / "gold"),
+                      "--partitions", str(data / "partitions.csv"), "--out", str(out)],
+        }[command]
+        if option == "--kind":
+            argv += ["--out", str(out)]
+        rc = main(argv + ["--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"config key '{option[2:]}'" in captured.err and option in captured.err
+        assert not out.exists()
+
+
 class TestDataRoot:
     def test_env_resolves_relative_paths(self, corpus, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("AFFECTFUSE_DATA_ROOT", str(corpus))
@@ -1001,6 +1032,22 @@ class TestBadInputExitCodes:
         assert rc == 3
         assert f"{bad}: 3 feature columns" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("bad", [1000, -1])
+    def test_sent_class_beyond_segment_count_exit_3(self, corpus, tmp_path, capsys, bad):
+        # the head is sized from the largest class, so a huge class id must not reach it
+        segments = read_segments_csv(corpus / "data" / "segments.csv")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("segment_id,class\n" + "".join(
+            f"{s.segment_id},{bad if i == 1 else i % 5}\n" for i, s in enumerate(segments)
+        ))
+        rc = main(["train", "--task", "sent", "--features", str(corpus / "data" / "features" / "modal_a"),
+                   "--segments", str(corpus / "data" / "segments.csv"), "--labels", str(labels),
+                   "--out", str(tmp_path / "out"), "--epochs", "1", "--hidden", "4"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"labels.csv: segment '{segments[1].segment_id}' has class {bad}, outside [0, {len(segments) - 1}]" in captured.err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("which", ["pred", "gold"])
     def test_class_outside_range_exit_3(self, tmp_path, capsys, which):
@@ -1154,3 +1201,64 @@ class TestJobs:
         assert len(subparsers) == 7
         for sp in subparsers:
             assert any("--jobs" in a.option_strings for a in sp._actions)
+
+
+# Command shapes of the subcommand fuzz test; `fuzz_inputs` gives each its argv
+# (without --out) and the input file it replaces. `synth` reads no input file.
+FUZZ_SHAPES = ("raaw", "physio", "discretize", "train", "train-sent", "eval", "eval-labels", "fuse-late")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(corpus, trained, tmp_path_factory):
+    """``FUZZ_SHAPES`` over the shared corpus, with raaw and physio cut to one recording to stay quick."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data, gold, preds = corpus / "data", corpus / "gold", trained / "modal_a" / "preds"
+    shutil.copytree(data / "annotations" / "rec_000", root / "annotations" / "rec_000")
+    shutil.copytree(data / "eda", root / "eda", ignore=lambda d, names: [n for n in names if n != "rec_000.csv"])
+    labels = root / "labels.csv"
+    assert main(["discretize", "--gold", str(gold), "--segments", str(data / "segments.csv"), "--target", "arousal",
+                 "--method", "kmeans", "--out", str(labels)]) == 0
+    fusion = ["--annotations", str(root / "annotations"), "--kind", "arousal"]
+    fit = ["--gold", str(gold), "--partitions", str(data / "partitions.csv"), "--epochs", "1", "--batch", "8"]
+    features = ["--features", str(data / "features" / "modal_a"), "--hidden", "4"]
+    segments = ["--segments", str(data / "segments.csv")]
+    shapes = {
+        "raaw": (["raaw", *fusion], sorted((root / "annotations" / "rec_000" / "arousal").glob("*.csv"))[0]),
+        "physio": (["physio", *fusion, "--eda", str(root / "eda")], root / "eda" / "rec_000.csv"),
+        "discretize": (["discretize", "--gold", str(gold), *segments, "--target", "arousal"], gold / "rec_000.csv"),
+        "train": (["train", "--task", "stress", *fit, *features, "--window", "30"],
+                  data / "features" / "modal_a" / "rec_000.csv"),
+        "train-sent": (["train", "--task", "sent", *features, *segments, "--labels", str(labels), "--epochs", "1"],
+                       labels),
+        "eval": (["eval", "--pred", str(preds / "devel"), "--gold", str(gold)], sorted((preds / "devel").glob("*"))[0]),
+        "eval-labels": (["eval", "--pred-labels", str(labels), "--gold-labels", str(labels)], labels),
+        "fuse-late": (["fuse-late", "--task", "stress", *fit, "--streams", str(preds), str(trained / "modal_b" / "preds")],
+                      sorted((preds / "train").glob("*"))[0]),
+    }
+    assert set(shapes) == set(FUZZ_SHAPES)
+    return root / "out", shapes
+
+
+# A few bytes to splice in: anything, or text close to the CSV alphabet.
+JUNK = st.binary(max_size=12) | st.text("0123456789,.-+eEnaif \n\xff", max_size=12).map(str.encode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(FUZZ_SHAPES), data=st.data())
+def test_every_subcommand_exits_with_a_contract_code_on_any_input_file(fuzz_inputs, shape, data):
+    out, shapes = fuzz_inputs
+    argv, target = shapes[shape]
+    original = target.read_bytes()
+    spliced = st.builds(
+        lambda i, n, junk: original[:i] + junk + original[i + n:], st.integers(0, len(original)), st.integers(0, 40), JUNK
+    )
+    content = data.draw(st.binary(max_size=80) | spliced, label="content")
+    try:
+        target.write_bytes(content)
+        rc = main(argv + ([] if shape.startswith("eval") else ["--out", str(out)]))
+    finally:
+        target.write_bytes(original)
+        if out.is_dir():
+            shutil.rmtree(out)
+        out.unlink(missing_ok=True)  # discretize writes a file
+    assert rc in (0, 2, 3, 4)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from affectfuse.align import WarpPath
 from affectfuse.core import AnnotationTrace, grid_timestamps_ms
 from affectfuse.dataio import (
     FeatureSequence,
@@ -36,8 +37,11 @@ from affectfuse.dataio import (
     write_partition_csv,
     write_prediction_csv,
     write_segments_csv,
+    write_table,
+    write_warp_path_csv,
 )
 from affectfuse.errors import DataError, ParameterError
+from affectfuse.seqmodel import TrainHistory
 
 
 class TestAnnotationRoundTrip:
@@ -418,6 +422,141 @@ def test_every_reader_raises_only_data_error_on_any_bytes(tmp_path, reader, vali
         EVERY_READER[reader](path)
     except DataError:
         pass
+
+
+# Every CSV writer, fed integer-dtype values and float timestamps, with the
+# text it must write: each format coerces its own columns (timestamps and
+# classes with int() truncation, values to float64), so the text never
+# follows the caller's dtype.
+WRITTEN = {
+    "annotation": (
+        lambda p: write_annotation_csv(
+            p, AnnotationTrace(rater_id="r", sample_rate_hz=2.0, values=np.array([1, 2]), kind="arousal")
+        ),
+        "timestamp_ms,value\n0,1.0\n500,2.0\n",
+    ),
+    "feature": (
+        lambda p: write_feature_csv(p, FeatureSequence("rec", "x", np.array([[1, 2], [3, 4]]), [0.0, 500.7])),
+        "timestamp_ms,f0,f1\n0,1.0,2.0\n500,3.0,4.0\n",
+    ),
+    "words": (
+        lambda p: write_feature_csv(
+            p, FeatureSequence("rec", "x", np.array([[1, 2], [3, 4]]), [0.0, 500.7], [400.9, 900.2])
+        ),
+        "start_ms,end_ms,f0,f1\n0,400,1.0,2.0\n500,900,3.0,4.0\n",
+    ),
+    "gold": (
+        lambda p: write_gold_csv(p, [0.0, 500.7], np.array([1, 2])),
+        "timestamp_ms,value\n0,1.0\n500,2.0\n",
+    ),
+    "prediction": (
+        lambda p: write_prediction_csv(p, [0.0, 500.7], np.array([1, 2])),
+        "timestamp_ms,pred\n0,1.0\n500,2.0\n",
+    ),
+    "partition": (
+        lambda p: write_partition_csv(p, Partition({"r2": "devel", "r1": "train"})),
+        "recording_id,partition\nr1,train\nr2,devel\n",
+    ),
+    "segments": (
+        lambda p: write_segments_csv(p, [Segment("s0", "r", np.int64(0), np.int64(500), "train")]),
+        "segment_id,recording_id,start_ms,end_ms,partition\ns0,r,0,500,train\n",
+    ),
+    "labels": (
+        lambda p: write_labels_csv(p, {"s1": np.int64(2), "s0": 1.0}),
+        "segment_id,class\ns0,1\ns1,2\n",
+    ),
+    "logits": (
+        lambda p: write_logits_csv(p, {"s1": np.array([1, 2]), "s0": np.array([3, 4])}),
+        "segment_id,l0,l1\ns0,3.0,4.0\ns1,1.0,2.0\n",
+    ),
+    "warp_path": (
+        lambda p: write_warp_path_csv(p, WarpPath(pairs=np.array([[0, 0], [1, 0], [2, 1]]), cost=0.0)),
+        "src_idx,ref_idx\n0,0\n1,0\n2,1\n",
+    ),
+    # numpy scalars too: repr(np.float32(0.25)) is "np.float32(0.25)", not a CSV field
+    "history": (
+        lambda p: TrainHistory(rows=[(np.int64(1), 0.5, float("-inf")), (2, np.float32(0.25), np.int64(1))]).write_csv(p),
+        "epoch,train_loss,devel_metric\n1,0.5,-inf\n2,0.25,1.0\n",
+    ),
+    # the shared writer itself writes each value as its own type
+    "table": (
+        lambda p: write_table(p, "id,n,v,x0,...", ["a", "b"], [7, -1], [0.1, 1e-300], np.array([[1.5, 2.0]] * 2)),
+        "id,n,v,x0,x1\na,7,0.1,1.5,2.0\nb,-1,1e-300,1.5,2.0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITTEN))
+def test_every_writer_formats_by_its_format_not_the_callers_dtype(tmp_path, writer):
+    write, expected = WRITTEN[writer]
+    path = tmp_path / "sub" / "out.csv"  # the parent directory is created
+    write(path)
+    assert path.read_text() == expected
+
+
+# Awkward floats: signed zero, the smallest subnormal, the largest double.
+AWKWARD = np.array([0.1, 1 / 3, -0.0, 5e-324, -2.5e-17, 1.7976931348623157e308])
+GRID = np.arange(AWKWARD.size) * 250
+
+# Per format with a reader: (write, read, what the read must equal).
+ROUND_TRIPS = {
+    "annotation": (
+        lambda p: write_annotation_csv(
+            p, AnnotationTrace(rater_id="r", sample_rate_hz=4.0, values=AWKWARD, kind="arousal")
+        ),
+        lambda p: read_annotation_csv(p, "r", "arousal").values,
+        AWKWARD,
+    ),
+    "feature": (
+        lambda p: write_feature_csv(p, FeatureSequence("rec", "x", AWKWARD.reshape(3, 2), GRID[:3])),
+        lambda p: (lambda f: (f.timestamps_ms, f.matrix))(read_feature_csv(p, "rec", "x")),
+        (GRID[:3], AWKWARD.reshape(3, 2)),
+    ),
+    "words": (
+        lambda p: write_feature_csv(p, FeatureSequence("rec", "x", AWKWARD.reshape(2, 3), [0, 800], [700, 900])),
+        lambda p: (lambda f: (f.end_timestamps_ms, f.matrix))(read_feature_csv(p, "rec", "x")),
+        (np.array([700, 900]), AWKWARD.reshape(2, 3)),
+    ),
+    "gold": (lambda p: write_gold_csv(p, GRID, AWKWARD), read_gold_csv, (GRID, AWKWARD)),
+    "prediction": (lambda p: write_prediction_csv(p, GRID, AWKWARD), read_prediction_csv, (GRID, AWKWARD)),
+    "partition": (
+        lambda p: write_partition_csv(p, Partition({"r1": "train", "r0": "test"})),
+        read_partition_csv,
+        Partition({"r0": "test", "r1": "train"}),
+    ),
+    "segments": (
+        lambda p: write_segments_csv(p, [Segment("s0", "r", 0, 2**62, "devel")]),
+        read_segments_csv,
+        [Segment("s0", "r", 0, 2**62, "devel")],
+    ),
+    "labels": (lambda p: write_labels_csv(p, {"s1": 4, "s0": 0}), read_labels_csv, {"s0": 0, "s1": 4}),
+    "logits": (
+        lambda p: write_logits_csv(p, {"s1": AWKWARD[3:], "s0": AWKWARD[:3]}),
+        read_logits_csv,
+        {"s0": AWKWARD[:3], "s1": AWKWARD[3:]},
+    ),
+}
+
+
+def _assert_same(got, expected) -> None:
+    """Equal values; arrays bit for bit, so -0.0 and 0.0 differ."""
+    if isinstance(expected, np.ndarray):
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.astype(got.dtype).tobytes()
+    elif isinstance(expected, (tuple, dict)):
+        assert len(got) == len(expected)
+        for key in range(len(expected)) if isinstance(expected, tuple) else expected:
+            _assert_same(got[key], expected[key])
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("fmt", list(ROUND_TRIPS))
+def test_every_format_reads_back_what_it_wrote(tmp_path, fmt):
+    write, read, expected = ROUND_TRIPS[fmt]
+    path = tmp_path / "back.csv"
+    write(path)
+    _assert_same(read(path), expected)
 
 
 class TestAlignToLabels:
