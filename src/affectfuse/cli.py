@@ -48,7 +48,7 @@ from .discretize import (
     validate_clusters,
 )
 from .errors import DataError, NumericError, ParameterError
-from .fuse import FusionConfig, PhysioConfig, agreement_stats, physio_fuse, raaw
+from .fuse import FusionConfig, PhysioConfig, agreement_stats, check_eda_span, physio_fuse, raaw
 from .latefusion import FusionPlan, fuse_predictions
 from .metrics import ScoreReport, ccc, macro_f1, partition_ccc
 from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, fit, save_checkpoint
@@ -313,6 +313,10 @@ def _fuse_worker(task: tuple[Path, str, str, FusionConfig | PhysioConfig, Path |
     if not eda_path.is_file():
         raise ParameterError(f"missing EDA file for recording {rec!r}: {eda_path}")
     eda = dataio.read_annotation_csv(eda_path, rater_id=eda_path.stem, kind="physio")
+    try:
+        check_eda_span(rater_set, eda)
+    except ParameterError as exc:
+        raise DataError(f"{eda_path}: {exc}") from None
     return rec, physio_fuse(rater_set, eda, config)
 
 
@@ -564,8 +568,11 @@ def _read_pred_dir(pred_dir: Path, gold_dir: Path):
         raise DataError(f"no prediction files under {pred_dir}")
     for path in files:
         rec = path.stem
+        gold_path = gold_dir / f"{rec}.csv"
         _, preds[rec] = dataio.read_prediction_csv(path)
-        _, golds[rec] = dataio.read_gold_csv(gold_dir / f"{rec}.csv")
+        _, golds[rec] = dataio.read_gold_csv(gold_path)
+        if preds[rec].size != golds[rec].size:
+            raise DataError(f"{path}: {preds[rec].size} rows, but {gold_path} has {golds[rec].size}")
     return preds, golds
 
 
@@ -649,12 +656,17 @@ def _regression_streams(args, stream_dirs: dict[str, Path]):
 
     streams: dict[str, dict[str, np.ndarray]] = {}
     ts_by_rec: dict[str, np.ndarray] = {}
+    first_dir = next(iter(stream_dirs.values()))
     for name, d in stream_dirs.items():
         preds = {}
         for split, recs in splits.items():
             for rec in recs:
-                ts, preds[rec] = dataio.read_prediction_csv(d / split / f"{rec}.csv")
-                ts_by_rec.setdefault(rec, ts)
+                path = d / split / f"{rec}.csv"
+                ts, preds[rec] = dataio.read_prediction_csv(path)
+                if ts.size != ts_by_rec.setdefault(rec, ts).size:
+                    raise DataError(
+                        f"{path}: {ts.size} rows, but {first_dir / split / path.name} has {ts_by_rec[rec].size}"
+                    )
         streams[name] = preds
     gold = {
         rec: dataio.read_gold_csv(gold_dir / f"{rec}.csv")[1]

@@ -3,14 +3,16 @@
 Every file the package writes goes through :func:`write_table` (CSVs) or one
 sorted-key JSON writer (model files, gold sidecars), and rows are sorted
 deterministically, so reruns under a fixed seed produce byte-identical files.
+Every CSV it reads goes through :func:`_read_table`, one ``np.loadtxt`` parse.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -69,53 +71,50 @@ def _expand_header(pattern: str, width: int) -> str:
     return ",".join(fixed + numbered)
 
 
-def _read_table(path: Path | str, formats: Mapping[str, Callable]) -> tuple[str, Iterator]:
-    """Header of a CSV plus an iterator over its parsed data rows.
+def _read_table(path: Path | str, formats: Mapping[str, Sequence[type]]) -> np.ndarray:
+    """The data rows of a CSV as one structured array, parsed by ``np.loadtxt``.
 
-    ``formats`` maps each accepted header pattern to the parser of its rows.
-    Every reader goes through here, so each rejects the same inputs with a
-    :class:`DataError` naming the file: a missing, empty or non-UTF-8 file,
-    a header matching no pattern, a row whose width differs from the
-    header's, and a row its parser fails on with ``ValueError`` or
-    ``ParameterError``. Blank lines are skipped.
+    ``formats`` maps each accepted header pattern to the dtypes of its
+    columns. Each column becomes a field named as in the header; the numbered
+    columns of a ``x0,...`` pattern become one sub-array field ``x``. The open
+    file goes to ``loadtxt``, so the text is decoded a line at a time and never
+    held whole. Every reader goes through here, so each rejects the same inputs
+    with a :class:`DataError` naming the file: a missing, empty or non-UTF-8
+    file, a header matching no pattern, a row whose width differs from the
+    header's, a field its dtype cannot parse (so a whitespace-only line too),
+    no data rows, and a NaN or infinity in a float column. Blank lines before
+    the header and empty lines after it are skipped.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"missing file: {path}")
     try:
-        text = path.read_text()
+        with path.open(encoding="utf-8") as f:
+            header = next(filter(None, map(str.strip, f)), "")
+            if not header:
+                raise DataError(f"{path}: empty file")
+            width = header.count(",") + 1
+            pattern = next((h for h in formats if _expand_header(h, width) == header), None)
+            if pattern is None:
+                expected = " or ".join(repr(h) for h in formats)
+                raise DataError(f"{path}: expected header {expected}, got {header!r}")
+            columns = list(zip(pattern.removesuffix(",...").split(","), formats[pattern]))
+            if pattern.endswith(",..."):
+                name, dtype = columns[-1]
+                columns[-1] = (name[:-1], dtype, (width - len(columns) + 1,))
+            with warnings.catch_warnings():  # an empty body is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(f, dtype=columns, delimiter=",", comments=None, ndmin=1)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    lines = (ln for ln in text.splitlines() if ln.strip())
-    header = next(lines, "").strip()
-    if not header:
-        raise DataError(f"{path}: empty file")
-    width = header.count(",") + 1
-    parse = next((f for h, f in formats.items() if _expand_header(h, width) == header), None)
-    if parse is None:
-        expected = " or ".join(repr(h) for h in formats)
-        raise DataError(f"{path}: expected header {expected}, got {header!r}")
-
-    def rows():
-        for ln in lines:
-            fields = ln.split(",")
-            try:
-                if len(fields) != width:
-                    raise ValueError(f"{len(fields)} fields, header has {width}")
-                row = parse(fields)
-            except (ValueError, ParameterError) as exc:
-                raise DataError(f"{path}: malformed row {ln!r}: {exc}") from exc
-            yield row
-
-    return header, rows()
-
-
-def _int64(text: str) -> int:
-    """``int(text)``, rejecting a value numpy's int64 cannot hold."""
-    value = int(text)
-    if not -(2**63) <= value < 2**63:
-        raise ValueError(f"{value} is beyond the int64 range")
-    return value
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed data: {exc}") from None
+    if not table.size:
+        raise DataError(f"{path}: no data rows")
+    for name in table.dtype.names:
+        if table.dtype[name].base == np.float64:
+            _check_finite(path, table[name])
+    return table
 
 
 def _check_finite(path: Path | str, values: np.ndarray) -> None:
@@ -357,20 +356,10 @@ def slice_by_span(timestamps_ms: np.ndarray, start_ms: int, end_ms: int) -> np.n
 # two-column signal CSVs
 
 
-_TIMESTAMP_VALUE = np.dtype([("ts", np.int64), ("value", np.float64)])
-
-
 def _read_two_column(path: Path | str, expected_header: str) -> tuple[np.ndarray, np.ndarray]:
-    # parsed straight into one array: no per-row Python lists for 1 kHz signals
-    _, rows = _read_table(path, {expected_header: lambda f: (int(f[0]), float(f[1]))})
-    try:
-        table = np.fromiter(rows, dtype=_TIMESTAMP_VALUE)
-    except OverflowError as exc:  # caught here, not per row: 1 kHz signals
-        raise DataError(f"{path}: a timestamp is beyond the int64 range") from exc
-    if not table.size:
-        raise DataError(f"{path}: no data rows")
-    _check_finite(path, table["value"])
-    return np.ascontiguousarray(table["ts"]), np.ascontiguousarray(table["value"])
+    table = _read_table(path, {expected_header: (np.int64, np.float64)})
+    ts, values = table.dtype.names
+    return np.ascontiguousarray(table[ts]), np.ascontiguousarray(table[values])
 
 
 def _read_grid(path: Path | str) -> tuple[np.ndarray, np.ndarray, float]:
@@ -433,28 +422,18 @@ def read_feature_csv(
 
     With ``n_features`` (the width of a set's other files) a file of another width is bad data.
     """
-    header, parsed = _read_table(
-        path,
-        {
-            _FRAME_HEADER: lambda f: (_int64(f[0]), None, [float(v) for v in f[1:]]),
-            _WORD_HEADER: lambda f: (_int64(f[0]), _int64(f[1]), [float(v) for v in f[2:]]),
-        },
-    )
-    parsed = list(parsed)
-    if not parsed:
-        raise DataError(f"{path}: no data rows")
-    ts, ends, rows = zip(*parsed)
-    if n_features is not None and len(rows[0]) != n_features:
-        raise DataError(f"{path}: {len(rows[0])} feature columns, expected {n_features}")
-    matrix = np.asarray(rows, dtype=np.float64)
-    _check_finite(path, matrix)
+    table = _read_table(path, {_FRAME_HEADER: (np.int64, np.float64), _WORD_HEADER: (np.int64, np.int64, np.float64)})
+    matrix = np.ascontiguousarray(table["f"])
+    if n_features is not None and matrix.shape[1] != n_features:
+        raise DataError(f"{path}: {matrix.shape[1]} feature columns, expected {n_features}")
+    words = "start_ms" in table.dtype.names
     try:
         return FeatureSequence(
             recording_id=recording_id,
             feature_set=feature_set,
             matrix=matrix,
-            timestamps_ms=np.asarray(ts, dtype=np.int64),
-            end_timestamps_ms=np.asarray(ends, dtype=np.int64) if header.startswith("start_ms,") else None,
+            timestamps_ms=np.ascontiguousarray(table["start_ms" if words else "timestamp_ms"]),
+            end_timestamps_ms=np.ascontiguousarray(table["end_ms"]) if words else None,
         )
     except ParameterError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -503,9 +482,9 @@ def write_partition_csv(path: Path | str, partition: Partition) -> None:
 
 def read_partition_csv(path: Path | str) -> Partition:
     """Load a partition map; a recording assigned to two splits is rejected."""
-    _, rows = _read_table(path, {"recording_id,partition": lambda f: (f[0].strip(), f[1].strip())})
+    table = _read_table(path, {"recording_id,partition": (object, object)})
     assignment: dict[str, str] = {}
-    for rid, split in rows:
+    for rid, split in ((r.strip(), s.strip()) for r, s in table.tolist()):
         if split not in SPLITS:
             raise DataError(f"{path}: unknown split {split!r} for recording {rid!r}")
         if rid in assignment and assignment[rid] != split:
@@ -521,14 +500,13 @@ def write_segments_csv(path: Path | str, segments: Sequence[Segment]) -> None:
 
 
 def read_segments_csv(path: Path | str) -> list[Segment]:
-    _, rows = _read_table(
-        path,
-        {
-            "segment_id,recording_id,start_ms,end_ms,partition":
-                lambda f: Segment(f[0], f[1], _int64(f[2]), _int64(f[3]), f[4]),
-        },
+    table = _read_table(
+        path, {"segment_id,recording_id,start_ms,end_ms,partition": (object, object, np.int64, np.int64, object)}
     )
-    return list(rows)
+    try:
+        return [Segment(*row) for row in table.tolist()]
+    except ParameterError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_labels_csv(path: Path | str, labels: Mapping[str, int]) -> None:
@@ -538,8 +516,7 @@ def write_labels_csv(path: Path | str, labels: Mapping[str, int]) -> None:
 
 def read_labels_csv(path: Path | str, n_classes: int | None = None) -> dict[str, int]:
     """``segment_id,class`` rows; with ``n_classes`` a class outside [0, n_classes) is bad data."""
-    _, rows = _read_table(path, {"segment_id,class": lambda f: (f[0], _int64(f[1]))})
-    labels = dict(rows)
+    labels = dict(_read_table(path, {"segment_id,class": (object, np.int64)}).tolist())
     for seg_id, label in labels.items():
         if n_classes is not None and not 0 <= label < n_classes:
             raise DataError(f"{path}: segment {seg_id!r} has class {label}, outside [0, {n_classes - 1}]")
@@ -555,10 +532,8 @@ def write_logits_csv(path: Path | str, logits: Mapping[str, np.ndarray]) -> None
 
 
 def read_logits_csv(path: Path | str) -> dict[str, np.ndarray]:
-    _, rows = _read_table(path, {_LOGITS_HEADER: lambda f: (f[0], np.array([float(v) for v in f[1:]]))})
-    rows = list(rows)
-    _check_finite(path, np.array([logits for _, logits in rows]))
-    return dict(rows)
+    table = _read_table(path, {_LOGITS_HEADER: (object, np.float64)})
+    return dict(zip(table["segment_id"].tolist(), np.ascontiguousarray(table["l"])))
 
 
 def write_warp_path_csv(path: Path | str, warp_path) -> None:

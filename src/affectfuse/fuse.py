@@ -20,6 +20,7 @@ __all__ = [
     "ewe_weights",
     "ewe_fuse",
     "raaw",
+    "check_eda_span",
     "physio_fuse",
     "agreement_stats",
 ]
@@ -230,6 +231,22 @@ def _conform_length(trace: AnnotationTrace, n: int) -> AnnotationTrace:
     )
 
 
+def check_eda_span(rater_set: RaterSet, eda: AnnotationTrace) -> None:
+    """Reject an EDA trace spanning more than ten times the recording's annotations.
+
+    :func:`prepare_physio` resamples the whole span the trace's grid claims,
+    so without a bound two samples with a huge step would size memory. Any
+    fixed factor keeps that memory in proportion to the annotations; ten
+    leaves room for an EDA session that outlasts the annotated part.
+    """
+    span = rater_set.traces[0].duration_s
+    if eda.duration_s > 10 * span:
+        raise ParameterError(
+            f"EDA trace {eda.rater_id!r} spans {eda.duration_s:g} s, more than ten times "
+            f"the {span:g} s of the annotations of recording {rater_set.recording_id!r}"
+        )
+
+
 def physio_fuse(
     rater_set: RaterSet, eda: AnnotationTrace, config: PhysioConfig | None = None
 ) -> GoldStandard:
@@ -238,13 +255,15 @@ def physio_fuse(
     Annotator weights are computed exactly as in :func:`raaw` on the original
     set; the annotator with the minimum weight (ties: lowest index) is
     dropped, the processed physiological signal joins as a pseudo-rater, and
-    the fusion pipeline reruns on the substituted set.
+    the fusion pipeline reruns on the substituted set. An EDA trace failing
+    :func:`check_eda_span` is rejected first.
     """
     config = config or PhysioConfig()
     if len(rater_set) < 2:
         raise ParameterError(
             f"recording {rater_set.recording_id!r}: physio fusion needs at least 2 raters"
         )
+    check_eda_span(rater_set, eda)
     ranking = raaw(rater_set, config.fusion)
     drop = int(np.argmin(ranking.weights))  # argmin takes the lowest index on ties
     pseudo = prepare_physio(eda, rater_set.sample_rate_hz, config)

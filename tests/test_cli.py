@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1143,6 +1144,57 @@ class TestBadInputExitCodes:
         captured = capsys.readouterr()
         assert rc == 3
         assert f"{bad}: a timestamp grid needs at least 2 timestamps" in captured.err
+
+
+    def test_eda_spanning_far_beyond_the_annotations_exit_3(self, corpus, tmp_path, capsys):
+        # two samples 10^10 ms apart: resampling the span they claim took about 0.5 GB
+        ann = tmp_path / "ann"
+        shutil.copytree(corpus / "data" / "annotations" / "rec_000", ann / "rec_000")
+        eda = tmp_path / "eda" / "rec_000.csv"
+        eda.parent.mkdir()
+        eda.write_text("timestamp_ms,value\n0,0.1\n10000000000,0.2\n")
+        argv = ["physio", "--annotations", str(ann), "--kind", "arousal", "--eda", str(eda.parent),
+                "--out", str(tmp_path / "g")]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{eda}: EDA trace 'rec_000' spans 1e+07 s" in captured.err
+        assert peak < 20e6
+
+    @staticmethod
+    def _cut_three_rows(path: Path) -> None:
+        path.write_text("\n".join(path.read_text().splitlines()[:-3]) + "\n")
+
+    def test_prediction_length_other_than_gold_exit_3(self, corpus, trained, tmp_path, capsys):
+        pred_dir = tmp_path / "pred"
+        shutil.copytree(trained / "modal_a" / "preds" / "devel", pred_dir)
+        cut = sorted(pred_dir.glob("*.csv"))[0]
+        self._cut_three_rows(cut)
+        rc = main(["eval", "--pred", str(pred_dir), "--gold", str(corpus / "gold")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{cut}: " in captured.err
+        assert "ccc=" not in captured.out
+
+    def test_stream_length_other_than_the_others_exit_3(self, corpus, trained, tmp_path, capsys):
+        stream = tmp_path / "short"
+        shutil.copytree(trained / "modal_b" / "preds", stream)
+        cut = sorted((stream / "train").glob("*.csv"))[0]
+        self._cut_three_rows(cut)
+        rc = main(
+            ["fuse-late", "--task", "stress", "--streams", str(trained / "modal_a" / "preds"), str(stream),
+             "--gold", str(corpus / "gold"), "--partitions", str(corpus / "data" / "partitions.csv"),
+             "--out", str(tmp_path / "f"), "--epochs", "1"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{cut}: " in captured.err
+        assert not (tmp_path / "f").exists()
 
 
 class TestWindowOne:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +424,70 @@ def test_every_reader_raises_only_data_error_on_any_bytes(tmp_path, reader, vali
         EVERY_READER[reader](path)
     except DataError:
         pass
+
+
+
+def test_reading_a_signal_never_holds_its_text(tmp_path):
+    # the text is parsed as it is read, so the peak is the arrays, not a copy of the file
+    path = tmp_path / "eda.csv"
+    values = np.random.default_rng(6).normal(size=200_000)
+    write_annotation_csv(path, AnnotationTrace(rater_id="eda", sample_rate_hz=1000.0, values=values, kind="physio"))
+    tracemalloc.start()
+    try:
+        trace = read_annotation_csv(path, rater_id="eda", kind="physio")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(trace.values, values)
+    assert peak < 2 * path.stat().st_size
+
+
+@pytest.mark.parametrize("reader", list(EVERY_READER))
+def test_every_reader_rejects_a_header_without_rows_and_warns_nothing(tmp_path, reader):
+    path = tmp_path / "header.csv"
+    path.write_text(VALID[reader].splitlines()[0] + "\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="header.csv: no data rows"):
+            EVERY_READER[reader](path)
+
+
+@pytest.mark.parametrize("reader", list(EVERY_READER))
+def test_whitespace_only_data_line_rejected(tmp_path, reader):
+    path = tmp_path / "blank.csv"
+    path.write_text(VALID[reader].replace("\n", "\n \n", 1))
+    with pytest.raises(DataError, match="blank.csv: malformed data"):
+        EVERY_READER[reader](path)
+
+
+@pytest.mark.parametrize("field", ["1_0", "\u0663"], ids=["digit-separator", "arabic-indic-digit"])
+@pytest.mark.parametrize("column", ["int", "float"])
+def test_numbers_are_ascii_digits_only(tmp_path, field, column):
+    # int() and float() accept both fields; the table parser takes neither
+    path = tmp_path / "digits.csv"
+    row = f"{field},0.5" if column == "int" else f"500,{field}"
+    path.write_text(f"timestamp_ms,value\n0,0.1\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataError, match="digits.csv: malformed data"):
+        read_annotation_csv(path, rater_id="r", kind="arousal")
+
+
+@pytest.mark.parametrize("segment_id", ["s" * 300, "  s 1 "], ids=["300-chars", "surrounding-spaces"])
+def test_ids_read_back_unchanged(tmp_path, segment_id):
+    segments = [Segment(segment_id, "r", 0, 500, "train")]
+    write_segments_csv(tmp_path / "segments.csv", segments)
+    write_labels_csv(tmp_path / "labels.csv", {segment_id: 2})
+    write_logits_csv(tmp_path / "logits.csv", {segment_id: np.array([0.5, 1.5])})
+    assert read_segments_csv(tmp_path / "segments.csv") == segments
+    assert read_labels_csv(tmp_path / "labels.csv") == {segment_id: 2}
+    assert list(read_logits_csv(tmp_path / "logits.csv")) == [segment_id]
+
+
+def test_non_utf8_byte_deep_in_the_file_rejected(tmp_path):
+    path = tmp_path / "deep.csv"
+    rows = "".join(f"{t},0.5\n" for t in range(100_002))
+    path.write_bytes(b"timestamp_ms,value\n" + rows.encode() + b"100002,0.\xff\n100003,0.5\n")
+    with pytest.raises(DataError, match="deep.csv: not UTF-8"):
+        read_annotation_csv(path, rater_id="r", kind="arousal")
 
 
 # Every CSV writer, fed integer-dtype values and float timestamps, with the

@@ -279,6 +279,12 @@ class TestPhysioFuse:
         assert gold.weights[idx] == 0.0
         assert "physio:eda" in gold.metadata["degenerate_raters"]
 
+    def test_eda_spanning_over_ten_times_the_annotations_rejected(self):
+        rs, _ = self._setup(np.random.default_rng(24))  # 240 samples at 4 Hz: 59.75 s
+        eda = _trace([1.0, 2.0], rater="eda", rate=1 / 597.6, kind="physio")
+        with pytest.raises(ParameterError, match="'eda' spans 597.6 s, more than ten times the 59.75 s"):
+            physio_fuse(rs, eda)
+
     def test_single_rater_rejected(self):
         rs = _rater_set([np.arange(20.0)])
         eda = _trace(np.ones(100) + np.arange(100), rater="eda", rate=10.0, kind="physio")
