@@ -16,16 +16,13 @@ from .align import AlignmentResult, WarpPath, default_band, dtw, multi_align, wa
 from .core import (
     AnnotationTrace,
     RaterSet,
-    resample,
     resample_values,
     savgol_smooth,
-    savitzky_golay,
     standardize,
     standardize_values,
 )
-from .dataio import FeatureSequence, Partition, Segment, WindowSpec, align_to_labels, merge_segments, window
+from .dataio import FeatureSequence, Partition, Segment, WindowSpec, align_to_labels, window
 from .discretize import (
-    ClusterFit,
     ClusterModel,
     ClusterReport,
     PcaBasis,
@@ -54,7 +51,7 @@ from .fuse import (
     raaw,
 )
 from .latefusion import FusionPlan, FusionResult, fuse_predictions
-from .metrics import ScoreReport, ccc, combined, macro_f1, partition_ccc, pearson
+from .metrics import ScoreReport, ccc, macro_f1, partition_ccc, pearson
 from .seqmodel import (
     Adam,
     RegressorConfig,
@@ -78,10 +75,8 @@ __all__ = [
     "RaterSet",
     "standardize",
     "standardize_values",
-    "resample",
     "resample_values",
     "savgol_smooth",
-    "savitzky_golay",
     "WarpPath",
     "AlignmentResult",
     "dtw",
@@ -100,7 +95,6 @@ __all__ = [
     "ccc",
     "pearson",
     "macro_f1",
-    "combined",
     "partition_ccc",
     "ScoreReport",
     "FeatureSequence",
@@ -109,7 +103,6 @@ __all__ = [
     "Segment",
     "align_to_labels",
     "window",
-    "merge_segments",
     "SegmentFeatures",
     "segment_features",
     "feature_names",
@@ -118,7 +111,6 @@ __all__ = [
     "pca_project",
     "kmeans",
     "gmm_em",
-    "ClusterFit",
     "ClusterModel",
     "ClusterReport",
     "fit_clusters",

@@ -143,6 +143,17 @@ def _apply_config(values: dict[str, str], subparsers: list[argparse.ArgumentPars
 # parser
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float option: a number other than NaN and +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=101, help="base random seed")
     sp.add_argument("--jobs", type=int, default=1,
@@ -156,7 +167,7 @@ def _add_fusion_options(sp: argparse.ArgumentParser, kind: str) -> None:
     sp.add_argument("--kind", default=kind, choices=("valence", "arousal", "physio"))
     sp.add_argument("--out", required=True, help="directory for <rec>.csv gold files")
     sp.add_argument("--max-iter", type=int, default=20)
-    sp.add_argument("--tol", type=float, default=1e-4)
+    sp.add_argument("--tol", type=_finite, default=1e-4)
     sp.add_argument("--band", type=int, default=None, help="warp band; default 10%% of length")
     sp.add_argument("--reference", default="mean", help="'mean' or a rater index")
     sp.add_argument("--dump-paths", default=None, help="directory for warp path CSVs")
@@ -193,14 +204,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     _add_common(p)
     p.add_argument("--out", required=True, help="corpus output directory")
     p.add_argument("--recordings", type=int, default=6)
-    p.add_argument("--duration", type=float, default=300.0, help="seconds per recording")
-    p.add_argument("--rate", type=float, default=2.0, help="annotation rate in Hz")
+    p.add_argument("--duration", type=_finite, default=300.0, help="seconds per recording")
+    p.add_argument("--rate", type=_finite, default=2.0, help="annotation rate in Hz")
     p.add_argument("--raters", type=int, default=5)
-    p.add_argument("--max-lag", type=float, default=2.0, help="max rater lag in seconds")
-    p.add_argument("--noise", type=float, default=0.05, help="rater noise sigma")
-    p.add_argument("--scale-jitter", type=float, default=0.2)
+    p.add_argument("--max-lag", type=_finite, default=2.0, help="max rater lag in seconds")
+    p.add_argument("--noise", type=_finite, default=0.05, help="rater noise sigma")
+    p.add_argument("--scale-jitter", type=_finite, default=0.2)
     p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--feature-noise", type=float, default=0.1)
+    p.add_argument("--feature-noise", type=_finite, default=0.1)
     p.add_argument("--feature-sets", default="modal_a,modal_b", help="comma-separated set names")
     p.add_argument("--kind", default="arousal", choices=("valence", "arousal", "physio"))
     register(p, cmd_synth)
@@ -216,7 +227,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--eda", required=True, help="directory with <rec>.csv EDA signals")
     p.add_argument("--sg-window", type=int, default=26, help="smoothing window in samples")
     p.add_argument("--sg-order", type=int, default=3, help="smoothing polynomial order")
-    p.add_argument("--target-hz", type=float, default=None, help="EDA resample rate; default label rate")
+    p.add_argument("--target-hz", type=_finite, default=None, help="EDA resample rate; default label rate")
     register(p, _run_fusion)
 
     p = sub.add_parser("discretize", help="turn gold standards into sentiment classes")
@@ -240,8 +251,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--bidirectional", action="store_true")
-    p.add_argument("--lr", type=float, default=None, help="default: mid-grid for the task")
-    p.add_argument("--l2", type=float, default=0.0)
+    p.add_argument("--lr", type=_finite, default=None, help="default: mid-grid for the task")
+    p.add_argument("--l2", type=_finite, default=0.0)
     register(p, cmd_train)
 
     p = sub.add_parser("eval", help="score prediction directories")
@@ -307,6 +318,8 @@ def _fuse_worker(task: tuple[Path, str, str, FusionConfig | PhysioConfig, Path |
     """raaw with a FusionConfig, physio fusion with a PhysioConfig, of one recording."""
     ann_root, rec, kind, config, eda_dir = task
     rater_set = dataio.read_rater_set(ann_root, rec, kind)
+    if len(rater_set) < 2:
+        raise DataError(f"{ann_root / rec / kind}: fusion needs at least 2 rater files, got {len(rater_set)}")
     if isinstance(config, FusionConfig):
         return rec, raaw(rater_set, config)
     eda_path = eda_dir / f"{rec}.csv"

@@ -15,9 +15,7 @@ __all__ = [
     "grid_timestamps_ms",
     "standardize",
     "standardize_values",
-    "resample",
     "resample_values",
-    "savitzky_golay",
     "savgol_smooth",
 ]
 
@@ -163,12 +161,6 @@ def resample_values(x: np.ndarray, source_hz: float, target_hz: float) -> np.nda
     return np.interp(t_out, t_src, x)
 
 
-def resample(trace: AnnotationTrace, target_hz: float) -> AnnotationTrace:
-    """Trace resampled to ``target_hz`` by linear interpolation."""
-    vals = resample_values(trace.values, trace.sample_rate_hz, target_hz)
-    return replace(trace, values=vals, sample_rate_hz=float(target_hz))
-
-
 def _savgol_weights(left: int, right: int, polyorder: int) -> np.ndarray:
     # Least-squares polynomial fit over offsets [-left, right], evaluated at
     # offset 0. Offsets are scaled into [-1, 1] for conditioning; the fitted
@@ -226,8 +218,3 @@ def savgol_smooth(x: np.ndarray, window: int, polyorder: int = 3) -> np.ndarray:
         hi = min(n - 1 - i, max(0, right_arm - shrink))
         out[i] = x[i - lo : i + hi + 1] @ _savgol_weights(lo, hi, polyorder)
     return out
-
-
-def savitzky_golay(trace: AnnotationTrace, window: int, polyorder: int = 3) -> AnnotationTrace:
-    """Smoothed copy of a trace; see :func:`savgol_smooth`."""
-    return replace(trace, values=savgol_smooth(trace.values, window, polyorder))

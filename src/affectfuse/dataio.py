@@ -26,7 +26,6 @@ __all__ = [
     "Segment",
     "align_to_labels",
     "window",
-    "merge_segments",
     "read_annotation_csv",
     "write_annotation_csv",
     "read_rater_set",
@@ -312,38 +311,6 @@ def window(values: np.ndarray, spec: WindowSpec) -> list[tuple[int, np.ndarray]]
     if n < 1:
         raise ParameterError("cannot window an empty sequence")
     return [(s, values[s : min(s + spec.window, n)]) for s in range(0, n, spec.hop)]
-
-
-def merge_segments(
-    segments: Sequence[Segment],
-    max_gap_ms: int = 2000,
-    same_group: Callable[[Segment, Segment], bool] | None = None,
-) -> list[Segment]:
-    """Merge segments of the same group separated by less than ``max_gap_ms``.
-
-    ``same_group`` defaults to matching recording and partition. Segments are
-    processed in start order per recording; a merged segment keeps the first
-    segment's id. Segments of different groups never merge, whatever the gap.
-    """
-    if same_group is None:
-        same_group = lambda a, b: (a.recording_id, a.partition) == (b.recording_id, b.partition)
-    ordered = sorted(segments, key=lambda s: (s.recording_id, s.start_ms, s.end_ms))
-    out: list[Segment] = []
-    for seg in ordered:
-        if out:
-            prev = out[-1]
-            gap = seg.start_ms - prev.end_ms
-            if same_group(prev, seg) and gap < max_gap_ms:
-                out[-1] = Segment(
-                    segment_id=prev.segment_id,
-                    recording_id=prev.recording_id,
-                    start_ms=prev.start_ms,
-                    end_ms=max(prev.end_ms, seg.end_ms),
-                    partition=prev.partition,
-                )
-                continue
-        out.append(seg)
-    return out
 
 
 def slice_by_span(timestamps_ms: np.ndarray, start_ms: int, end_ms: int) -> np.ndarray:

@@ -347,15 +347,8 @@ def gmm_em(
     return means, covs, weights, log_likelihoods
 
 
-@dataclass(frozen=True)
-class ClusterFit:
-    method: str
-    centres: np.ndarray
-    extras: dict = field(default_factory=dict)
-
-
-def fit_clusters(projected: np.ndarray, method: str, n_clusters: int = 5, seed: int = 101) -> ClusterFit:
-    """Cluster projected training points with k-means or a Gaussian mixture.
+def fit_clusters(projected: np.ndarray, method: str, n_clusters: int = 5, seed: int = 101) -> tuple[np.ndarray, dict]:
+    """``(centres, extras)`` of projected training points clustered with k-means or a Gaussian mixture.
 
     For ``gmm`` the centres are the component means; full parameters land in
     ``extras`` together with the log-likelihood path.
@@ -363,19 +356,15 @@ def fit_clusters(projected: np.ndarray, method: str, n_clusters: int = 5, seed: 
     pts = np.atleast_2d(np.asarray(projected, dtype=np.float64))
     if method == "kmeans":
         centres, _, inertia = kmeans(pts, n_clusters, seed=seed)
-        return ClusterFit(method=method, centres=centres, extras={"inertia": inertia})
+        return centres, {"inertia": inertia}
     if method == "gmm":
         means, covs, weights, lls = gmm_em(pts, n_clusters, seed=seed)
-        return ClusterFit(
-            method=method,
-            centres=means,
-            extras={
-                "covariances": covs,
-                "mixture_weights": weights,
-                "log_likelihoods": lls,
-                "converged": len(lls) < 200,
-            },
-        )
+        return means, {
+            "covariances": covs,
+            "mixture_weights": weights,
+            "log_likelihoods": lls,
+            "converged": len(lls) < 200,
+        }
     raise ParameterError(f"unknown clustering method {method!r}; expected 'kmeans' or 'gmm'")
 
 
@@ -408,14 +397,13 @@ def fit_class_model(
     std = fit_standardizer(train_matrix)
     scaled = std.transform(train_matrix)
     basis = fit_pca(scaled, n_components=n_components)
-    fit = fit_clusters(pca_project(basis, scaled), method, n_clusters=n_classes, seed=seed)
-    extras = {k: v for k, v in fit.extras.items()}
+    centres, extras = fit_clusters(pca_project(basis, scaled), method, n_clusters=n_classes, seed=seed)
     return ClusterModel(
         target=target,
         method=method,
         standardizer=std,
         basis=basis,
-        centres=fit.centres,
+        centres=centres,
         seed=seed,
         extras=extras,
     )
@@ -426,14 +414,13 @@ def model_project(model: ClusterModel, matrix: np.ndarray) -> np.ndarray:
     return pca_project(model.basis, model.standardizer.transform(matrix))
 
 
-def assign_nearest(centres_or_model, points) -> np.ndarray:
+def assign_nearest(centres, points) -> np.ndarray:
     """Class of each projected point: nearest centre by Euclidean distance.
 
     For a Gaussian-mixture model this is deliberately the nearest component
     mean, not the maximum-posterior component. Ties pick the lowest class
     index.
     """
-    centres = centres_or_model.centres if isinstance(centres_or_model, (ClusterModel, ClusterFit)) else centres_or_model
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     return _assign(pts, np.asarray(centres, dtype=np.float64))
 

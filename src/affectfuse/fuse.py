@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .align import AlignmentResult, multi_align
-from .core import AnnotationTrace, RaterSet, resample, savitzky_golay, standardize
+from .core import AnnotationTrace, RaterSet, resample_values, savgol_smooth, standardize
 from .errors import ParameterError
 from .metrics import moments
 
@@ -205,30 +205,19 @@ def prepare_physio(eda: AnnotationTrace, label_rate_hz: float, config: PhysioCon
     Savitzky-Golay smoothing (even windows supported), then standardization.
     """
     target = config.target_hz if config.target_hz is not None else label_rate_hz
-    out = resample(eda, target)
-    out = savitzky_golay(out, config.sg_window, config.sg_polyorder)
-    out = standardize(out)
+    vals = resample_values(eda.values, eda.sample_rate_hz, target)
+    vals = savgol_smooth(vals, config.sg_window, config.sg_polyorder)
+    out = standardize(replace(eda, values=vals, sample_rate_hz=float(target)))
     if out.degenerate:
         warnings.warn(f"physiological trace {eda.rater_id!r} is constant; its weight will be 0")
     return out
 
 
-def _conform_length(trace: AnnotationTrace, n: int) -> AnnotationTrace:
-    """Trim or edge-hold a trace's values to exactly ``n`` samples."""
-    vals = trace.values
-    if vals.size == n:
-        return trace
-    if vals.size > n:
-        vals = vals[:n]
-    else:
-        vals = np.concatenate([vals, np.full(n - vals.size, vals[-1])])
-    return AnnotationTrace(
-        rater_id=trace.rater_id,
-        sample_rate_hz=trace.sample_rate_hz,
-        values=vals,
-        kind=trace.kind,
-        degenerate=trace.degenerate,
-    )
+def _conform_length(vals: np.ndarray, n: int) -> np.ndarray:
+    """Trim or edge-hold values to exactly ``n`` samples."""
+    if vals.size >= n:
+        return vals[:n]
+    return np.concatenate([vals, np.full(n - vals.size, vals[-1])])
 
 
 def check_eda_span(rater_set: RaterSet, eda: AnnotationTrace) -> None:
@@ -266,14 +255,13 @@ def physio_fuse(
     check_eda_span(rater_set, eda)
     ranking = raaw(rater_set, config.fusion)
     drop = int(np.argmin(ranking.weights))  # argmin takes the lowest index on ties
-    pseudo = prepare_physio(eda, rater_set.sample_rate_hz, config)
-    pseudo = _conform_length(pseudo, rater_set.n_samples)
+    prepared = prepare_physio(eda, rater_set.sample_rate_hz, config)
     pseudo = AnnotationTrace(
         rater_id=f"physio:{eda.rater_id}",
         sample_rate_hz=rater_set.sample_rate_hz,
-        values=pseudo.values,
+        values=_conform_length(prepared.values, rater_set.n_samples),
         kind=rater_set.kind,
-        degenerate=pseudo.degenerate,
+        degenerate=prepared.degenerate,
     )
     kept = [t for i, t in enumerate(rater_set.traces) if i != drop]
     substituted = RaterSet(recording_id=rater_set.recording_id, traces=(*kept, pseudo))

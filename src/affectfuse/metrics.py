@@ -14,7 +14,6 @@ __all__ = [
     "ccc",
     "pearson",
     "macro_f1",
-    "combined",
     "partition_ccc",
     "ScoreReport",
 ]
@@ -117,11 +116,6 @@ def macro_f1(pred, gold, n_classes: int = 5) -> float:
         recall = tp / (tp + fn) if tp + fn else 0.0
         scores.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
     return float(np.mean(scores))
-
-
-def combined(valence_score: float, arousal_score: float) -> float:
-    """Arithmetic mean of the two target scores."""
-    return (float(valence_score) + float(arousal_score)) / 2.0
 
 
 def partition_ccc(preds: Mapping[str, np.ndarray], golds: Mapping[str, np.ndarray]) -> float:

@@ -10,8 +10,8 @@ Kocisky & Blunsom 2016, arXiv:1604.01946). Padding follows each item's last step
 heads give it zero gradient (regression scores each item's valid slice,
 classification mean-pools valid steps); the backward direction reverses each
 item within its own length (step t reads step L - 1 - t), padding left in place.
-So padding never reaches an output or a gradient. Single-sequence ``forward``
-and ``predict`` are batches of one. Gradients are exact reverse-mode BPTT,
+So padding never reaches an output or a gradient. Single-sequence ``predict``
+is a batch of one. Gradients are exact reverse-mode BPTT,
 checked against finite differences and a per-sequence step-loop reference.
 """
 
@@ -140,7 +140,7 @@ class SequenceModel:
         if params is None:
             self._init_params()
         else:
-            _copy_named(self.params, params, "parameter")
+            _copy_named(self.params, params)
 
     # -- parameter layout ---------------------------------------------------
 
@@ -235,11 +235,6 @@ class SequenceModel:
         cache["pooled"] = pooled
         return list(pooled @ head_w + head_b), cache
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        """:meth:`forward_batch` on one sequence; returns (output, cache)."""
-        outs, cache = self.forward_batch([x])
-        return outs[0], cache
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forward pass on a full sequence without keeping the cache."""
         return self.forward_batch([x], keep_cache=False)[0][0]
@@ -331,28 +326,28 @@ class SequenceModel:
         return loss_value, grad
 
 
-def _copy_named(views: dict[str, np.ndarray], values: dict, what: str) -> None:
-    """Copy named arrays into views of the same names and shapes (checked: assignment broadcasts)."""
+def _copy_named(views: dict[str, np.ndarray], values: dict) -> None:
+    """Copy named parameter arrays into views of the same names and shapes (checked: assignment broadcasts)."""
     for name in values:
         if name not in views:
-            raise ParameterError(f"unknown {what} {name!r}")
+            raise ParameterError(f"unknown parameter {name!r}")
     for name, view in views.items():
         if name not in values:
-            raise ParameterError(f"missing {what} {name!r}")
+            raise ParameterError(f"missing parameter {name!r}")
         try:
             value = np.asarray(values[name], dtype=np.float64)
         except (TypeError, ValueError) as exc:
-            raise ParameterError(f"{what} {name!r} is not a numeric array: {exc}") from None
+            raise ParameterError(f"parameter {name!r} is not a numeric array: {exc}") from None
         if value.shape != view.shape:
-            raise ParameterError(f"{what} {name!r} has shape {value.shape}, expected {view.shape}")
+            raise ParameterError(f"parameter {name!r} has shape {value.shape}, expected {view.shape}")
         view[...] = value
 
 
 class Adam:
     """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8; updates ``theta``, ``m``, ``v`` in place."""
 
-    def __init__(self, model: SequenceModel, lr: float | None = None):
-        self.lr = float(lr if lr is not None else model.config.learning_rate)
+    def __init__(self, model: SequenceModel):
+        self.lr = float(model.config.learning_rate)
         self.beta1 = 0.9
         self.beta2 = 0.999
         self.eps = 1e-8
@@ -516,33 +511,22 @@ def fit(
 # checkpoints (deterministic JSON: repr-formatted floats, sorted keys)
 
 
-def save_checkpoint(path: Path | str, model: SequenceModel, adam: Adam | None = None) -> None:
-    payload: dict = {
+def save_checkpoint(path: Path | str, model: SequenceModel) -> None:
+    payload = {
         "config": asdict(model.config),
         "params": {n: model.params[n].tolist() for n in model.param_names},
     }
-    if adam is not None:
-        payload["optimizer"] = {
-            "t": adam.t,
-            "lr": adam.lr,
-            "m": {n: a.tolist() for n, a in model.named(adam.m).items()},
-            "v": {n: a.tolist() for n, a in model.named(adam.v).items()},
-        }
     write_model_file(path, "sequence_model", payload, indent=1)
 
 
-def load_checkpoint(path: Path | str) -> tuple[SequenceModel, Adam | None]:
-    """Model and saved optimizer (or None) of a checkpoint; a bad file is a ParameterError naming it."""
+def load_checkpoint(path: Path | str) -> SequenceModel:
+    """The model of a checkpoint; a bad file is a ParameterError naming it.
+
+    Only ``config`` and ``params`` are read, so any other top-level key, such as
+    the ``optimizer`` state earlier versions saved, is ignored.
+    """
     return read_model_file(path, "sequence_model", _from_checkpoint)
 
 
-def _from_checkpoint(payload: dict) -> tuple[SequenceModel, Adam | None]:
-    model = SequenceModel(RegressorConfig(**payload["config"]), params=payload["params"])
-    adam = None
-    if "optimizer" in payload:
-        optimizer = payload["optimizer"]
-        adam = Adam(model, lr=optimizer["lr"])
-        adam.t = int(optimizer["t"])
-        _copy_named(model.named(adam.m), optimizer["m"], "optimizer m entry")
-        _copy_named(model.named(adam.v), optimizer["v"], "optimizer v entry")
-    return model, adam
+def _from_checkpoint(payload: dict) -> SequenceModel:
+    return SequenceModel(RegressorConfig(**payload["config"]), params=payload["params"])

@@ -218,8 +218,19 @@ class TestRaaw:
             ]
         )
         captured = capsys.readouterr()
-        assert rc == 2
+        assert rc == 3
         assert "rec_x" in captured.err
+
+    @pytest.mark.parametrize("command", ["raaw", "physio"])
+    def test_one_rater_file_exit_3_naming_the_folder(self, tmp_path, capsys, command):
+        synth_argv = ["synth", "--out", str(tmp_path / "data"), "--recordings", "2", "--duration", "20",
+                      "--raters", "1", "--feature-dim", "2", "--seed", "5"]
+        assert main(synth_argv) == 0
+        rc = main(_fusion_argv(command, tmp_path, tmp_path / "g"))
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{tmp_path / 'data' / 'annotations' / 'rec_000' / 'arousal'}: " in captured.err
+        assert not (tmp_path / "g").exists()
 
 
 class TestPhysio:
@@ -281,7 +292,7 @@ class TestNonFiniteTol:
         rc = main(_fusion_argv(command, corpus, tmp_path / "g") + ["--tol", tol])
         captured = capsys.readouterr()
         assert rc == 2
-        assert "tol must be positive and finite" in captured.err
+        assert "argument --tol: expected a finite number" in captured.err
         assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("command", ["raaw", "physio"])
@@ -290,7 +301,7 @@ class TestNonFiniteTol:
         cfg.write_text("tol = nan\n")
         rc = main(_fusion_argv(command, corpus, tmp_path / "g") + ["--config", str(cfg)])
         assert rc == 2
-        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert "argument --tol: expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
 
@@ -1253,6 +1264,40 @@ class TestJobs:
         assert len(subparsers) == 7
         for sp in subparsers:
             assert any("--jobs" in a.option_strings for a in sp._actions)
+
+
+def _float_options() -> list:
+    """(command, flag, config key) of each synth, raaw, physio and train option whose type makes "0.5" a float."""
+    found = []
+    for sp in build_parser()[1]:
+        command = sp.prog.split()[-1]
+        for action in sp._actions if command in ("synth", "raaw", "physio", "train") else ():
+            try:
+                if isinstance(action.type("0.5"), float):
+                    found.append(pytest.param(command, action.option_strings[0], action.dest,
+                                              id=f"{command}{action.option_strings[0]}"))
+            except (TypeError, ValueError):  # no type, or an integer type
+                pass
+    return found
+
+
+class TestNonFiniteFloatOptions:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(("command", "flag", "key"), _float_options())
+    def test_exit_2_naming_the_option(self, tmp_path, capsys, command, flag, key, source, value):
+        argv = [command] + [a.replace("{t}", str(tmp_path)) for a in MINIMAL_ARGV[command]]
+        if source == "flag":
+            argv.append(f"{flag}={value}")
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"argument {flag}: expected a finite number, got '{value}'" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
 
 
 # Command shapes of the subcommand fuzz test; `fuzz_inputs` gives each its argv

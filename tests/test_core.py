@@ -8,10 +8,8 @@ import pytest
 from affectfuse.core import (
     AnnotationTrace,
     RaterSet,
-    resample,
     resample_values,
     savgol_smooth,
-    savitzky_golay,
     standardize,
     standardize_values,
 )
@@ -138,12 +136,6 @@ class TestResample:
         out = resample_values(np.array([3.0]), 2.0, 4.0)
         np.testing.assert_array_equal(out, [3.0])
 
-    def test_trace_wrapper_updates_rate(self):
-        t = resample(trace([0.0, 1.0, 2.0], rate=1.0), 2.0)
-        assert t.sample_rate_hz == 2.0
-        assert len(t) == 5
-
-
 class TestSavitzkyGolay:
     def test_window5_order2_interior_weights(self):
         # classic quadratic kernel: (-3, 12, 17, 12, -3)/35
@@ -185,12 +177,6 @@ class TestSavitzkyGolay:
             savgol_smooth(x, 11, 3)  # window > len
         with pytest.raises(ParameterError):
             savgol_smooth(x, 5, -1)
-
-    def test_trace_wrapper(self):
-        t = savitzky_golay(trace(np.sin(np.linspace(0, 6, 50)).tolist()), window=8)
-        assert isinstance(t, AnnotationTrace)
-        assert len(t) == 50
-
 
 class TestFrozen:
     def test_dataclasses_are_frozen(self):

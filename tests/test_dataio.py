@@ -18,7 +18,6 @@ from affectfuse.dataio import (
     WindowSpec,
     align_to_labels,
     list_recordings,
-    merge_segments,
     read_annotation_csv,
     read_feature_csv,
     read_gold_csv,
@@ -733,57 +732,6 @@ class TestWindow:
             window(np.array([]), WindowSpec(window=4, hop=2))
         with pytest.raises(ParameterError):
             WindowSpec(window=0, hop=1)
-
-
-class TestMergeSegments:
-    def test_merges_within_gap(self):
-        segs = [
-            Segment("s1", "rec", 0, 1000, "train"),
-            Segment("s2", "rec", 2500, 4000, "train"),
-        ]
-        out = merge_segments(segs, max_gap_ms=2000)
-        assert len(out) == 1
-        assert out[0].segment_id == "s1"
-        assert out[0].start_ms == 0 and out[0].end_ms == 4000
-
-    def test_gap_equal_to_max_not_merged(self):
-        segs = [
-            Segment("s1", "rec", 0, 1000, "train"),
-            Segment("s2", "rec", 3000, 4000, "train"),
-        ]
-        assert len(merge_segments(segs, max_gap_ms=2000)) == 2
-
-    def test_different_recordings_never_merge(self):
-        segs = [
-            Segment("s1", "recA", 0, 1000, "train"),
-            Segment("s2", "recB", 1100, 2000, "train"),
-        ]
-        assert len(merge_segments(segs, max_gap_ms=5000)) == 2
-
-    def test_different_partitions_never_merge(self):
-        segs = [
-            Segment("s1", "rec", 0, 1000, "train"),
-            Segment("s2", "rec", 1100, 2000, "devel"),
-        ]
-        assert len(merge_segments(segs, max_gap_ms=5000)) == 2
-
-    def test_chain_merge(self):
-        segs = [
-            Segment("s1", "rec", 0, 1000, "train"),
-            Segment("s2", "rec", 1500, 2500, "train"),
-            Segment("s3", "rec", 3000, 4000, "train"),
-        ]
-        out = merge_segments(segs, max_gap_ms=1000)
-        assert len(out) == 1
-        assert out[0].end_ms == 4000
-
-    def test_custom_grouping(self):
-        segs = [
-            Segment("s1", "recA", 0, 1000, "train"),
-            Segment("s2", "recB", 1100, 2000, "train"),
-        ]
-        out = merge_segments(segs, max_gap_ms=5000, same_group=lambda a, b: True)
-        assert len(out) == 1
 
 
 class TestSliceBySpan:

@@ -223,18 +223,17 @@ class TestFitClusters:
     def test_kmeans_route(self):
         rng = np.random.default_rng(30)
         pts, _ = _blobs(rng, [(0, 0), (5, 0)], per=20)
-        fit = fit_clusters(pts, "kmeans", n_clusters=2, seed=1)
-        assert fit.method == "kmeans"
-        assert fit.centres.shape == (2, 2)
-        assert "inertia" in fit.extras
+        centres, extras = fit_clusters(pts, "kmeans", n_clusters=2, seed=1)
+        assert centres.shape == (2, 2)
+        assert "inertia" in extras
 
     def test_gmm_route(self):
         rng = np.random.default_rng(31)
         pts, _ = _blobs(rng, [(0, 0), (5, 0)], per=20)
-        fit = fit_clusters(pts, "gmm", n_clusters=2, seed=1)
-        assert fit.centres.shape == (2, 2)
-        assert "mixture_weights" in fit.extras
-        assert fit.extras["converged"] is True
+        centres, extras = fit_clusters(pts, "gmm", n_clusters=2, seed=1)
+        assert centres.shape == (2, 2)
+        assert "mixture_weights" in extras
+        assert extras["converged"] is True
 
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
@@ -339,7 +338,7 @@ class TestClassModel:
         rng = np.random.default_rng(50)
         matrix, truth = self._train_matrix(rng)
         model = fit_class_model(matrix, "arousal", "kmeans", seed=7)
-        assigned = assign_nearest(model, model_project(model, matrix))
+        assigned = assign_nearest(model.centres, model_project(model, matrix))
         report = validate_clusters(model_project(model, matrix), assigned, n_classes=5)
         assert report.silhouette > 0.2
         assert adjusted_rand_index(assigned, truth) == pytest.approx(1.0)
@@ -353,8 +352,8 @@ class TestClassModel:
         back = load_class_model(path)
         assert isinstance(back, ClusterModel)
         fresh, _ = self._train_matrix(np.random.default_rng(52), n=40)
-        a1 = assign_nearest(model, model_project(model, fresh))
-        a2 = assign_nearest(back, model_project(back, fresh))
+        a1 = assign_nearest(model.centres, model_project(model, fresh))
+        a2 = assign_nearest(back.centres, model_project(back, fresh))
         assert np.array_equal(a1, a2)
 
     def test_load_rejects_other_payloads(self, tmp_path):

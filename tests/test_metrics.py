@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affectfuse.errors import DegenerateInputError, ParameterError
-from affectfuse.metrics import ScoreReport, ccc, combined, macro_f1, partition_ccc, pearson
+from affectfuse.metrics import ScoreReport, ccc, macro_f1, partition_ccc, pearson
 from affectfuse.seqmodel import ccc_loss
 
 from _oracles import direct_ccc, direct_pearson
@@ -95,10 +95,10 @@ class TestMacroF1:
 
 class TestCombined:
     def test_mean_of_two_scores(self):
-        assert combined(0.4863, 0.4929) == pytest.approx(0.4896)
+        assert ScoreReport({"v": 0.4863, "a": 0.4929}).combined == pytest.approx(0.4896)
 
     def test_symmetric(self):
-        assert combined(0.1, 0.9) == combined(0.9, 0.1)
+        assert ScoreReport({"v": 0.1, "a": 0.9}).combined == ScoreReport({"v": 0.9, "a": 0.1}).combined
 
 
 class TestPartitionCcc:
