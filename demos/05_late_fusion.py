@@ -15,7 +15,7 @@ import numpy as np
 
 from affectfuse.core import standardize_values
 from affectfuse.dataio import WindowSpec
-from affectfuse.latefusion import FusionPlan, fuse_predictions
+from affectfuse.latefusion import fuse_predictions
 from affectfuse.metrics import ccc
 from affectfuse.synth import SynthConfig, gen_latent
 
@@ -46,24 +46,25 @@ for name, stream in (("a (sluggish)", stream_a), ("b (overshooting)", stream_b))
     pooled_gold = np.concatenate([gold[r] for r in splits["devel"]])
     print(f"  stream {name}: CCC {ccc(pooled_pred, pooled_gold):.4f}")
 
-plan = FusionPlan(
-    streams={"modal_a": stream_a, "modal_b": stream_b},
-    gold=gold,  # test gold is present here but never required
-    splits=splits,
-    window_spec=WindowSpec(window=60, hop=30),
+streams = {"modal_a": stream_a, "modal_b": stream_b}
+model, history, outputs = fuse_predictions(
+    streams,
+    gold,  # test gold is present here but never required
+    splits,
+    "regression",
+    WindowSpec(window=60, hop=30),
     seed=5,
     max_epochs=150,
     patience=150,
     batch_size=2,
 )
-result = fuse_predictions(plan, task="regression")
 
 print("\n=== fusion model ===")
-print(f"inputs: {result.config.input_dim} streams in order {result.stream_order}")
-print(f"hidden {result.config.hidden_dim}, lr {result.config.learning_rate}, "
-      f"best epoch {result.history.best_epoch}")
-print(f"devel CCC {result.devel_score:.4f}")
+print(f"inputs: {model.config.input_dim} streams in order {tuple(streams)}")
+print(f"hidden {model.config.hidden_dim}, lr {model.config.learning_rate}, "
+      f"best epoch {history.best_epoch}")
+print(f"devel CCC {history.best_metric():.4f}")
 
-pooled_pred = np.concatenate([result.predictions["test"][r] for r in splits["test"]])
+pooled_pred = np.concatenate([outputs["test"][r] for r in splits["test"]])
 pooled_gold = np.concatenate([gold[r] for r in splits["test"]])
 print(f"test CCC {ccc(pooled_pred, pooled_gold):.4f} (never seen during training)")

@@ -50,7 +50,7 @@ from .fuse import (
     prepare_physio,
     raaw,
 )
-from .latefusion import FusionPlan, FusionResult, fuse_predictions
+from .latefusion import fuse_predictions
 from .metrics import ScoreReport, ccc, macro_f1, partition_ccc, pearson
 from .seqmodel import (
     Adam,
@@ -128,8 +128,6 @@ __all__ = [
     "fit",
     "save_checkpoint",
     "load_checkpoint",
-    "FusionPlan",
-    "FusionResult",
     "fuse_predictions",
     "SynthConfig",
     "gen_latent",

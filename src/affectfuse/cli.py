@@ -49,7 +49,7 @@ from .discretize import (
 )
 from .errors import DataError, NumericError, ParameterError
 from .fuse import FusionConfig, PhysioConfig, agreement_stats, check_eda_span, physio_fuse, raaw
-from .latefusion import FusionPlan, fuse_predictions
+from .latefusion import fuse_predictions
 from .metrics import ScoreReport, ccc, macro_f1, partition_ccc
 from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, fit, save_checkpoint
 
@@ -227,7 +227,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--eda", required=True, help="directory with <rec>.csv EDA signals")
     p.add_argument("--sg-window", type=int, default=26, help="smoothing window in samples")
     p.add_argument("--sg-order", type=int, default=3, help="smoothing polynomial order")
-    p.add_argument("--target-hz", type=_finite, default=None, help="EDA resample rate; default label rate")
     register(p, _run_fusion)
 
     p = sub.add_parser("discretize", help="turn gold standards into sentiment classes")
@@ -355,9 +354,7 @@ def _run_fusion(args) -> int:
     eda_dir = None
     if args.command == "physio":
         eda_dir = _resolve(args.eda)
-        config = PhysioConfig(
-            fusion=config, sg_window=args.sg_window, sg_polyorder=args.sg_order, target_hz=args.target_hz
-        )
+        config = PhysioConfig(fusion=config, sg_window=args.sg_window, sg_polyorder=args.sg_order)
     tasks = [(ann_root, rec, args.kind, config, eda_dir) for rec in recordings]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -689,28 +686,41 @@ def _regression_streams(args, stream_dirs: dict[str, Path]):
 
 
 def _sent_streams(args, stream_dirs: dict[str, Path]):
-    """Per-segment logits of every stream, read from ``<split>_logits.csv``."""
+    """Per-segment logits of every stream, read from ``<split>_logits.csv``.
+
+    Every stream has the same split files with the same segment ids, each stream one
+    logit width, and every train and devel segment a row in ``--gold-labels``.
+    """
     if not args.gold_labels:
         raise ParameterError("sent fusion needs --gold-labels")
 
     splits: dict[str, tuple[str, ...]] = {}
-    streams: dict[str, dict[str, np.ndarray]] = {}
-    for name, d in stream_dirs.items():
-        per_item: dict[str, np.ndarray] = {}
-        for split in dataio.SPLITS:
-            path = d / f"{split}_logits.csv"
+    streams: dict[str, dict[str, np.ndarray]] = {name: {} for name in stream_dirs}
+    widths: dict[str, tuple[int, Path]] = {}  # stream -> its logit width and the file that set it
+    for split in dataio.SPLITS:
+        paths = {name: d / f"{split}_logits.csv" for name, d in stream_dirs.items()}
+        found = [p for p in paths.values() if p.is_file()]
+        if not found:
+            continue
+        for name, path in paths.items():
             if not path.is_file():
-                continue
+                raise DataError(f"{path}: missing, but {found[0]} exists")
             rows = dataio.read_logits_csv(path)
-            per_item.update(rows)
-            ids = tuple(sorted(rows))
-            if split in splits and splits[split] != ids:
-                raise DataError(f"streams disagree on {split} segment ids")
-            splits[split] = ids
-        streams[name] = per_item
+            ids, width = tuple(sorted(rows)), len(next(iter(rows.values())))
+            if splits.setdefault(split, ids) != ids:
+                raise DataError(f"{path}: segment ids differ from {found[0]}")
+            first_width, first = widths.setdefault(name, (width, path))
+            if width != first_width:
+                raise DataError(f"{path}: {width} logit columns, but {first} has {first_width}")
+            streams[name].update(rows)
     # a gold class without a logit column in every stream is bad data
-    width = min((len(v) for rows in streams.values() for v in rows.values()), default=None)
-    gold = dataio.read_labels_csv(_resolve(args.gold_labels), n_classes=width)
+    n_classes = min((width for width, _ in widths.values()), default=None)
+    labels_path = _resolve(args.gold_labels)
+    gold = dataio.read_labels_csv(labels_path, n_classes=n_classes)
+    for split in ("train", "devel"):
+        unlabelled = [seg for seg in splits.get(split, ()) if seg not in gold]
+        if unlabelled:
+            raise DataError(f"{labels_path}: no label for {split} segment {unlabelled[0]!r}")
     return streams, gold, splits, _write_labels
 
 
@@ -728,17 +738,12 @@ def cmd_fuse_late(args) -> int:
     if "train" not in splits or "devel" not in splits:
         raise DataError("streams do not cover train and devel items")
 
-    plan = FusionPlan(
-        streams=streams, gold=gold, splits=splits, window_spec=spec,
-        seed=args.seed, max_epochs=args.epochs, patience=args.patience,
-        batch_size=args.batch,
-    )
     _info(f"fusing {len(streams)} {task} streams over {sum(len(v) for v in splits.values())} items")
-    result = fuse_predictions(plan, task=task)
-    return _write_run(
-        _resolve(args.out), result.model, result.history, result.predictions, write_preds,
-        streams=",".join(result.stream_order),
+    fitted = fuse_predictions(
+        streams, gold, splits, task, spec,
+        seed=args.seed, max_epochs=args.epochs, patience=args.patience, batch_size=args.batch,
     )
+    return _write_run(_resolve(args.out), *fitted, write_preds, streams=",".join(streams))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the finite-field check of its configs."""
+
+import math
+from dataclasses import fields
 
 
 class ParameterError(ValueError):
@@ -15,3 +18,11 @@ class DataError(RuntimeError):
 
 class NumericError(ArithmeticError):
     """Numerical failure: NaN loss, broken monotonicity, non-finite update. CLI exit code 4."""
+
+
+def require_finite(config) -> None:
+    """Reject a NaN or infinite value in any field of dataclass ``config`` annotated ``float``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ParameterError(f"{f.name} must be finite, got {value!r}")

@@ -40,14 +40,13 @@ class FusionConfig:
 class PhysioConfig:
     """Physiology-substitution settings on top of :class:`FusionConfig`.
 
-    ``target_hz=None`` resamples the physiological signal to the rater grid
-    rate. Window 26 at 2 Hz smooths over 13 seconds.
+    The smoothing window counts samples at the label rate, to which the
+    physiological signal is resampled: window 26 at 2 Hz smooths over 13 seconds.
     """
 
     fusion: FusionConfig = field(default_factory=FusionConfig)
     sg_window: int = 26
     sg_polyorder: int = 3
-    target_hz: float | None = None
 
 
 @dataclass(frozen=True)
@@ -204,10 +203,9 @@ def prepare_physio(eda: AnnotationTrace, label_rate_hz: float, config: PhysioCon
     Order matters and is fixed: resample to the label rate first, then
     Savitzky-Golay smoothing (even windows supported), then standardization.
     """
-    target = config.target_hz if config.target_hz is not None else label_rate_hz
-    vals = resample_values(eda.values, eda.sample_rate_hz, target)
+    vals = resample_values(eda.values, eda.sample_rate_hz, label_rate_hz)
     vals = savgol_smooth(vals, config.sg_window, config.sg_polyorder)
-    out = standardize(replace(eda, values=vals, sample_rate_hz=float(target)))
+    out = standardize(replace(eda, values=vals, sample_rate_hz=float(label_rate_hz)))
     if out.degenerate:
         warnings.warn(f"physiological trace {eda.rater_id!r} is constant; its weight will be 0")
     return out
@@ -273,9 +271,7 @@ def physio_fuse(
             "annotator_weights": [float(w) for w in ranking.weights],
             "sg_window": config.sg_window,
             "sg_polyorder": config.sg_polyorder,
-            "target_hz": config.target_hz
-            if config.target_hz is not None
-            else rater_set.sample_rate_hz,
+            "target_hz": rater_set.sample_rate_hz,
         }
     )
     return gold

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataio import WindowSpec, read_model_file, window, write_model_file, write_table
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, require_finite
 from .metrics import macro_f1, moments
 
 __all__ = [
@@ -62,6 +62,7 @@ class RegressorConfig:
     loss_eps: float = 1e-12
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.input_dim < 1 or self.hidden_dim < 1 or self.layers < 1:
             raise ParameterError("input_dim, hidden_dim, layers must be >= 1")
         if self.head not in ("regression", "classification"):
@@ -476,21 +477,25 @@ def fit(
     """Train a new model on (T, D) inputs by item id, then predict every item of every split.
 
     ``targets``: each train and devel item's per-step gold (regression) or class label;
-    ``splits``: each split's item ids, in order. With ``window_spec`` train items are
-    cut into windows: a regression window (at least 2 samples long) keeps its gold slice
-    and is dropped below 2 samples, a class window keeps the item's label. Devel items
-    stay whole for early stopping (see :func:`train`). ``outputs``: split -> item id ->
-    output on the item.
+    ``splits``: each split's item ids, in order; "train" and "devel" must be non-empty.
+    With ``window_spec`` train items are cut into windows: a regression window (at least
+    2 samples long) keeps its gold slice and is dropped below 2 samples, a class window
+    keeps the item's label. Devel items stay whole for early stopping (see :func:`train`).
+    ``outputs``: split -> item id -> output on the item.
     """
     regression = config.head == "regression"
-    if regression:
-        if window_spec is not None and window_spec.window < 2:
-            raise ParameterError(f"a regression window needs at least 2 samples, got window {window_spec.window}")
-        for item in (*splits.get("train", ()), *splits.get("devel", ())):
-            if np.size(targets[item]) != len(inputs[item]):
+    if regression and window_spec is not None and window_spec.window < 2:
+        raise ParameterError(f"a regression window needs at least 2 samples, got window {window_spec.window}")
+    for split in ("train", "devel"):
+        if not splits.get(split):
+            raise ParameterError(f"fit needs a non-empty {split!r} split")
+        for item in splits[split]:
+            if item not in targets:
+                raise ParameterError(f"no gold for {split} item {item!r}")
+            if regression and np.size(targets[item]) != len(inputs[item]):
                 raise ParameterError(f"gold length mismatch for item {item!r}")
     train_items = []
-    for item in splits.get("train", ()):
+    for item in splits["train"]:
         x, y = inputs[item], targets[item]
         if window_spec is None:
             train_items.append((x, y))
@@ -499,7 +504,7 @@ def fit(
             train_items += [(wx, wy) for (_, wx), (_, wy) in pairs if len(wy) >= 2]
         else:
             train_items += [(wx, y) for _, wx in window(x, window_spec)]
-    devel_items = [(inputs[i], targets[i]) for i in splits.get("devel", ())]
+    devel_items = [(inputs[i], targets[i]) for i in splits["devel"]]
     model = SequenceModel(config)
     history = train(model, train_items, devel_items, progress=progress)
     # one item at a time, so memory does not grow with the number predicted

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dataio
 from .core import AnnotationTrace, RaterSet, grid_timestamps_ms
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 
 __all__ = ["SynthConfig", "gen_latent", "gen_raters", "gen_eda", "gen_features", "write_corpus"]
 
@@ -40,6 +40,7 @@ class SynthConfig:
     kind: str = "arousal"
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.duration_s <= 0 or self.rate_hz <= 0:
             raise ParameterError("duration_s and rate_hz must be positive")
         if self.n_raters < 1:

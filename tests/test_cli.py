@@ -253,6 +253,7 @@ class TestPhysio:
         assert float(_values(captured.out)["agreement_mean"]) > 0.5
         meta = _sidecar(sorted((tmp_path / "pg").glob("*.csv"))[0])
         assert meta["sg_window"] == 26
+        assert meta["target_hz"] == 2.0  # the EDA is resampled to the label rate
         assert any(r.startswith("physio:") for r in meta["rater_ids"])
         assert meta["removed_rater"] not in meta["rater_ids"]
 
@@ -674,6 +675,43 @@ class TestFuseLateSentStreams:
         captured = capsys.readouterr()
         assert rc == 3
         assert f"{labels}: segment 't3' has class 7, outside [0, 4]" in captured.err
+        assert "Traceback" not in captured.err
+
+
+    def _fuse(self, tmp_path, labels):
+        return main(
+            ["fuse-late", "--task", "sent", "--streams", str(tmp_path / "a"), str(tmp_path / "b"),
+             "--gold-labels", str(labels), "--out", str(tmp_path / "fused"), "--epochs", "1"]
+        )
+
+    def test_split_file_only_one_stream_has_exit_3(self, tmp_path, capsys):
+        labels = _logit_streams(tmp_path, ["a", "b"])
+        shutil.copy(tmp_path / "a" / "devel_logits.csv", tmp_path / "a" / "test_logits.csv")
+        rc = self._fuse(tmp_path, labels)
+        captured = capsys.readouterr()
+        assert rc == 3
+        missing, present = tmp_path / "b" / "test_logits.csv", tmp_path / "a" / "test_logits.csv"
+        assert f"{missing}: missing, but {present} exists" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_unlabelled_train_segment_exit_3(self, tmp_path, capsys):
+        labels = _logit_streams(tmp_path, ["a", "b"])
+        labels.write_text(labels.read_text().replace("t3,3\n", ""))
+        rc = self._fuse(tmp_path, labels)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{labels}: no label for train segment 't3'" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_logit_width_differs_between_splits_exit_3(self, tmp_path, capsys):
+        labels = _logit_streams(tmp_path, ["a", "b"])
+        devel = tmp_path / "b" / "devel_logits.csv"
+        header, *rows = devel.read_text().splitlines()
+        devel.write_text("\n".join([header + ",l5", *(row + ",0.5" for row in rows)]) + "\n")
+        rc = self._fuse(tmp_path, labels)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{devel}: 6 logit columns, but {tmp_path / 'b' / 'train_logits.csv'} has 5" in captured.err
         assert "Traceback" not in captured.err
 
 

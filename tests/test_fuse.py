@@ -208,11 +208,6 @@ class TestPreparePhysio:
         assert out.degenerate
         assert np.allclose(out.values, 0.0)
 
-    def test_target_hz_override(self):
-        eda = _trace(np.sin(np.arange(500) / 20.0), rater="eda", rate=50.0, kind="physio")
-        out = prepare_physio(eda, 2.0, PhysioConfig(target_hz=5.0))
-        assert out.sample_rate_hz == 5.0
-
 
 class TestPhysioFuse:
     def _setup(self, rng, n=240):

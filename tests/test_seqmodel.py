@@ -9,6 +9,7 @@ import pytest
 from affectfuse import seqmodel
 from affectfuse.dataio import WindowSpec
 from affectfuse.errors import NumericError, ParameterError
+from affectfuse.synth import SynthConfig
 from affectfuse.seqmodel import (
     Adam,
     RegressorConfig,
@@ -57,6 +58,18 @@ class TestConfig:
             RegressorConfig(input_dim=3, learning_rate=0.0)
         with pytest.raises(ParameterError):
             RegressorConfig(input_dim=3, patience=-1)
+
+    # every float field of the two library configs a run is built from
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(("config", "name"), [
+        *((RegressorConfig, name) for name in ("learning_rate", "l2_penalty", "loss_eps")),
+        *((SynthConfig, name) for name in ("duration_s", "rate_hz", "max_lag_s", "noise_sigma",
+                                           "scale_jitter", "eda_drift", "feature_noise")),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_non_finite_float_rejected_naming_the_field(self, config, name, value):
+        required = {"input_dim": 3} if config is RegressorConfig else {}
+        with pytest.raises(ParameterError, match=f"^{name} must be finite, got {value!r}$"):
+            config(**required, **{name: value})
 
 
 class TestInit:
@@ -566,6 +579,28 @@ class TestFit:
         cfg = RegressorConfig(input_dim=2, hidden_dim=3, max_epochs=1)
         with pytest.raises(ParameterError, match="gold length mismatch for item 'r1'"):
             fit(cfg, inputs, targets, {"train": ("r0",), "devel": ("r1",)})
+
+    def test_requires_train_and_devel(self, seen):
+        rng = np.random.default_rng(9)
+        inputs = self._items(rng, (6, 6))
+        targets = {i: rng.normal(size=6) for i in inputs}
+        cfg = RegressorConfig(input_dim=2, hidden_dim=3, max_epochs=1)
+        with pytest.raises(ParameterError, match="non-empty 'devel' split"):
+            fit(cfg, inputs, targets, {"train": ("r0",)})
+        with pytest.raises(ParameterError, match="non-empty 'train' split"):
+            fit(cfg, inputs, targets, {"train": (), "devel": ("r1",)})
+        assert not seen  # rejected before an epoch is trained
+
+    def test_missing_target_rejected(self, seen):
+        rng = np.random.default_rng(10)
+        inputs = self._items(rng, (6, 6, 6))
+        targets = {"r0": 1, "r2": 0}
+        cfg = RegressorConfig(input_dim=2, hidden_dim=3, head="classification", max_epochs=1)
+        with pytest.raises(ParameterError, match="no gold for train item 'r1'"):
+            fit(cfg, inputs, targets, {"train": ("r0", "r1"), "devel": ("r2",)})
+        with pytest.raises(ParameterError, match="no gold for devel item 'r1'"):
+            fit(cfg, inputs, targets, {"train": ("r0",), "devel": ("r1",)})
+        assert not seen
 
     def test_regression_window_below_two_samples_rejected(self, seen):
         rng = np.random.default_rng(8)
