@@ -18,10 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from affectfuse.discretize import (
-    fit_class_model,
-    model_project,
     assign_nearest,
     feature_names,
+    fit_class_model,
     segment_features,
     validate_clusters,
 )
@@ -49,7 +48,7 @@ truth = []
 for label, (name, make) in enumerate(ARCHETYPES.items()):
     for _ in range(12):
         values = make() + 0.05 * rng.standard_normal(60)
-        rows.append(segment_features(values, "arousal").vector())
+        rows.append(segment_features(values, "arousal"))
         truth.append(label)
 matrix = np.vstack(rows)
 truth = np.array(truth)
@@ -59,7 +58,7 @@ print(f"{matrix.shape[0]} segments x {matrix.shape[1]} arousal features:")
 print(" ", ", ".join(feature_names("arousal")))
 
 model = fit_class_model(matrix, "arousal", "kmeans", n_classes=5, seed=3)
-projected = model_project(model, matrix)
+projected = model.project(matrix)
 assignments = assign_nearest(model.centres, projected)
 
 print("\n=== clusters in the 5-d projection ===")

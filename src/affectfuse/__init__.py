@@ -26,11 +26,9 @@ from .discretize import (
     ClusterModel,
     ClusterReport,
     PcaBasis,
-    SegmentFeatures,
     assign_nearest,
     feature_names,
     fit_class_model,
-    fit_clusters,
     fit_pca,
     gmm_em,
     kmeans,
@@ -103,7 +101,6 @@ __all__ = [
     "Segment",
     "align_to_labels",
     "window",
-    "SegmentFeatures",
     "segment_features",
     "feature_names",
     "PcaBasis",
@@ -113,7 +110,6 @@ __all__ = [
     "gmm_em",
     "ClusterModel",
     "ClusterReport",
-    "fit_clusters",
     "fit_class_model",
     "assign_nearest",
     "validate_clusters",

@@ -39,14 +39,7 @@ import numpy as np
 
 from . import dataio, synth
 from .core import grid_timestamps_ms
-from .discretize import (
-    fit_class_model,
-    model_project,
-    assign_nearest,
-    save_class_model,
-    segment_features,
-    validate_clusters,
-)
+from .discretize import assign_nearest, fit_class_model, save_class_model, segment_features, validate_clusters
 from .errors import DataError, NumericError, ParameterError
 from .fuse import FusionConfig, PhysioConfig, agreement_stats, check_eda_span, physio_fuse, raaw
 from .latefusion import fuse_predictions
@@ -384,10 +377,10 @@ def _run_fusion(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    gold_dir = _resolve(args.gold)
-    segments = dataio.read_segments_csv(_resolve(args.segments))
-    if not segments:
-        raise DataError(f"no segments in {args.segments}")
+    if args.classes < 2:
+        raise ParameterError(f"--classes must be >= 2, got {args.classes}")
+    gold_dir, segments_path = _resolve(args.gold), _resolve(args.segments)
+    segments = dataio.read_segments_csv(segments_path)
     method = args.method or ("kmeans" if args.target == "valence" else "gmm")
 
     recordings = dict.fromkeys(seg.recording_id for seg in segments)  # first-seen order
@@ -398,20 +391,23 @@ def cmd_discretize(args) -> int:
         ts, values = golds[seg.recording_id]
         mask = dataio.slice_by_span(ts, seg.start_ms, seg.end_ms)
         if int(mask.sum()) < 2:
-            raise DataError(f"segment {seg.segment_id!r} covers fewer than 2 gold samples")
-        feats = segment_features(values[mask], args.target, segment_id=seg.segment_id)
-        rows.append(feats.vector())
+            raise DataError(
+                f"{segments_path}: segment {seg.segment_id!r} covers fewer than 2 samples of "
+                f"{gold_dir / f'{seg.recording_id}.csv'}"
+            )
+        rows.append(segment_features(values[mask], args.target))
     matrix = np.vstack(rows)
 
     train_rows = np.array([s.partition == "train" for s in segments])
-    if int(train_rows.sum()) < 6:
-        raise DataError("need at least 6 train segments to fit the class model")
-    _info(f"fitting {method} on {int(train_rows.sum())} train segments ({args.target})")
+    n_train = int(train_rows.sum())
+    if n_train < 6:
+        raise DataError(f"{segments_path}: {n_train} train segments, but the class model needs at least 6")
+    _info(f"fitting {method} on {n_train} train segments ({args.target})")
     model = fit_class_model(
         matrix[train_rows], args.target, method,
         n_classes=args.classes, seed=args.seed,
     )
-    projected = model_project(model, matrix)
+    projected = model.project(matrix)
     assignments = assign_nearest(model.centres, projected)
     report = validate_clusters(projected, assignments, n_classes=args.classes)
 
@@ -496,7 +492,8 @@ def _sent_training(args, features_dir: Path):
         raise ParameterError("sent training needs --segments and --labels")
     segments = dataio.read_segments_csv(_resolve(args.segments))
     # discretize puts N segments in at most N classes; a larger class would size the head, so it is bad data
-    labels = dataio.read_labels_csv(_resolve(args.labels), n_classes=max(len(segments), 5))
+    labels_path = _resolve(args.labels)
+    labels = dataio.read_labels_csv(labels_path, n_classes=max(len(segments), 5))
 
     feats: dict[str, dataio.FeatureSequence] = {}
     inputs: dict[str, np.ndarray] = {}
@@ -521,7 +518,7 @@ def _sent_training(args, features_dir: Path):
     for seg in segments:
         splits[seg.partition].append(seg.segment_id)
         if seg.segment_id not in labels and seg.partition != "test":
-            raise DataError(f"no label for {seg.partition} segment {seg.segment_id!r}")
+            raise DataError(f"{labels_path}: no label for {seg.partition} segment {seg.segment_id!r}")
     if not splits["train"] or not splits["devel"]:
         raise DataError("need labeled train and devel segments")
     splits = {s: tuple(ids) for s, ids in splits.items() if ids}

@@ -14,19 +14,14 @@ __all__ = [
     "AROUSAL_FEATURES",
     "VALENCE_FEATURES",
     "feature_names",
-    "SegmentFeatures",
     "segment_features",
-    "Standardizer",
-    "fit_standardizer",
     "PcaBasis",
     "fit_pca",
     "pca_project",
     "kmeans",
     "gmm_em",
-    "fit_clusters",
     "ClusterModel",
     "fit_class_model",
-    "model_project",
     "assign_nearest",
     "ClusterReport",
     "validate_clusters",
@@ -68,18 +63,6 @@ def feature_names(target: str) -> tuple[str, ...]:
     raise ParameterError(f"unknown discretization target {target!r}")
 
 
-@dataclass(frozen=True)
-class SegmentFeatures:
-    """Named time-series features of one gold-standard segment."""
-
-    segment_id: str
-    target: str
-    features: dict[str, float]
-
-    def vector(self) -> np.ndarray:
-        return np.asarray([self.features[n] for n in feature_names(self.target)])
-
-
 def _longest_run(mask: np.ndarray) -> int:
     best = run = 0
     for flag in mask:
@@ -88,8 +71,8 @@ def _longest_run(mask: np.ndarray) -> int:
     return best
 
 
-def segment_features(values, target: str, segment_id: str = "") -> SegmentFeatures:
-    """Compute the per-segment feature vector of a gold-standard slice.
+def segment_features(values, target: str) -> np.ndarray:
+    """The feature vector of a gold-standard slice, in :func:`feature_names` order.
 
     Rate-like features are divided by the segment length so segments of
     different durations stay comparable; the sum of changes is divided by
@@ -134,28 +117,11 @@ def segment_features(values, target: str, segment_id: str = "") -> SegmentFeatur
                 "reoccurring_share": float(counts[counts > 1].sum() / n),
             }
         )
-    return SegmentFeatures(segment_id=segment_id, target=target, features={k: feats[k] for k in names})
+    return np.asarray([feats[k] for k in names])
 
 
 # ---------------------------------------------------------------------------
-# standardization and PCA
-
-
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-feature mean/std learned on the training split."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
-        safe = np.where(self.std > 0, self.std, 1.0)
-        return (np.atleast_2d(np.asarray(matrix, dtype=np.float64)) - self.mean) / safe
-
-
-def fit_standardizer(matrix: np.ndarray) -> Standardizer:
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    return Standardizer(mean=m.mean(axis=0), std=m.std(axis=0))
+# PCA
 
 
 @dataclass(frozen=True)
@@ -347,42 +313,31 @@ def gmm_em(
     return means, covs, weights, log_likelihoods
 
 
-def fit_clusters(projected: np.ndarray, method: str, n_clusters: int = 5, seed: int = 101) -> tuple[np.ndarray, dict]:
-    """``(centres, extras)`` of projected training points clustered with k-means or a Gaussian mixture.
-
-    For ``gmm`` the centres are the component means; full parameters land in
-    ``extras`` together with the log-likelihood path.
-    """
-    pts = np.atleast_2d(np.asarray(projected, dtype=np.float64))
-    if method == "kmeans":
-        centres, _, inertia = kmeans(pts, n_clusters, seed=seed)
-        return centres, {"inertia": inertia}
-    if method == "gmm":
-        means, covs, weights, lls = gmm_em(pts, n_clusters, seed=seed)
-        return means, {
-            "covariances": covs,
-            "mixture_weights": weights,
-            "log_likelihoods": lls,
-            "converged": len(lls) < 200,
-        }
-    raise ParameterError(f"unknown clustering method {method!r}; expected 'kmeans' or 'gmm'")
-
-
 # ---------------------------------------------------------------------------
 # the composed class model
 
 
+def _standardized(matrix, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """``matrix`` centred on ``mean`` and scaled by ``std``; a zero std divides by 1."""
+    return (np.atleast_2d(np.asarray(matrix, dtype=np.float64)) - mean) / np.where(std > 0, std, 1.0)
+
+
 @dataclass(frozen=True)
 class ClusterModel:
-    """Standardizer + PCA basis + cluster centres, fitted on train data only."""
+    """Train-split feature mean and std, PCA basis and cluster centres."""
 
     target: str
     method: str
-    standardizer: Standardizer
+    mean: np.ndarray
+    std: np.ndarray
     basis: PcaBasis
     centres: np.ndarray
     seed: int
     extras: dict = field(default_factory=dict)
+
+    def project(self, matrix) -> np.ndarray:
+        """Feature vectors standardized with the train statistics, in the model's component space."""
+        return pca_project(self.basis, _standardized(matrix, self.mean, self.std))
 
 
 def fit_class_model(
@@ -393,25 +348,33 @@ def fit_class_model(
     n_classes: int = 5,
     seed: int = 101,
 ) -> ClusterModel:
-    """Fit the full discretization pipeline on training feature vectors."""
-    std = fit_standardizer(train_matrix)
-    scaled = std.transform(train_matrix)
+    """Fit the full discretization pipeline on training feature vectors.
+
+    ``kmeans`` centres are the Lloyd centres; ``gmm`` centres are the
+    component means, with the full parameters and the log-likelihood path
+    in ``extras``.
+    """
+    if method not in ("kmeans", "gmm"):
+        raise ParameterError(f"unknown clustering method {method!r}; expected 'kmeans' or 'gmm'")
+    m = np.atleast_2d(np.asarray(train_matrix, dtype=np.float64))
+    mean, std = m.mean(axis=0), m.std(axis=0)
+    scaled = _standardized(m, mean, std)
     basis = fit_pca(scaled, n_components=n_components)
-    centres, extras = fit_clusters(pca_project(basis, scaled), method, n_clusters=n_classes, seed=seed)
+    pts = pca_project(basis, scaled)
+    if method == "kmeans":
+        centres, _, inertia = kmeans(pts, n_classes, seed=seed)
+        extras = {"inertia": inertia}
+    else:
+        centres, covs, weights, lls = gmm_em(pts, n_classes, seed=seed)
+        extras = {
+            "covariances": covs,
+            "mixture_weights": weights,
+            "log_likelihoods": lls,
+            "converged": len(lls) < 200,
+        }
     return ClusterModel(
-        target=target,
-        method=method,
-        standardizer=std,
-        basis=basis,
-        centres=centres,
-        seed=seed,
-        extras=extras,
+        target=target, method=method, mean=mean, std=std, basis=basis, centres=centres, seed=seed, extras=extras
     )
-
-
-def model_project(model: ClusterModel, matrix: np.ndarray) -> np.ndarray:
-    """Standardize + project feature vectors into the model's component space."""
-    return pca_project(model.basis, model.standardizer.transform(matrix))
 
 
 def assign_nearest(centres, points) -> np.ndarray:
@@ -491,7 +454,8 @@ def save_class_model(path: Path | str, model: ClusterModel) -> None:
         "target": model.target,
         "method": model.method,
         "seed": model.seed,
-        "standardizer": {"mean": model.standardizer.mean.tolist(), "std": model.standardizer.std.tolist()},
+        # version-1 files nest the train statistics under "standardizer"
+        "standardizer": {"mean": model.mean.tolist(), "std": model.std.tolist()},
         "basis": {
             "components": model.basis.components.tolist(),
             "eigenvalues": model.basis.eigenvalues.tolist(),
@@ -514,10 +478,8 @@ def _class_model_from(payload: dict) -> ClusterModel:
     return ClusterModel(
         target=payload["target"],
         method=payload["method"],
-        standardizer=Standardizer(
-            mean=np.asarray(payload["standardizer"]["mean"]),
-            std=np.asarray(payload["standardizer"]["std"]),
-        ),
+        mean=np.asarray(payload["standardizer"]["mean"]),
+        std=np.asarray(payload["standardizer"]["std"]),
         basis=PcaBasis(
             components=np.asarray(payload["basis"]["components"]),
             eigenvalues=np.asarray(payload["basis"]["eigenvalues"]),

@@ -355,6 +355,51 @@ class TestDiscretize:
         )
         assert rc == 3
 
+    @staticmethod
+    def _rewritten_segments(corpus: Path, tmp_path: Path, edit) -> Path:
+        """A copy of the corpus segments file with ``edit`` applied to its data rows."""
+        header, *rows = (corpus / "data" / "segments.csv").read_text().splitlines()
+        path = tmp_path / "segments.csv"
+        path.write_text("\n".join([header, *edit(rows)]) + "\n")
+        return path
+
+    def _run(self, corpus, tmp_path, capsys, segments: Path) -> str:
+        rc = main(["discretize", "--gold", str(corpus / "gold"), "--segments", str(segments),
+                   "--target", "arousal", "--method", "kmeans", "--out", str(tmp_path / "labels.csv")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "labels.csv").exists()
+        return captured.err
+
+    def test_segment_under_two_gold_samples_names_both_files(self, corpus, tmp_path, capsys):
+        # the gold grid steps 500 ms, so 0-400 ms holds one sample
+        first = read_segments_csv(corpus / "data" / "segments.csv")[0]
+        segments = self._rewritten_segments(
+            corpus, tmp_path,
+            lambda rows: [f"{first.segment_id},{first.recording_id},0,400,{first.partition}", *rows[1:]],
+        )
+        err = self._run(corpus, tmp_path, capsys, segments)
+        gold = corpus / "gold" / f"{first.recording_id}.csv"
+        assert f"{segments}: segment '{first.segment_id}' covers fewer than 2 samples of {gold}" in err
+
+    def test_too_few_train_segments_names_the_segments_file(self, corpus, tmp_path, capsys):
+        def keep_three_train(rows):
+            train = [r for r in rows if r.endswith(",train")]
+            return train[:3] + [r for r in rows if not r.endswith(",train")]
+
+        segments = self._rewritten_segments(corpus, tmp_path, keep_three_train)
+        err = self._run(corpus, tmp_path, capsys, segments)
+        assert f"{segments}: 3 train segments, but the class model needs at least 6" in err
+
+    @pytest.mark.parametrize("classes", [0, 1])
+    def test_fewer_than_two_classes_exit_2_before_reading(self, tmp_path, capsys, classes):
+        # neither input exists: reading either would exit 3
+        rc = main(["discretize", "--gold", str(tmp_path / "gold"), "--segments", str(tmp_path / "s.csv"),
+                   "--target", "valence", "--classes", str(classes), "--out", str(tmp_path / "labels.csv")])
+        assert rc == 2
+        assert f"--classes must be >= 2, got {classes}" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):
@@ -1082,6 +1127,21 @@ class TestBadInputExitCodes:
         assert rc == 3
         assert f"{bad}: 3 feature columns" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_sent_missing_train_label_names_the_labels_file(self, corpus, tmp_path, capsys):
+        segments = read_segments_csv(corpus / "data" / "segments.csv")
+        first_train = next(s for s in segments if s.partition == "train")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("segment_id,class\n" + "".join(
+            f"{s.segment_id},{i % 5}\n" for i, s in enumerate(segments) if s is not first_train
+        ))
+        rc = main(["train", "--task", "sent", "--features", str(corpus / "data" / "features" / "modal_a"),
+                   "--segments", str(corpus / "data" / "segments.csv"), "--labels", str(labels),
+                   "--out", str(tmp_path / "out"), "--epochs", "1", "--hidden", "4"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{labels}: no label for train segment '{first_train.segment_id}'" in captured.err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", [1000, -1])
     def test_sent_class_beyond_segment_count_exit_3(self, corpus, tmp_path, capsys, bad):

@@ -10,16 +10,14 @@ import pytest
 from affectfuse import discretize
 from affectfuse.discretize import (
     ClusterModel,
+    PcaBasis,
     assign_nearest,
     feature_names,
     fit_class_model,
-    fit_clusters,
     fit_pca,
-    fit_standardizer,
     gmm_em,
     kmeans,
     load_class_model,
-    model_project,
     pca_project,
     save_class_model,
     segment_features,
@@ -38,41 +36,51 @@ def _blobs(rng, centres, per=30, sigma=0.15):
     return np.vstack(pts), np.asarray(labels)
 
 
-class TestSegmentFeatures:
+def _named(values, target):
+    """``segment_features`` of ``values`` keyed by :func:`feature_names`."""
+    vec = segment_features(values, target)
+    names = feature_names(target)
+    assert vec.shape == (len(names),)
+    return dict(zip(names, vec))
+
+
+class TestSegmentFeatureVector:
     def test_alternating_segment_worked_example(self):
-        sf = segment_features([0.0, 1.0, 0.0, 1.0], "arousal")
-        assert sf.features["rel_sum_of_changes"] == pytest.approx(1.0)
-        assert sf.features["rel_count_below_mean"] == pytest.approx(0.5)
-        assert sf.features["median"] == pytest.approx(0.5)
+        feats = _named([0.0, 1.0, 0.0, 1.0], "arousal")
+        assert feats["rel_sum_of_changes"] == pytest.approx(1.0)
+        assert feats["rel_count_below_mean"] == pytest.approx(0.5)
+        assert feats["median"] == pytest.approx(0.5)
 
     def test_spike_segment_worked_example(self):
-        sf = segment_features([0.0, 0.0, 0.0, 10.0], "arousal")
+        feats = _named([0.0, 0.0, 0.0, 10.0], "arousal")
         # mean 2.5: three samples below, a three-long streak
-        assert sf.features["rel_count_below_mean"] == pytest.approx(0.75)
-        assert sf.features["rel_longest_streak_below_mean"] == pytest.approx(0.75)
-        assert sf.features["rel_longest_streak_above_mean"] == pytest.approx(0.25)
+        assert feats["rel_count_below_mean"] == pytest.approx(0.75)
+        assert feats["rel_longest_streak_below_mean"] == pytest.approx(0.75)
+        assert feats["rel_longest_streak_above_mean"] == pytest.approx(0.25)
 
     def test_quantiles_use_linear_interpolation(self):
-        sf = segment_features([0.0, 1.0, 2.0, 3.0], "arousal")
-        assert sf.features["q10"] == pytest.approx(0.3)
-        assert sf.features["q90"] == pytest.approx(2.7)
+        feats = _named([0.0, 1.0, 2.0, 3.0], "arousal")
+        assert feats["q10"] == pytest.approx(0.3)
+        assert feats["q90"] == pytest.approx(2.7)
 
     def test_peaks_are_strict_local_maxima(self):
-        sf = segment_features([0.0, 1.0, 0.0, 2.0, 2.0, 0.0, 3.0, 0.0], "arousal")
+        feats = _named([0.0, 1.0, 0.0, 2.0, 2.0, 0.0, 3.0, 0.0], "arousal")
         # plateaus do not count; peaks at indices 1 and 6
-        assert sf.features["rel_peaks"] == pytest.approx(2 / 8)
+        assert feats["rel_peaks"] == pytest.approx(2 / 8)
 
     def test_valence_reoccurring_share(self):
-        sf = segment_features([1.0, 1.0, 2.0, 3.0], "valence")
-        assert sf.features["reoccurring_share"] == pytest.approx(0.5)
-        sf2 = segment_features([1.0, 2.0, 3.0, 4.0], "valence")
-        assert sf2.features["reoccurring_share"] == 0.0
+        assert _named([1.0, 1.0, 2.0, 3.0], "valence")["reoccurring_share"] == pytest.approx(0.5)
+        assert _named([1.0, 2.0, 3.0, 4.0], "valence")["reoccurring_share"] == 0.0
 
     def test_vector_follows_feature_name_order(self):
-        sf = segment_features([0.0, 1.0, 2.0, 1.5], "valence")
+        x = [0.0, 1.0, 2.0, 1.5]
         names = feature_names("valence")
         assert len(names) == 18
-        assert np.array_equal(sf.vector(), [sf.features[n] for n in names])
+        vec = segment_features(x, "valence")
+        expected = {"mean": np.mean(x), "median": np.median(x), "std": np.std(x), "q25": np.quantile(x, 0.25)}
+        assert all(vec[names.index(n)] == v for n, v in expected.items())
+        # valence extends the arousal vector: its first ten entries are the arousal features
+        assert np.array_equal(vec[: len(feature_names("arousal"))], segment_features(x, "arousal"))
         assert len(feature_names("arousal")) == 10
 
     def test_rejections(self):
@@ -132,18 +140,27 @@ class TestPca:
         assert pca_project(basis, m[0]).shape == (1, 3)
 
 
-class TestStandardizer:
+class TestProjectStandardizes:
     def test_train_statistics_applied(self):
-        train = np.array([[0.0, 10.0], [2.0, 30.0]])
-        std = fit_standardizer(train)
-        out = std.transform(train)
+        rng = np.random.default_rng(20)
+        train = rng.normal(size=(12, 5)) * [1.0, 10.0, 0.1, 3.0, 50.0] + [0.0, 10.0, -4.0, 2.0, 30.0]
+        model = fit_class_model(train, "arousal", "kmeans", n_classes=2, seed=1)
+        assert np.allclose(model.mean, train.mean(axis=0))
+        assert np.allclose(model.std, train.std(axis=0))
+        # five components of five features: the orthonormal basis undoes exactly
+        out = model.project(train) @ model.basis.components
         assert np.allclose(out.mean(axis=0), 0.0)
         assert np.allclose(out.std(axis=0), 1.0)
 
     def test_constant_column_left_centred(self):
         train = np.array([[1.0, 5.0], [1.0, 7.0]])
-        out = fit_standardizer(train).transform(train)
+        # an identity basis keeps every standardized feature as it is
+        basis = PcaBasis(components=np.eye(2), eigenvalues=np.ones(2), explained_ratio=np.full(2, 0.5))
+        model = ClusterModel("arousal", "kmeans", train.mean(axis=0), train.std(axis=0), basis, np.zeros((2, 2)), 0)
+        out = model.project(train)
         assert np.allclose(out[:, 0], 0.0)
+        # a zero std divides by 1, so a new value keeps its offset from the train mean
+        assert model.project([3.0, 6.0])[0, 0] == pytest.approx(2.0)
 
 
 class TestKmeans:
@@ -219,25 +236,25 @@ class TestGmm:
             gmm_em(np.zeros((2, 2)) + np.arange(2)[:, None], 3)
 
 
-class TestFitClusters:
+class TestFitClassModelMethods:
     def test_kmeans_route(self):
         rng = np.random.default_rng(30)
-        pts, _ = _blobs(rng, [(0, 0), (5, 0)], per=20)
-        centres, extras = fit_clusters(pts, "kmeans", n_clusters=2, seed=1)
-        assert centres.shape == (2, 2)
-        assert "inertia" in extras
+        pts, _ = _blobs(rng, [(0,) * 5, (5, 0, 0, 0, 0)], per=20)
+        model = fit_class_model(pts, "arousal", "kmeans", n_classes=2, seed=1)
+        assert model.centres.shape == (2, 5)
+        assert "inertia" in model.extras
 
     def test_gmm_route(self):
         rng = np.random.default_rng(31)
-        pts, _ = _blobs(rng, [(0, 0), (5, 0)], per=20)
-        centres, extras = fit_clusters(pts, "gmm", n_clusters=2, seed=1)
-        assert centres.shape == (2, 2)
-        assert "mixture_weights" in extras
-        assert extras["converged"] is True
+        pts, _ = _blobs(rng, [(0,) * 5, (5, 0, 0, 0, 0)], per=20)
+        model = fit_class_model(pts, "arousal", "gmm", n_classes=2, seed=1)
+        assert model.centres.shape == (2, 5)
+        assert "mixture_weights" in model.extras
+        assert model.extras["converged"] is True
 
     def test_unknown_method(self):
-        with pytest.raises(ParameterError):
-            fit_clusters(np.zeros((10, 2)) + np.arange(10)[:, None], "dbscan")
+        with pytest.raises(ParameterError, match="unknown clustering method 'dbscan'"):
+            fit_class_model(np.zeros((10, 2)) + np.arange(10)[:, None], "arousal", "dbscan")
 
 
 class TestValidateClusters:
@@ -330,7 +347,7 @@ class TestClassModel:
         for i in range(n):
             c = i % 5
             seg = shapes[c] + 0.05 * rng.standard_normal(60)
-            rows.append(segment_features(seg, "arousal", f"s{i}").vector())
+            rows.append(segment_features(seg, "arousal"))
             labels.append(c)
         return np.asarray(rows), np.asarray(labels)
 
@@ -338,8 +355,8 @@ class TestClassModel:
         rng = np.random.default_rng(50)
         matrix, truth = self._train_matrix(rng)
         model = fit_class_model(matrix, "arousal", "kmeans", seed=7)
-        assigned = assign_nearest(model.centres, model_project(model, matrix))
-        report = validate_clusters(model_project(model, matrix), assigned, n_classes=5)
+        assigned = assign_nearest(model.centres, model.project(matrix))
+        report = validate_clusters(model.project(matrix), assigned, n_classes=5)
         assert report.silhouette > 0.2
         assert adjusted_rand_index(assigned, truth) == pytest.approx(1.0)
 
@@ -352,8 +369,8 @@ class TestClassModel:
         back = load_class_model(path)
         assert isinstance(back, ClusterModel)
         fresh, _ = self._train_matrix(np.random.default_rng(52), n=40)
-        a1 = assign_nearest(model.centres, model_project(model, fresh))
-        a2 = assign_nearest(back.centres, model_project(back, fresh))
+        a1 = assign_nearest(model.centres, model.project(fresh))
+        a2 = assign_nearest(back.centres, back.project(fresh))
         assert np.array_equal(a1, a2)
 
     def test_load_rejects_other_payloads(self, tmp_path):
