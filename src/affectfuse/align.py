@@ -9,7 +9,7 @@ import numpy as np
 from .core import RaterSet, standardize_values
 from .errors import ParameterError
 
-__all__ = ["WarpPath", "AlignmentResult", "dtw", "multi_align", "warp_to_reference"]
+__all__ = ["WarpPath", "AlignmentResult", "dtw", "default_band", "multi_align", "warp_to_reference"]
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,11 @@ def dtw(a, b, band: int | None = None) -> WarpPath:
     stable under affine input maps.
 
     Only the band is stored: an (n+1) x (2*band+2) table, so memory grows
-    with ``n * band`` rather than ``n * m``.
+    with ``n * band`` rather than ``n * m``. That is still quadratic in ``n``
+    under :func:`default_band`, which is 10% of the length: an hour at 2 Hz
+    (7,200 samples, band 720) holds three n x (2*band+1) float64 arrays,
+    about 250 MB. Only a band fixed in seconds (which changes gold values) or a
+    checkpointed traceback would make it sub-quadratic.
 
     Returns
     -------

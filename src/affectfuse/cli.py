@@ -402,6 +402,9 @@ def cmd_discretize(args) -> int:
     n_train = int(train_rows.sum())
     if n_train < 6:
         raise DataError(f"{segments_path}: {n_train} train segments, but the class model needs at least 6")
+    n_distinct = np.unique(matrix[train_rows], axis=0).shape[0]
+    if n_distinct < args.classes:
+        raise DataError(f"{segments_path}: {n_distinct} distinct train segments, fewer than --classes {args.classes}")
     _info(f"fitting {method} on {n_train} train segments ({args.target})")
     model = fit_class_model(
         matrix[train_rows], args.target, method,
@@ -675,10 +678,13 @@ def _regression_streams(args, stream_dirs: dict[str, Path]):
                         f"{path}: {ts.size} rows, but {first_dir / split / path.name} has {ts_by_rec[rec].size}"
                     )
         streams[name] = preds
-    gold = {
-        rec: dataio.read_gold_csv(gold_dir / f"{rec}.csv")[1]
-        for split in ("train", "devel") for rec in splits.get(split, ())
-    }
+    gold = {}
+    for split in ("train", "devel"):
+        for rec in splits.get(split, ()):
+            path, n = gold_dir / f"{rec}.csv", ts_by_rec[rec].size
+            gold[rec] = dataio.read_gold_csv(path)[1]
+            if gold[rec].size != n:
+                raise DataError(f"{path}: {gold[rec].size} rows, but {first_dir / split / path.name} has {n}")
     return streams, gold, splits, partial(_write_traces, ts_by_rec)
 
 

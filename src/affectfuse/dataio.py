@@ -24,11 +24,13 @@ __all__ = [
     "WindowSpec",
     "Partition",
     "Segment",
+    "uniform_step_ms",
     "align_to_labels",
     "window",
     "read_annotation_csv",
     "write_annotation_csv",
     "read_rater_set",
+    "list_recordings",
     "read_feature_csv",
     "write_feature_csv",
     "read_gold_csv",

@@ -3,6 +3,8 @@
 import math
 from dataclasses import fields
 
+__all__ = ["ParameterError", "DegenerateInputError", "DataError", "NumericError", "require_finite"]
+
 
 class ParameterError(ValueError):
     """Invalid argument, shape, or configuration. CLI exit code 2."""

@@ -20,6 +20,7 @@ __all__ = [
     "ewe_weights",
     "ewe_fuse",
     "raaw",
+    "prepare_physio",
     "check_eda_span",
     "physio_fuse",
     "agreement_stats",

@@ -11,6 +11,8 @@ import numpy as np
 from .errors import DegenerateInputError, ParameterError
 
 __all__ = [
+    "Moments",
+    "moments",
     "ccc",
     "pearson",
     "macro_f1",

@@ -392,6 +392,16 @@ class TestDiscretize:
         err = self._run(corpus, tmp_path, capsys, segments)
         assert f"{segments}: 3 train segments, but the class model needs at least 6" in err
 
+    def test_more_classes_than_distinct_train_segments_names_the_segments_file(self, corpus, tmp_path, capsys):
+        segments = corpus / "data" / "segments.csv"
+        n_train = sum(s.partition == "train" for s in read_segments_csv(segments))
+        rc = main(["discretize", "--gold", str(corpus / "gold"), "--segments", str(segments), "--target", "arousal",
+                   "--classes", str(n_train + 1), "--out", str(tmp_path / "labels.csv")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{segments}: {n_train} distinct train segments, fewer than --classes {n_train + 1}" in captured.err
+        assert not (tmp_path / "labels.csv").exists()
+
     @pytest.mark.parametrize("classes", [0, 1])
     def test_fewer_than_two_classes_exit_2_before_reading(self, tmp_path, capsys, classes):
         # neither input exists: reading either would exit 3
@@ -1305,6 +1315,23 @@ class TestBadInputExitCodes:
         assert f"{cut}: " in captured.err
         assert not (tmp_path / "f").exists()
 
+    def test_gold_length_other_than_the_streams_exit_3(self, corpus, trained, tmp_path, capsys):
+        gold = tmp_path / "gold"
+        shutil.copytree(corpus / "gold", gold)
+        stream = sorted((trained / "modal_a" / "preds" / "train").glob("*.csv"))[0]
+        cut = gold / stream.name
+        self._cut_three_rows(cut)
+        rc = main(
+            ["fuse-late", "--task", "stress", "--streams", str(trained / "modal_a" / "preds"),
+             str(trained / "modal_b" / "preds"), "--gold", str(gold),
+             "--partitions", str(corpus / "data" / "partitions.csv"), "--out", str(tmp_path / "f"), "--epochs", "1"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 3
+        n = len(read_prediction_csv(stream)[0])
+        assert f"{cut}: {n - 3} rows, but {stream} has {n}" in captured.err
+        assert not (tmp_path / "f").exists()
+
 
 class TestWindowOne:
     def test_train_exit_2(self, corpus, tmp_path, capsys):
@@ -1456,4 +1483,4 @@ def test_every_subcommand_exits_with_a_contract_code_on_any_input_file(fuzz_inpu
         if out.is_dir():
             shutil.rmtree(out)
         out.unlink(missing_ok=True)  # discretize writes a file
-    assert rc in (0, 2, 3, 4)
+    assert rc in (0, 3, 4)
