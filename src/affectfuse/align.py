@@ -51,6 +51,10 @@ class AlignmentResult:
     max_delta: tuple[float, ...]  # per round: largest reference change
 
 
+# table rows whose local costs and prefix sums dtw holds at once
+DTW_BLOCK = 128
+
+
 def dtw(a, b, band: int | None = None) -> WarpPath:
     """Optimal-cost DTW path between 1-d sequences ``a`` (source) and ``b`` (reference).
 
@@ -64,12 +68,13 @@ def dtw(a, b, band: int | None = None) -> WarpPath:
     reference-advancing step, so the returned path is deterministic and
     stable under affine input maps.
 
-    Only the band is stored: an (n+1) x (2*band+2) table, so memory grows
+    Only the band is stored: an (n+1) x (2*band+2) table, plus local costs
+    and their prefix sums for ``DTW_BLOCK`` rows at a time, so memory grows
     with ``n * band`` rather than ``n * m``. That is still quadratic in ``n``
     under :func:`default_band`, which is 10% of the length: an hour at 2 Hz
-    (7,200 samples, band 720) holds three n x (2*band+1) float64 arrays,
-    about 250 MB. Only a band fixed in seconds (which changes gold values) or a
-    checkpointed traceback would make it sub-quadratic.
+    (7,201 samples, band 720) holds about 85 MB. Only a band fixed in seconds
+    (which changes gold values) or a checkpointed traceback would make it
+    sub-quadratic.
 
     Returns
     -------
@@ -98,59 +103,54 @@ def dtw(a, b, band: int | None = None) -> WarpPath:
 
     # Banded cost-to-reach table: column k of row i holds the best cost
     # ending at sample pair (i-1, j-1) with j = i - band + k; row 0 and the
-    # last column are padding that stays inf, except the origin (0, 0).
-    # Row i's band runs over columns lo[i-1]..hi[i-1]; its diagonal and up
+    # last column are padding that stays inf. Row i's diagonal and up
     # predecessors are columns k and k+1 of row i-1. The recurrence
     # D[i,j] = c + min(diag, up, left) is evaluated with the left dependency
     # folded into a running minimum: D = S + accmin(min(diag, up) + c - S),
-    # S the in-row prefix sum of c. Costs left of the band are zero, so S
+    # S the in-row prefix sum of c. Row 1 is S alone. Later rows are updated
+    # whole: cells left of the band stay inf by induction, cells right of it
+    # (j > m) are never read, and costs left of the band are zero, so S
     # matches a prefix sum started at the band's first cell bit for bit.
-    rows = np.arange(n)
-    lo = np.maximum(band - rows, 0)
-    hi = np.minimum(band + m - 1 - rows, width - 1)
-    b_pad = np.concatenate([np.zeros(band), b, np.zeros(n + band - m)])
-    local = np.subtract(a[:, None], np.lib.stride_tricks.sliding_window_view(b_pad, width))
-    np.abs(local, out=local)
-    local[np.arange(width) < lo[:, None]] = 0.0
-    scan = np.cumsum(local, axis=1)
     dmat = np.full((n + 1, width + 1), np.inf)
-    dmat[0, band] = 0.0
-    for i, k0, k1 in zip(range(1, n + 1), lo.tolist(), (hi + 1).tolist()):
-        prev, cur = dmat[i - 1], dmat[i, k0:k1]
-        crow, srow = local[i - 1, k0:k1], scan[i - 1, k0:k1]
-        np.minimum(prev[k0:k1], prev[k0 + 1 : k1 + 1], out=cur)
-        cur += crow
-        cur -= srow
-        np.minimum.accumulate(cur, out=cur)
-        cur += srow
-    if not np.isfinite(dmat[n, m - n + band]):
+    dmat[1, band : band + min(m, band + 1)] = np.cumsum(np.abs(a[0] - b[: band + 1]))
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([np.zeros(band), b, np.zeros(n + band - m)]), width)
+    costs, scans = np.empty((2, min(DTW_BLOCK, n - 1), width))
+    for r0 in range(1, n, DTW_BLOCK):
+        r1 = min(r0 + DTW_BLOCK, n)
+        cost, scan = costs[: r1 - r0], scans[: r1 - r0]
+        np.abs(np.subtract(a[r0:r1, None], windows[r0:r1], out=cost), out=cost)
+        if r0 < band:
+            cost[np.arange(width) < band - np.arange(r0, r1)[:, None]] = 0.0
+        np.cumsum(cost, axis=1, out=scan)
+        for diag, up, cur, c, s in zip(dmat[r0:r1, :-1], dmat[r0:r1, 1:], dmat[r0 + 1 : r1 + 1, :-1], cost, scan):
+            np.minimum(diag, up, out=cur)
+            cur += c
+            cur -= s
+            np.minimum.accumulate(cur, out=cur)
+            cur += s
+    flat, stride = dmat.ravel(), width + 1
+    p = n * stride + m - n + band
+    if not np.isfinite(flat[p]):
         raise ParameterError("no feasible warp path under the given band")
 
-    # Traceback with deterministic tie-breaking: diagonal, then source
-    # advance, then reference advance. Ties are judged with a small relative
-    # tolerance: alternative paths that cost the same in exact arithmetic sum
-    # the same local distances in different orders, so their table values
-    # round apart by ~1e-16, and a strict comparison would let that noise
-    # pick different paths for inputs equal up to an affine map. Integer
-    # inputs keep exact table values, so the tolerance never fires there.
-    item = dmat.item
-    i, j = n, m
-    rev = [(i - 1, j - 1)]
-    while i > 1 or j > 1:
-        k = j - i + band
-        diag = item(i - 1, k)
-        up = item(i - 1, k + 1)
-        left = item(i, k - 1) if k else np.inf
+    # Traceback over flat indices, ties broken in a fixed order: diagonal (one
+    # row back), source advance (one row back, one column right), reference
+    # advance (one back; from column 0 that is the previous row's inf padding).
+    # Ties are judged with a small relative tolerance: alternative paths that
+    # cost the same in exact arithmetic sum the same local distances in
+    # different orders, so their table values round apart by ~1e-16, and a
+    # strict comparison would let that noise pick different paths for inputs
+    # equal up to an affine map. Integer inputs keep exact table values, so
+    # the tolerance never fires there.
+    item, steps = flat.item, [p]
+    while p != stride + band:
+        diag, up, left = item(p - stride), item(p - width), item(p - 1)
         best = min(diag, up, left)
         tol = 1e-9 * max(1.0, abs(best))
-        if diag <= best + tol:
-            i, j = i - 1, j - 1
-        elif up <= best + tol:
-            i -= 1
-        else:
-            j -= 1
-        rev.append((i - 1, j - 1))
-    pairs = np.asarray(rev[::-1], dtype=np.int64)
+        p -= stride if diag <= best + tol else width if up <= best + tol else 1
+        steps.append(p)
+    i, k = np.divmod(np.asarray(steps[::-1], dtype=np.int64), stride)
+    pairs = np.stack([i - 1, i - 1 + k - band], axis=1)
     cost = float(np.abs(a[pairs[:, 0]] - b[pairs[:, 1]]).sum())
     return WarpPath(pairs=pairs, cost=cost)
 

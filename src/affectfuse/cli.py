@@ -315,8 +315,6 @@ def _fuse_worker(task: tuple[Path, str, str, FusionConfig | PhysioConfig, Path |
     if isinstance(config, FusionConfig):
         return rec, raaw(rater_set, config)
     eda_path = eda_dir / f"{rec}.csv"
-    if not eda_path.is_file():
-        raise ParameterError(f"missing EDA file for recording {rec!r}: {eda_path}")
     eda = dataio.read_annotation_csv(eda_path, rater_id=eda_path.stem, kind="physio")
     try:
         check_eda_span(rater_set, eda)

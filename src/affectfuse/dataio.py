@@ -12,7 +12,7 @@ import json
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +57,8 @@ SPLITS = ("train", "devel", "test")
 _FRAME_HEADER = "timestamp_ms,f0,..."
 _WORD_HEADER = "start_ms,end_ms,f0,..."
 _LOGITS_HEADER = "segment_id,l0,..."
+# rows write_table formats and writes at once
+WRITE_BLOCK = 1 << 14
 
 
 def _expand_header(pattern: str, width: int) -> str:
@@ -126,14 +128,15 @@ def _check_finite(path: Path | str, values: np.ndarray) -> None:
         raise DataError(f"{path}: non-finite value in data row {row + 1}")
 
 
-def _write_text(path: Path | str, text: str) -> None:
+def _write_text(path: Path | str, chunks: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as f:
+        f.writelines(chunks)
 
 
 def _write_json(path: Path | str, obj: Mapping, indent: int) -> None:
-    _write_text(path, json.dumps(obj, indent=indent, sort_keys=True) + "\n")
+    _write_text(path, [json.dumps(obj, indent=indent, sort_keys=True) + "\n"])
 
 
 def write_table(path: Path | str, header: str, *columns) -> None:
@@ -141,12 +144,20 @@ def write_table(path: Path | str, header: str, *columns) -> None:
 
     Ints are written as digits, floats as the shortest round-trip ``repr`` and
     strings as given; a 2-d column fills one field per column. Values keep
-    their own type, so each format's writer coerces its columns first.
+    their own type, so each format's writer coerces its columns first. Rows
+    are formatted ``WRITE_BLOCK`` at a time, so the text is never held whole.
     """
     cols = [np.asarray(c) for c in columns]
-    texts = [[",".join(map(str, r)) for r in c.tolist()] if c.ndim == 2 else map(str, c.tolist()) for c in cols]
     width = sum(c.shape[1] if c.ndim == 2 else 1 for c in cols)
-    _write_text(path, "\n".join([_expand_header(header, width), *map(",".join, zip(*texts))]) + "\n")
+
+    def blocks():
+        yield _expand_header(header, width) + "\n"
+        for r0 in range(0, min(map(len, cols), default=0), WRITE_BLOCK):
+            rows = [c[r0 : r0 + WRITE_BLOCK].tolist() for c in cols]
+            texts = [[",".join(map(str, r)) for r in t] if c.ndim == 2 else map(str, t) for c, t in zip(cols, rows)]
+            yield "\n".join(map(",".join, zip(*texts))) + "\n"
+
+    _write_text(path, blocks())
 
 
 # ---------------------------------------------------------------------------

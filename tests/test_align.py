@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from affectfuse import align
 from affectfuse.align import (
@@ -158,8 +161,9 @@ class TestDtw:
 
 @st.composite
 def _dtw_case(draw):
-    n = draw(st.integers(1, 24))
-    m = draw(st.integers(1, 24))
+    # up to 300 rows: several blocks at the block sizes tested, band edges included
+    n = draw(st.integers(1, 300))
+    m = draw(st.integers(1, 300) | st.integers(max(1, n - 5), n + 5))
     band = draw(st.sampled_from(["zero", "gap", "default", "none"]))
     band = {"zero": 0, "gap": abs(n - m), "default": default_band(max(n, m)), "none": None}[band]
     if draw(st.booleans()):
@@ -167,25 +171,45 @@ def _dtw_case(draw):
         values = st.integers(0, 3).map(float)
     else:
         values = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
-    a = draw(st.lists(values, min_size=n, max_size=n))
-    b = draw(st.lists(values, min_size=m, max_size=m))
-    return np.array(a), np.array(b), band
+    a = draw(arrays(np.float64, n, elements=values))
+    b = draw(arrays(np.float64, m, elements=values))
+    # a common offset keeps every local cost, but any cost from outside the
+    # band that leaked into a prefix sum would swamp the table's values
+    offset = draw(st.sampled_from([0.0, 1e15]))
+    return a + offset, b + offset, band
 
 
 class TestBandedDtwMatchesFullTable:
-    @settings(max_examples=300)
-    @given(_dtw_case())
-    def test_same_pairs_and_cost(self, case):
+    @pytest.mark.parametrize("block", [1, 2, 7, align.DTW_BLOCK])
+    @settings(max_examples=100)
+    @given(case=_dtw_case())
+    def test_same_pairs_and_cost(self, block, case):
         a, b, band = case
         try:
             want = full_table_dtw(a, b, band=band)
         except ParameterError:
-            with pytest.raises(ParameterError):
-                dtw(a, b, band=band)
-            return
-        got = dtw(a, b, band=band)
+            want = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(align, "DTW_BLOCK", block)
+            if want is None:
+                with pytest.raises(ParameterError):
+                    dtw(a, b, band=band)
+                return
+            got = dtw(a, b, band=band)
         assert np.array_equal(got.pairs, want.pairs)
         assert got.cost == want.cost
+
+    def test_memory_is_the_banded_table(self):
+        rng = np.random.default_rng(8)
+        a, b = np.cumsum(rng.normal(size=(2, 2401)), axis=1)
+        tracemalloc.start()
+        try:
+            dtw(a, b, band=default_band(2401))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 2402 x 482 table is 9.3 MB; whole local-cost and prefix-sum arrays would add 18.5 MB
+        assert peak < 16 * 2**20
 
 
 class TestObjectiveNeverRises:

@@ -276,8 +276,8 @@ class TestPhysio:
             ]
         )
         captured = capsys.readouterr()
-        assert rc == 2
-        assert "rec_001.csv" in captured.err
+        assert rc == 3
+        assert "missing file" in captured.err and "rec_001.csv" in captured.err
 
 
 def _fusion_argv(command: str, corpus: Path, out: Path) -> list[str]:

@@ -441,6 +441,21 @@ def test_reading_a_signal_never_holds_its_text(tmp_path):
     assert peak < 2 * path.stat().st_size
 
 
+def test_writing_a_table_never_holds_its_text(tmp_path):
+    # rows are formatted a block at a time: the whole text (about 5 MB) is never built
+    path = tmp_path / "eda.csv"
+    ts, values = np.arange(200_000), np.random.default_rng(7).normal(size=200_000)
+    tracemalloc.start()
+    try:
+        write_table(path, "timestamp_ms,value", ts, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    lines = path.read_text().splitlines()
+    assert len(lines) == 200_001 and lines[-1] == f"{ts[-1]},{values[-1].item()!r}"
+
+
 @pytest.mark.parametrize("reader", list(EVERY_READER))
 def test_every_reader_rejects_a_header_without_rows_and_warns_nothing(tmp_path, reader):
     path = tmp_path / "header.csv"
