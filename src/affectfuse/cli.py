@@ -21,7 +21,8 @@ Conventions shared by every subcommand:
     defaults (explicit flags still win); a value goes through its option's
     type and choices, an on/off flag takes ``true`` or ``false``, ``none``
     unsets it, and a required option must be given as a flag
-  * relative paths resolve against ``AFFECTFUSE_DATA_ROOT`` when it is set
+  * relative paths, ``--config`` and its path values included, resolve
+    against ``AFFECTFUSE_DATA_ROOT`` when it is set
   * ``--jobs N`` (N >= 1) runs the per-recording fusion of ``raaw`` and
     ``physio`` in N worker processes; the other subcommands accept and ignore it
 """
@@ -31,7 +32,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -58,16 +58,6 @@ TASK_DEFAULTS = {
 }
 
 DATA_ROOT_ENV = "AFFECTFUSE_DATA_ROOT"
-
-
-def _resolve(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    p = Path(path)
-    root = os.environ.get(DATA_ROOT_ENV)
-    if root and not p.is_absolute():
-        return Path(root) / p
-    return p
 
 
 def _info(msg: str) -> None:
@@ -147,31 +137,73 @@ def _finite(text: str) -> float:
     return value
 
 
+def _data_path(text: str) -> Path:
+    """argparse type of every path option and of ``--config``: a relative path resolves against
+    ``AFFECTFUSE_DATA_ROOT`` when that variable is set."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    path, root = Path(text), os.environ.get(DATA_ROOT_ENV)
+    return Path(root) / path if root and not path.is_absolute() else path
+
+
+def _int_at_least(low: int):
+    """argparse type of an integer option that must be at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() rejects the text
+    return parse
+
+
+def _reference(text: str) -> str | int:
+    """argparse type of ``--reference``: ``mean`` or a rater index."""
+    if text == "mean":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be 'mean' or a rater index, got {text!r}") from None
+
+
+def _feature_sets(text: str) -> tuple[str, ...]:
+    """argparse type of ``synth --feature-sets``: comma-separated names, at least one, none repeated."""
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not names:
+        raise argparse.ArgumentTypeError("must name at least one set")
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise argparse.ArgumentTypeError(f"names the set {repeated!r} twice")
+    return names
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=101, help="base random seed")
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=_int_at_least(1), default=1,
                     help="worker processes for per-recording fusion (raaw, physio); >= 1")
-    sp.add_argument("--config", default=None, help="file of 'key = value' default overrides")
+    sp.add_argument("--config", type=_data_path, default=None, help="file of 'key = value' default overrides")
 
 
 def _add_fusion_options(sp: argparse.ArgumentParser, kind: str) -> None:
     """Options of ``raaw`` and ``physio``; ``kind`` is the command's default annotation kind."""
-    sp.add_argument("--annotations", required=True, help="root with <rec>/<kind>/*.csv")
+    sp.add_argument("--annotations", type=_data_path, required=True, help="root with <rec>/<kind>/*.csv")
     sp.add_argument("--kind", default=kind, choices=("valence", "arousal", "physio"))
-    sp.add_argument("--out", required=True, help="directory for <rec>.csv gold files")
+    sp.add_argument("--out", type=_data_path, required=True, help="directory for <rec>.csv gold files")
     sp.add_argument("--max-iter", type=int, default=20)
     sp.add_argument("--tol", type=_finite, default=1e-4)
     sp.add_argument("--band", type=int, default=None, help="warp band; default 10%% of length")
-    sp.add_argument("--reference", default="mean", help="'mean' or a rater index")
-    sp.add_argument("--dump-paths", default=None, help="directory for warp path CSVs")
+    sp.add_argument("--reference", type=_reference, default="mean", help="'mean' or a rater index")
+    sp.add_argument("--dump-paths", type=_data_path, default=None, help="directory for warp path CSVs")
 
 
 def _add_fit_options(sp: argparse.ArgumentParser) -> None:
     """Options of ``train`` and ``fuse-late``."""
     sp.add_argument("--task", required=True, choices=tuple(TASK_DEFAULTS))
-    sp.add_argument("--gold", default=None, help="regression: directory of <rec>.csv gold files")
-    sp.add_argument("--partitions", default=None, help="regression: partitions CSV")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--gold", type=_data_path, default=None, help="regression: directory of <rec>.csv gold files")
+    sp.add_argument("--partitions", type=_data_path, default=None, help="regression: partitions CSV")
+    sp.add_argument("--out", type=_data_path, required=True)
     sp.add_argument("--window", type=int, default=None,
                     help="train window in samples; default: the task's (train), full sequences (fuse-late)")
     sp.add_argument("--hop", type=int, default=None,
@@ -195,7 +227,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     p = sub.add_parser("synth", help="write a synthetic corpus")
     _add_common(p)
-    p.add_argument("--out", required=True, help="corpus output directory")
+    p.add_argument("--out", type=_data_path, required=True, help="corpus output directory")
     p.add_argument("--recordings", type=int, default=6)
     p.add_argument("--duration", type=_finite, default=300.0, help="seconds per recording")
     p.add_argument("--rate", type=_finite, default=2.0, help="annotation rate in Hz")
@@ -205,7 +237,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--scale-jitter", type=_finite, default=0.2)
     p.add_argument("--feature-dim", type=int, default=8)
     p.add_argument("--feature-noise", type=_finite, default=0.1)
-    p.add_argument("--feature-sets", default="modal_a,modal_b", help="comma-separated set names")
+    p.add_argument("--feature-sets", type=_feature_sets, default="modal_a,modal_b", help="comma-separated set names")
     p.add_argument("--kind", default="arousal", choices=("valence", "arousal", "physio"))
     register(p, cmd_synth)
 
@@ -217,29 +249,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p = sub.add_parser("physio", help="fuse annotations with an EDA pseudo-rater")
     _add_common(p)
     _add_fusion_options(p, kind="physio")
-    p.add_argument("--eda", required=True, help="directory with <rec>.csv EDA signals")
+    p.add_argument("--eda", type=_data_path, required=True, help="directory with <rec>.csv EDA signals")
     p.add_argument("--sg-window", type=int, default=26, help="smoothing window in samples")
     p.add_argument("--sg-order", type=int, default=3, help="smoothing polynomial order")
     register(p, _run_fusion)
 
     p = sub.add_parser("discretize", help="turn gold standards into sentiment classes")
     _add_common(p)
-    p.add_argument("--gold", required=True, help="directory of <rec>.csv gold files")
-    p.add_argument("--segments", required=True, help="segments CSV")
+    p.add_argument("--gold", type=_data_path, required=True, help="directory of <rec>.csv gold files")
+    p.add_argument("--segments", type=_data_path, required=True, help="segments CSV")
     p.add_argument("--target", required=True, choices=("valence", "arousal"))
     p.add_argument("--method", default=None, choices=("kmeans", "gmm"),
                    help="default: kmeans for valence, gmm for arousal")
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--out", required=True, help="labels CSV to write")
-    p.add_argument("--model-out", default=None, help="optional class model JSON")
+    p.add_argument("--classes", type=_int_at_least(2), default=5)
+    p.add_argument("--out", type=_data_path, required=True, help="labels CSV to write")
+    p.add_argument("--model-out", type=_data_path, default=None, help="optional class model JSON")
     register(p, cmd_discretize)
 
     p = sub.add_parser("train", help="train one sequence model on one feature set")
     _add_common(p)
     _add_fit_options(p)
-    p.add_argument("--features", required=True, help="directory of <rec>.csv feature files")
-    p.add_argument("--segments", default=None, help="sent: segments CSV")
-    p.add_argument("--labels", default=None, help="sent: labels CSV")
+    p.add_argument("--features", type=_data_path, required=True, help="directory of <rec>.csv feature files")
+    p.add_argument("--segments", type=_data_path, default=None, help="sent: segments CSV")
+    p.add_argument("--labels", type=_data_path, default=None, help="sent: labels CSV")
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--bidirectional", action="store_true")
@@ -249,25 +281,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
     p = sub.add_parser("eval", help="score prediction directories")
     _add_common(p)
-    p.add_argument("--pred", default=None, help="directory of <rec>.csv predictions")
-    p.add_argument("--gold", default=None, help="directory of <rec>.csv gold files")
+    p.add_argument("--pred", type=_data_path, default=None, help="directory of <rec>.csv predictions")
+    p.add_argument("--gold", type=_data_path, default=None, help="directory of <rec>.csv gold files")
     p.add_argument("--name", default="ccc", help="label for the first target")
-    p.add_argument("--pred2", default=None)
-    p.add_argument("--gold2", default=None)
+    p.add_argument("--pred2", type=_data_path, default=None)
+    p.add_argument("--gold2", type=_data_path, default=None)
     p.add_argument("--name2", default="ccc2")
-    p.add_argument("--pred-labels", default=None, help="classification: predicted labels CSV")
-    p.add_argument("--gold-labels", default=None, help="classification: gold labels CSV")
-    p.add_argument("--classes", type=int, default=5)
+    p.add_argument("--pred-labels", type=_data_path, default=None, help="classification: predicted labels CSV")
+    p.add_argument("--gold-labels", type=_data_path, default=None, help="classification: gold labels CSV")
+    p.add_argument("--classes", type=_int_at_least(2), default=5)
     p.add_argument("--per-recording", action="store_true", help="per-recording CCC to stderr")
     register(p, cmd_eval)
 
     p = sub.add_parser("fuse-late", help="fuse >=2 prediction streams with a small model")
     _add_common(p)
     _add_fit_options(p)
-    p.add_argument("--streams", nargs="+", required=True,
+    p.add_argument("--streams", type=_data_path, nargs="+", required=True,
                    help="prediction roots with <split>/<rec>.csv (regression) "
                         "or <split>_logits.csv (sent)")
-    p.add_argument("--gold-labels", default=None, help="sent: labels CSV")
+    p.add_argument("--gold-labels", type=_data_path, default=None, help="sent: labels CSV")
     register(p, cmd_fuse_late)
 
     return parser, subparsers
@@ -278,10 +310,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
 
 def cmd_synth(args) -> int:
-    out = _resolve(args.out)
-    feature_sets = tuple(s.strip() for s in args.feature_sets.split(",") if s.strip())
-    if not feature_sets:
-        raise ParameterError("--feature-sets must name at least one set")
     config = synth.SynthConfig(
         seed=args.seed,
         duration_s=args.duration,
@@ -294,11 +322,11 @@ def cmd_synth(args) -> int:
         feature_noise=args.feature_noise,
         kind=args.kind,
     )
-    _info(f"writing {args.recordings} synthetic recordings to {out}")
-    ids = synth.write_corpus(config, out, args.recordings, feature_sets=feature_sets)
+    _info(f"writing {args.recordings} synthetic recordings to {args.out}")
+    ids = synth.write_corpus(config, args.out, args.recordings, feature_sets=args.feature_sets)
     _emit("recordings", len(ids))
-    _emit("feature_sets", ",".join(feature_sets))
-    _emit("out", out)
+    _emit("feature_sets", ",".join(args.feature_sets))
+    _emit("out", args.out)
     return 0
 
 
@@ -323,31 +351,18 @@ def _fuse_worker(task: tuple[Path, str, str, FusionConfig | PhysioConfig, Path |
     return rec, physio_fuse(rater_set, eda, config)
 
 
-def _parse_reference(text: str) -> str | int:
-    if text == "mean":
-        return "mean"
-    try:
-        return int(text)
-    except ValueError:
-        raise ParameterError(f"--reference must be 'mean' or an integer, got {text!r}")
-
-
 def _run_fusion(args) -> int:
     """``raaw``, or ``physio`` with an EDA pseudo-rater, of every recording with ``--kind`` annotations."""
-    ann_root = _resolve(args.annotations)
-    out = _resolve(args.out)
-    recordings = dataio.list_recordings(ann_root, args.kind)
+    recordings = dataio.list_recordings(args.annotations, args.kind)
     if not recordings:
-        raise DataError(f"no recordings with {args.kind!r} annotations under {ann_root}")
-    config = FusionConfig(
-        max_iter=args.max_iter, tol=args.tol, band=args.band, reference=_parse_reference(args.reference)
-    )
-    eda_dir = None
+        raise DataError(f"no recordings with {args.kind!r} annotations under {args.annotations}")
+    config = FusionConfig(max_iter=args.max_iter, tol=args.tol, band=args.band, reference=args.reference)
     if args.command == "physio":
-        eda_dir = _resolve(args.eda)
         config = PhysioConfig(fusion=config, sg_window=args.sg_window, sg_polyorder=args.sg_order)
-    tasks = [(ann_root, rec, args.kind, config, eda_dir) for rec in recordings]
+    tasks = [(args.annotations, rec, args.kind, config, getattr(args, "eda", None)) for rec in recordings]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing, which one job never needs
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = dict(pool.map(_fuse_worker, tasks))
     else:
@@ -356,17 +371,16 @@ def _run_fusion(args) -> int:
     golds = [results[rec] for rec in recordings]
     for rec, gold in zip(recordings, golds):
         ts = grid_timestamps_ms(len(gold.values), gold.sample_rate_hz)
-        dataio.write_gold_csv(out / f"{rec}.csv", ts, gold.values, gold.sidecar())
+        dataio.write_gold_csv(args.out / f"{rec}.csv", ts, gold.values, gold.sidecar())
         _info(f"fused {rec} (agreement {gold.agreement_mean:.3f})")
         if args.dump_paths:
-            dump = _resolve(args.dump_paths)
             for rid, path in zip(gold.metadata["rater_ids"], gold.alignment.paths):
-                dataio.write_warp_path_csv(dump / f"{rec}_{rid}.csv", path)
+                dataio.write_warp_path_csv(args.dump_paths / f"{rec}_{rid}.csv", path)
     mean, std = agreement_stats(golds)
     _emit("recordings", len(recordings))
     _emit("agreement_mean", repr(round(mean, 6)))
     _emit("agreement_std", repr(round(std, 6)))
-    _emit("out", out)
+    _emit("out", args.out)
     return 0
 
 
@@ -375,14 +389,11 @@ def _run_fusion(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    if args.classes < 2:
-        raise ParameterError(f"--classes must be >= 2, got {args.classes}")
-    gold_dir, segments_path = _resolve(args.gold), _resolve(args.segments)
-    segments = dataio.read_segments_csv(segments_path)
+    segments = dataio.read_segments_csv(args.segments)
     method = args.method or ("kmeans" if args.target == "valence" else "gmm")
 
     recordings = dict.fromkeys(seg.recording_id for seg in segments)  # first-seen order
-    golds = {rec: dataio.read_gold_csv(gold_dir / f"{rec}.csv") for rec in recordings}
+    golds = {rec: dataio.read_gold_csv(args.gold / f"{rec}.csv") for rec in recordings}
 
     rows = []
     for seg in segments:
@@ -390,8 +401,8 @@ def cmd_discretize(args) -> int:
         mask = dataio.slice_by_span(ts, seg.start_ms, seg.end_ms)
         if int(mask.sum()) < 2:
             raise DataError(
-                f"{segments_path}: segment {seg.segment_id!r} covers fewer than 2 samples of "
-                f"{gold_dir / f'{seg.recording_id}.csv'}"
+                f"{args.segments}: segment {seg.segment_id!r} covers fewer than 2 samples of "
+                f"{args.gold / f'{seg.recording_id}.csv'}"
             )
         rows.append(segment_features(values[mask], args.target))
     matrix = np.vstack(rows)
@@ -399,10 +410,10 @@ def cmd_discretize(args) -> int:
     train_rows = np.array([s.partition == "train" for s in segments])
     n_train = int(train_rows.sum())
     if n_train < 6:
-        raise DataError(f"{segments_path}: {n_train} train segments, but the class model needs at least 6")
+        raise DataError(f"{args.segments}: {n_train} train segments, but the class model needs at least 6")
     n_distinct = np.unique(matrix[train_rows], axis=0).shape[0]
     if n_distinct < args.classes:
-        raise DataError(f"{segments_path}: {n_distinct} distinct train segments, fewer than --classes {args.classes}")
+        raise DataError(f"{args.segments}: {n_distinct} distinct train segments, fewer than --classes {args.classes}")
     _info(f"fitting {method} on {n_train} train segments ({args.target})")
     model = fit_class_model(
         matrix[train_rows], args.target, method,
@@ -412,16 +423,15 @@ def cmd_discretize(args) -> int:
     assignments = assign_nearest(model.centres, projected)
     report = validate_clusters(projected, assignments, n_classes=args.classes)
 
-    out = _resolve(args.out)
     labels = {seg.segment_id: int(lab) for seg, lab in zip(segments, assignments)}
-    dataio.write_labels_csv(out, labels)
+    dataio.write_labels_csv(args.out, labels)
     if args.model_out:
-        save_class_model(_resolve(args.model_out), model)
+        save_class_model(args.model_out, model)
         _info(f"class model written to {args.model_out}")
     _emit("silhouette", repr(round(report.silhouette, 6)))
     _emit("min_share_ok", report.min_share_ok)
     _emit("class_counts", ",".join(str(c) for c in report.class_counts))
-    _emit("labels", out)
+    _emit("labels", args.out)
     return 0
 
 
@@ -457,27 +467,26 @@ def _write_run(out: Path, model: SequenceModel, history: TrainHistory, outputs, 
     return 0
 
 
-def _regression_training(args, features_dir: Path):
+def _regression_training(args):
     """Aligned features and gold of every recording with both, by split in gold-file order."""
     if not args.gold or not args.partitions:
         raise ParameterError("regression training needs --gold and --partitions")
-    gold_dir = _resolve(args.gold)
-    partition = dataio.read_partition_csv(_resolve(args.partitions))
+    partition = dataio.read_partition_csv(args.partitions)
 
-    gold_files = sorted(gold_dir.glob("*.csv"))
+    gold_files = sorted(args.gold.glob("*.csv"))
     if not gold_files:
-        raise DataError(f"no gold files under {gold_dir}")
+        raise DataError(f"no gold files under {args.gold}")
     inputs, targets, ts_by_rec = {}, {}, {}
     splits: dict[str, list[str]] = {s: [] for s in dataio.SPLITS}
     width = None
     for path in gold_files:
         rec = path.stem
-        fpath = features_dir / f"{rec}.csv"
+        fpath = args.features / f"{rec}.csv"
         if not fpath.is_file():
             _info(f"skipping {rec}: no feature file {fpath}")
             continue
         ts_by_rec[rec], targets[rec] = dataio.read_gold_csv(path)
-        fseq = dataio.read_feature_csv(fpath, rec, features_dir.name, n_features=width)
+        fseq = dataio.read_feature_csv(fpath, rec, args.features.name, n_features=width)
         width = fseq.n_features
         inputs[rec] = dataio.align_to_labels(fseq, ts_by_rec[rec])
         splits[partition.split_of(rec)].append(rec)
@@ -487,25 +496,24 @@ def _regression_training(args, features_dir: Path):
     return inputs, targets, splits, {"head": "regression"}, partial(_write_traces, ts_by_rec)
 
 
-def _sent_training(args, features_dir: Path):
+def _sent_training(args):
     """Feature frames and labels of every segment by split, in segment order; test needs no label."""
     if not args.segments or not args.labels:
         raise ParameterError("sent training needs --segments and --labels")
-    segments = dataio.read_segments_csv(_resolve(args.segments))
+    segments = dataio.read_segments_csv(args.segments)
     # discretize puts N segments in at most N classes; a larger class would size the head, so it is bad data
-    labels_path = _resolve(args.labels)
-    labels = dataio.read_labels_csv(labels_path, n_classes=max(len(segments), 5))
+    labels = dataio.read_labels_csv(args.labels, n_classes=max(len(segments), 5))
 
     feats: dict[str, dataio.FeatureSequence] = {}
     inputs: dict[str, np.ndarray] = {}
     width = None
     for seg in segments:
         if seg.recording_id not in feats:
-            fpath = features_dir / f"{seg.recording_id}.csv"
+            fpath = args.features / f"{seg.recording_id}.csv"
             if not fpath.is_file():
                 raise DataError(f"no feature file for recording {seg.recording_id!r}: {fpath}")
             feats[seg.recording_id] = dataio.read_feature_csv(
-                fpath, seg.recording_id, features_dir.name, n_features=width
+                fpath, seg.recording_id, args.features.name, n_features=width
             )
             width = feats[seg.recording_id].n_features
         fseq = feats[seg.recording_id]
@@ -519,7 +527,7 @@ def _sent_training(args, features_dir: Path):
     for seg in segments:
         splits[seg.partition].append(seg.segment_id)
         if seg.segment_id not in labels and seg.partition != "test":
-            raise DataError(f"{labels_path}: no label for {seg.partition} segment {seg.segment_id!r}")
+            raise DataError(f"{args.labels}: no label for {seg.partition} segment {seg.segment_id!r}")
     if not splits["train"] or not splits["devel"]:
         raise DataError("need labeled train and devel segments")
     splits = {s: tuple(ids) for s, ids in splits.items() if ids}
@@ -535,7 +543,7 @@ def cmd_train(args) -> int:
     )
     # (inputs, targets and splits by item id, the config's head fields, prediction writer)
     read_items = _sent_training if args.task == "sent" else _regression_training
-    inputs, targets, splits, head, write_preds = read_items(args, _resolve(args.features))
+    inputs, targets, splits, head, write_preds = read_items(args)
     config = RegressorConfig(
         input_dim=inputs[splits["train"][0]].shape[1],
         hidden_dim=args.hidden,
@@ -559,7 +567,7 @@ def cmd_train(args) -> int:
         progress=lambda e, l, m: _info(f"epoch {e}: loss {l:.4f} {metric} {m:.4f}"),
     )
     return _write_run(
-        _resolve(args.out), model, history, outputs, write_preds,
+        args.out, model, history, outputs, write_preds,
         best_epoch=history.best_epoch, epochs_run=len(history.rows),
     )
 
@@ -588,10 +596,8 @@ def cmd_eval(args) -> int:
     if args.pred_labels or args.gold_labels:
         if not (args.pred_labels and args.gold_labels):
             raise ParameterError("classification eval needs --pred-labels and --gold-labels")
-        if args.classes < 2:
-            raise ParameterError(f"--classes must be >= 2, got {args.classes}")
-        pred_map = dataio.read_labels_csv(_resolve(args.pred_labels), n_classes=args.classes)
-        gold_map = dataio.read_labels_csv(_resolve(args.gold_labels), n_classes=args.classes)
+        pred_map = dataio.read_labels_csv(args.pred_labels, n_classes=args.classes)
+        gold_map = dataio.read_labels_csv(args.gold_labels, n_classes=args.classes)
         shared = sorted(set(pred_map) & set(gold_map))
         if not shared:
             raise DataError("no shared segment ids between predictions and gold labels")
@@ -604,12 +610,12 @@ def cmd_eval(args) -> int:
 
     if not args.pred or not args.gold:
         raise ParameterError("regression eval needs --pred and --gold")
-    preds, golds = _read_pred_dir(_resolve(args.pred), _resolve(args.gold))
+    preds, golds = _read_pred_dir(args.pred, args.gold)
     per_target = {args.name: partition_ccc(preds, golds)}
     if args.pred2 or args.gold2:
         if not (args.pred2 and args.gold2):
             raise ParameterError("second target needs both --pred2 and --gold2")
-        preds2, golds2 = _read_pred_dir(_resolve(args.pred2), _resolve(args.gold2))
+        preds2, golds2 = _read_pred_dir(args.pred2, args.gold2)
         per_target[args.name2] = partition_ccc(preds2, golds2)
     report = ScoreReport(per_target)
     if args.per_recording:
@@ -650,8 +656,7 @@ def _regression_streams(args, stream_dirs: dict[str, Path]):
     """Per-recording traces of every stream, over recordings all streams cover."""
     if not args.gold or not args.partitions:
         raise ParameterError("regression fusion needs --gold and --partitions")
-    gold_dir = _resolve(args.gold)
-    partition = dataio.read_partition_csv(_resolve(args.partitions))
+    partition = dataio.read_partition_csv(args.partitions)
 
     splits: dict[str, tuple[str, ...]] = {}
     for split in dataio.SPLITS:
@@ -679,7 +684,7 @@ def _regression_streams(args, stream_dirs: dict[str, Path]):
     gold = {}
     for split in ("train", "devel"):
         for rec in splits.get(split, ()):
-            path, n = gold_dir / f"{rec}.csv", ts_by_rec[rec].size
+            path, n = args.gold / f"{rec}.csv", ts_by_rec[rec].size
             gold[rec] = dataio.read_gold_csv(path)[1]
             if gold[rec].size != n:
                 raise DataError(f"{path}: {gold[rec].size} rows, but {first_dir / split / path.name} has {n}")
@@ -716,25 +721,23 @@ def _sent_streams(args, stream_dirs: dict[str, Path]):
             streams[name].update(rows)
     # a gold class without a logit column in every stream is bad data
     n_classes = min((width for width, _ in widths.values()), default=None)
-    labels_path = _resolve(args.gold_labels)
-    gold = dataio.read_labels_csv(labels_path, n_classes=n_classes)
+    gold = dataio.read_labels_csv(args.gold_labels, n_classes=n_classes)
     for split in ("train", "devel"):
         unlabelled = [seg for seg in splits.get(split, ()) if seg not in gold]
         if unlabelled:
-            raise DataError(f"{labels_path}: no label for {split} segment {unlabelled[0]!r}")
+            raise DataError(f"{args.gold_labels}: no label for {split} segment {unlabelled[0]!r}")
     return streams, gold, splits, _write_labels
 
 
 def cmd_fuse_late(args) -> int:
-    stream_dirs = [_resolve(s) for s in args.streams]
-    if len(stream_dirs) < 2:
+    if len(args.streams) < 2:
         raise ParameterError("late fusion needs at least two --streams directories")
     spec = dataio.WindowSpec(args.window, args.hop or args.window) if args.window is not None else None
     task = "sent" if args.task == "sent" else "regression"
     # (streams, train and devel gold, items per split, prediction writer)
     read_streams = _sent_streams if task == "sent" else _regression_streams
     streams, gold, splits, write_preds = read_streams(
-        args, dict(zip(_stream_names(stream_dirs), stream_dirs))
+        args, dict(zip(_stream_names(args.streams), args.streams))
     )
     if "train" not in splits or "devel" not in splits:
         raise DataError("streams do not cover train and devel items")
@@ -744,7 +747,7 @@ def cmd_fuse_late(args) -> int:
         streams, gold, splits, task, spec,
         seed=args.seed, max_epochs=args.epochs, patience=args.patience, batch_size=args.batch,
     )
-    return _write_run(_resolve(args.out), *fitted, write_preds, streams=",".join(streams))
+    return _write_run(args.out, *fitted, write_preds, streams=",".join(streams))
 
 
 # ---------------------------------------------------------------------------
@@ -758,21 +761,17 @@ def main(argv=None) -> int:
     argv = list(argv)
 
     try:
-        config_path = None
-        for i, token in enumerate(argv):
-            if token == "--config" and i + 1 < len(argv):
-                config_path = argv[i + 1]
-            elif token.startswith("--config="):
-                config_path = token.split("=", 1)[1]
-        if config_path is not None:
-            command = next((t for t in argv if not t.startswith("-")), None)  # the top level takes no values
-            _apply_config(_load_config_file(Path(_resolve(config_path))), subparsers, command)
         try:
+            # --config alone first, through the same type, so that its values become defaults of the full parse
+            pre = argparse.ArgumentParser(prog="affectfuse", add_help=False)
+            pre.add_argument("--config", type=_data_path)
+            config_path = pre.parse_known_args(argv)[0].config
+            if config_path is not None:
+                command = next((t for t in argv if not t.startswith("-")), None)  # the top level takes no values
+                _apply_config(_load_config_file(config_path), subparsers, command)
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        if args.jobs < 1:
-            raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -269,11 +269,11 @@ def uniform_step_ms(timestamps_ms: np.ndarray) -> float:
     ts = np.asarray(timestamps_ms, dtype=np.int64)
     if ts.ndim != 1 or ts.size < 2:
         raise ParameterError("a timestamp grid needs at least 2 timestamps")
-    diffs = np.diff(ts)
-    step = float(np.median(diffs))
+    diffs = np.diff(ts)  # the one step array held: the median reorders it in place, and no float copy is made
+    step = float(np.median(diffs, overwrite_input=True))
     if np.any(diffs <= 0):
         raise ParameterError("timestamps must be strictly increasing")
-    if np.any(np.abs(diffs - step) > 1):
+    if np.any(diffs < step - 1) or np.any(diffs > step + 1):
         raise ParameterError("timestamps must form a uniform grid")
     return step
 
@@ -336,27 +336,22 @@ def slice_by_span(timestamps_ms: np.ndarray, start_ms: int, end_ms: int) -> np.n
 # two-column signal CSVs
 
 
-def _read_two_column(path: Path | str, expected_header: str) -> tuple[np.ndarray, np.ndarray]:
-    table = _read_table(path, {expected_header: (np.int64, np.float64)})
-    ts, values = table.dtype.names
-    return np.ascontiguousarray(table[ts]), np.ascontiguousarray(table[values])
-
-
 def _read_grid(path: Path | str) -> tuple[np.ndarray, np.ndarray, float]:
-    """Timestamps, values and step in ms of a ``timestamp_ms,value`` CSV.
+    """Timestamps, values and step in ms of a ``timestamp_ms,value`` CSV; the two columns are
+    strided fields of the table read, not copies.
 
     The samples, at least 2, must lie on a uniform grid (see :func:`uniform_step_ms`).
     """
-    ts, vals = _read_two_column(path, "timestamp_ms,value")
+    table = _read_table(path, {"timestamp_ms,value": (np.int64, np.float64)})
     try:
-        return ts, vals, uniform_step_ms(ts)
+        return table["timestamp_ms"], table["value"], uniform_step_ms(table["timestamp_ms"])
     except ParameterError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def read_annotation_csv(path: Path | str, rater_id: str, kind: str) -> AnnotationTrace:
     """Load one rater's trace from a ``timestamp_ms,value`` CSV."""
-    _, vals, step = _read_grid(path)
+    _, vals, step = _read_grid(path)  # AnnotationTrace copies the values field
     try:
         return AnnotationTrace(rater_id=rater_id, sample_rate_hz=1000.0 / step, values=vals, kind=kind)
     except ParameterError as exc:
@@ -444,7 +439,7 @@ def read_gold_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
     The ``.json`` sidecar :func:`write_gold_csv` leaves is never read here.
     """
     ts, vals, _ = _read_grid(path)
-    return ts, vals
+    return np.ascontiguousarray(ts), np.ascontiguousarray(vals)
 
 
 def write_prediction_csv(path: Path | str, timestamps_ms: np.ndarray, preds: np.ndarray) -> None:
@@ -452,7 +447,8 @@ def write_prediction_csv(path: Path | str, timestamps_ms: np.ndarray, preds: np.
 
 
 def read_prediction_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
-    return _read_two_column(path, "timestamp_ms,pred")
+    table = _read_table(path, {"timestamp_ms,pred": (np.int64, np.float64)})
+    return np.ascontiguousarray(table["timestamp_ms"]), np.ascontiguousarray(table["pred"])
 
 
 def write_partition_csv(path: Path | str, partition: Partition) -> None:

@@ -175,6 +175,15 @@ def pca_project(basis: PcaBasis, matrix: np.ndarray) -> np.ndarray:
 # clustering
 
 
+# k-means: seeded k-means++ restarts, and Lloyd rounds per restart at most
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 300
+# EM: the log-likelihood gain it stops below, its round cap and its covariance ridge
+EM_TOL = 1e-6
+EM_MAX_ITER = 200
+EM_REG = 1e-6
+
+
 def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     centres = np.empty((k, x.shape[1]))
@@ -200,10 +209,8 @@ def _inertia(x: np.ndarray, centres: np.ndarray, labels: np.ndarray) -> float:
     return float(np.sum((x - centres[labels]) ** 2))
 
 
-def kmeans(
-    x: np.ndarray, k: int, seed: int = 101, restarts: int = 10, max_iter: int = 300
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lloyd's k-means with k-means++ seeding and ``restarts`` seeded restarts.
+def kmeans(x: np.ndarray, k: int, seed: int = 101) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lloyd's k-means with k-means++ seeding and ``KMEANS_RESTARTS`` seeded restarts.
 
     The restart with the lowest inertia wins; exact ties keep the earlier
     restart index. Within a run the inertia must never increase, which is
@@ -216,12 +223,12 @@ def kmeans(
     if np.unique(x, axis=0).shape[0] < k:
         raise ParameterError(f"need at least {k} distinct points, got fewer")
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for restart in range(restarts):
+    for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([int(seed), restart])
         centres = _kmeans_pp(x, k, rng)
         labels = _assign(x, centres)
         prev_inertia = np.inf
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             for c in range(k):
                 mask = labels == c
                 if mask.any():
@@ -256,18 +263,11 @@ def _log_gauss(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + np.sum(z**2, axis=0))
 
 
-def gmm_em(
-    x: np.ndarray,
-    k: int,
-    seed: int = 101,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-    reg: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+def gmm_em(x: np.ndarray, k: int, seed: int = 101) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Full-covariance Gaussian mixture fitted by EM, initialised from k-means.
 
-    Stops once the total log-likelihood gain drops below ``tol`` or after
-    ``max_iter`` iterations. Covariances carry a ``reg`` ridge on the
+    Stops once the total log-likelihood gain drops below ``EM_TOL`` or after
+    ``EM_MAX_ITER`` iterations. Covariances carry an ``EM_REG`` ridge on the
     diagonal for stability; the per-iteration log-likelihood must be
     non-decreasing (up to float slack) or :class:`NumericError` is raised.
 
@@ -281,16 +281,16 @@ def gmm_em(
     weights = np.maximum(np.bincount(labels, minlength=k) / n, 1e-9)
     weights /= weights.sum()
     global_cov = np.cov(x, rowvar=False, ddof=0) if n > 1 else np.eye(d)
-    global_cov = np.atleast_2d(global_cov) + reg * np.eye(d)
+    global_cov = np.atleast_2d(global_cov) + EM_REG * np.eye(d)
     covs = np.empty((k, d, d))
     for c in range(k):
         pts = x[labels == c]
         if pts.shape[0] > 1:
-            covs[c] = np.atleast_2d(np.cov(pts, rowvar=False, ddof=0)) + reg * np.eye(d)
+            covs[c] = np.atleast_2d(np.cov(pts, rowvar=False, ddof=0)) + EM_REG * np.eye(d)
         else:
             covs[c] = global_cov
     log_likelihoods: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         log_prob = np.stack(
             [np.log(weights[c]) + _log_gauss(x, means[c], covs[c]) for c in range(k)], axis=1
         )
@@ -301,7 +301,7 @@ def gmm_em(
             raise NumericError("EM log-likelihood decreased")
         gain = ll - log_likelihoods[-1] if log_likelihoods else np.inf
         log_likelihoods.append(ll)
-        if gain < tol:
+        if gain < EM_TOL:
             break
         resp = np.exp(log_prob - log_norm[:, None])
         nk = resp.sum(axis=0) + 1e-12
@@ -309,12 +309,15 @@ def gmm_em(
         means = (resp.T @ x) / nk[:, None]
         for c in range(k):
             diff = x - means[c]
-            covs[c] = (resp[:, c][:, None] * diff).T @ diff / nk[c] + reg * np.eye(d)
+            covs[c] = (resp[:, c][:, None] * diff).T @ diff / nk[c] + EM_REG * np.eye(d)
     return means, covs, weights, log_likelihoods
 
 
 # ---------------------------------------------------------------------------
 # the composed class model
+
+# principal components the class model clusters in
+CLASS_MODEL_COMPONENTS = 5
 
 
 def _standardized(matrix, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -341,12 +344,7 @@ class ClusterModel:
 
 
 def fit_class_model(
-    train_matrix: np.ndarray,
-    target: str,
-    method: str,
-    n_components: int = 5,
-    n_classes: int = 5,
-    seed: int = 101,
+    train_matrix: np.ndarray, target: str, method: str, n_classes: int = 5, seed: int = 101
 ) -> ClusterModel:
     """Fit the full discretization pipeline on training feature vectors.
 
@@ -359,7 +357,7 @@ def fit_class_model(
     m = np.atleast_2d(np.asarray(train_matrix, dtype=np.float64))
     mean, std = m.mean(axis=0), m.std(axis=0)
     scaled = _standardized(m, mean, std)
-    basis = fit_pca(scaled, n_components=n_components)
+    basis = fit_pca(scaled, n_components=CLASS_MODEL_COMPONENTS)
     pts = pca_project(basis, scaled)
     if method == "kmeans":
         centres, _, inertia = kmeans(pts, n_classes, seed=seed)
@@ -370,7 +368,7 @@ def fit_class_model(
             "covariances": covs,
             "mixture_weights": weights,
             "log_likelihoods": lls,
-            "converged": len(lls) < 200,
+            "converged": len(lls) < EM_MAX_ITER,
         }
     return ClusterModel(
         target=target, method=method, mean=mean, std=std, basis=basis, centres=centres, seed=seed, extras=extras
@@ -399,13 +397,15 @@ class ClusterReport:
 
 # float64 elements in one block of pairwise differences (8 MB)
 SILHOUETTE_BLOCK = 1 << 20
+# the smallest class share that validate_clusters reports as ok
+MIN_SHARE = 0.05
 
 
-def validate_clusters(points, assignments, n_classes: int = 5, min_share: float = 0.05) -> ClusterReport:
+def validate_clusters(points, assignments, n_classes: int = 5) -> ClusterReport:
     """Mean silhouette and class-share sanity of an assignment.
 
     Points in singleton clusters contribute silhouette 0. ``min_share_ok``
-    requires the smallest class to hold at least ``min_share`` of all points.
+    requires the smallest class to hold at least ``MIN_SHARE`` of all points.
     At least two non-empty classes are required.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -436,7 +436,7 @@ def validate_clusters(points, assignments, n_classes: int = 5, min_share: float 
     denom = np.maximum(a, b)
     keep = (own > 1) & (denom > 0.0)  # singletons and all-zero distances score 0
     scores = np.where(keep, b - a, 0.0) / np.where(keep, denom, 1.0)
-    min_ok = bool(counts.min() >= min_share * labels.size) if counts.min() > 0 else False
+    min_ok = bool(counts.min() >= MIN_SHARE * labels.size) if counts.min() > 0 else False
     return ClusterReport(
         silhouette=float(scores.mean()),
         class_counts=tuple(int(c) for c in counts),

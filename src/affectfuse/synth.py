@@ -18,6 +18,8 @@ from .errors import ParameterError, require_finite
 __all__ = ["SynthConfig", "gen_latent", "gen_raters", "gen_eda", "gen_features", "write_corpus"]
 
 EDA_RATE_HZ = 1000.0
+# summed amplitude of the two slow drift sinusoids of a synthetic EDA signal
+EDA_DRIFT = 0.5
 
 # rng stream tags so the generators stay independent of each other
 _LATENT, _RATERS, _EDA, _FEATURES, _RECORDING, _SEGMENTS = range(6)
@@ -34,7 +36,6 @@ class SynthConfig:
     max_lag_s: float = 2.0
     noise_sigma: float = 0.05
     scale_jitter: float = 0.2
-    eda_drift: float = 0.5
     feature_dim: int = 8
     feature_noise: float = 0.1
     kind: str = "arousal"
@@ -129,7 +130,7 @@ def gen_eda(config: SynthConfig, latent: np.ndarray) -> AnnotationTrace:
     for _ in range(2):
         f = rng.uniform(1.0 / 400.0, 1.0 / 150.0)
         p = rng.uniform(0.0, 2.0 * np.pi)
-        drift += 0.5 * config.eda_drift * np.sin(2.0 * np.pi * f * t_hi + p)
+        drift += 0.5 * EDA_DRIFT * np.sin(2.0 * np.pi * f * t_hi + p)
     response = 0.8 * np.interp(t_hi, t_lo, np.asarray(latent, dtype=np.float64))
     noise = 0.02 * rng.standard_normal(n_hi)
     values = np.maximum(2.0 + drift + response + noise, 0.0)
@@ -193,6 +194,9 @@ def write_corpus(
         raise ParameterError("n_recordings must be >= 1")
     if not feature_sets:
         raise ParameterError("need at least one feature set name")
+    repeated = next((name for i, name in enumerate(feature_sets) if name in feature_sets[:i]), None)
+    if repeated is not None:
+        raise ParameterError(f"feature set {repeated!r} is named twice")
     out = Path(out_dir)
     recording_ids = [f"rec_{i:03d}" for i in range(n_recordings)]
     assignment = {rid: _split_for(i, n_recordings) for i, rid in enumerate(recording_ids)}

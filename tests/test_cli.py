@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import shutil
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectfuse import cli
 from affectfuse.cli import build_parser, main
 from affectfuse.dataio import (
     read_gold_csv,
@@ -109,6 +111,19 @@ class TestSynth:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_feature_set_exit_2_naming_it(self, tmp_path, capsys, source):
+        argv = ["synth", "--out", str(tmp_path / "c"), "--recordings", "1", "--duration", "20"]
+        if source == "flag":
+            argv += ["--feature-sets", "a,b, a"]
+        else:
+            (tmp_path / "run.cfg").write_text("feature-sets = a,b, a\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        rc = main(argv)
+        assert rc == 2
+        assert "argument --feature-sets: names the set 'a' twice" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_unknown_subcommand_exits_2(self):
         assert main(["mystery"]) == 2
@@ -408,7 +423,7 @@ class TestDiscretize:
         rc = main(["discretize", "--gold", str(tmp_path / "gold"), "--segments", str(tmp_path / "s.csv"),
                    "--target", "valence", "--classes", str(classes), "--out", str(tmp_path / "labels.csv")])
         assert rc == 2
-        assert f"--classes must be >= 2, got {classes}" in capsys.readouterr().err
+        assert f"argument --classes: must be >= 2, got {classes}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -573,6 +588,14 @@ class TestEvalRegression:
 
     def test_needs_some_input_exit_2(self):
         assert main(["eval"]) == 2
+
+    @pytest.mark.parametrize("mode", ["regression", "labels"])
+    def test_fewer_than_two_classes_exit_2_before_reading(self, tmp_path, capsys, mode):
+        # none of the inputs exists: reading any would exit 3
+        inputs = ["--pred", "--gold"] if mode == "regression" else ["--pred-labels", "--gold-labels"]
+        rc = main(["eval", *(a for flag in inputs for a in (flag, str(tmp_path / flag[2:]))), "--classes", "1"])
+        assert rc == 2
+        assert "argument --classes: must be >= 2, got 1" in capsys.readouterr().err
 
 
 class TestSentPath:
@@ -1374,14 +1397,16 @@ class TestJobs:
         rc = main(argv + ["--jobs", jobs])
         captured = capsys.readouterr()
         assert rc == 2
-        assert "--jobs" in captured.err
+        assert f"argument --jobs: must be >= 1, got {jobs}" in captured.err
         assert not (tmp_path / "out").exists()
 
-    def test_below_one_from_config_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--config", "--conf"])  # argparse takes an unambiguous prefix of a flag
+    def test_below_one_from_config_exit_2(self, tmp_path, capsys, flag):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("jobs = 0\n")
-        rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+        rc = main(["synth", "--out", str(tmp_path / "out"), flag, str(cfg)])
         assert rc == 2
+        assert "argument --jobs: must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_accepted_by_every_subcommand(self):
@@ -1389,6 +1414,93 @@ class TestJobs:
         assert len(subparsers) == 7
         for sp in subparsers:
             assert any("--jobs" in a.option_strings for a in sp._actions)
+
+
+# Every path option besides --config, which every subcommand has; each resolves
+# a relative path against AFFECTFUSE_DATA_ROOT through its argparse type.
+PATH_OPTIONS = (
+    ("synth", "--out"),
+    *((command, flag) for command in ("raaw", "physio") for flag in ("--annotations", "--out", "--dump-paths")),
+    ("physio", "--eda"),
+    ("discretize", "--gold"), ("discretize", "--segments"), ("discretize", "--out"), ("discretize", "--model-out"),
+    ("train", "--gold"), ("train", "--partitions"), ("train", "--out"), ("train", "--features"),
+    ("train", "--segments"), ("train", "--labels"),
+    ("eval", "--pred"), ("eval", "--gold"), ("eval", "--pred2"), ("eval", "--gold2"),
+    ("eval", "--pred-labels"), ("eval", "--gold-labels"),
+    ("fuse-late", "--gold"), ("fuse-late", "--partitions"), ("fuse-late", "--out"), ("fuse-late", "--streams"),
+    ("fuse-late", "--gold-labels"),
+)
+# options whose value is a plain string: a path option without the path type would show up here
+STRING_OPTIONS = {("eval", "--name"), ("eval", "--name2")}
+
+
+def _path_cases() -> list:
+    """(command, flag, source) of every path option as a flag, and as a config value unless
+    it is required (given as a flag only) or --config itself."""
+    required = {(sp.prog.split()[-1], a.option_strings[0]) for sp in build_parser()[1] for a in sp._actions
+                if a.required}
+    return [pytest.param(command, flag, source, id=f"{command}{flag}-{source}")
+            for command, flag in PATH_OPTIONS + tuple((command, "--config") for command in MINIMAL_ARGV)
+            for source in ("flag", "config")
+            if source == "flag" or (flag != "--config" and (command, flag) not in required)]
+
+
+@pytest.fixture
+def parse(monkeypatch):
+    """``main(argv)`` up to the parsed arguments, which every subcommand hands back instead of running."""
+    seen = []
+    for name in ("cmd_synth", "_run_fusion", "cmd_discretize", "cmd_train", "cmd_eval", "cmd_fuse_late"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+
+    def run(argv):
+        assert main(argv) == 0
+        return seen.pop()
+
+    return run
+
+
+class TestPathOptions:
+    def test_every_path_option_is_listed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AFFECTFUSE_DATA_ROOT", str(tmp_path))
+        resolving, plain = set(), set()
+        for sp in build_parser()[1]:
+            command = sp.prog.split()[-1]
+            for action in (a for a in sp._actions if a.option_strings and a.nargs != 0):
+                flag = action.option_strings[0]
+                if action.type is None and action.choices is None:
+                    plain.add((command, flag))
+                    continue
+                try:
+                    if action.type("x") == tmp_path / "x":
+                        resolving.add((command, flag))
+                except (TypeError, ValueError, argparse.ArgumentTypeError):  # no type, or one that rejects "x"
+                    pass
+        assert plain == STRING_OPTIONS
+        assert resolving == set(PATH_OPTIONS) | {(command, "--config") for command in MINIMAL_ARGV}
+
+    @pytest.mark.parametrize(("command", "flag", "source"), _path_cases())
+    def test_relative_path_resolves_against_data_root(self, tmp_path, monkeypatch, parse, command, flag, source):
+        root = tmp_path / "root"
+        (root / "rel").mkdir(parents=True)
+        (root / "rel" / "p").write_text("")  # an empty config file, for --config
+        monkeypatch.setenv("AFFECTFUSE_DATA_ROOT", str(root))
+        argv = [command] + [a.replace("{t}", str(tmp_path)) for a in MINIMAL_ARGV[command]]
+        dest = flag[2:].replace("-", "_")
+        if source == "flag":
+            argv += [flag, "rel/p"]
+        else:
+            (root / "run.cfg").write_text(f"{dest} = rel/p\n")
+            argv += ["--config", "run.cfg"]  # itself relative to the data root
+        value = getattr(parse(argv), dest)
+        assert value == ([root / "rel" / "p"] if flag == "--streams" else root / "rel" / "p")
+
+    @pytest.mark.parametrize("argv", [["synth", "--out", "{t}/c", "--config", ""], ["eval", "--pred", "", "--gold", "{t}"]],
+                             ids=["config", "pred"])
+    def test_empty_path_exit_2(self, tmp_path, capsys, argv):
+        rc = main([a.replace("{t}", str(tmp_path)) for a in argv])
+        assert rc == 2
+        assert "expected a path, got ''" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
 
 def _float_options() -> list:
@@ -1401,7 +1513,7 @@ def _float_options() -> list:
                 if isinstance(action.type("0.5"), float):
                     found.append(pytest.param(command, action.option_strings[0], action.dest,
                                               id=f"{command}{action.option_strings[0]}"))
-            except (TypeError, ValueError):  # no type, or an integer type
+            except (TypeError, ValueError, argparse.ArgumentTypeError):  # no type, or one that rejects "0.5"
                 pass
     return found
 

@@ -704,11 +704,31 @@ class TestUniformStep:
         assert uniform_step_ms(np.array([0, 500, 1000])) == 500.0
 
     @pytest.mark.parametrize(
-        "ts", [[0], [0, 250, 250, 500], [500, 250, 0]], ids=["single", "repeat", "decreasing"]
+        ("ts", "message"),
+        [([0], "at least 2"), ([0, 250, 250, 500], "strictly increasing"), ([500, 250, 0], "strictly increasing"),
+         ([0, 250, 250, 1000], "strictly increasing"), ([0, 100, 202, 300], "uniform grid"),
+         ([0, 100, 203], "uniform grid")],
+        ids=["single", "repeat", "decreasing", "repeat-and-uneven", "two-off", "half-step-median"],
     )
-    def test_bad_grids_rejected(self, ts):
-        with pytest.raises(ParameterError):
+    def test_bad_grids_rejected(self, ts, message):
+        with pytest.raises(ParameterError, match=message):
             uniform_step_ms(np.array(ts))
+
+    @pytest.mark.parametrize(("ts", "step"), [([0, 100, 201, 300], 100.0), ([0, 100, 202], 101.0)])
+    def test_steps_within_one_ms_of_the_median_pass(self, ts, step):
+        assert uniform_step_ms(np.array(ts)) == step
+
+    def test_memory_is_one_integer_step_array(self):
+        # the 2,000,000 int64 steps take 15.3 MiB; no float copy of them fits under the bound
+        ts = np.arange(2_000_001, dtype=np.int64) * 40
+        tracemalloc.start()
+        try:
+            step = uniform_step_ms(ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert step == 40.0
+        assert peak < 24 * 2**20
 
 
 class TestWindow:

@@ -210,7 +210,7 @@ class TestGmm:
     def test_single_component_fixed_point(self):
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(80, 3)) * [1.0, 2.0, 0.5]
-        means, covs, weights, _ = gmm_em(pts, 1, seed=0, reg=1e-6)
+        means, covs, weights, _ = gmm_em(pts, 1, seed=0)
         assert np.allclose(means[0], pts.mean(axis=0), atol=1e-9)
         pop_cov = np.cov(pts, rowvar=False, ddof=0)
         assert np.allclose(covs[0], pop_cov + 1e-6 * np.eye(3), atol=1e-5)
@@ -309,10 +309,10 @@ class TestValidateClusters:
     def test_min_share_exact_boundary(self):
         pts = np.concatenate([np.zeros((5, 1)), np.ones((95, 1))])
         labels = np.concatenate([np.zeros(5, dtype=int), np.ones(95, dtype=int)])
-        assert validate_clusters(pts, labels, n_classes=2, min_share=0.05).min_share_ok
+        assert validate_clusters(pts, labels, n_classes=2).min_share_ok
         pts2 = np.concatenate([np.zeros((4, 1)), np.ones((96, 1))])
         labels2 = np.concatenate([np.zeros(4, dtype=int), np.ones(96, dtype=int)])
-        assert not validate_clusters(pts2, labels2, n_classes=2, min_share=0.05).min_share_ok
+        assert not validate_clusters(pts2, labels2, n_classes=2).min_share_ok
 
     def test_empty_class_fails_min_share(self):
         pts = np.concatenate([np.zeros((50, 1)), np.ones((50, 1))])

@@ -64,7 +64,7 @@ class TestConfig:
     @pytest.mark.parametrize(("config", "name"), [
         *((RegressorConfig, name) for name in ("learning_rate", "l2_penalty", "loss_eps")),
         *((SynthConfig, name) for name in ("duration_s", "rate_hz", "max_lag_s", "noise_sigma",
-                                           "scale_jitter", "eda_drift", "feature_noise")),
+                                           "scale_jitter", "feature_noise")),
     ], ids=lambda v: getattr(v, "__name__", v))
     def test_non_finite_float_rejected_naming_the_field(self, config, name, value):
         required = {"input_dim": 3} if config is RegressorConfig else {}

@@ -213,3 +213,9 @@ class TestWriteCorpus:
             write_corpus(cfg, tmp_path, n_recordings=0)
         with pytest.raises(ParameterError):
             write_corpus(cfg, tmp_path, n_recordings=2, feature_sets=())
+
+    def test_repeated_feature_set_rejected_before_writing(self, tmp_path):
+        # the second set would overwrite the first one's files
+        with pytest.raises(ParameterError, match="feature set 'a' is named twice"):
+            write_corpus(SynthConfig(seed=17, duration_s=30.0), tmp_path / "c", n_recordings=1, feature_sets=("a", "b", "a"))
+        assert not (tmp_path / "c").exists()
