@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RaterSet, standardize_values
-from .errors import ParameterError
+from .errors import DegenerateInputError, ParameterError
 
 __all__ = ["WarpPath", "AlignmentResult", "dtw", "default_band", "multi_align", "warp_to_reference"]
 
@@ -209,7 +209,7 @@ def multi_align(
     ``band`` defaults to 10% of the sequence length.
     """
     if len(rater_set) < 2:
-        raise ParameterError("multi_align needs at least 2 traces")
+        raise DegenerateInputError("multi_align needs at least 2 traces")
     if max_iter < 1:
         raise ParameterError("max_iter must be >= 1")
     if not (np.isfinite(tol) and tol > 0):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -40,8 +41,8 @@ import numpy as np
 from . import dataio, synth
 from .core import grid_timestamps_ms
 from .discretize import assign_nearest, fit_class_model, save_class_model, segment_features, validate_clusters
-from .errors import DataError, NumericError, ParameterError
-from .fuse import FusionConfig, PhysioConfig, agreement_stats, check_eda_span, physio_fuse, raaw
+from .errors import DataError, DegenerateInputError, NumericError, ParameterError
+from .fuse import FusionConfig, PhysioConfig, agreement_stats, physio_fuse, raaw
 from .latefusion import fuse_predictions
 from .metrics import ScoreReport, ccc, macro_f1, partition_ccc
 from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, fit, save_checkpoint
@@ -73,6 +74,16 @@ def _metric_key(config: RegressorConfig) -> str:
     return "devel_f1" if config.head == "classification" else "devel_ccc"
 
 
+@contextmanager
+def _data_of(*where):
+    """Library calls on file data: a DegenerateInputError they raise is prefixed with ``where``, the
+    input files or directories and any finer place in them, joined by ": ", for :func:`main` to report."""
+    try:
+        yield
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(": ".join(map(str, (*where, exc)))) from None
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -96,9 +107,10 @@ def _load_config_file(path: Path) -> dict[str, str]:
 
 def _apply_config(values: dict[str, str], subparsers: list[argparse.ArgumentParser], command: str | None) -> None:
     """Make config values the defaults of the options of ``command`` they name, for argparse to convert
-    with each option's ``type`` unless a flag overrides them. Unknown keys, required options, values
-    outside ``choices``, on/off flags and ``none`` are decided here, before any data file is read."""
-    unknown = set(values) - {a.dest for sp in subparsers for a in sp._actions}
+    with each option's ``type`` unless a flag overrides them. Unknown keys (``config`` and ``help`` too),
+    required options, values outside ``choices``, on/off flags and ``none`` are decided here, before any
+    data file is read."""
+    unknown = set(values) - ({a.dest for sp in subparsers for a in sp._actions} - {"config", "help"})
     if unknown:
         raise ParameterError(f"unknown config key {', '.join(map(repr, sorted(unknown)))}")
     for sp in (sp for sp in subparsers if sp.prog.split()[-1] == command):
@@ -338,17 +350,13 @@ def _fuse_worker(task: tuple[Path, str, str, FusionConfig | PhysioConfig, Path |
     """raaw with a FusionConfig, physio fusion with a PhysioConfig, of one recording."""
     ann_root, rec, kind, config, eda_dir = task
     rater_set = dataio.read_rater_set(ann_root, rec, kind)
-    if len(rater_set) < 2:
-        raise DataError(f"{ann_root / rec / kind}: fusion needs at least 2 rater files, got {len(rater_set)}")
     if isinstance(config, FusionConfig):
-        return rec, raaw(rater_set, config)
+        with _data_of(ann_root / rec / kind):
+            return rec, raaw(rater_set, config)
     eda_path = eda_dir / f"{rec}.csv"
     eda = dataio.read_annotation_csv(eda_path, rater_id=eda_path.stem, kind="physio")
-    try:
-        check_eda_span(rater_set, eda)
-    except ParameterError as exc:
-        raise DataError(f"{eda_path}: {exc}") from None
-    return rec, physio_fuse(rater_set, eda, config)
+    with _data_of(ann_root / rec / kind, eda_path):
+        return rec, physio_fuse(rater_set, eda, config)
 
 
 def _run_fusion(args) -> int:
@@ -369,6 +377,8 @@ def _run_fusion(args) -> int:
         results = dict(_fuse_worker(t) for t in tasks)
 
     golds = [results[rec] for rec in recordings]
+    with _data_of(args.annotations):
+        mean, std = agreement_stats(golds)
     for rec, gold in zip(recordings, golds):
         ts = grid_timestamps_ms(len(gold.values), gold.sample_rate_hz)
         dataio.write_gold_csv(args.out / f"{rec}.csv", ts, gold.values, gold.sidecar())
@@ -376,7 +386,6 @@ def _run_fusion(args) -> int:
         if args.dump_paths:
             for rid, path in zip(gold.metadata["rater_ids"], gold.alignment.paths):
                 dataio.write_warp_path_csv(args.dump_paths / f"{rec}_{rid}.csv", path)
-    mean, std = agreement_stats(golds)
     _emit("recordings", len(recordings))
     _emit("agreement_mean", repr(round(mean, 6)))
     _emit("agreement_std", repr(round(std, 6)))
@@ -399,29 +408,20 @@ def cmd_discretize(args) -> int:
     for seg in segments:
         ts, values = golds[seg.recording_id]
         mask = dataio.slice_by_span(ts, seg.start_ms, seg.end_ms)
-        if int(mask.sum()) < 2:
-            raise DataError(
-                f"{args.segments}: segment {seg.segment_id!r} covers fewer than 2 samples of "
-                f"{args.gold / f'{seg.recording_id}.csv'}"
-            )
-        rows.append(segment_features(values[mask], args.target))
+        with _data_of(args.segments, f"segment {seg.segment_id!r}", args.gold / f"{seg.recording_id}.csv"):
+            rows.append(segment_features(values[mask], args.target))
     matrix = np.vstack(rows)
 
     train_rows = np.array([s.partition == "train" for s in segments])
-    n_train = int(train_rows.sum())
-    if n_train < 6:
-        raise DataError(f"{args.segments}: {n_train} train segments, but the class model needs at least 6")
-    n_distinct = np.unique(matrix[train_rows], axis=0).shape[0]
-    if n_distinct < args.classes:
-        raise DataError(f"{args.segments}: {n_distinct} distinct train segments, fewer than --classes {args.classes}")
-    _info(f"fitting {method} on {n_train} train segments ({args.target})")
-    model = fit_class_model(
-        matrix[train_rows], args.target, method,
-        n_classes=args.classes, seed=args.seed,
-    )
-    projected = model.project(matrix)
-    assignments = assign_nearest(model.centres, projected)
-    report = validate_clusters(projected, assignments, n_classes=args.classes)
+    _info(f"fitting {method} on {int(train_rows.sum())} train segments ({args.target})")
+    with _data_of(args.segments, args.gold):
+        model = fit_class_model(
+            matrix[train_rows], args.target, method,
+            n_classes=args.classes, seed=args.seed,
+        )
+        projected = model.project(matrix)
+        assignments = assign_nearest(model.centres, projected)
+        report = validate_clusters(projected, assignments, n_classes=args.classes)
 
     labels = {seg.segment_id: int(lab) for seg, lab in zip(segments, assignments)}
     dataio.write_labels_csv(args.out, labels)
@@ -490,8 +490,8 @@ def _regression_training(args):
         width = fseq.n_features
         inputs[rec] = dataio.align_to_labels(fseq, ts_by_rec[rec])
         splits[partition.split_of(rec)].append(rec)
-    if not splits["train"] or not splits["devel"]:
-        raise DataError("need train and devel recordings with gold and features")
+    if not inputs:
+        raise DataError(f"no gold file under {args.gold} has a feature file under {args.features}")
     splits = {s: tuple(ids) for s, ids in splits.items() if ids}
     return inputs, targets, splits, {"head": "regression"}, partial(_write_traces, ts_by_rec)
 
@@ -523,14 +523,8 @@ def _sent_training(args):
             raise DataError(f"segment {seg.segment_id!r} covers no feature frames")
         inputs[seg.segment_id] = x
 
-    splits: dict[str, list[str]] = {s: [] for s in dataio.SPLITS}
-    for seg in segments:
-        splits[seg.partition].append(seg.segment_id)
-        if seg.segment_id not in labels and seg.partition != "test":
-            raise DataError(f"{args.labels}: no label for {seg.partition} segment {seg.segment_id!r}")
-    if not splits["train"] or not splits["devel"]:
-        raise DataError("need labeled train and devel segments")
-    splits = {s: tuple(ids) for s, ids in splits.items() if ids}
+    splits = {s: tuple(seg.segment_id for seg in segments if seg.partition == s) for s in dataio.SPLITS}
+    splits = {s: ids for s, ids in splits.items() if ids}
     head = {"head": "classification", "n_classes": max(max(labels.values()) + 1, 5)}
     return inputs, labels, splits, head, partial(_write_labels, logits=True)
 
@@ -543,9 +537,10 @@ def cmd_train(args) -> int:
     )
     # (inputs, targets and splits by item id, the config's head fields, prediction writer)
     read_items = _sent_training if args.task == "sent" else _regression_training
+    files = (args.segments, args.labels) if args.task == "sent" else (args.gold, args.partitions)
     inputs, targets, splits, head, write_preds = read_items(args)
     config = RegressorConfig(
-        input_dim=inputs[splits["train"][0]].shape[1],
+        input_dim=next(iter(inputs.values())).shape[1],
         hidden_dim=args.hidden,
         layers=args.layers,
         bidirectional=args.bidirectional,
@@ -560,12 +555,13 @@ def cmd_train(args) -> int:
     metric = _metric_key(config)
     _info(
         f"training {args.task} {config.head} model: dim {config.input_dim}, "
-        f"hidden {config.hidden_dim}, {len(splits['train'])} train items"
+        f"hidden {config.hidden_dim}, {len(splits.get('train', ()))} train items"
     )
-    model, history, outputs = fit(
-        config, inputs, targets, splits, spec,
-        progress=lambda e, l, m: _info(f"epoch {e}: loss {l:.4f} {metric} {m:.4f}"),
-    )
+    with _data_of(args.features, *files):
+        model, history, outputs = fit(
+            config, inputs, targets, splits, spec,
+            progress=lambda e, l, m: _info(f"epoch {e}: loss {l:.4f} {metric} {m:.4f}"),
+        )
     return _write_run(
         args.out, model, history, outputs, write_preds,
         best_epoch=history.best_epoch, epochs_run=len(history.rows),
@@ -611,12 +607,14 @@ def cmd_eval(args) -> int:
     if not args.pred or not args.gold:
         raise ParameterError("regression eval needs --pred and --gold")
     preds, golds = _read_pred_dir(args.pred, args.gold)
-    per_target = {args.name: partition_ccc(preds, golds)}
+    with _data_of(args.pred, args.gold):
+        per_target = {args.name: partition_ccc(preds, golds)}
     if args.pred2 or args.gold2:
         if not (args.pred2 and args.gold2):
             raise ParameterError("second target needs both --pred2 and --gold2")
         preds2, golds2 = _read_pred_dir(args.pred2, args.gold2)
-        per_target[args.name2] = partition_ccc(preds2, golds2)
+        with _data_of(args.pred2, args.gold2):
+            per_target[args.name2] = partition_ccc(preds2, golds2)
     report = ScoreReport(per_target)
     if args.per_recording:
         for rec in sorted(preds):
@@ -694,8 +692,8 @@ def _regression_streams(args, stream_dirs: dict[str, Path]):
 def _sent_streams(args, stream_dirs: dict[str, Path]):
     """Per-segment logits of every stream, read from ``<split>_logits.csv``.
 
-    Every stream has the same split files with the same segment ids, each stream one
-    logit width, and every train and devel segment a row in ``--gold-labels``.
+    Every stream has the same split files with the same segment ids, and each stream one
+    logit width; ``fit`` finds a train or devel segment with no row in ``--gold-labels``.
     """
     if not args.gold_labels:
         raise ParameterError("sent fusion needs --gold-labels")
@@ -722,10 +720,6 @@ def _sent_streams(args, stream_dirs: dict[str, Path]):
     # a gold class without a logit column in every stream is bad data
     n_classes = min((width for width, _ in widths.values()), default=None)
     gold = dataio.read_labels_csv(args.gold_labels, n_classes=n_classes)
-    for split in ("train", "devel"):
-        unlabelled = [seg for seg in splits.get(split, ()) if seg not in gold]
-        if unlabelled:
-            raise DataError(f"{args.gold_labels}: no label for {split} segment {unlabelled[0]!r}")
     return streams, gold, splits, _write_labels
 
 
@@ -736,17 +730,17 @@ def cmd_fuse_late(args) -> int:
     task = "sent" if args.task == "sent" else "regression"
     # (streams, train and devel gold, items per split, prediction writer)
     read_streams = _sent_streams if task == "sent" else _regression_streams
+    gold_files = (args.gold_labels,) if task == "sent" else (args.gold, args.partitions)
     streams, gold, splits, write_preds = read_streams(
         args, dict(zip(_stream_names(args.streams), args.streams))
     )
-    if "train" not in splits or "devel" not in splits:
-        raise DataError("streams do not cover train and devel items")
 
     _info(f"fusing {len(streams)} {task} streams over {sum(len(v) for v in splits.values())} items")
-    fitted = fuse_predictions(
-        streams, gold, splits, task, spec,
-        seed=args.seed, max_epochs=args.epochs, patience=args.patience, batch_size=args.batch,
-    )
+    with _data_of(*args.streams, *gold_files):
+        fitted = fuse_predictions(
+            streams, gold, splits, task, spec,
+            seed=args.seed, max_epochs=args.epochs, patience=args.patience, batch_size=args.batch,
+        )
     return _write_run(args.out, *fitted, write_preds, streams=",".join(streams))
 
 
@@ -773,12 +767,12 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         return args.func(args)
+    except (DataError, DegenerateInputError) as exc:  # a DegenerateInputError is a ParameterError on file values
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4

@@ -254,6 +254,8 @@ class Segment:
             raise ParameterError(f"segment {self.segment_id!r}: end must be after start")
         if self.start_ms < 0:
             raise ParameterError(f"segment {self.segment_id!r}: negative start")
+        if self.partition not in SPLITS:
+            raise ParameterError(f"segment {self.segment_id!r}: unknown split {self.partition!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +352,10 @@ def _read_grid(path: Path | str) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def read_annotation_csv(path: Path | str, rater_id: str, kind: str) -> AnnotationTrace:
-    """Load one rater's trace from a ``timestamp_ms,value`` CSV."""
-    _, vals, step = _read_grid(path)  # AnnotationTrace copies the values field
+    """Load one rater's trace from a ``timestamp_ms,value`` CSV whose grid starts at 0 ms."""
+    ts, vals, step = _read_grid(path)  # AnnotationTrace copies the values field
+    if ts[0] != 0:
+        raise DataError(f"{path}: the time grid starts at {ts[0]} ms, not 0")
     try:
         return AnnotationTrace(rater_id=rater_id, sample_rate_hz=1000.0 / step, values=vals, kind=kind)
     except ParameterError as exc:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import read_model_file, write_model_file
-from .errors import NumericError, ParameterError
+from .errors import DegenerateInputError, NumericError, ParameterError
 
 __all__ = [
     "AROUSAL_FEATURES",
@@ -83,7 +84,7 @@ def segment_features(values, target: str) -> np.ndarray:
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
-        raise ParameterError("segment_features needs a 1-d segment of length >= 2")
+        raise DegenerateInputError(f"segment_features needs a 1-d segment of length >= 2, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ParameterError("segment contains non-finite values")
     names = feature_names(target)
@@ -144,7 +145,7 @@ def fit_pca(matrix: np.ndarray, n_components: int = 5) -> PcaBasis:
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     n, d = m.shape
     if n < 6:
-        raise ParameterError(f"fit_pca needs at least 6 rows, got {n}")
+        raise DegenerateInputError(f"fit_pca needs at least 6 rows, got {n}")
     if n_components < 1 or n_components > d:
         raise ParameterError(f"n_components must be in [1, {d}]")
     cov = np.cov(m, rowvar=False, ddof=1)
@@ -155,7 +156,7 @@ def fit_pca(matrix: np.ndarray, n_components: int = 5) -> PcaBasis:
     tol = max(float(evals[0]), 0.0) * 1e-10 + 1e-12
     rank = int(np.sum(evals > tol))
     if rank < n_components:
-        raise ParameterError(
+        raise DegenerateInputError(
             f"feature covariance rank {rank} is below the requested {n_components} components"
         )
     comps = evecs[:, :n_components].T.copy()
@@ -220,8 +221,9 @@ def kmeans(x: np.ndarray, k: int, seed: int = 101) -> tuple[np.ndarray, np.ndarr
     n = x.shape[0]
     if k < 1:
         raise ParameterError("k must be >= 1")
-    if np.unique(x, axis=0).shape[0] < k:
-        raise ParameterError(f"need at least {k} distinct points, got fewer")
+    n_distinct = np.unique(x, axis=0).shape[0]
+    if n_distinct < k:
+        raise DegenerateInputError(f"need at least {k} distinct points, got {n_distinct}")
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([int(seed), restart])
@@ -276,7 +278,7 @@ def gmm_em(x: np.ndarray, k: int, seed: int = 101) -> tuple[np.ndarray, np.ndarr
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n, d = x.shape
     if n < k:
-        raise ParameterError(f"need at least {k} points for {k} components")
+        raise DegenerateInputError(f"need at least {k} points for {k} components, got {n}")
     means, labels, _ = kmeans(x, k, seed=seed)
     weights = np.maximum(np.bincount(labels, minlength=k) / n, 1e-9)
     weights /= weights.sum()
@@ -355,7 +357,9 @@ def fit_class_model(
     if method not in ("kmeans", "gmm"):
         raise ParameterError(f"unknown clustering method {method!r}; expected 'kmeans' or 'gmm'")
     m = np.atleast_2d(np.asarray(train_matrix, dtype=np.float64))
-    mean, std = m.mean(axis=0), m.std(axis=0)
+    with warnings.catch_warnings():  # numpy warns of an empty matrix, which fit_pca rejects
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean, std = m.mean(axis=0), m.std(axis=0)
     scaled = _standardized(m, mean, std)
     basis = fit_pca(scaled, n_components=CLASS_MODEL_COMPONENTS)
     pts = pca_project(basis, scaled)
@@ -418,7 +422,7 @@ def validate_clusters(points, assignments, n_classes: int = 5) -> ClusterReport:
         raise ParameterError(f"assignments outside [0, {n_classes - 1}]")
     counts = np.bincount(labels, minlength=n_classes)
     if np.count_nonzero(counts) < 2:
-        raise ParameterError("silhouette needs at least 2 non-empty classes")
+        raise DegenerateInputError("silhouette needs at least 2 non-empty classes")
     # per-class distance sums, one block of rows at a time: memory stays at
     # about SILHOUETTE_BLOCK floats whatever the number of points
     n, rows = labels.size, max(1, SILHOUETTE_BLOCK // pts.size)

@@ -11,7 +11,8 @@ class ParameterError(ValueError):
 
 
 class DegenerateInputError(ParameterError):
-    """Constant signal where a correlation-based quantity is undefined."""
+    """Well-formed values too few or too degenerate for the computation: a constant signal, too few
+    raters, rows or distinct points, an empty split. CLI exit code 3, where the values come from files."""
 
 
 class DataError(RuntimeError):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .align import AlignmentResult, multi_align
 from .core import AnnotationTrace, RaterSet, resample_values, savgol_smooth, standardize
-from .errors import ParameterError
+from .errors import DegenerateInputError, ParameterError
 from .metrics import moments
 
 __all__ = [
@@ -155,7 +155,7 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
     """
     config = config or FusionConfig()
     if len(rater_set) < 2:
-        raise ParameterError(
+        raise DegenerateInputError(
             f"recording {rater_set.recording_id!r}: fusion needs at least 2 raters, "
             f"got {len(rater_set)}"
         )
@@ -229,7 +229,7 @@ def check_eda_span(rater_set: RaterSet, eda: AnnotationTrace) -> None:
     """
     span = rater_set.traces[0].duration_s
     if eda.duration_s > 10 * span:
-        raise ParameterError(
+        raise DegenerateInputError(
             f"EDA trace {eda.rater_id!r} spans {eda.duration_s:g} s, more than ten times "
             f"the {span:g} s of the annotations of recording {rater_set.recording_id!r}"
         )
@@ -247,10 +247,6 @@ def physio_fuse(
     :func:`check_eda_span` is rejected first.
     """
     config = config or PhysioConfig()
-    if len(rater_set) < 2:
-        raise ParameterError(
-            f"recording {rater_set.recording_id!r}: physio fusion needs at least 2 raters"
-        )
     check_eda_span(rater_set, eda)
     ranking = raaw(rater_set, config.fusion)
     drop = int(np.argmin(ranking.weights))  # argmin takes the lowest index on ties
@@ -293,6 +289,6 @@ def agreement_stats(golds: Sequence[GoldStandard]) -> tuple[float, float]:
         else:
             vals.append(g.agreement_mean)
     if not vals:
-        raise ParameterError("agreement undefined for every recording")
+        raise DegenerateInputError("agreement undefined for every recording")
     arr = np.asarray(vals)
     return float(arr.mean()), float(arr.std())

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataio import WindowSpec
-from .errors import ParameterError
+from .errors import DegenerateInputError, ParameterError
 from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, fit
 
 __all__ = ["REGRESSION_FUSION", "SENT_FUSION", "fuse_predictions"]
@@ -79,7 +79,7 @@ def fuse_predictions(
         raise ParameterError("late fusion needs at least two prediction streams")
     stacked = {item: _stack(streams, item, task) for ids in splits.values() for item in ids}
     if not stacked:
-        raise ParameterError("late fusion has no item to size its model from")
+        raise DegenerateInputError("late fusion has no item to size its model from")
     input_dim = next(iter(stacked.values())).shape[1]
     for item, mat in stacked.items():
         if mat.shape[1] != input_dim:

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataio import WindowSpec, read_model_file, window, write_model_file, write_table
-from .errors import NumericError, ParameterError, require_finite
+from .errors import DegenerateInputError, NumericError, ParameterError, require_finite
 from .metrics import macro_f1, moments
 
 __all__ = [
@@ -488,10 +488,10 @@ def fit(
         raise ParameterError(f"a regression window needs at least 2 samples, got window {window_spec.window}")
     for split in ("train", "devel"):
         if not splits.get(split):
-            raise ParameterError(f"fit needs a non-empty {split!r} split")
+            raise DegenerateInputError(f"fit needs a non-empty {split!r} split")
         for item in splits[split]:
             if item not in targets:
-                raise ParameterError(f"no gold for {split} item {item!r}")
+                raise DegenerateInputError(f"no gold for {split} item {item!r}")
             if regression and np.size(targets[item]) != len(inputs[item]):
                 raise ParameterError(f"gold length mismatch for item {item!r}")
     train_items = []

@@ -396,7 +396,8 @@ class TestDiscretize:
         )
         err = self._run(corpus, tmp_path, capsys, segments)
         gold = corpus / "gold" / f"{first.recording_id}.csv"
-        assert f"{segments}: segment '{first.segment_id}' covers fewer than 2 samples of {gold}" in err
+        assert (f"{segments}: segment '{first.segment_id}': {gold}: "
+                "segment_features needs a 1-d segment of length >= 2, got shape (1,)") in err
 
     def test_too_few_train_segments_names_the_segments_file(self, corpus, tmp_path, capsys):
         def keep_three_train(rows):
@@ -405,7 +406,7 @@ class TestDiscretize:
 
         segments = self._rewritten_segments(corpus, tmp_path, keep_three_train)
         err = self._run(corpus, tmp_path, capsys, segments)
-        assert f"{segments}: 3 train segments, but the class model needs at least 6" in err
+        assert f"{segments}: {corpus / 'gold'}: fit_pca needs at least 6 rows, got 3" in err
 
     def test_more_classes_than_distinct_train_segments_names_the_segments_file(self, corpus, tmp_path, capsys):
         segments = corpus / "data" / "segments.csv"
@@ -414,7 +415,8 @@ class TestDiscretize:
                    "--classes", str(n_train + 1), "--out", str(tmp_path / "labels.csv")])
         captured = capsys.readouterr()
         assert rc == 3
-        assert f"{segments}: {n_train} distinct train segments, fewer than --classes {n_train + 1}" in captured.err
+        assert (f"{segments}: {corpus / 'gold'}: need at least {n_train + 1} points for {n_train + 1} components, "
+                f"got {n_train}") in captured.err
         assert not (tmp_path / "labels.csv").exists()
 
     @pytest.mark.parametrize("classes", [0, 1])
@@ -778,7 +780,7 @@ class TestFuseLateSentStreams:
         rc = self._fuse(tmp_path, labels)
         captured = capsys.readouterr()
         assert rc == 3
-        assert f"{labels}: no label for train segment 't3'" in captured.err
+        assert f"{tmp_path / 'a'}: {tmp_path / 'b'}: {labels}: no gold for train item 't3'" in captured.err
         assert "Traceback" not in captured.err
 
     def test_logit_width_differs_between_splits_exit_3(self, tmp_path, capsys):
@@ -907,6 +909,17 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert rc == 2
         assert "warp_speed" in captured.err
+
+    @pytest.mark.parametrize("line", ["config = {other}", "help = true"], ids=["config", "help"])
+    def test_config_and_help_keys_are_unknown_exit_2(self, tmp_path, capsys, line):
+        # both are dests of every subcommand, but neither is an option a config value can default
+        (tmp_path / "other.cfg").write_text("name = other\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line.format(other=tmp_path / "other.cfg") + "\n")
+        rc = main(["eval", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"unknown config key '{line.split()[0]}'" in captured.err
 
     def test_missing_config_is_parameter_error(self, corpus, tmp_path):
         rc = main(
@@ -1173,7 +1186,8 @@ class TestBadInputExitCodes:
                    "--out", str(tmp_path / "out"), "--epochs", "1", "--hidden", "4"])
         captured = capsys.readouterr()
         assert rc == 3
-        assert f"{labels}: no label for train segment '{first_train.segment_id}'" in captured.err
+        assert (f"{corpus / 'data' / 'features' / 'modal_a'}: {corpus / 'data' / 'segments.csv'}: {labels}: "
+                f"no gold for train item '{first_train.segment_id}'") in captured.err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", [1000, -1])
@@ -1353,6 +1367,141 @@ class TestBadInputExitCodes:
         assert rc == 3
         n = len(read_prediction_csv(stream)[0])
         assert f"{cut}: {n - 3} rows, but {stream} has {n}" in captured.err
+        assert not (tmp_path / "f").exists()
+
+
+class TestDegenerateDataExit3:
+    """Well-formed files too few or too degenerate for the computation exit 3, naming them."""
+
+    def test_constant_prediction_file_exit_3(self, corpus, trained, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for src in sorted((trained / "modal_a" / "preds" / "devel").glob("*.csv")):
+            ts, _ = read_prediction_csv(src)
+            (pred / src.name).write_text("timestamp_ms,pred\n" + "".join(f"{t},0.5\n" for t in ts))
+        rc = main(["eval", "--pred", str(pred), "--gold", str(corpus / "gold")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {pred}: {corpus / 'gold'}: ccc undefined: prediction is constant" in captured.err
+        assert "Traceback" not in captured.err and "ccc=" not in captured.out
+
+    def test_every_rater_file_constant_exit_3_before_writing(self, tmp_path, capsys):
+        ann = tmp_path / "ann"
+        for rec in ("rec_a", "rec_b"):
+            for rater, value in (("r0", 0.2), ("r1", -0.4), ("r2", 0.7)):
+                path = ann / rec / "arousal" / f"{rater}.csv"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text("timestamp_ms,value\n" + "".join(f"{t},{value}\n" for t in range(0, 10000, 500)))
+        rc = main(["raaw", "--annotations", str(ann), "--kind", "arousal", "--out", str(tmp_path / "g")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {ann}: agreement undefined for every recording" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "g").exists()
+
+    def test_rank_deficient_segment_features_exit_3(self, corpus, tmp_path, capsys):
+        # one integer per recording: every segment is constant, so its features are c, c**2 and zeros
+        gold = tmp_path / "gold"
+        gold.mkdir()
+        for i, src in enumerate(sorted((corpus / "gold").glob("*.csv"))):
+            ts, _ = read_gold_csv(src)
+            (gold / src.name).write_text("timestamp_ms,value\n" + "".join(f"{t},{i}\n" for t in ts))
+        segments = corpus / "data" / "segments.csv"
+        rc = main(["discretize", "--gold", str(gold), "--segments", str(segments), "--target", "arousal",
+                   "--method", "kmeans", "--classes", "2", "--out", str(tmp_path / "labels.csv")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert (f"data error: {segments}: {gold}: feature covariance rank 2 is below the requested 5 components"
+                in captured.err)
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "labels.csv").exists()
+
+    def test_no_train_segment_exit_3_without_numpy_warnings(self, corpus, tmp_path, capsys, recwarn):
+        header, *rows = (corpus / "data" / "segments.csv").read_text().splitlines()
+        segments = tmp_path / "segments.csv"
+        segments.write_text("\n".join([header, *(r.replace(",train", ",devel") for r in rows)]) + "\n")
+        rc = main(["discretize", "--gold", str(corpus / "gold"), "--segments", str(segments), "--target", "arousal",
+                   "--out", str(tmp_path / "labels.csv")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {segments}: {corpus / 'gold'}: fit_pca needs at least 6 rows, got 0" in captured.err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["train", "discretize"])
+    def test_unknown_segment_split_exit_3(self, corpus, tmp_path, capsys, command):
+        header, first, *rest = (corpus / "data" / "segments.csv").read_text().splitlines()
+        segments = tmp_path / "segments.csv"
+        segments.write_text("\n".join([header, first.rsplit(",", 1)[0] + ",bogus", *rest]) + "\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("segment_id,class\n" + "".join(f"{row.split(',')[0]},{i % 5}\n"
+                                                         for i, row in enumerate([first, *rest])))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--task", "sent", "--features", str(corpus / "data" / "features" / "modal_a"),
+                      "--segments", str(segments), "--labels", str(labels), "--out", str(out), "--epochs", "1"],
+            "discretize": ["discretize", "--gold", str(corpus / "gold"), "--segments", str(segments),
+                           "--target", "arousal", "--out", str(out / "labels.csv")],
+        }[command]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {segments}: segment '{first.split(',')[0]}': unknown split 'bogus'" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @staticmethod
+    def _shift(path: Path, by_ms: int) -> None:
+        """Move every timestamp of a ``timestamp_ms,value`` file ``by_ms`` later."""
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *(f"{int(t) + by_ms},{v}" for t, v in (r.split(",") for r in rows))]) + "\n")
+
+    def test_rater_files_off_the_zero_origin_exit_3(self, corpus, tmp_path, capsys):
+        ann = tmp_path / "ann"
+        shutil.copytree(corpus / "data" / "annotations" / "rec_000", ann / "rec_000")
+        raters = sorted((ann / "rec_000" / "arousal").glob("*.csv"))
+        for path in raters:
+            self._shift(path, 5000)
+        rc = main(["raaw", "--annotations", str(ann), "--kind", "arousal", "--out", str(tmp_path / "g")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {raters[0]}: the time grid starts at 5000 ms, not 0" in captured.err
+        assert not (tmp_path / "g").exists()
+
+    def test_eda_file_off_the_zero_origin_exit_3(self, corpus, tmp_path, capsys):
+        ann, eda = tmp_path / "ann", tmp_path / "eda" / "rec_000.csv"
+        shutil.copytree(corpus / "data" / "annotations" / "rec_000", ann / "rec_000")
+        eda.parent.mkdir()
+        shutil.copy(corpus / "data" / "eda" / "rec_000.csv", eda)
+        self._shift(eda, 5000)
+        rc = main(["physio", "--annotations", str(ann), "--kind", "arousal", "--eda", str(eda.parent),
+                   "--out", str(tmp_path / "g")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {eda}: the time grid starts at 5000 ms, not 0" in captured.err
+        assert not (tmp_path / "g").exists()
+
+    def test_features_sharing_no_recording_with_gold_exit_3(self, corpus, tmp_path, capsys):
+        features = tmp_path / "features"
+        features.mkdir()
+        shutil.copy(corpus / "data" / "features" / "modal_a" / "rec_000.csv", features / "elsewhere.csv")
+        rc = main(["train", "--task", "stress", "--features", str(features), "--gold", str(corpus / "gold"),
+                   "--partitions", str(corpus / "data" / "partitions.csv"), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: no gold file under {corpus / 'gold'} has a feature file under {features}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_streams_covering_no_item_exit_3(self, corpus, tmp_path, capsys):
+        streams = [tmp_path / "a", tmp_path / "b"]
+        for d in streams:
+            d.mkdir()
+        gold, partitions = corpus / "gold", corpus / "data" / "partitions.csv"
+        rc = main(["fuse-late", "--task", "stress", "--streams", *map(str, streams), "--gold", str(gold),
+                   "--partitions", str(partitions), "--out", str(tmp_path / "f"), "--epochs", "1"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {streams[0]}: {streams[1]}: {gold}: {partitions}: late fusion has no item" in captured.err
+        assert "Traceback" not in captured.err
         assert not (tmp_path / "f").exists()
 
 

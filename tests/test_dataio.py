@@ -95,6 +95,14 @@ class TestAnnotationRoundTrip:
         with pytest.raises(DataError, match="strictly increasing"):
             read_annotation_csv(path, rater_id="x", kind="valence")
 
+    @pytest.mark.parametrize("first", [5000, -250, 1])
+    def test_grid_off_the_zero_origin_rejected(self, tmp_path, first):
+        # a trace holds no origin, so a later start would silently move it to t = 0
+        path = tmp_path / "late.csv"
+        path.write_text("timestamp_ms,value\n" + "".join(f"{first + 250 * i},{i}.5\n" for i in range(4)))
+        with pytest.raises(DataError, match=f"late.csv: the time grid starts at {first} ms, not 0"):
+            read_annotation_csv(path, rater_id="x", kind="valence")
+
 
 class TestRaterSet:
     def test_reads_sorted_rater_files(self, tmp_path):
@@ -270,6 +278,14 @@ class TestSegments:
         path = tmp_path / "segments.csv"
         path.write_text("segment_id,recording_id,start_ms,end_ms,partition\ns1,rec1,9,3,train\n")
         with pytest.raises(DataError):
+            read_segments_csv(path)
+
+    def test_unknown_split_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="segment 's1': unknown split 'bogus'"):
+            Segment("s1", "rec1", 0, 8287, "bogus")
+        path = tmp_path / "segments.csv"
+        path.write_text("segment_id,recording_id,start_ms,end_ms,partition\ns1,rec1,0,8287,bogus\n")
+        with pytest.raises(DataError, match="segments.csv: segment 's1': unknown split 'bogus'"):
             read_segments_csv(path)
 
     def test_labels_roundtrip_sorted(self, tmp_path):

@@ -23,7 +23,7 @@ from affectfuse.discretize import (
     segment_features,
     validate_clusters,
 )
-from affectfuse.errors import ParameterError
+from affectfuse.errors import DegenerateInputError, ParameterError
 
 from _oracles import adjusted_rand_index, silhouette_reference
 
@@ -125,12 +125,14 @@ class TestPca:
         rng = np.random.default_rng(4)
         t = rng.normal(size=(30, 2))
         flat = t @ rng.normal(size=(2, 5))  # rank-2 data in 5 dims
-        with pytest.raises(ParameterError, match="rank 2"):
+        with pytest.raises(ParameterError, match="rank 2") as info:
             fit_pca(flat, n_components=3)
+        assert info.type is DegenerateInputError  # still a ParameterError to library callers
 
     def test_needs_six_rows(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="at least 6 rows, got 5") as info:
             fit_pca(np.eye(5), n_components=2)
+        assert info.type is DegenerateInputError
 
     def test_projection_shape(self):
         rng = np.random.default_rng(5)

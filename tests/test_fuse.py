@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from affectfuse.core import AnnotationTrace, RaterSet
-from affectfuse.errors import ParameterError
+from affectfuse.errors import DegenerateInputError, ParameterError
 from affectfuse.fuse import (
     FusionConfig,
     PhysioConfig,
@@ -157,8 +157,9 @@ class TestRaaw:
 
     def test_single_rater_names_recording(self):
         rs = _rater_set([np.arange(10.0)], recording="lonely")
-        with pytest.raises(ParameterError, match="lonely"):
+        with pytest.raises(ParameterError, match="lonely") as info:
             raaw(rs)
+        assert info.type is DegenerateInputError  # still a ParameterError to library callers
 
     def test_degenerate_rater_reported_and_downweighted(self):
         rng = np.random.default_rng(13)

@@ -8,7 +8,7 @@ import pytest
 
 from affectfuse import seqmodel
 from affectfuse.dataio import WindowSpec
-from affectfuse.errors import NumericError, ParameterError
+from affectfuse.errors import DegenerateInputError, NumericError, ParameterError
 from affectfuse.synth import SynthConfig
 from affectfuse.seqmodel import (
     Adam,
@@ -585,8 +585,9 @@ class TestFit:
         inputs = self._items(rng, (6, 6))
         targets = {i: rng.normal(size=6) for i in inputs}
         cfg = RegressorConfig(input_dim=2, hidden_dim=3, max_epochs=1)
-        with pytest.raises(ParameterError, match="non-empty 'devel' split"):
+        with pytest.raises(ParameterError, match="non-empty 'devel' split") as info:
             fit(cfg, inputs, targets, {"train": ("r0",)})
+        assert info.type is DegenerateInputError  # still a ParameterError to library callers
         with pytest.raises(ParameterError, match="non-empty 'train' split"):
             fit(cfg, inputs, targets, {"train": (), "devel": ("r1",)})
         assert not seen  # rejected before an epoch is trained
