@@ -767,7 +767,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         return args.func(args)
-    except (DataError, DegenerateInputError) as exc:  # a DegenerateInputError is a ParameterError on file values
+    except (DataError, DegenerateInputError) as exc:  # before ParameterError, which DegenerateInputError subclasses
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except ParameterError as exc:
