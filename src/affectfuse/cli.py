@@ -76,12 +76,12 @@ def _metric_key(config: RegressorConfig) -> str:
 
 @contextmanager
 def _data_of(*where):
-    """Library calls on file data: a DegenerateInputError they raise is prefixed with ``where``, the
-    input files or directories and any finer place in them, joined by ": ", for :func:`main` to report."""
+    """Library calls on file data: a DataError or DegenerateInputError they raise is prefixed with ``where``,
+    the input files or directories and any finer place in them, joined by ": ", for :func:`main` to report."""
     try:
         yield
-    except DegenerateInputError as exc:
-        raise DegenerateInputError(": ".join(map(str, (*where, exc)))) from None
+    except (DataError, DegenerateInputError) as exc:
+        raise type(exc)(": ".join(map(str, (*where, exc)))) from None
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,7 @@ def _load_config_file(path: Path) -> dict[str, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,7 +102,10 @@ def _load_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key in set_on:
+            raise ParameterError(f"{path}:{lineno}: config key {key!r} is already set on line {set_on[key]}")
+        set_on[key], values[key] = lineno, val.strip()
     return values
 
 
@@ -485,11 +489,16 @@ def _regression_training(args):
         if not fpath.is_file():
             _info(f"skipping {rec}: no feature file {fpath}")
             continue
-        ts_by_rec[rec], targets[rec] = dataio.read_gold_csv(path)
+        ts, targets[rec] = dataio.read_gold_csv(path)
         fseq = dataio.read_feature_csv(fpath, rec, args.features.name, n_features=width)
-        width = fseq.n_features
-        inputs[rec] = dataio.align_to_labels(fseq, ts_by_rec[rec])
-        splits[partition.split_of(rec)].append(rec)
+        # a label step with no frame within half a step is zero-filled; a file with no such frame at all is bad data
+        width, half = fseq.n_features, round(dataio.uniform_step_ms(ts)) // 2
+        ends = fseq.timestamps_ms if fseq.end_timestamps_ms is None else fseq.end_timestamps_ms
+        if not np.any((fseq.timestamps_ms <= int(ts[-1]) + half) & (ends >= int(ts[0]) - half)):
+            raise DataError(f"{fpath}: no feature frame within half a label step of {path} ({ts[0]} to {ts[-1]} ms)")
+        ts_by_rec[rec], inputs[rec] = ts, dataio.align_to_labels(fseq, ts)
+        with _data_of(args.partitions):
+            splits[partition.split_of(rec)].append(rec)
     if not inputs:
         raise DataError(f"no gold file under {args.gold} has a feature file under {args.features}")
     splits = {s: tuple(ids) for s, ids in splits.items() if ids}
@@ -573,18 +582,15 @@ def cmd_train(args) -> int:
 
 
 def _read_pred_dir(pred_dir: Path, gold_dir: Path):
-    preds = {}
-    golds = {}
+    """Predictions and gold values of every prediction file under ``pred_dir``, each on its gold file's grid."""
     files = sorted(pred_dir.glob("*.csv"))
     if not files:
         raise DataError(f"no prediction files under {pred_dir}")
+    preds, golds = {}, {}
     for path in files:
-        rec = path.stem
-        gold_path = gold_dir / f"{rec}.csv"
-        _, preds[rec] = dataio.read_prediction_csv(path)
-        _, golds[rec] = dataio.read_gold_csv(gold_path)
-        if preds[rec].size != golds[rec].size:
-            raise DataError(f"{path}: {preds[rec].size} rows, but {gold_path} has {golds[rec].size}")
+        ts, preds[path.stem] = dataio.read_prediction_csv(path)
+        gold_ts, golds[path.stem] = dataio.read_gold_csv(gold_dir / path.name)
+        dataio.check_same_grid(path, ts, gold_dir / path.name, gold_ts)
     return preds, golds
 
 
@@ -651,41 +657,27 @@ def _stream_names(stream_dirs: list[Path]) -> list[str]:
 
 
 def _regression_streams(args, stream_dirs: dict[str, Path]):
-    """Per-recording traces of every stream, over recordings all streams cover."""
+    """Per-recording traces of every stream, over recordings all streams cover, and the train and devel
+    gold; each stream file and gold file must be on the first stream's time grid."""
     if not args.gold or not args.partitions:
         raise ParameterError("regression fusion needs --gold and --partitions")
     partition = dataio.read_partition_csv(args.partitions)
 
-    splits: dict[str, tuple[str, ...]] = {}
+    streams: dict[str, dict[str, np.ndarray]] = {name: {} for name in stream_dirs}
+    splits: dict[str, list[str]] = {}
+    gold, ts_by_rec = {}, {}
     for split in dataio.SPLITS:
-        recs = [
-            r for r in partition.recordings(split)
-            if all((d / split / f"{r}.csv").is_file() for d in stream_dirs.values())
-        ]
-        if recs:
-            splits[split] = tuple(recs)
-
-    streams: dict[str, dict[str, np.ndarray]] = {}
-    ts_by_rec: dict[str, np.ndarray] = {}
-    first_dir = next(iter(stream_dirs.values()))
-    for name, d in stream_dirs.items():
-        preds = {}
-        for split, recs in splits.items():
-            for rec in recs:
-                path = d / split / f"{rec}.csv"
-                ts, preds[rec] = dataio.read_prediction_csv(path)
-                if ts.size != ts_by_rec.setdefault(rec, ts).size:
-                    raise DataError(
-                        f"{path}: {ts.size} rows, but {first_dir / split / path.name} has {ts_by_rec[rec].size}"
-                    )
-        streams[name] = preds
-    gold = {}
-    for split in ("train", "devel"):
-        for rec in splits.get(split, ()):
-            path, n = args.gold / f"{rec}.csv", ts_by_rec[rec].size
-            gold[rec] = dataio.read_gold_csv(path)[1]
-            if gold[rec].size != n:
-                raise DataError(f"{path}: {gold[rec].size} rows, but {first_dir / split / path.name} has {n}")
+        for rec in partition.recordings(split):
+            paths = [d / split / f"{rec}.csv" for d in stream_dirs.values()]
+            if not all(p.is_file() for p in paths):
+                continue
+            splits.setdefault(split, []).append(rec)
+            for name, path in zip(streams, paths):
+                ts, streams[name][rec] = dataio.read_prediction_csv(path)
+                dataio.check_same_grid(path, ts, paths[0], ts_by_rec.setdefault(rec, ts))
+            if split != "test":
+                ts, gold[rec] = dataio.read_gold_csv(args.gold / f"{rec}.csv")
+                dataio.check_same_grid(args.gold / f"{rec}.csv", ts, paths[0], ts_by_rec[rec])
     return streams, gold, splits, partial(_write_traces, ts_by_rec)
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "write_gold_csv",
     "read_prediction_csv",
     "write_prediction_csv",
+    "check_same_grid",
     "read_partition_csv",
     "write_partition_csv",
     "read_segments_csv",
@@ -283,9 +284,10 @@ def uniform_step_ms(timestamps_ms: np.ndarray) -> float:
 def align_to_labels(features: FeatureSequence, label_timestamps_ms) -> np.ndarray:
     """Project a feature sequence onto a uniform label grid.
 
-    Frame features (no end timestamps) are matched by nearest timestamp; a
-    label step with no feature within half a grid step gets a zero row. Word
-    features are repeated at every label step inside ``[start, end]`` and are
+    Frame features (no end timestamps) are matched by nearest timestamp, the
+    earlier frame on a tie; a label step with no feature within half a grid
+    step gets a zero row. Word features are repeated at every label step
+    inside ``[start, end]``, the first such word where words overlap, and are
     zero outside any word.
     """
     label_ts = np.asarray(label_timestamps_ms, dtype=np.int64)
@@ -293,23 +295,16 @@ def align_to_labels(features: FeatureSequence, label_timestamps_ms) -> np.ndarra
     out = np.zeros((label_ts.size, features.n_features))
     if features.end_timestamps_ms is None:
         ft = features.timestamps_ms
-        idx = np.searchsorted(ft, label_ts)
-        for row, t in enumerate(label_ts):
-            best, best_dist = -1, None
-            for j in (idx[row] - 1, idx[row]):
-                if 0 <= j < ft.size:
-                    d = abs(int(ft[j]) - int(t))
-                    if best_dist is None or d < best_dist:
-                        best, best_dist = j, d
-            if best >= 0 and best_dist * 2 <= step:
-                out[row] = features.matrix[best]
-    else:
-        starts = features.timestamps_ms
-        ends = features.end_timestamps_ms
-        for row, t in enumerate(label_ts):
-            hits = np.nonzero((starts <= t) & (t <= ends))[0]
-            if hits.size:
-                out[row] = features.matrix[hits[0]]
+        idx = np.searchsorted(ft, label_ts)  # the two candidates are the frames before and at idx
+        before, after = np.maximum(idx - 1, 0), np.minimum(idx, ft.size - 1)
+        d_before, d_after = np.abs(ft[before] - label_ts), np.abs(ft[after] - label_ts)
+        nearest = np.where(d_after < d_before, after, before)  # on equal distance the earlier frame wins
+        hit = np.minimum(d_before, d_after) <= step // 2  # 2 * dist <= step, for integers
+        out[hit] = features.matrix[nearest[hit]]
+    else:  # the first word ending at or after a step covers it if it starts at or before it
+        first = np.searchsorted(np.maximum.accumulate(features.end_timestamps_ms), label_ts)
+        hit = first < np.searchsorted(features.timestamps_ms, label_ts, side="right")
+        out[hit] = features.matrix[first[hit]]
     return out
 
 
@@ -453,6 +448,18 @@ def write_prediction_csv(path: Path | str, timestamps_ms: np.ndarray, preds: np.
 def read_prediction_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
     table = _read_table(path, {"timestamp_ms,pred": (np.int64, np.float64)})
     return np.ascontiguousarray(table["timestamp_ms"]), np.ascontiguousarray(table["pred"])
+
+
+def check_same_grid(path: Path | str, timestamps_ms: np.ndarray, grid_path: Path | str, grid_ms: np.ndarray) -> None:
+    """Unless ``timestamps_ms``, read from ``path``, equal ``grid_ms``, read from ``grid_path`` (two series paired
+    frame by frame), a DataError naming both files and the first data row whose timestamps differ; a shorter
+    file differs at its first missing row. Nothing is interpolated or resampled."""
+    n = min(timestamps_ms.size, grid_ms.size)
+    differ = np.flatnonzero(timestamps_ms[:n] != grid_ms[:n])
+    row = int(differ[0]) if differ.size else n
+    if row < max(timestamps_ms.size, grid_ms.size):
+        at = [f"at {ts[row]} ms" if row < ts.size else "missing" for ts in (timestamps_ms, grid_ms)]
+        raise DataError(f"{path}: data row {row + 1} is {at[0]}, but in {grid_path} it is {at[1]}")
 
 
 def write_partition_csv(path: Path | str, partition: Partition) -> None:

@@ -351,3 +351,35 @@ def full_table_dtw(a, b, band=None):
     pairs = np.asarray(rev[::-1], dtype=np.int64)
     cost = float(np.abs(a[pairs[:, 0]] - b[pairs[:, 1]]).sum())
     return WarpPath(pairs=pairs, cost=cost)
+
+
+def loop_align_to_labels(features, label_timestamps_ms) -> np.ndarray:
+    """``dataio.align_to_labels`` one label step at a time, in Python integers.
+
+    The package's first alignment, kept as the reference for the searchsorted
+    one: each frame step takes the nearer of the frames just before and at or
+    after it (the earlier one on a tie) when twice its distance is at most the
+    step; each word step takes the first word whose span holds it.
+    """
+    from affectfuse.dataio import uniform_step_ms
+
+    label_ts = np.asarray(label_timestamps_ms, dtype=np.int64)
+    step = int(round(uniform_step_ms(label_ts)))
+    out = np.zeros((label_ts.size, features.n_features))
+    starts = features.timestamps_ms
+    for row, t in enumerate(label_ts.tolist()):
+        if features.end_timestamps_ms is not None:
+            hits = np.nonzero((starts <= t) & (t <= features.end_timestamps_ms))[0]
+            if hits.size:
+                out[row] = features.matrix[hits[0]]
+            continue
+        idx = int(np.searchsorted(starts, t))
+        best, best_dist = -1, None
+        for j in (idx - 1, idx):
+            if 0 <= j < starts.size:
+                d = abs(int(starts[j]) - t)
+                if best_dist is None or d < best_dist:
+                    best, best_dist = j, d
+        if best >= 0 and best_dist * 2 <= step:
+            out[row] = features.matrix[best]
+    return out

@@ -921,6 +921,20 @@ class TestConfigFile:
         assert rc == 2
         assert f"unknown config key '{line.split()[0]}'" in captured.err
 
+    @pytest.mark.parametrize("lines, key, first, again", [
+        (["epochs = 1", "epochs = 2"], "epochs", 1, 2),
+        (["epochs = 1", "# a comment", "l2 = 0", "epochs = 1"], "epochs", 1, 4),
+        (["max-iter = 2", "max_iter = 3"], "max_iter", 1, 2),
+    ], ids=["twice", "same-value", "dash-and-underscore"])
+    def test_key_set_twice_exit_2_naming_both_lines(self, corpus, tmp_path, capsys, lines, key, first, again):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        rc = main(_train_argv(corpus, tmp_path / "out") + ["--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"error: {cfg}:{again}: config key {key!r} is already set on line {first}" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_parameter_error(self, corpus, tmp_path):
         rc = main(
             [
@@ -1366,7 +1380,7 @@ class TestBadInputExitCodes:
         captured = capsys.readouterr()
         assert rc == 3
         n = len(read_prediction_csv(stream)[0])
-        assert f"{cut}: {n - 3} rows, but {stream} has {n}" in captured.err
+        assert f"{cut}: data row {n - 2} is missing, but in {stream} it is at " in captured.err
         assert not (tmp_path / "f").exists()
 
 
@@ -1503,6 +1517,88 @@ class TestDegenerateDataExit3:
         assert f"data error: {streams[0]}: {streams[1]}: {gold}: {partitions}: late fusion has no item" in captured.err
         assert "Traceback" not in captured.err
         assert not (tmp_path / "f").exists()
+
+
+def _shift_rows(path: Path, by_ms: int) -> None:
+    """Move the first column, the timestamp, of every data row of a CSV ``by_ms`` later."""
+    header, *rows = path.read_text().splitlines()
+    moved = (f"{int(t) + by_ms},{rest}" for t, _, rest in (r.partition(",") for r in rows))
+    path.write_text("\n".join([header, *moved]) + "\n")
+
+
+class TestPairedOnTimestamps:
+    """Series paired frame by frame share their time grid; features cover some of the gold grid."""
+
+    def test_eval_predictions_on_another_grid_exit_3(self, corpus, trained, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        shutil.copytree(trained / "modal_a" / "preds" / "devel", pred)
+        moved = sorted(pred.glob("*.csv"))
+        for path in moved:
+            _shift_rows(path, 60_000)
+        rc = main(["eval", "--pred", str(pred), "--gold", str(corpus / "gold")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        gold = corpus / "gold" / moved[0].name
+        assert f"data error: {moved[0]}: data row 1 is at 60000 ms, but in {gold} it is at 0 ms" in captured.err
+        assert "ccc=" not in captured.out
+
+    def test_fuse_late_stream_on_another_grid_exit_3(self, corpus, trained, tmp_path, capsys):
+        stream = tmp_path / "moved"
+        shutil.copytree(trained / "modal_b" / "preds", stream)
+        moved = sorted((stream / "train").glob("*.csv"))[0]
+        _shift_rows(moved, 60_000)
+        first = trained / "modal_a" / "preds"
+        rc = main(["fuse-late", "--task", "stress", "--streams", str(first), str(stream),
+                   "--gold", str(corpus / "gold"), "--partitions", str(corpus / "data" / "partitions.csv"),
+                   "--out", str(tmp_path / "f"), "--epochs", "1"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        grid = first / "train" / moved.name
+        assert f"data error: {moved}: data row 1 is at 60000 ms, but in {grid} it is at 0 ms" in captured.err
+        assert not (tmp_path / "f").exists()
+
+    def _moved_features(self, corpus, tmp_path, past_end_ms: int) -> Path:
+        """modal_a with each file's first frame moved ``past_end_ms`` after its gold file's last step."""
+        features = tmp_path / "features"
+        shutil.copytree(corpus / "data" / "features" / "modal_a", features)
+        for path in features.glob("*.csv"):
+            last = int(read_gold_csv(corpus / "gold" / path.name)[0][-1])
+            _shift_rows(path, last + past_end_ms - int(path.read_text().splitlines()[1].split(",")[0]))
+        return features
+
+    def test_train_on_features_moved_off_the_gold_grid_exit_3(self, corpus, tmp_path, capsys):
+        features = self._moved_features(corpus, tmp_path, 600_000)
+        argv = _train_argv(corpus, tmp_path / "out")
+        argv[argv.index("--features") + 1] = str(features)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        fpath, gold = features / "rec_000.csv", corpus / "gold" / "rec_000.csv"
+        assert f"data error: {fpath}: no feature frame within half a label step of {gold} (0 to " in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("past_end_ms, rc", [(250, 0), (251, 3)], ids=["half-step", "beyond"])
+    def test_half_a_label_step_past_the_grid_still_counts(self, corpus, tmp_path, capsys, past_end_ms, rc):
+        # the 2 Hz gold grid steps 500 ms: a frame 250 ms past its end is aligned to the last step, and zero fill
+        # covers the rest
+        features = self._moved_features(corpus, tmp_path, past_end_ms)
+        argv = _train_argv(corpus, tmp_path / "out")
+        argv[argv.index("--features") + 1] = str(features)
+        assert main(argv) == rc
+        assert ("no feature frame within half a label step" in capsys.readouterr().err) == (rc == 3)
+
+    def test_partitions_file_lacking_a_recording_is_named(self, corpus, tmp_path, capsys):
+        partitions = tmp_path / "partitions.csv"
+        header, first, *rest = (corpus / "data" / "partitions.csv").read_text().splitlines()
+        partitions.write_text("\n".join([header, *rest]) + "\n")
+        rec = first.split(",")[0]
+        argv = _train_argv(corpus, tmp_path / "out")
+        argv[argv.index("--partitions") + 1] = str(partitions)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {partitions}: recording '{rec}' missing from the partition map" in captured.err
+        assert not (tmp_path / "out").exists()
 
 
 class TestWindowOne:

@@ -17,6 +17,7 @@ from affectfuse.dataio import (
     Segment,
     WindowSpec,
     align_to_labels,
+    check_same_grid,
     list_recordings,
     read_annotation_csv,
     read_feature_csv,
@@ -43,6 +44,8 @@ from affectfuse.dataio import (
 )
 from affectfuse.errors import DataError, ParameterError
 from affectfuse.seqmodel import TrainHistory
+
+from _oracles import loop_align_to_labels
 
 
 class TestAnnotationRoundTrip:
@@ -712,6 +715,50 @@ class TestAlignToLabels:
         )
         with pytest.raises(ParameterError):
             align_to_labels(fs, np.array([0, 250, 1000]))
+
+
+class TestAlignToLabelsMatchesLoop:
+    """The searchsorted alignment picks the same rows as the one-step-at-a-time loop."""
+
+    @staticmethod
+    def _case(rng, words: bool) -> tuple[FeatureSequence, np.ndarray]:
+        step = int(rng.choice([200, 250, 333, 500]))
+        grid = np.arange(int(rng.integers(2, 60))) * step + int(rng.integers(-2000, 2000))
+        n_feat = int(rng.integers(1, 50))
+        # frames on a coarse lattice, so that many sit exactly half a step or equally far from two frames
+        lattice = int(rng.choice([step // 2, step, 7]))
+        starts = np.sort(rng.choice(grid.size * step // lattice + 60, size=n_feat, replace=False)) * lattice - 5000
+        ends = starts + rng.integers(0, 3 * step, size=n_feat) if words else None
+        return FeatureSequence("rec", "x", rng.normal(size=(n_feat, 2)), starts, ends), grid
+
+    @pytest.mark.parametrize("words", [False, True], ids=["frames", "words"])
+    def test_same_rows_as_the_loop(self, words):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            fs, grid = self._case(rng, words)
+            np.testing.assert_array_equal(align_to_labels(fs, grid), loop_align_to_labels(fs, grid))
+
+    def test_tie_takes_the_earlier_frame_and_half_a_step_counts(self):
+        fs = FeatureSequence("rec", "x", np.array([[1.0], [2.0], [3.0]]), np.array([125, 375, 1376]))
+        # 0 and 500 lie half a step (125 ms) from a frame, 250 lies 125 ms from two, 1250 lies 126 ms from the nearest
+        out = align_to_labels(fs, np.array([0, 250, 500, 750, 1000, 1250, 1500]))
+        assert out[:, 0].tolist() == [1.0, 1.0, 2.0, 0.0, 0.0, 0.0, 3.0]
+
+
+class TestCheckSameGrid:
+    def test_equal_grids_pass(self):
+        check_same_grid("a.csv", np.array([0, 500, 1000]), "b.csv", np.array([0, 500, 1000]))
+
+    @pytest.mark.parametrize("ts, grid, message", [
+        ([0, 500, 1000], [60000, 60500, 61000], "a.csv: data row 1 is at 0 ms, but in b.csv it is at 60000 ms"),
+        ([0, 500, 1001], [0, 500, 1000], "a.csv: data row 3 is at 1001 ms, but in b.csv it is at 1000 ms"),
+        ([0, 500], [0, 500, 1000], "a.csv: data row 3 is missing, but in b.csv it is at 1000 ms"),
+        ([0, 500, 1000], [0, 500], "a.csv: data row 3 is at 1000 ms, but in b.csv it is missing"),
+    ], ids=["moved", "one-row", "shorter", "longer"])
+    def test_first_differing_row_names_both_files(self, ts, grid, message):
+        with pytest.raises(DataError) as exc:
+            check_same_grid("a.csv", np.array(ts), "b.csv", np.array(grid))
+        assert str(exc.value) == message
 
 
 class TestUniformStep:

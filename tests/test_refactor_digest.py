@@ -61,3 +61,14 @@ def test_non_empty_work_refused(run_tool, tmp_path, capsys, occupant):
     assert "is not an empty directory" in capsys.readouterr().err
     assert (work / "old.txt").is_file() if occupant == "file-inside" else work.is_file()
     assert not (work / "tiny").exists()
+
+
+def test_numeric_env_line_comes_first_and_is_stable(run_tool, tmp_path, capsys):
+    envs = []
+    for _ in range(2):
+        assert run_tool() == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("numeric_env numpy=")
+        assert all(f" {field}=" in first for field in ("baseline", "dispatch", "openblas", "glibc"))
+        envs.append(first)
+    assert envs[0] == envs[1]

@@ -17,14 +17,20 @@ in a fresh process per command with ``--jobs 1``:
 * ``gold-long``: one 10-minute recording with 5 raters through
   ``raaw --dump-paths``, ``physio`` and ``discretize --model-out``.
 
-Printed: each command's stdout with the run root replaced by ``<run>``, then
-one sorted ``path sha256`` line per file written, the file count and one
-sha256 over those lines, so a diff of two outputs names the files that
-differ. Each command's wall seconds, and each path's total, go to stderr, so
-timings never enter that diff. ``--work DIR`` keeps the run tree under DIR,
-which must be empty or missing; without it the tree goes to a temporary
-directory that is deleted afterwards. Standard library only; the full run
-takes a few minutes on two cores.
+Printed: a ``numeric_env`` line, then each command's stdout with the run root
+replaced by ``<run>``, then one sorted ``path sha256`` line per file written,
+the file count and one sha256 over those lines, so a diff of two outputs
+names the files that differ. Two digests compare only under equal
+``numeric_env`` lines: the BLAS core and the SIMD kernels that OpenBLAS and
+numpy pick at run time change the last bits of some outputs. The line names
+the numpy version, its baseline and the dispatch targets this CPU runs, the
+OpenBLAS version and core (``unknown`` where numpy carries no
+``scipy_openblas`` library), and the glibc version. Each command's wall
+seconds, and each path's total, go to stderr, so timings never enter that
+diff. ``--work DIR`` keeps the run tree under DIR, which must be empty or
+missing; without it the tree goes to a temporary directory that is deleted
+afterwards. Standard library only; the full run takes a few minutes on two
+cores.
 """
 
 from __future__ import annotations
@@ -89,11 +95,53 @@ GOLD_LONG = [
 
 PATHS = {"acc10": ACC10, "sent": SENT, "gold-long": GOLD_LONG}
 
+# run in a child with the commands' environment, so that this script imports nothing outside the standard library
+NUMERIC_ENV = """
+import ctypes, glob, os, platform
+import numpy as np
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+
+def openblas(path):
+    lib = ctypes.CDLL(path)
+    def text(name):
+        func = getattr(lib, name)
+        func.argtypes, func.restype = [], ctypes.c_char_p
+        return func().decode()
+    return text("scipy_openblas_get_config64_").split()[1] + "/" + text("scipy_openblas_get_corename64_")
+
+blas = "unknown"
+for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*scipy_openblas*")):
+    try:
+        blas = openblas(path)
+    except (OSError, AttributeError, IndexError):
+        pass
+dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+print(f"numeric_env numpy={np.__version__} baseline={','.join(umath.__cpu_baseline__)}"
+      f" dispatch={','.join(dispatch) or 'none'} openblas={blas} glibc={platform.libc_ver()[1] or 'unknown'}")
+"""
+
+
+def _env(src: Path) -> dict[str, str]:
+    """The environment every child runs in: ``src/`` on ``PYTHONPATH`` and no data root."""
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    env.pop("AFFECTFUSE_DATA_ROOT", None)
+    return env
+
+
+def numeric_env(src: Path) -> str:
+    """The ``numeric_env`` line: the libraries and CPU kernels the commands compute with."""
+    proc = subprocess.run([sys.executable, "-c", NUMERIC_ENV], env=_env(src), capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"reading the numeric environment failed:\n{proc.stderr}")
+    return proc.stdout.strip()
+
 
 def run_path(src: Path, root: Path, commands: list[list[str]]) -> list[str]:
     """Run one path's commands in order; returns their path-free stdout lines."""
-    env = dict(os.environ, PYTHONPATH=str(src / "src"))
-    env.pop("AFFECTFUSE_DATA_ROOT", None)
+    env = _env(src)
     lines = []
     total = 0.0
     for template in commands:
@@ -123,7 +171,8 @@ def file_digests(root: Path) -> list[str]:
 
 
 def run_all(src: Path, work: Path) -> list[str]:
-    """Run every path under ``work``, print their stdout and return the file digests."""
+    """Run every path under ``work``, print the numeric environment and their stdout and return the file digests."""
+    print(numeric_env(src))
     for name, commands in PATHS.items():
         print(f"## {name}")
         print("\n".join(run_path(src, work / name, commands)))
