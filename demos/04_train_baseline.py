@@ -57,7 +57,7 @@ for epoch, loss, metric in history.rows[:3]:
 print("  ...")
 for epoch, loss, metric in history.rows[-2:]:
     print(f"  epoch {epoch:3d}: train loss {loss:.4f}, devel CCC {metric:.4f}")
-print(f"stopped early: {history.stopped_early}; best epoch {history.best_epoch} "
+print(f"ran {len(history.rows)} of {config.max_epochs} epochs; best epoch {history.best_epoch} "
       f"with devel CCC {history.best_metric():.4f}")
 
 # the best snapshot is restored automatically, so evaluate() reproduces it

@@ -53,6 +53,8 @@ class AlignmentResult:
 
 # table rows whose local costs and prefix sums dtw holds at once
 DTW_BLOCK = 128
+# costs within this times max(1, |cost|) are ties: dtw's traceback steps and multi_align's stalled rounds
+TIE_RTOL = 1e-9
 
 
 def dtw(a, b, band: int | None = None) -> WarpPath:
@@ -146,7 +148,7 @@ def dtw(a, b, band: int | None = None) -> WarpPath:
     while p != stride + band:
         diag, up, left = item(p - stride), item(p - width), item(p - 1)
         best = min(diag, up, left)
-        tol = 1e-9 * max(1.0, abs(best))
+        tol = TIE_RTOL * max(1.0, abs(best))
         p -= stride if diag <= best + tol else width if up <= best + tol else 1
         steps.append(p)
     i, k = np.divmod(np.asarray(steps[::-1], dtype=np.int64), stride)
@@ -177,10 +179,6 @@ def default_band(length: int) -> int:
     return max(1, int(round(0.1 * length)))
 
 
-# J must fall by more than this times max(1, J) per round: dtw's tie tolerance
-STALL_RTOL = 1e-9
-
-
 def multi_align(
     rater_set: RaterSet,
     *,
@@ -200,7 +198,7 @@ def multi_align(
     for those paths, so a round's summed path cost (``objective``) never rises
     beyond dtw's tie tolerance. The loop stops when the largest reference
     change (``max_delta``) drops below ``tol`` (``stop_reason="converged"``),
-    when J falls by no more than ``STALL_RTOL * max(1, J)`` (``"stalled"``)
+    when J falls by no more than ``TIE_RTOL * max(1, J)`` (``"stalled"``)
     or after ``max_iter`` rounds (``"max_iter"``). ``warped`` holds each
     trace's per-index averages under the last paths, on the input's grid.
 
@@ -246,7 +244,7 @@ def multi_align(
         deltas.append(float(np.max(np.abs(new_ref - ref))))
         costs.append(float(sum(p.cost for p in paths)))
         ref = new_ref
-        stalled = len(costs) > 1 and costs[-2] - costs[-1] <= STALL_RTOL * max(1.0, costs[-2])
+        stalled = len(costs) > 1 and costs[-2] - costs[-1] <= TIE_RTOL * max(1.0, costs[-2])
         stop_reason = "converged" if deltas[-1] < tol else "stalled" if stalled else "max_iter"
         if stop_reason != "max_iter":
             break

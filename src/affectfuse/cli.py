@@ -491,11 +491,10 @@ def _regression_training(args):
             continue
         ts, targets[rec] = dataio.read_gold_csv(path)
         fseq = dataio.read_feature_csv(fpath, rec, args.features.name, n_features=width)
-        # a label step with no frame within half a step is zero-filled; a file with no such frame at all is bad data
-        width, half = fseq.n_features, round(dataio.uniform_step_ms(ts)) // 2
-        ends = fseq.timestamps_ms if fseq.end_timestamps_ms is None else fseq.end_timestamps_ms
-        if not np.any((fseq.timestamps_ms <= int(ts[-1]) + half) & (ends >= int(ts[0]) - half)):
-            raise DataError(f"{fpath}: no feature frame within half a label step of {path} ({ts[0]} to {ts[-1]} ms)")
+        width = fseq.n_features
+        if np.all(dataio.label_rows(fseq, ts) < 0):  # a step nothing reaches is zero-filled; reaching none is bad data
+            what = "frame within half a label step" if fseq.end_timestamps_ms is None else "word covering a label step"
+            raise DataError(f"{fpath}: no feature {what} of {path} ({ts[0]} to {ts[-1]} ms)")
         ts_by_rec[rec], inputs[rec] = ts, dataio.align_to_labels(fseq, ts)
         with _data_of(args.partitions):
             splits[partition.split_of(rec)].append(rec)

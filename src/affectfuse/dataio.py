@@ -25,6 +25,7 @@ __all__ = [
     "Partition",
     "Segment",
     "uniform_step_ms",
+    "label_rows",
     "align_to_labels",
     "window",
     "read_annotation_csv",
@@ -281,30 +282,34 @@ def uniform_step_ms(timestamps_ms: np.ndarray) -> float:
     return step
 
 
-def align_to_labels(features: FeatureSequence, label_timestamps_ms) -> np.ndarray:
-    """Project a feature sequence onto a uniform label grid.
+def label_rows(features: FeatureSequence, label_timestamps_ms) -> np.ndarray:
+    """The feature row each step of a uniform label grid takes, or -1 where none reaches it.
 
-    Frame features (no end timestamps) are matched by nearest timestamp, the
-    earlier frame on a tie; a label step with no feature within half a grid
-    step gets a zero row. Word features are repeated at every label step
-    inside ``[start, end]``, the first such word where words overlap, and are
-    zero outside any word.
+    A frame (no end timestamps) reaches a step it is nearest to, the earlier
+    frame on a tie, when twice its distance is at most the grid step. A word
+    reaches every step inside ``[start, end]``, the first word where they overlap.
     """
     label_ts = np.asarray(label_timestamps_ms, dtype=np.int64)
     step = int(round(uniform_step_ms(label_ts)))
-    out = np.zeros((label_ts.size, features.n_features))
     if features.end_timestamps_ms is None:
         ft = features.timestamps_ms
         idx = np.searchsorted(ft, label_ts)  # the two candidates are the frames before and at idx
         before, after = np.maximum(idx - 1, 0), np.minimum(idx, ft.size - 1)
         d_before, d_after = np.abs(ft[before] - label_ts), np.abs(ft[after] - label_ts)
-        nearest = np.where(d_after < d_before, after, before)  # on equal distance the earlier frame wins
+        rows = np.where(d_after < d_before, after, before)  # on equal distance the earlier frame wins
         hit = np.minimum(d_before, d_after) <= step // 2  # 2 * dist <= step, for integers
-        out[hit] = features.matrix[nearest[hit]]
     else:  # the first word ending at or after a step covers it if it starts at or before it
-        first = np.searchsorted(np.maximum.accumulate(features.end_timestamps_ms), label_ts)
-        hit = first < np.searchsorted(features.timestamps_ms, label_ts, side="right")
-        out[hit] = features.matrix[first[hit]]
+        rows = np.searchsorted(np.maximum.accumulate(features.end_timestamps_ms), label_ts)
+        hit = rows < np.searchsorted(features.timestamps_ms, label_ts, side="right")
+    return np.where(hit, rows, -1)
+
+
+def align_to_labels(features: FeatureSequence, label_timestamps_ms) -> np.ndarray:
+    """The rows of :func:`label_rows`, one per label step; a step nothing reaches gets a zero row."""
+    rows = label_rows(features, label_timestamps_ms)
+    out = np.zeros((rows.size, features.n_features))
+    hit = rows >= 0
+    out[hit] = features.matrix[rows[hit]]
     return out
 
 

@@ -375,7 +375,6 @@ class TrainHistory:
 
     rows: list[tuple[int, float, float]] = field(default_factory=list)
     best_epoch: int = 0
-    stopped_early: bool = False
 
     def best_metric(self) -> float:
         return next((metric for epoch, _, metric in self.rows if epoch == self.best_epoch), float("-inf"))
@@ -460,7 +459,6 @@ def train(
         else:
             streak += 1
             if streak >= max(1, cfg.patience):
-                history.stopped_early = True
                 break
     model.theta[...] = best
     return history

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from affectfuse import align
 from affectfuse.align import (
-    STALL_RTOL,
+    TIE_RTOL,
     WarpPath,
     default_band,
     dtw,
@@ -64,7 +64,7 @@ def _alternating_paths(monkeypatch, n=10):
 
 def _assert_non_increasing(objective):
     for before, after in zip(objective, objective[1:]):
-        assert after <= before + STALL_RTOL * max(1.0, before)
+        assert after <= before + TIE_RTOL * max(1.0, before)
 
 
 @st.composite

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from affectfuse import cli
 from affectfuse.cli import build_parser, main
 from affectfuse.dataio import (
+    FeatureSequence,
     read_gold_csv,
     read_labels_csv,
     read_prediction_csv,
     read_segments_csv,
+    write_feature_csv,
 )
 
 
@@ -1587,6 +1589,40 @@ class TestPairedOnTimestamps:
         assert main(argv) == rc
         assert ("no feature frame within half a label step" in capsys.readouterr().err) == (rc == 3)
 
+    @staticmethod
+    def _word_features(corpus, tmp_path, covered_steps: int) -> Path:
+        """One word [t + 100, t + 200] after each gold step t; the first ``covered_steps`` words start on t."""
+        features = tmp_path / "words"
+        features.mkdir()
+        rng = np.random.default_rng(5)
+        for gold in sorted((corpus / "gold").glob("*.csv")):
+            ts = read_gold_csv(gold)[0][:-1]
+            starts = ts + 100
+            starts[:covered_steps] = ts[:covered_steps]
+            write_feature_csv(features / gold.name,
+                              FeatureSequence(gold.stem, "words", rng.normal(size=(ts.size, 4)), starts, ts + 200))
+        return features
+
+    def test_train_on_words_between_the_label_steps_exit_3(self, corpus, tmp_path, capsys):
+        # every word lies strictly between two 500 ms label steps, so align_to_labels would give all-zero inputs
+        features = self._word_features(corpus, tmp_path, covered_steps=0)
+        argv = _train_argv(corpus, tmp_path / "out")
+        argv[argv.index("--features") + 1] = str(features)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        fpath, gold = features / "rec_000.csv", corpus / "gold" / "rec_000.csv"
+        assert f"data error: {fpath}: no feature word covering a label step of {gold} (0 to " in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_words_covering_one_label_step_train(self, corpus, tmp_path, capsys):
+        # one covered step per file is enough: every other step is zero-filled
+        features = self._word_features(corpus, tmp_path, covered_steps=1)
+        argv = _train_argv(corpus, tmp_path / "out")
+        argv[argv.index("--features") + 1] = str(features)
+        assert main(argv) == 0
+        assert "devel_ccc=" in capsys.readouterr().out
+
     def test_partitions_file_lacking_a_recording_is_named(self, corpus, tmp_path, capsys):
         partitions = tmp_path / "partitions.csv"
         header, first, *rest = (corpus / "data" / "partitions.csv").read_text().splitlines()
@@ -1632,6 +1668,14 @@ MINIMAL_ARGV = {
     "eval": [],
     "fuse-late": ["--task", "stress", "--streams", "{t}/a", "{t}/b", "--out", "{t}/out"],
 }
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", [sp.prog.split()[-1] for sp in build_parser()[1]])
+    def test_every_subcommand_help_exits_0(self, capsys, command):
+        # argparse %-formats help strings only when it prints them, so a bare % shows nowhere else
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: affectfuse {command} ")
 
 
 class TestJobs:

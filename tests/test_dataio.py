@@ -18,6 +18,7 @@ from affectfuse.dataio import (
     WindowSpec,
     align_to_labels,
     check_same_grid,
+    label_rows,
     list_recordings,
     read_annotation_csv,
     read_feature_csv,
@@ -737,12 +738,17 @@ class TestAlignToLabelsMatchesLoop:
         for _ in range(300):
             fs, grid = self._case(rng, words)
             np.testing.assert_array_equal(align_to_labels(fs, grid), loop_align_to_labels(fs, grid))
+            # features that are their own row number + 1 show which row the loop takes, 0 for none
+            numbered = FeatureSequence("rec", "x", np.arange(1.0, fs.matrix.shape[0] + 1)[:, None],
+                                       fs.timestamps_ms, fs.end_timestamps_ms)
+            np.testing.assert_array_equal(label_rows(fs, grid), loop_align_to_labels(numbered, grid)[:, 0] - 1)
 
     def test_tie_takes_the_earlier_frame_and_half_a_step_counts(self):
         fs = FeatureSequence("rec", "x", np.array([[1.0], [2.0], [3.0]]), np.array([125, 375, 1376]))
         # 0 and 500 lie half a step (125 ms) from a frame, 250 lies 125 ms from two, 1250 lies 126 ms from the nearest
         out = align_to_labels(fs, np.array([0, 250, 500, 750, 1000, 1250, 1500]))
         assert out[:, 0].tolist() == [1.0, 1.0, 2.0, 0.0, 0.0, 0.0, 3.0]
+        assert label_rows(fs, np.array([0, 250, 500, 750, 1000, 1250, 1500])).tolist() == [0, 0, 1, -1, -1, -1, 2]
 
 
 class TestCheckSameGrid:
