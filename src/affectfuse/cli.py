@@ -411,9 +411,8 @@ def cmd_discretize(args) -> int:
     rows = []
     for seg in segments:
         ts, values = golds[seg.recording_id]
-        mask = dataio.slice_by_span(ts, seg.start_ms, seg.end_ms)
         with _data_of(args.segments, f"segment {seg.segment_id!r}", args.gold / f"{seg.recording_id}.csv"):
-            rows.append(segment_features(values[mask], args.target))
+            rows.append(segment_features(values[seg.rows(ts)], args.target))
     matrix = np.vstack(rows)
 
     train_rows = np.array([s.partition == "train" for s in segments])
@@ -516,20 +515,15 @@ def _sent_training(args):
     inputs: dict[str, np.ndarray] = {}
     width = None
     for seg in segments:
-        if seg.recording_id not in feats:
-            fpath = args.features / f"{seg.recording_id}.csv"
-            if not fpath.is_file():
-                raise DataError(f"no feature file for recording {seg.recording_id!r}: {fpath}")
-            feats[seg.recording_id] = dataio.read_feature_csv(
-                fpath, seg.recording_id, args.features.name, n_features=width
-            )
-            width = feats[seg.recording_id].n_features
-        fseq = feats[seg.recording_id]
-        mask = dataio.slice_by_span(fseq.timestamps_ms, seg.start_ms, seg.end_ms)
-        x = fseq.matrix[mask]
-        if x.shape[0] < 1:
-            raise DataError(f"segment {seg.segment_id!r} covers no feature frames")
-        inputs[seg.segment_id] = x
+        rec, fpath = seg.recording_id, args.features / f"{seg.recording_id}.csv"
+        if rec not in feats:
+            feats[rec] = dataio.read_feature_csv(fpath, rec, args.features.name, n_features=width)
+            width = feats[rec].n_features
+        fseq = feats[rec]
+        rows = seg.rows(fseq.timestamps_ms, fseq.end_timestamps_ms)
+        if not rows.size:
+            raise DataError(f"{fpath}: no feature row in segment {seg.segment_id!r} of {args.segments}")
+        inputs[seg.segment_id] = fseq.matrix[rows]
 
     splits = {s: tuple(seg.segment_id for seg in segments if seg.partition == s) for s in dataio.SPLITS}
     splits = {s: ids for s, ids in splits.items() if ids}
@@ -599,13 +593,13 @@ def cmd_eval(args) -> int:
             raise ParameterError("classification eval needs --pred-labels and --gold-labels")
         pred_map = dataio.read_labels_csv(args.pred_labels, n_classes=args.classes)
         gold_map = dataio.read_labels_csv(args.gold_labels, n_classes=args.classes)
-        shared = sorted(set(pred_map) & set(gold_map))
-        if not shared:
-            raise DataError("no shared segment ids between predictions and gold labels")
-        preds = np.array([pred_map[s] for s in shared])
-        golds = np.array([gold_map[s] for s in shared])
+        unlabelled = next((s for s in pred_map if s not in gold_map), None)
+        if unlabelled is not None:
+            raise DataError(f"{args.pred_labels}: segment {unlabelled!r} has no gold label in {args.gold_labels}")
+        preds = np.array(list(pred_map.values()))
+        golds = np.array([gold_map[s] for s in pred_map])
         score = macro_f1(preds, golds, n_classes=args.classes)
-        _info(f"macro F1 over {len(shared)} segments")
+        _info(f"macro F1 over {len(pred_map)} segments")
         _emit("macro_f1", repr(round(score, 6)))
         return 0
 

@@ -51,7 +51,6 @@ __all__ = [
     "write_table",
     "read_model_file",
     "write_model_file",
-    "slice_by_span",
 ]
 
 SPLITS = ("train", "devel", "test")
@@ -243,7 +242,12 @@ class Partition:
 
 @dataclass(frozen=True)
 class Segment:
-    """A labelled time span of one recording; times in ms, half-open [start, end)."""
+    """A labelled time span of one recording; times in ms, half-open [start, end).
+
+    :meth:`rows` decides which rows of a time series the segment takes: a gold
+    sample or feature frame at ``t`` when ``start <= t < end``, and a word
+    ``[s, e]`` when it overlaps the span, ``s < end`` and ``e >= start``.
+    """
 
     segment_id: str
     recording_id: str
@@ -258,6 +262,12 @@ class Segment:
             raise ParameterError(f"segment {self.segment_id!r}: negative start")
         if self.partition not in SPLITS:
             raise ParameterError(f"segment {self.segment_id!r}: unknown split {self.partition!r}")
+
+    def rows(self, starts_ms, ends_ms=None) -> np.ndarray:
+        """Indices of the rows the segment takes; without ``ends_ms`` a row at ``t`` is the word [t, t]."""
+        starts = np.asarray(starts_ms)
+        ends = starts if ends_ms is None else np.asarray(ends_ms)
+        return np.flatnonzero((starts < self.end_ms) & (ends >= self.start_ms))
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +336,6 @@ def window(values: np.ndarray, spec: WindowSpec) -> list[tuple[int, np.ndarray]]
     if n < 1:
         raise ParameterError("cannot window an empty sequence")
     return [(s, values[s : min(s + spec.window, n)]) for s in range(0, n, spec.hop)]
-
-
-def slice_by_span(timestamps_ms: np.ndarray, start_ms: int, end_ms: int) -> np.ndarray:
-    """Boolean mask of grid samples inside the half-open span [start, end)."""
-    ts = np.asarray(timestamps_ms)
-    return (ts >= start_ms) & (ts < end_ms)
 
 
 # ---------------------------------------------------------------------------

@@ -1088,6 +1088,17 @@ class TestBadInputExitCodes:
         assert "pred.csv" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_predicted_segment_without_gold_label_exit_3(self, tmp_path, capsys):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("segment_id,class\ns0,1\ns1,2\ns2,0\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("segment_id,class\ns0,1\ns1,2\ns2,0\nseg_99999,1\n")
+        rc = main(["eval", "--pred-labels", str(pred), "--gold-labels", str(gold)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {pred}: segment 'seg_99999' has no gold label in {gold}" in captured.err
+        assert "macro_f1=" not in captured.out
+
     @pytest.mark.parametrize("command", ["discretize", "eval"])
     def test_empty_csv_exit_3(self, tmp_path, capsys, command):
         empty = tmp_path / "empty.csv"
@@ -1637,6 +1648,58 @@ class TestPairedOnTimestamps:
         assert not (tmp_path / "out").exists()
 
 
+class TestSegmentRows:
+    """A segment takes the frames inside it and the words that overlap it, and must take at least one."""
+
+    @staticmethod
+    def _sent_argv(corpus, features: Path, tmp_path) -> list[str]:
+        segments = corpus / "data" / "segments.csv"
+        labels = tmp_path / "labels.csv"
+        labels.write_text("segment_id,class\n" + "".join(
+            f"{s.segment_id},{i % 5}\n" for i, s in enumerate(read_segments_csv(segments))
+        ))
+        return ["train", "--task", "sent", "--features", str(features), "--segments", str(segments),
+                "--labels", str(labels), "--out", str(tmp_path / "out"), "--epochs", "1", "--hidden", "4"]
+
+    @staticmethod
+    def _words(corpus, tmp_path, spans) -> Path:
+        """The same words, ``[start, end]`` pairs, for every recording of the corpus."""
+        features = tmp_path / "words"
+        features.mkdir()
+        starts, ends = np.array(spans).T
+        rng = np.random.default_rng(5)
+        for rec in sorted({s.recording_id for s in read_segments_csv(corpus / "data" / "segments.csv")}):
+            write_feature_csv(features / f"{rec}.csv",
+                              FeatureSequence(rec, "words", rng.normal(size=(len(spans), 4)), starts, ends))
+        return features
+
+    def test_words_covering_a_segment_from_before_it_train(self, corpus, tmp_path, capsys):
+        # two words per 40 s recording: a segment starting after 20000 ms has no word starting in it
+        features = self._words(corpus, tmp_path, [(0, 20_000), (20_000, 40_000)])
+        assert main(self._sent_argv(corpus, features, tmp_path)) == 0
+        assert "devel_f1=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["frames", "words"])
+    def test_segment_taking_no_row_names_its_files(self, corpus, tmp_path, capsys, kind):
+        segments = corpus / "data" / "segments.csv"
+        seg = read_segments_csv(segments)[1]
+        if kind == "frames":
+            features = tmp_path / "frames"
+            shutil.copytree(corpus / "data" / "features" / "modal_a", features)
+            path = features / f"{seg.recording_id}.csv"
+            header, *rows = path.read_text().splitlines()
+            kept = [r for r in rows if not seg.start_ms <= int(r.split(",")[0]) < seg.end_ms]
+            path.write_text("\n".join([header, *kept]) + "\n")
+        else:  # one word ends just before the segment, the other starts at its end
+            features = self._words(corpus, tmp_path, [(0, seg.start_ms - 1), (seg.end_ms, 40_000)])
+        rc = main(self._sent_argv(corpus, features, tmp_path))
+        captured = capsys.readouterr()
+        assert rc == 3
+        fpath = features / f"{seg.recording_id}.csv"
+        assert f"data error: {fpath}: no feature row in segment {seg.segment_id!r} of {segments}" in captured.err
+        assert not (tmp_path / "out").exists()
+
+
 class TestWindowOne:
     def test_train_exit_2(self, corpus, tmp_path, capsys):
         rc = main(_train_argv(corpus, tmp_path / "m") + ["--window", "1"])
@@ -1828,7 +1891,8 @@ class TestNonFiniteFloatOptions:
 
 # Command shapes of the subcommand fuzz test; `fuzz_inputs` gives each its argv
 # (without --out) and the input file it replaces. `synth` reads no input file.
-FUZZ_SHAPES = ("raaw", "physio", "discretize", "train", "train-sent", "eval", "eval-labels", "fuse-late")
+FUZZ_SHAPES = ("raaw", "physio", "discretize", "discretize-segments", "train", "train-sent", "train-sent-segments",
+               "eval", "eval-labels", "fuse-late")
 
 
 @pytest.fixture(scope="module")
@@ -1849,10 +1913,14 @@ def fuzz_inputs(corpus, trained, tmp_path_factory):
         "raaw": (["raaw", *fusion], sorted((root / "annotations" / "rec_000" / "arousal").glob("*.csv"))[0]),
         "physio": (["physio", *fusion, "--eda", str(root / "eda")], root / "eda" / "rec_000.csv"),
         "discretize": (["discretize", "--gold", str(gold), *segments, "--target", "arousal"], gold / "rec_000.csv"),
+        "discretize-segments": (["discretize", "--gold", str(gold), *segments, "--target", "arousal"],
+                                data / "segments.csv"),
         "train": (["train", "--task", "stress", *fit, *features, "--window", "30"],
                   data / "features" / "modal_a" / "rec_000.csv"),
         "train-sent": (["train", "--task", "sent", *features, *segments, "--labels", str(labels), "--epochs", "1"],
                        labels),
+        "train-sent-segments": (["train", "--task", "sent", *features, *segments, "--labels", str(labels),
+                                 "--epochs", "1"], data / "segments.csv"),
         "eval": (["eval", "--pred", str(preds / "devel"), "--gold", str(gold)], sorted((preds / "devel").glob("*"))[0]),
         "eval-labels": (["eval", "--pred-labels", str(labels), "--gold-labels", str(labels)], labels),
         "fuse-late": (["fuse-late", "--task", "stress", *fit, "--streams", str(preds), str(trained / "modal_b" / "preds")],

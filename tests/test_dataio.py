@@ -29,7 +29,6 @@ from affectfuse.dataio import (
     read_prediction_csv,
     read_rater_set,
     read_segments_csv,
-    slice_by_span,
     uniform_step_ms,
     window,
     write_annotation_csv,
@@ -838,15 +837,23 @@ class TestWindow:
             WindowSpec(window=0, hop=1)
 
 
-class TestSliceBySpan:
-    def test_half_open_bounds(self):
-        ts = np.array([0, 250, 500, 750, 1000])
-        mask = slice_by_span(ts, 250, 750)
-        assert np.array_equal(mask, [False, True, True, False, False])
-
-    def test_empty_span(self):
-        ts = np.array([0, 250, 500])
-        assert slice_by_span(ts, 600, 700).sum() == 0
+@pytest.mark.parametrize(
+    "span, starts, ends, taken",
+    [
+        ((250, 750), [0, 250, 500, 750, 1000], None, [1, 2]),
+        ((600, 700), [0, 250, 500], None, []),
+        ((250, 750), [100, 600], [300, 900], [0, 1]),
+        ((250, 750), [100, 200], [249, 250], [1]),
+        ((250, 750), [300, 750], [400, 900], [0]),
+        ((250, 750), [0, 100, 300], [1000, 200, 400], [0, 2]),
+    ],
+    ids=["half-open-frames", "no-frame", "word-into-span", "word-ending-at-start", "word-starting-at-end",
+         "nested-word"],
+)
+def test_segment_rows(span, starts, ends, taken):
+    # a frame at t is taken when start <= t < end; a word [s, e] when s < end and e >= start
+    seg = Segment("s", "r", *span, "train")
+    assert seg.rows(np.array(starts), None if ends is None else np.array(ends)).tolist() == taken
 
 
 class TestGridTimestamps:
