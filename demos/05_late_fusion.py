@@ -15,8 +15,9 @@ import numpy as np
 
 from affectfuse.core import standardize_values
 from affectfuse.dataio import WindowSpec
-from affectfuse.latefusion import fuse_predictions
+from affectfuse.latefusion import REGRESSION_FUSION
 from affectfuse.metrics import ccc
+from affectfuse.seqmodel import RegressorConfig, fit
 from affectfuse.synth import SynthConfig, gen_latent
 
 rng = np.random.default_rng(5)
@@ -46,17 +47,16 @@ for name, stream in (("a (sluggish)", stream_a), ("b (overshooting)", stream_b))
     pooled_gold = np.concatenate([gold[r] for r in splits["devel"]])
     print(f"  stream {name}: CCC {ccc(pooled_pred, pooled_gold):.4f}")
 
+# the fusion model's input: both streams stacked per recording, one column each
 streams = {"modal_a": stream_a, "modal_b": stream_b}
-model, history, outputs = fuse_predictions(
-    streams,
+inputs = {r: np.stack([stream_a[r], stream_b[r]], axis=1) for r in gold}
+config = RegressorConfig(input_dim=2, **REGRESSION_FUSION, seed=5, max_epochs=150, patience=150, batch_size=2)
+model, history, outputs = fit(
+    config,
+    inputs,
     gold,  # test gold is present here but never required
     splits,
-    "regression",
     WindowSpec(window=60, hop=30),
-    seed=5,
-    max_epochs=150,
-    patience=150,
-    batch_size=2,
 )
 
 print("\n=== fusion model ===")

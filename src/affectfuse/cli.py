@@ -7,11 +7,12 @@ one sequence model on one feature set, ``eval`` scores prediction
 directories, and ``fuse-late`` stacks several prediction streams.
 
 ``train`` and ``fuse-late`` both fit through :func:`affectfuse.seqmodel.fit`
-(``fuse-late`` by way of :func:`affectfuse.latefusion.fuse_predictions`) and
-share one output tail: ``model.json``, ``history.csv``, ``preds/`` and the
-devel metric line. Only reading the items and writing the predictions depend
-on the task: gold grids and per-recording traces for wilder, stress and
-physio; labelled segments (or per-segment logits) and class labels for sent.
+(``fuse-late`` with the shapes of :mod:`affectfuse.latefusion`, on its streams
+stacked per item) and share one output tail: ``model.json``, ``history.csv``,
+``preds/`` and the devel metric line. Only reading the items and writing the
+predictions depend on the task: gold grids and per-recording traces for
+wilder, stress and physio; labelled segments (or per-segment logits) and
+class labels for sent.
 
 Conventions shared by every subcommand:
   * progress goes to stderr, machine-readable ``key=value`` lines to stdout
@@ -43,7 +44,7 @@ from .core import grid_timestamps_ms
 from .discretize import assign_nearest, fit_class_model, save_class_model, segment_features, validate_clusters
 from .errors import DataError, DegenerateInputError, NumericError, ParameterError
 from .fuse import FusionConfig, PhysioConfig, agreement_stats, physio_fuse, raaw
-from .latefusion import fuse_predictions
+from .latefusion import REGRESSION_FUSION, SENT_FUSION
 from .metrics import ScoreReport, ccc, macro_f1, partition_ccc
 from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, fit, save_checkpoint
 
@@ -450,10 +451,9 @@ def _write_traces(ts_by_rec: dict[str, np.ndarray], outputs: dict, preds_dir: Pa
 
 
 def _write_labels(outputs: dict, preds_dir: Path, logits: bool = False) -> None:
-    """``<split>_labels.csv`` per split; logit rows (``logits``) get argmax labels and ``<split>_logits.csv``."""
+    """``<split>_labels.csv``, the argmax of each logit row, per split; with ``logits`` also ``<split>_logits.csv``."""
     for split, rows in outputs.items():
-        labels = {i: int(np.argmax(v)) for i, v in rows.items()} if logits else rows
-        dataio.write_labels_csv(preds_dir / f"{split}_labels.csv", labels)
+        dataio.write_labels_csv(preds_dir / f"{split}_labels.csv", {i: int(np.argmax(v)) for i, v in rows.items()})
         if logits:
             dataio.write_logits_csv(preds_dir / f"{split}_logits.csv", rows)
 
@@ -649,63 +649,72 @@ def _stream_names(stream_dirs: list[Path]) -> list[str]:
     return unique
 
 
-def _regression_streams(args, stream_dirs: dict[str, Path]):
-    """Per-recording traces of every stream, over recordings all streams cover, and the train and devel
-    gold; each stream file and gold file must be on the first stream's time grid."""
+def _regression_streams(args):
+    """Per-recording traces of every stream stacked in ``--streams`` order, over recordings all streams
+    cover, and the train and devel gold; each stream file and gold file must be on the first stream's grid."""
     if not args.gold or not args.partitions:
         raise ParameterError("regression fusion needs --gold and --partitions")
     partition = dataio.read_partition_csv(args.partitions)
 
-    streams: dict[str, dict[str, np.ndarray]] = {name: {} for name in stream_dirs}
+    inputs, gold, ts_by_rec = {}, {}, {}
     splits: dict[str, list[str]] = {}
-    gold, ts_by_rec = {}, {}
     for split in dataio.SPLITS:
         for rec in partition.recordings(split):
-            paths = [d / split / f"{rec}.csv" for d in stream_dirs.values()]
+            paths = [d / split / f"{rec}.csv" for d in args.streams]
             if not all(p.is_file() for p in paths):
                 continue
             splits.setdefault(split, []).append(rec)
-            for name, path in zip(streams, paths):
-                ts, streams[name][rec] = dataio.read_prediction_csv(path)
+            traces = []
+            for path in paths:
+                ts, trace = dataio.read_prediction_csv(path)
                 dataio.check_same_grid(path, ts, paths[0], ts_by_rec.setdefault(rec, ts))
+                traces.append(trace)
+            inputs[rec] = np.stack(traces, axis=1)
             if split != "test":
                 ts, gold[rec] = dataio.read_gold_csv(args.gold / f"{rec}.csv")
                 dataio.check_same_grid(args.gold / f"{rec}.csv", ts, paths[0], ts_by_rec[rec])
-    return streams, gold, splits, partial(_write_traces, ts_by_rec)
+    return inputs, gold, splits, {"head": "regression"}, partial(_write_traces, ts_by_rec)
 
 
-def _sent_streams(args, stream_dirs: dict[str, Path]):
-    """Per-segment logits of every stream, read from ``<split>_logits.csv``.
+def _sent_streams(args):
+    """Per-segment logit rows of every stream, read from ``<split>_logits.csv``, as one step concatenated in
+    ``--streams`` order.
 
-    Every stream has the same split files with the same segment ids, and each stream one
-    logit width; ``fit`` finds a train or devel segment with no row in ``--gold-labels``.
+    Every stream has the same split files with the same segment ids, no id in two of them, and each
+    stream one logit width; ``fit`` finds a train or devel segment with no row in ``--gold-labels``.
     """
     if not args.gold_labels:
         raise ParameterError("sent fusion needs --gold-labels")
 
     splits: dict[str, tuple[str, ...]] = {}
-    streams: dict[str, dict[str, np.ndarray]] = {name: {} for name in stream_dirs}
-    widths: dict[str, tuple[int, Path]] = {}  # stream -> its logit width and the file that set it
+    rows_of: dict[str, list[np.ndarray]] = {}  # segment -> its logit row of each stream read so far
+    file_of: dict[str, Path] = {}  # segment -> the first stream's split file that lists it
+    widths: dict[int, tuple[int, Path]] = {}  # stream -> its logit width and the file that set it
     for split in dataio.SPLITS:
-        paths = {name: d / f"{split}_logits.csv" for name, d in stream_dirs.items()}
-        found = [p for p in paths.values() if p.is_file()]
+        paths = [d / f"{split}_logits.csv" for d in args.streams]
+        found = [p for p in paths if p.is_file()]
         if not found:
             continue
-        for name, path in paths.items():
-            if not path.is_file():
-                raise DataError(f"{path}: missing, but {found[0]} exists")
+        if len(found) < len(paths):
+            raise DataError(f"{next(p for p in paths if not p.is_file())}: missing, but {found[0]} exists")
+        for k, path in enumerate(paths):
             rows = dataio.read_logits_csv(path)
             ids, width = tuple(sorted(rows)), len(next(iter(rows.values())))
             if splits.setdefault(split, ids) != ids:
                 raise DataError(f"{path}: segment ids differ from {found[0]}")
-            first_width, first = widths.setdefault(name, (width, path))
+            twice = next((i for i in ids if file_of.setdefault(i, found[0]) != found[0]), None)
+            if twice is not None:
+                raise DataError(f"{path}: segment {twice!r} is also in {file_of[twice]}")
+            first_width, first = widths.setdefault(k, (width, path))
             if width != first_width:
                 raise DataError(f"{path}: {width} logit columns, but {first} has {first_width}")
-            streams[name].update(rows)
-    # a gold class without a logit column in every stream is bad data
+            for i in ids:
+                rows_of.setdefault(i, []).append(rows[i])
+    inputs = {i: np.concatenate(parts)[None, :] for i, parts in rows_of.items()}
+    # one output per class, as many as the narrowest stream has logits; a gold class beyond them is bad data
     n_classes = min((width for width, _ in widths.values()), default=None)
     gold = dataio.read_labels_csv(args.gold_labels, n_classes=n_classes)
-    return streams, gold, splits, _write_labels
+    return inputs, gold, splits, {"head": "classification", "n_classes": n_classes}, _write_labels
 
 
 def cmd_fuse_late(args) -> int:
@@ -713,20 +722,26 @@ def cmd_fuse_late(args) -> int:
         raise ParameterError("late fusion needs at least two --streams directories")
     spec = dataio.WindowSpec(args.window, args.hop or args.window) if args.window is not None else None
     task = "sent" if args.task == "sent" else "regression"
-    # (streams, train and devel gold, items per split, prediction writer)
+    # (inputs, targets and splits by item id, the config's head fields, prediction writer), as for train
     read_streams = _sent_streams if task == "sent" else _regression_streams
     gold_files = (args.gold_labels,) if task == "sent" else (args.gold, args.partitions)
-    streams, gold, splits, write_preds = read_streams(
-        args, dict(zip(_stream_names(args.streams), args.streams))
-    )
+    inputs, targets, splits, head, write_preds = read_streams(args)
 
-    _info(f"fusing {len(streams)} {task} streams over {sum(len(v) for v in splits.values())} items")
+    _info(f"fusing {len(args.streams)} {task} streams over {len(inputs)} items")
     with _data_of(*args.streams, *gold_files):
-        fitted = fuse_predictions(
-            streams, gold, splits, task, spec,
-            seed=args.seed, max_epochs=args.epochs, patience=args.patience, batch_size=args.batch,
+        if not inputs:
+            raise DegenerateInputError("late fusion has no item to size its model from")
+        config = RegressorConfig(
+            input_dim=next(iter(inputs.values())).shape[1],
+            seed=args.seed,
+            max_epochs=args.epochs,
+            patience=args.patience,
+            batch_size=args.batch,
+            **(SENT_FUSION if task == "sent" else REGRESSION_FUSION),
+            **head,
         )
-    return _write_run(args.out, *fitted, write_preds, streams=",".join(streams))
+        model, history, outputs = fit(config, inputs, targets, splits, spec)
+    return _write_run(args.out, model, history, outputs, write_preds, streams=",".join(_stream_names(args.streams)))
 
 
 # ---------------------------------------------------------------------------

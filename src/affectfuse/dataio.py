@@ -129,6 +129,14 @@ def _check_finite(path: Path | str, values: np.ndarray) -> None:
         raise DataError(f"{path}: non-finite value in data row {row + 1}")
 
 
+def _check_unique(path: Path | str, ids: Sequence[str]) -> None:
+    """A DataError naming the file, the first repeated segment id and both data rows holding it, if any."""
+    first_row: dict[str, int] = {}
+    for row, seg_id in enumerate(ids, start=1):
+        if first_row.setdefault(seg_id, row) != row:
+            raise DataError(f"{path}: segment {seg_id!r} in data rows {first_row[seg_id]} and {row}")
+
+
 def _write_text(path: Path | str, chunks: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -499,6 +507,7 @@ def read_segments_csv(path: Path | str) -> list[Segment]:
     table = _read_table(
         path, {"segment_id,recording_id,start_ms,end_ms,partition": (object, object, np.int64, np.int64, object)}
     )
+    _check_unique(path, table["segment_id"].tolist())
     try:
         return [Segment(*row) for row in table.tolist()]
     except ParameterError as exc:
@@ -511,8 +520,10 @@ def write_labels_csv(path: Path | str, labels: Mapping[str, int]) -> None:
 
 
 def read_labels_csv(path: Path | str, n_classes: int | None = None) -> dict[str, int]:
-    """``segment_id,class`` rows; with ``n_classes`` a class outside [0, n_classes) is bad data."""
-    labels = dict(_read_table(path, {"segment_id,class": (object, np.int64)}).tolist())
+    """``segment_id,class`` rows, one per id; with ``n_classes`` a class outside [0, n_classes) is bad data."""
+    table = _read_table(path, {"segment_id,class": (object, np.int64)})
+    _check_unique(path, table["segment_id"].tolist())
+    labels = dict(table.tolist())
     for seg_id, label in labels.items():
         if n_classes is not None and not 0 <= label < n_classes:
             raise DataError(f"{path}: segment {seg_id!r} has class {label}, outside [0, {n_classes - 1}]")
@@ -529,6 +540,7 @@ def write_logits_csv(path: Path | str, logits: Mapping[str, np.ndarray]) -> None
 
 def read_logits_csv(path: Path | str) -> dict[str, np.ndarray]:
     table = _read_table(path, {_LOGITS_HEADER: (object, np.float64)})
+    _check_unique(path, table["segment_id"].tolist())
     return dict(zip(table["segment_id"].tolist(), np.ascontiguousarray(table["l"])))
 
 

@@ -18,10 +18,13 @@ from affectfuse.dataio import (
     FeatureSequence,
     read_gold_csv,
     read_labels_csv,
+    read_partition_csv,
     read_prediction_csv,
     read_segments_csv,
     write_feature_csv,
 )
+from affectfuse.latefusion import REGRESSION_FUSION
+from affectfuse.seqmodel import evaluate, load_checkpoint
 
 
 def _values(stdout: str) -> dict[str, str]:
@@ -796,6 +799,29 @@ class TestFuseLateSentStreams:
         assert f"{devel}: 6 logit columns, but {tmp_path / 'b' / 'train_logits.csv'} has 5" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_segment_ids_differ_between_streams_exit_3(self, tmp_path, capsys):
+        labels = _logit_streams(tmp_path, ["a", "b"])
+        devel = tmp_path / "b" / "devel_logits.csv"
+        devel.write_text("\n".join(devel.read_text().splitlines()[:-1]) + "\n")
+        rc = self._fuse(tmp_path, labels)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{devel}: segment ids differ from {tmp_path / 'a' / 'devel_logits.csv'}" in captured.err
+        assert not (tmp_path / "fused").exists()
+
+    def test_segment_in_two_split_files_exit_3(self, tmp_path, capsys):
+        # stacking reads one logit row per stream and segment; t0 in train and devel would give it two
+        labels = _logit_streams(tmp_path, ["a", "b"])
+        for name in ("a", "b"):
+            train, devel = tmp_path / name / "train_logits.csv", tmp_path / name / "devel_logits.csv"
+            devel.write_text(devel.read_text() + train.read_text().splitlines()[1] + "\n")
+        rc = self._fuse(tmp_path, labels)
+        captured = capsys.readouterr()
+        assert rc == 3
+        first, again = tmp_path / "a" / "train_logits.csv", tmp_path / "a" / "devel_logits.csv"
+        assert f"data error: {again}: segment 't0' is also in {first}" in captured.err
+        assert not (tmp_path / "fused").exists()
+
 
 class TestFuseLateRegression:
     def test_fuses_two_streams(self, corpus, trained, tmp_path, capsys):
@@ -829,6 +855,28 @@ class TestFuseLateRegression:
         assert vals["streams"] == "modal_a_preds,modal_b_preds"
         for split in ("train", "devel", "test"):
             assert sorted((tmp_path / "fused" / "preds" / split).glob("*.csv"))
+
+    def test_checkpoint_scores_the_streams_stacked_in_their_order(self, corpus, trained, tmp_path, capsys):
+        streams = [trained / "modal_b" / "preds", trained / "modal_a" / "preds"]
+        partitions = corpus / "data" / "partitions.csv"
+        rc = main(["fuse-late", "--task", "stress", "--streams", *map(str, streams), "--gold", str(corpus / "gold"),
+                   "--partitions", str(partitions), "--out", str(tmp_path / "fused"), "--epochs", "3", "--batch", "2"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        model = load_checkpoint(tmp_path / "fused" / "model.json")
+        assert model.config.input_dim == 2
+        assert {k: getattr(model.config, k) for k in REGRESSION_FUSION} == REGRESSION_FUSION
+
+        def devel_items(order):
+            return [
+                (np.stack([read_prediction_csv(d / "devel" / f"{rec}.csv")[1] for d in order], axis=1),
+                 read_gold_csv(corpus / "gold" / f"{rec}.csv")[1])
+                for rec in read_partition_csv(partitions).recordings("devel")
+            ]
+
+        devel_ccc = float(_values(captured.out)["devel_ccc"])
+        assert devel_ccc == round(evaluate(model, devel_items(streams)), 6)
+        assert devel_ccc != round(evaluate(model, devel_items(streams[::-1])), 6)
 
     def test_single_stream_exit_2(self, corpus, trained, tmp_path, capsys):
         rc = main(
@@ -1698,6 +1746,49 @@ class TestSegmentRows:
         fpath = features / f"{seg.recording_id}.csv"
         assert f"data error: {fpath}: no feature row in segment {seg.segment_id!r} of {segments}" in captured.err
         assert not (tmp_path / "out").exists()
+
+
+class TestRepeatedKey:
+    """A segments, labels or logits file lists each segment id once; a repeat names the file, id and rows."""
+
+    @pytest.mark.parametrize("command", ["discretize", "train"])
+    def test_repeated_segment_id_exit_3(self, corpus, tmp_path, capsys, command):
+        segments = tmp_path / "segments.csv"
+        text = (corpus / "data" / "segments.csv").read_text()
+        assert "\nseg_00001," in text and "\nseg_00002," in text
+        segments.write_text(text.replace("\nseg_00002,", "\nseg_00001,"))
+        if command == "discretize":
+            argv = ["discretize", "--gold", str(corpus / "gold"), "--segments", str(segments), "--target", "arousal",
+                    "--method", "kmeans", "--out", str(tmp_path / "out")]
+        else:
+            argv = TestSegmentRows._sent_argv(corpus, corpus / "data" / "features" / "modal_a", tmp_path)
+            argv[argv.index("--segments") + 1] = str(segments)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {segments}: segment 'seg_00001' in data rows 2 and 3" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_predicted_label_exit_3(self, tmp_path, capsys):
+        pred, gold = tmp_path / "pred.csv", tmp_path / "gold.csv"
+        pred.write_text("segment_id,class\ns0,1\ns1,2\ns0,0\n")
+        gold.write_text("segment_id,class\ns0,1\ns1,2\n")
+        rc = main(["eval", "--pred-labels", str(pred), "--gold-labels", str(gold)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {pred}: segment 's0' in data rows 1 and 3" in captured.err
+        assert "macro_f1=" not in captured.out
+
+    def test_repeated_logit_row_exit_3(self, tmp_path, capsys):
+        labels = _logit_streams(tmp_path, ["a", "b"])
+        train = tmp_path / "a" / "train_logits.csv"
+        train.write_text(train.read_text() + "t0,0.1,0.2,0.3,0.4,0.5\n")
+        rc = main(["fuse-late", "--task", "sent", "--streams", str(tmp_path / "a"), str(tmp_path / "b"),
+                   "--gold-labels", str(labels), "--out", str(tmp_path / "fused"), "--epochs", "1"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {train}: segment 't0' in data rows 1 and 7" in captured.err
+        assert not (tmp_path / "fused").exists()
 
 
 class TestWindowOne:
