@@ -9,7 +9,17 @@ import numpy as np
 from .core import RaterSet, standardize_values
 from .errors import DegenerateInputError, ParameterError
 
-__all__ = ["WarpPath", "AlignmentResult", "dtw", "default_band", "multi_align", "warp_to_reference"]
+__all__ = ["FusionConfig", "WarpPath", "AlignmentResult", "dtw", "default_band", "multi_align", "warp_to_reference"]
+
+
+@dataclass(frozen=True)
+class FusionConfig:
+    """Alignment settings of :func:`multi_align`, and so of :func:`affectfuse.fuse.raaw`."""
+
+    max_iter: int = 20
+    tol: float = 1e-4
+    band: int | None = None  # None -> 10% of the sequence length
+    reference: str | int = "mean"
 
 
 @dataclass(frozen=True)
@@ -45,10 +55,13 @@ class AlignmentResult:
     paths: tuple[WarpPath, ...]
     reference: np.ndarray
     iterations: int  # DTW rounds run
-    converged: bool
     stop_reason: str  # "converged", "stalled" or "max_iter"
     objective: tuple[float, ...]  # per round: summed path cost J
     max_delta: tuple[float, ...]  # per round: largest reference change
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 # table rows whose local costs and prefix sums dtw holds at once
@@ -179,14 +192,7 @@ def default_band(length: int) -> int:
     return max(1, int(round(0.1 * length)))
 
 
-def multi_align(
-    rater_set: RaterSet,
-    *,
-    max_iter: int = 20,
-    tol: float = 1e-4,
-    band: int | None = None,
-    reference: str | int = "mean",
-) -> AlignmentResult:
+def multi_align(rater_set: RaterSet, config: FusionConfig | None = None) -> AlignmentResult:
     """Align all traces of a rater set onto one common time grid.
 
     Iterative reference-based scheme: the reference starts as the mean of the
@@ -197,50 +203,45 @@ def multi_align(
     cheapest paths for the reference, the median minimises J index by index
     for those paths, so a round's summed path cost (``objective``) never rises
     beyond dtw's tie tolerance. The loop stops when the largest reference
-    change (``max_delta``) drops below ``tol`` (``stop_reason="converged"``),
+    change (``max_delta``) drops below ``config.tol`` (``stop_reason="converged"``),
     when J falls by no more than ``TIE_RTOL * max(1, J)`` (``"stalled"``)
-    or after ``max_iter`` rounds (``"max_iter"``). ``warped`` holds each
+    or after ``config.max_iter`` rounds (``"max_iter"``). ``warped`` holds each
     trace's per-index averages under the last paths, on the input's grid.
 
-    ``reference=k`` (an integer rater index) skips the iteration and warps
-    every trace once onto rater k's trace (``stop_reason="converged"``).
-    ``band`` defaults to 10% of the sequence length.
+    ``config.reference=k`` (an integer rater index) fixes the reference to
+    rater k's trace: one round warps every trace onto it and stops
+    (``stop_reason="converged"``, ``max_delta`` 0). ``config.band`` defaults
+    to 10% of the sequence length.
     """
+    config = config or FusionConfig()
+    max_iter, tol, reference = config.max_iter, config.tol, config.reference
     if len(rater_set) < 2:
         raise DegenerateInputError("multi_align needs at least 2 traces")
     if max_iter < 1:
         raise ParameterError("max_iter must be >= 1")
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be positive and finite, got {tol}")
+    fixed = isinstance(reference, (int, np.integer))
+    if fixed and not 0 <= reference < len(rater_set):
+        raise ParameterError(f"reference rater index {reference} out of range")
+    if not fixed and reference != "mean":
+        raise ParameterError("reference must be 'mean' or a rater index")
     length = rater_set.n_samples
-    if band is None:
-        band = default_band(length)
+    band = default_band(length) if config.band is None else config.band
     traces = np.stack([standardize_values(t.values)[0] for t in rater_set.traces])
 
-    if isinstance(reference, (int, np.integer)):
-        if not 0 <= reference < len(rater_set):
-            raise ParameterError(f"reference rater index {reference} out of range")
-        ref = traces[int(reference)]
-        paths = tuple(dtw(tr, ref, band=band) for tr in traces)
-        warped = np.stack([warp_to_reference(tr, p, length) for tr, p in zip(traces, paths)])
-        return AlignmentResult(
-            warped=warped, paths=paths, reference=ref, iterations=1, converged=True,
-            stop_reason="converged", objective=(sum(p.cost for p in paths),), max_delta=(0.0,),
-        )
-    if reference != "mean":
-        raise ParameterError("reference must be 'mean' or a rater index")
-
-    ref = traces.mean(axis=0)
+    ref = traces[int(reference)] if fixed else traces.mean(axis=0)
     costs, deltas = [], []
     while len(costs) < max_iter:
         paths = tuple(dtw(tr, ref, band=band) for tr in traces)
-        # pooled median per reference index: the middle of its sorted run
-        ref_idx = np.concatenate([p.pairs[:, 1] for p in paths])
-        values = np.concatenate([tr[p.pairs[:, 0]] for tr, p in zip(traces, paths)])
-        values = values[np.lexsort((values, ref_idx))]
-        counts = np.bincount(ref_idx, minlength=length)
-        start = np.cumsum(counts) - counts
-        new_ref = 0.5 * (values[start + (counts - 1) // 2] + values[start + counts // 2])
+        new_ref = ref  # a rater's trace stays the reference: the first round converges
+        if not fixed:  # pooled median per reference index: the middle of its sorted run
+            ref_idx = np.concatenate([p.pairs[:, 1] for p in paths])
+            values = np.concatenate([tr[p.pairs[:, 0]] for tr, p in zip(traces, paths)])
+            values = values[np.lexsort((values, ref_idx))]
+            counts = np.bincount(ref_idx, minlength=length)
+            start = np.cumsum(counts) - counts
+            new_ref = 0.5 * (values[start + (counts - 1) // 2] + values[start + counts // 2])
         deltas.append(float(np.max(np.abs(new_ref - ref))))
         costs.append(float(sum(p.cost for p in paths)))
         ref = new_ref
@@ -250,7 +251,6 @@ def multi_align(
             break
     warped = np.stack([warp_to_reference(tr, p, length) for tr, p in zip(traces, paths)])
     return AlignmentResult(
-        warped=warped, paths=paths, reference=ref, iterations=len(costs),
-        converged=stop_reason == "converged", stop_reason=stop_reason,
+        warped=warped, paths=paths, reference=ref, iterations=len(costs), stop_reason=stop_reason,
         objective=tuple(costs), max_delta=tuple(deltas),
     )

@@ -40,10 +40,11 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, synth
+from .align import FusionConfig
 from .core import grid_timestamps_ms
 from .discretize import assign_nearest, fit_class_model, save_class_model, segment_features, validate_clusters
 from .errors import DataError, DegenerateInputError, NumericError, ParameterError
-from .fuse import FusionConfig, PhysioConfig, agreement_stats, physio_fuse, raaw
+from .fuse import PhysioConfig, agreement_stats, physio_fuse, raaw
 from .latefusion import REGRESSION_FUSION, SENT_FUSION
 from .metrics import ScoreReport, ccc, macro_f1, partition_ccc
 from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, fit, save_checkpoint
@@ -221,9 +222,9 @@ def _add_fit_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--gold", type=_data_path, default=None, help="regression: directory of <rec>.csv gold files")
     sp.add_argument("--partitions", type=_data_path, default=None, help="regression: partitions CSV")
     sp.add_argument("--out", type=_data_path, required=True)
-    sp.add_argument("--window", type=int, default=None,
+    sp.add_argument("--window", type=_int_at_least(1), default=None,
                     help="train window in samples; default: the task's (train), full sequences (fuse-late)")
-    sp.add_argument("--hop", type=int, default=None,
+    sp.add_argument("--hop", type=_int_at_least(1), default=None,
                     help="train hop in samples; default: the task's (train), the window (fuse-late)")
     sp.add_argument("--epochs", type=int, default=100)
     sp.add_argument("--patience", type=int, default=15)
@@ -605,12 +606,15 @@ def cmd_eval(args) -> int:
 
     if not args.pred or not args.gold:
         raise ParameterError("regression eval needs --pred and --gold")
-    preds, golds = _read_pred_dir(args.pred, args.gold)
-    with _data_of(args.pred, args.gold):
-        per_target = {args.name: partition_ccc(preds, golds)}
     if args.pred2 or args.gold2:
         if not (args.pred2 and args.gold2):
             raise ParameterError("second target needs both --pred2 and --gold2")
+        if args.name2 == args.name:
+            raise ParameterError(f"--name2 must differ from --name, both are {args.name!r}")
+    preds, golds = _read_pred_dir(args.pred, args.gold)
+    with _data_of(args.pred, args.gold):
+        per_target = {args.name: partition_ccc(preds, golds)}
+    if args.pred2:
         preds2, golds2 = _read_pred_dir(args.pred2, args.gold2)
         with _data_of(args.pred2, args.gold2):
             per_target[args.name2] = partition_ccc(preds2, golds2)
@@ -720,6 +724,8 @@ def _sent_streams(args):
 def cmd_fuse_late(args) -> int:
     if len(args.streams) < 2:
         raise ParameterError("late fusion needs at least two --streams directories")
+    if args.hop is not None and args.window is None:
+        raise ParameterError("fuse-late --hop needs --window; without it each item is one full sequence")
     spec = dataio.WindowSpec(args.window, args.hop or args.window) if args.window is not None else None
     task = "sent" if args.task == "sent" else "regression"
     # (inputs, targets and splits by item id, the config's head fields, prediction writer), as for train

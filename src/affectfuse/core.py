@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DegenerateInputError, ParameterError
 
 __all__ = [
     "KINDS",
     "AnnotationTrace",
     "RaterSet",
     "grid_timestamps_ms",
-    "standardize",
     "standardize_values",
     "resample_values",
     "savgol_smooth",
@@ -42,15 +41,13 @@ class AnnotationTrace:
     """One continuous signal on a uniform time grid starting at t = 0.
 
     ``values`` is copied and frozen at construction; traces are safe to share
-    across threads. ``degenerate`` marks a trace that was constant when it was
-    standardized.
+    across threads.
     """
 
     rater_id: str
     sample_rate_hz: float
     values: np.ndarray
     kind: str
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         arr = _as_readonly(np.atleast_1d(np.asarray(self.values, dtype=np.float64)))
@@ -134,12 +131,6 @@ def standardize_values(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return (x - mu) / sigma, False
 
 
-def standardize(trace: AnnotationTrace) -> AnnotationTrace:
-    """Standardized copy of a trace; constant traces come back zeroed and flagged."""
-    vals, degen = standardize_values(trace.values)
-    return replace(trace, values=vals, degenerate=degen or trace.degenerate)
-
-
 def resample_values(x: np.ndarray, source_hz: float, target_hz: float) -> np.ndarray:
     """Linear interpolation of ``x`` onto a uniform grid at ``target_hz``.
 
@@ -188,7 +179,8 @@ def savgol_smooth(x: np.ndarray, window: int, polyorder: int = 3) -> np.ndarray:
     x : array
         Signal to smooth.
     window : int
-        Window size in samples, >= 2; may be even.
+        Window size in samples, >= 2; may be even. A signal shorter than the
+        window raises :class:`DegenerateInputError`.
     polyorder : int
         Fit degree, >= 0 and < window.
     """
@@ -203,7 +195,7 @@ def savgol_smooth(x: np.ndarray, window: int, polyorder: int = 3) -> np.ndarray:
     if polyorder >= window:
         raise ParameterError(f"polyorder {polyorder} must be < window {window}")
     if window > n:
-        raise ParameterError(f"window {window} exceeds signal length {n}")
+        raise DegenerateInputError(f"window {window} exceeds signal length {n}")
 
     left_arm = window // 2
     right_arm = window - 1 - left_arm

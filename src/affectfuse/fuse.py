@@ -8,33 +8,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .align import AlignmentResult, multi_align
-from .core import AnnotationTrace, RaterSet, resample_values, savgol_smooth, standardize
+from .align import AlignmentResult, FusionConfig, multi_align
+from .core import AnnotationTrace, RaterSet, resample_values, savgol_smooth, standardize_values
 from .errors import DegenerateInputError, ParameterError
 from .metrics import moments
 
 __all__ = [
-    "FusionConfig",
     "PhysioConfig",
     "GoldStandard",
     "ewe_weights",
     "ewe_fuse",
     "raaw",
     "prepare_physio",
-    "check_eda_span",
     "physio_fuse",
     "agreement_stats",
 ]
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Knobs of the alignment stage used by :func:`raaw`."""
-
-    max_iter: int = 20
-    tol: float = 1e-4
-    band: int | None = None  # None -> 10% of the sequence length
-    reference: str | int = "mean"
 
 
 @dataclass(frozen=True)
@@ -78,21 +66,15 @@ class GoldStandard:
         }
 
 
-def _trace_values(trace) -> np.ndarray:
-    values = getattr(trace, "values", trace)
-    return np.asarray(values, dtype=np.float64)
-
-
 def ewe_weights(traces: Sequence[np.ndarray]) -> np.ndarray:
     """Evaluator-weighted-estimator weights for a set of equal-length traces.
 
     Each trace's raw weight is its Pearson correlation with the mean of the
     other traces, clipped at zero; weights are normalized to sum to 1. A
     constant trace, or one whose mean-of-others is constant, gets raw weight
-    0. If no trace earns positive weight the fallback is uniform. Items may
-    be plain arrays or objects with a ``values`` attribute.
+    0. If no trace earns positive weight the fallback is uniform.
     """
-    mat = np.stack([_trace_values(t) for t in traces])
+    mat = np.stack(traces).astype(np.float64, copy=False)
     k, n = mat.shape
     if k < 2:
         raise ParameterError("ewe_weights needs at least 2 traces")
@@ -111,7 +93,7 @@ def ewe_weights(traces: Sequence[np.ndarray]) -> np.ndarray:
 
 def ewe_fuse(traces: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
     """Weighted sum of traces; weights must be non-negative and sum to 1."""
-    mat = np.stack([_trace_values(t) for t in traces])
+    mat = np.stack(traces).astype(np.float64, copy=False)
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size != mat.shape[0]:
         raise ParameterError(f"got {w.size} weights for {mat.shape[0]} traces")
@@ -159,20 +141,12 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
             f"recording {rater_set.recording_id!r}: fusion needs at least 2 raters, "
             f"got {len(rater_set)}"
         )
-    std_traces = [standardize(t) for t in rater_set.traces]
-    degenerate = [t.rater_id for t in std_traces if t.degenerate]
-    pre_mean, pre_std = _pairwise_agreement(
-        np.stack([t.values for t in std_traces]), rater_set.recording_id
-    )
-    alignment = multi_align(
-        rater_set,
-        max_iter=config.max_iter,
-        tol=config.tol,
-        band=config.band,
-        reference=config.reference,
-    )
-    weights = ewe_weights(list(alignment.warped))
-    values = ewe_fuse(list(alignment.warped), weights)
+    std_values, flags = zip(*(standardize_values(t.values) for t in rater_set.traces))
+    degenerate = [t.rater_id for t, flag in zip(rater_set.traces, flags) if flag]
+    pre_mean, pre_std = _pairwise_agreement(np.stack(std_values), rater_set.recording_id)
+    alignment = multi_align(rater_set, config)
+    weights = ewe_weights(alignment.warped)
+    values = ewe_fuse(alignment.warped, weights)
     agr_mean, agr_std = _pairwise_agreement(alignment.warped, rater_set.recording_id)
     return GoldStandard(
         recording_id=rater_set.recording_id,
@@ -205,11 +179,10 @@ def prepare_physio(eda: AnnotationTrace, label_rate_hz: float, config: PhysioCon
     Savitzky-Golay smoothing (even windows supported), then standardization.
     """
     vals = resample_values(eda.values, eda.sample_rate_hz, label_rate_hz)
-    vals = savgol_smooth(vals, config.sg_window, config.sg_polyorder)
-    out = standardize(replace(eda, values=vals, sample_rate_hz=float(label_rate_hz)))
-    if out.degenerate:
+    vals, degenerate = standardize_values(savgol_smooth(vals, config.sg_window, config.sg_polyorder))
+    if degenerate:
         warnings.warn(f"physiological trace {eda.rater_id!r} is constant; its weight will be 0")
-    return out
+    return replace(eda, values=vals, sample_rate_hz=float(label_rate_hz))
 
 
 def _conform_length(vals: np.ndarray, n: int) -> np.ndarray:
@@ -217,22 +190,6 @@ def _conform_length(vals: np.ndarray, n: int) -> np.ndarray:
     if vals.size >= n:
         return vals[:n]
     return np.concatenate([vals, np.full(n - vals.size, vals[-1])])
-
-
-def check_eda_span(rater_set: RaterSet, eda: AnnotationTrace) -> None:
-    """Reject an EDA trace spanning more than ten times the recording's annotations.
-
-    :func:`prepare_physio` resamples the whole span the trace's grid claims,
-    so without a bound two samples with a huge step would size memory. Any
-    fixed factor keeps that memory in proportion to the annotations; ten
-    leaves room for an EDA session that outlasts the annotated part.
-    """
-    span = rater_set.traces[0].duration_s
-    if eda.duration_s > 10 * span:
-        raise DegenerateInputError(
-            f"EDA trace {eda.rater_id!r} spans {eda.duration_s:g} s, more than ten times "
-            f"the {span:g} s of the annotations of recording {rater_set.recording_id!r}"
-        )
 
 
 def physio_fuse(
@@ -243,11 +200,22 @@ def physio_fuse(
     Annotator weights are computed exactly as in :func:`raaw` on the original
     set; the annotator with the minimum weight (ties: lowest index) is
     dropped, the processed physiological signal joins as a pseudo-rater, and
-    the fusion pipeline reruns on the substituted set. An EDA trace failing
-    :func:`check_eda_span` is rejected first.
+    the fusion pipeline reruns on the substituted set.
+
+    An EDA trace spanning more than ten times the annotations is rejected
+    first: :func:`prepare_physio` resamples the whole span the EDA grid
+    claims, so without a bound two samples with a huge step would size
+    memory. Any fixed factor keeps that memory in proportion to the
+    annotations; ten leaves room for an EDA session that outlasts the
+    annotated part.
     """
     config = config or PhysioConfig()
-    check_eda_span(rater_set, eda)
+    span = rater_set.traces[0].duration_s
+    if eda.duration_s > 10 * span:
+        raise DegenerateInputError(
+            f"EDA trace {eda.rater_id!r} spans {eda.duration_s:g} s, more than ten times "
+            f"the {span:g} s of the annotations of recording {rater_set.recording_id!r}"
+        )
     ranking = raaw(rater_set, config.fusion)
     drop = int(np.argmin(ranking.weights))  # argmin takes the lowest index on ties
     prepared = prepare_physio(eda, rater_set.sample_rate_hz, config)
@@ -256,7 +224,6 @@ def physio_fuse(
         sample_rate_hz=rater_set.sample_rate_hz,
         values=_conform_length(prepared.values, rater_set.n_samples),
         kind=rater_set.kind,
-        degenerate=prepared.degenerate,
     )
     kept = [t for i, t in enumerate(rater_set.traces) if i != drop]
     substituted = RaterSet(recording_id=rater_set.recording_id, traces=(*kept, pseudo))

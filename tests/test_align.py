@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from affectfuse import align
 from affectfuse.align import (
     TIE_RTOL,
+    FusionConfig,
     WarpPath,
     default_band,
     dtw,
@@ -217,7 +218,7 @@ class TestObjectiveNeverRises:
     @given(_rater_case())
     def test_objective_non_increasing(self, case):
         rs, band = case
-        result = multi_align(rs, band=band)
+        result = multi_align(rs, FusionConfig(band=band))
         assert len(result.objective) == len(result.max_delta) == result.iterations
         _assert_non_increasing(result.objective)
         assert (result.max_delta[-1] < 1e-4) == result.converged
@@ -293,7 +294,7 @@ class TestMultiAlign:
                 np.roll(base, -3) + rng.normal(0, 0.02, 300),
             ]
         )
-        result = multi_align(rs, max_iter=10)
+        result = multi_align(rs, FusionConfig(max_iter=10))
         assert result.converged
         assert result.stop_reason == "converged"
         assert result.iterations <= 10
@@ -317,7 +318,7 @@ class TestMultiAlign:
         calls = []
         inner_dtw = align.dtw
         monkeypatch.setattr(align, "dtw", lambda *a, **k: calls.append(1) or inner_dtw(*a, **k))
-        result = multi_align(rs, max_iter=max_iter)
+        result = multi_align(rs, FusionConfig(max_iter=max_iter))
         assert result.stop_reason == stop_reason
         assert len(calls) == len(rs) * result.iterations
 
@@ -325,7 +326,7 @@ class TestMultiAlign:
         # rounds alternate between two paths of equal cost: J cannot fall,
         # while the reference keeps moving between their two medians
         rs = _alternating_paths(monkeypatch)
-        result = multi_align(rs, max_iter=20)
+        result = multi_align(rs, FusionConfig(max_iter=20))
         assert result.stop_reason == "stalled"
         assert not result.converged
         assert result.iterations == 2
@@ -335,7 +336,7 @@ class TestMultiAlign:
     @pytest.mark.parametrize("max_iter", [1, 3, 20])
     def test_round_diagnostics(self, max_iter):
         rs = _noisy_rater_set()
-        result = multi_align(rs, max_iter=max_iter)
+        result = multi_align(rs, FusionConfig(max_iter=max_iter))
         assert len(result.objective) == len(result.max_delta) == result.iterations
         assert result.iterations <= max_iter
         # the last entry is the summed cost of the paths the result holds
@@ -346,7 +347,7 @@ class TestMultiAlign:
     def test_median_reference_minimises_cost_for_fixed_paths(self):
         rs = _noisy_rater_set()
         traces = np.stack([standardize_values(t.values)[0] for t in rs.traces])
-        result = multi_align(rs, max_iter=1)
+        result = multi_align(rs, FusionConfig(max_iter=1))
         ref_idx = np.concatenate([p.pairs[:, 1] for p in result.paths])
         values = np.concatenate([tr[p.pairs[:, 0]] for tr, p in zip(traces, result.paths)])
 
@@ -372,7 +373,7 @@ class TestMultiAlign:
         # two raters on the identity path: each reference sample is the
         # mean of the two standardized samples mapped to it
         rs = _rater_set([np.arange(6.0), np.arange(6.0) ** 2])
-        result = multi_align(rs, max_iter=1, band=0)
+        result = multi_align(rs, FusionConfig(max_iter=1, band=0))
         std = np.stack([standardize_values(t.values)[0] for t in rs.traces])
         assert np.allclose(result.reference, std.mean(axis=0), rtol=0, atol=1e-15)
 
@@ -383,27 +384,41 @@ class TestMultiAlign:
         assert result.warped.shape == (2, 120)
         assert result.reference.shape == (120,)
 
-    def test_integer_reference_selects_single_pass(self):
+    def test_integer_reference_selects_single_pass(self, monkeypatch):
         rng = np.random.default_rng(31)
         base = np.cumsum(rng.normal(size=200))
-        rs = _rater_set([np.roll(base, 2), base])
-        result = multi_align(rs, reference=1)
+        rs = _rater_set([np.roll(base, 2), base, base[::-1]])
+        calls = []
+        inner_dtw = align.dtw
+        monkeypatch.setattr(align, "dtw", lambda *a, **k: calls.append(1) or inner_dtw(*a, **k))
+        result = multi_align(rs, FusionConfig(reference=1))
+        assert len(calls) == len(rs)  # one round: one dtw call per trace
         assert result.converged
         assert result.stop_reason == "converged"
         assert result.iterations == 1
-        # rater 1 is the reference: its warped copy is its standardized self
-        std1 = (base - base.mean()) / base.std()
-        assert np.allclose(result.warped[1], std1)
+        assert result.objective == (sum(p.cost for p in result.paths),)
+        assert result.max_delta == (0.0,)
+        # rater 1 is the reference, unchanged by the round: its standardized trace
+        std1 = standardize_values(rs.traces[1].values)[0]
+        assert np.array_equal(result.reference, std1)
+        assert np.allclose(result.warped[1], (base - base.mean()) / base.std())
+        # the round count does not matter: the fixed reference stops after one round
+        for max_iter in (1, 20):
+            again = multi_align(rs, FusionConfig(max_iter=max_iter, reference=1))
+            assert np.array_equal(again.warped, result.warped)
+            assert np.array_equal(again.reference, result.reference)
+            assert [p.pairs.tolist() for p in again.paths] == [p.pairs.tolist() for p in result.paths]
+            assert (again.iterations, again.objective, again.max_delta) == (1, result.objective, (0.0,))
 
     def test_reference_index_out_of_range(self):
         rs = _rater_set([np.arange(5.0), np.arange(5.0) * 2])
         with pytest.raises(ParameterError):
-            multi_align(rs, reference=2)
+            multi_align(rs, FusionConfig(reference=2))
 
     def test_unknown_reference_mode_rejected(self):
         rs = _rater_set([np.arange(5.0), np.arange(5.0) * 2])
         with pytest.raises(ParameterError):
-            multi_align(rs, reference="median")
+            multi_align(rs, FusionConfig(reference="median"))
 
     def test_affine_invariance(self):
         # standardization inside the alignment makes per-rater affine
@@ -427,15 +442,15 @@ class TestMultiAlign:
     def test_bad_iteration_parameters(self):
         rs = _rater_set([np.arange(8.0), np.arange(8.0) ** 2])
         with pytest.raises(ParameterError):
-            multi_align(rs, max_iter=0)
+            multi_align(rs, FusionConfig(max_iter=0))
         with pytest.raises(ParameterError):
-            multi_align(rs, tol=0.0)
+            multi_align(rs, FusionConfig(tol=0.0))
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
     def test_non_finite_tol_rejected(self, tol):
         rs = _rater_set([np.arange(8.0), np.arange(8.0) ** 2])
         with pytest.raises(ParameterError, match="tol must be positive and finite"):
-            multi_align(rs, tol=tol)
+            multi_align(rs, FusionConfig(tol=tol))
 
 
 class TestDefaultBand:

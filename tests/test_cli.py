@@ -596,6 +596,15 @@ class TestEvalRegression:
     def test_needs_some_input_exit_2(self):
         assert main(["eval"]) == 2
 
+    def test_second_target_named_as_the_first_exit_2_before_reading(self, tmp_path, capsys):
+        # none of the inputs exists: reading any would exit 3; the second score would overwrite the first
+        rc = main(["eval", "--pred", str(tmp_path / "p"), "--gold", str(tmp_path / "g"), "--name", "x",
+                   "--pred2", str(tmp_path / "p"), "--gold2", str(tmp_path / "g"), "--name2", "x"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--name2 must differ from --name, both are 'x'" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("mode", ["regression", "labels"])
     def test_fewer_than_two_classes_exit_2_before_reading(self, tmp_path, capsys, mode):
         # none of the inputs exists: reading any would exit 3
@@ -1474,6 +1483,23 @@ class TestDegenerateDataExit3:
         assert "Traceback" not in captured.err
         assert not (tmp_path / "g").exists()
 
+    def test_physio_recording_shorter_than_the_smoothing_window_exit_3(self, tmp_path, capsys):
+        # 10 s at 2 Hz is 21 label steps, fewer than the default --sg-window of 26
+        ann, eda = tmp_path / "ann" / "rec_000" / "arousal", tmp_path / "eda" / "rec_000.csv"
+        ann.mkdir(parents=True)
+        eda.parent.mkdir()
+        t = np.arange(0, 10001, 500)
+        for k in range(3):
+            (ann / f"r{k}.csv").write_text(
+                "timestamp_ms,value\n" + "".join(f"{ms},{np.sin(ms / 1500 + 0.3 * k):.6f}\n" for ms in t))
+        eda.write_text("timestamp_ms,value\n" + "".join(f"{ms},{np.cos(ms / 2000):.6f}\n" for ms in range(0, 10001, 250)))
+        rc = main(["physio", "--annotations", str(tmp_path / "ann"), "--kind", "arousal",
+                   "--eda", str(eda.parent), "--out", str(tmp_path / "g")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {ann}: {eda}: window 26 exceeds signal length 21" in captured.err
+        assert not (tmp_path / "g").exists()
+
     def test_rank_deficient_segment_features_exit_3(self, corpus, tmp_path, capsys):
         # one integer per recording: every segment is constant, so its features are c, c**2 and zeros
         gold = tmp_path / "gold"
@@ -1808,6 +1834,41 @@ class TestWindowOne:
         captured = capsys.readouterr()
         assert rc == 2
         assert "window needs at least 2 samples, got window 1" in captured.err
+
+
+class TestWindowAndHopAtLeastOne:
+    """``--window`` and ``--hop`` below 1 exit 2 when parsed, before any file is read."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(("option", "value"), [("window", "0"), ("hop", "0"), ("hop", "-3")])
+    @pytest.mark.parametrize("command", ["train", "fuse-late"])
+    def test_below_one_exit_2(self, tmp_path, capsys, command, option, value, source):
+        argv = [command] + [a.replace("{t}", str(tmp_path)) for a in MINIMAL_ARGV[command]]
+        argv += ["--window", "10"] if option == "hop" else []
+        if source == "flag":
+            argv += [f"--{option}", value]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{option} = {value}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        rc = main(argv)
+        assert rc == 2
+        assert f"argument --{option}: must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_fuse_late_hop_without_window_exit_2(self, tmp_path, capsys, source):
+        # none of the inputs exists: reading any would exit 3
+        argv = ["fuse-late", "--task", "stress", "--streams", str(tmp_path / "a"), str(tmp_path / "b"),
+                "--gold", str(tmp_path / "gold"), "--partitions", str(tmp_path / "p.csv"), "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--hop", "4"]
+        else:
+            (tmp_path / "run.cfg").write_text("hop = 4\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        rc = main(argv)
+        assert rc == 2
+        assert "fuse-late --hop needs --window" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # The smallest argument list each subcommand parses; --jobs is checked before

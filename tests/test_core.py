@@ -10,10 +10,9 @@ from affectfuse.core import (
     RaterSet,
     resample_values,
     savgol_smooth,
-    standardize,
     standardize_values,
 )
-from affectfuse.errors import ParameterError
+from affectfuse.errors import DegenerateInputError, ParameterError
 
 
 def trace(values, rate=2.0, rater="r0", kind="arousal"):
@@ -96,14 +95,6 @@ class TestStandardize:
         assert degenerate
         assert np.all(z == 0.0)
 
-    def test_trace_wrapper_sets_flag(self):
-        t = standardize(trace([7.0, 7.0]))
-        assert t.degenerate
-        assert np.all(t.values == 0.0)
-        t2 = standardize(trace([0.0, 1.0, 2.0]))
-        assert not t2.degenerate
-        assert t2.rater_id == "r0"
-
     def test_affine_invariance(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=50)
@@ -177,6 +168,11 @@ class TestSavitzkyGolay:
             savgol_smooth(x, 11, 3)  # window > len
         with pytest.raises(ParameterError):
             savgol_smooth(x, 5, -1)
+
+    def test_signal_shorter_than_window_is_degenerate_input(self):
+        # a valid window on too short a recording: bad data, not a bad parameter
+        with pytest.raises(DegenerateInputError, match="window 11 exceeds signal length 10"):
+            savgol_smooth(np.zeros(10), 11, 3)
 
 class TestFrozen:
     def test_dataclasses_are_frozen(self):

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from affectfuse.align import FusionConfig
 from affectfuse.core import AnnotationTrace, RaterSet
 from affectfuse.errors import DegenerateInputError, ParameterError
 from affectfuse.fuse import (
-    FusionConfig,
     PhysioConfig,
     agreement_stats,
     ewe_fuse,
@@ -79,12 +79,6 @@ class TestEweWeights:
         w = ewe_weights(traces)
         assert w[2] == 0.0
         assert w[0] > 0.0 and w[1] > 0.0
-
-    def test_accepts_trace_objects(self):
-        a = _trace([0.0, 1.0, 2.0, 4.0])
-        b = _trace([0.0, 1.0, 2.0, 3.0], rater="r1")
-        c = _trace([3.0, 2.0, 1.0, 0.0], rater="r2")
-        assert np.allclose(ewe_weights([a, b, c]), [0.0, 1.0, 0.0])
 
     def test_too_few_traces_or_samples(self):
         with pytest.raises(ParameterError):
@@ -206,7 +200,6 @@ class TestPreparePhysio:
         eda = _trace(np.full(2000, 4.2), rater="eda", rate=100.0, kind="physio")
         with pytest.warns(UserWarning, match="constant"):
             out = prepare_physio(eda, 2.0, PhysioConfig())
-        assert out.degenerate
         assert np.allclose(out.values, 0.0)
 
 
