@@ -3,8 +3,9 @@
 Annotation-only fusion keeps every rater, however little the rater agrees
 with the rest. The physiology variant ranks the annotators, drops the one
 with the lowest fusion weight, and substitutes a processed electrodermal
-activity (EDA) signal as a pseudo-rater: resampled from 1 kHz to the label
-rate, Savitzky-Golay smoothed, standardized, then fused like anyone else.
+activity (EDA) signal as a pseudo-rater: its 1 kHz samples read at the
+annotation timestamps, Savitzky-Golay smoothed, standardized, then fused like
+anyone else.
 
     python3 demos/02_physio_substitution.py
 """
@@ -50,7 +51,7 @@ print("\n=== substituted fusion ===")
 print(f"  removed annotator: {meta['removed_rater']} (index {meta['removed_index']})")
 print(f"  fused set: {', '.join(meta['rater_ids'])}")
 print(f"  EDA processing: Savitzky-Golay window {meta['sg_window']} order {meta['sg_polyorder']}, "
-      f"resampled to {meta['target_hz']:.0f} Hz")
+      f"read at {meta['target_hz']:.0f} Hz")
 print("  weights:", ", ".join(f"{r}={w:.3f}" for r, w in zip(meta["rater_ids"], gold.weights)))
 
 target = standardize_values(latent)[0]

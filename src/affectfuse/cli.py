@@ -209,9 +209,9 @@ def _add_fusion_options(sp: argparse.ArgumentParser, kind: str) -> None:
     sp.add_argument("--annotations", type=_data_path, required=True, help="root with <rec>/<kind>/*.csv")
     sp.add_argument("--kind", default=kind, choices=("valence", "arousal", "physio"))
     sp.add_argument("--out", type=_data_path, required=True, help="directory for <rec>.csv gold files")
-    sp.add_argument("--max-iter", type=int, default=20)
+    sp.add_argument("--max-iter", type=_int_at_least(1), default=20)
     sp.add_argument("--tol", type=_finite, default=1e-4)
-    sp.add_argument("--band", type=int, default=None, help="warp band; default 10%% of length")
+    sp.add_argument("--band", type=_int_at_least(0), default=None, help="warp band; default 10%% of length")
     sp.add_argument("--reference", type=_reference, default="mean", help="'mean' or a rater index")
     sp.add_argument("--dump-paths", type=_data_path, default=None, help="directory for warp path CSVs")
 
@@ -226,9 +226,9 @@ def _add_fit_options(sp: argparse.ArgumentParser) -> None:
                     help="train window in samples; default: the task's (train), full sequences (fuse-late)")
     sp.add_argument("--hop", type=_int_at_least(1), default=None,
                     help="train hop in samples; default: the task's (train), the window (fuse-late)")
-    sp.add_argument("--epochs", type=int, default=100)
-    sp.add_argument("--patience", type=int, default=15)
-    sp.add_argument("--batch", type=int, default=32)
+    sp.add_argument("--epochs", type=_int_at_least(1), default=100)
+    sp.add_argument("--patience", type=_int_at_least(0), default=15)
+    sp.add_argument("--batch", type=_int_at_least(1), default=32)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
@@ -246,14 +246,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p = sub.add_parser("synth", help="write a synthetic corpus")
     _add_common(p)
     p.add_argument("--out", type=_data_path, required=True, help="corpus output directory")
-    p.add_argument("--recordings", type=int, default=6)
+    p.add_argument("--recordings", type=_int_at_least(1), default=6)
     p.add_argument("--duration", type=_finite, default=300.0, help="seconds per recording")
     p.add_argument("--rate", type=_finite, default=2.0, help="annotation rate in Hz")
-    p.add_argument("--raters", type=int, default=5)
+    p.add_argument("--raters", type=_int_at_least(1), default=5)
     p.add_argument("--max-lag", type=_finite, default=2.0, help="max rater lag in seconds")
     p.add_argument("--noise", type=_finite, default=0.05, help="rater noise sigma")
     p.add_argument("--scale-jitter", type=_finite, default=0.2)
-    p.add_argument("--feature-dim", type=int, default=8)
+    p.add_argument("--feature-dim", type=_int_at_least(1), default=8)
     p.add_argument("--feature-noise", type=_finite, default=0.1)
     p.add_argument("--feature-sets", type=_feature_sets, default="modal_a,modal_b", help="comma-separated set names")
     p.add_argument("--kind", default="arousal", choices=("valence", "arousal", "physio"))
@@ -268,8 +268,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     _add_common(p)
     _add_fusion_options(p, kind="physio")
     p.add_argument("--eda", type=_data_path, required=True, help="directory with <rec>.csv EDA signals")
-    p.add_argument("--sg-window", type=int, default=26, help="smoothing window in samples")
-    p.add_argument("--sg-order", type=int, default=3, help="smoothing polynomial order")
+    p.add_argument("--sg-window", type=_int_at_least(2), default=26, help="smoothing window in samples")
+    p.add_argument("--sg-order", type=_int_at_least(0), default=3, help="smoothing polynomial order")
     register(p, _run_fusion)
 
     p = sub.add_parser("discretize", help="turn gold standards into sentiment classes")
@@ -290,8 +290,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--features", type=_data_path, required=True, help="directory of <rec>.csv feature files")
     p.add_argument("--segments", type=_data_path, default=None, help="sent: segments CSV")
     p.add_argument("--labels", type=_data_path, default=None, help="sent: labels CSV")
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--layers", type=int, default=1)
+    p.add_argument("--hidden", type=_int_at_least(1), default=64)
+    p.add_argument("--layers", type=_int_at_least(1), default=1)
     p.add_argument("--bidirectional", action="store_true")
     p.add_argument("--lr", type=_finite, default=None, help="default: mid-grid for the task")
     p.add_argument("--l2", type=_finite, default=0.0)

@@ -1,4 +1,4 @@
-"""Core signal types and preprocessing: standardize, resample, Savitzky-Golay smoothing."""
+"""Core signal types and preprocessing: standardize, Savitzky-Golay smoothing."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ __all__ = [
     "RaterSet",
     "grid_timestamps_ms",
     "standardize_values",
-    "resample_values",
     "savgol_smooth",
 ]
 
@@ -63,11 +62,6 @@ class AnnotationTrace:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    @property
-    def duration_s(self) -> float:
-        """Time span between first and last sample."""
-        return (len(self) - 1) / self.sample_rate_hz
 
     def timestamps_ms(self) -> np.ndarray:
         """Integer millisecond timestamps of the sample grid."""
@@ -129,27 +123,6 @@ def standardize_values(x: np.ndarray) -> tuple[np.ndarray, bool]:
     if np.ptp(x) == 0.0 or sigma <= _CONST_RTOL * max(1.0, abs(mu)):
         return np.zeros_like(x), True
     return (x - mu) / sigma, False
-
-
-def resample_values(x: np.ndarray, source_hz: float, target_hz: float) -> np.ndarray:
-    """Linear interpolation of ``x`` onto a uniform grid at ``target_hz``.
-
-    The output grid starts at t = 0 and has ``floor(duration * target_hz) + 1``
-    samples, so it never extends past the source span. A length-1 input is
-    extended as a constant.
-    """
-    if target_hz <= 0:
-        raise ParameterError("target_hz must be positive")
-    if source_hz <= 0:
-        raise ParameterError("source_hz must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise ParameterError("resample input must be a non-empty 1-d sequence")
-    duration = (x.size - 1) / source_hz
-    n_out = int(np.floor(duration * target_hz + 1e-9)) + 1
-    t_out = np.arange(n_out) / target_hz
-    t_src = np.arange(x.size) / source_hz
-    return np.interp(t_out, t_src, x)
 
 
 def _savgol_weights(left: int, right: int, polyorder: int) -> np.ndarray:

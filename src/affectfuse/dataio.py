@@ -283,16 +283,17 @@ class Segment:
 
 
 def uniform_step_ms(timestamps_ms: np.ndarray) -> float:
-    """Median step of a uniform, strictly increasing millisecond grid.
+    """Step of a uniform, strictly increasing millisecond grid: its span over its steps.
 
-    Every step must lie within 1 ms of the median, since grids of rounded
-    milliseconds wobble by 1 ms (333/334 ms at 3 Hz).
+    Every step must lie within 1 ms of that step, since grids of rounded
+    milliseconds wobble by 1 ms (333/334 ms at 3 Hz); the span over the steps
+    regenerates every row of such a grid to within 1 ms.
     """
     ts = np.asarray(timestamps_ms, dtype=np.int64)
     if ts.ndim != 1 or ts.size < 2:
         raise ParameterError("a timestamp grid needs at least 2 timestamps")
-    diffs = np.diff(ts)  # the one step array held: the median reorders it in place, and no float copy is made
-    step = float(np.median(diffs, overwrite_input=True))
+    diffs = np.diff(ts)
+    step = float(ts[-1] - ts[0]) / (ts.size - 1)
     if np.any(diffs <= 0):
         raise ParameterError("timestamps must be strictly increasing")
     if np.any(diffs < step - 1) or np.any(diffs > step + 1):

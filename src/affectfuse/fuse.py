@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .align import AlignmentResult, FusionConfig, multi_align
-from .core import AnnotationTrace, RaterSet, resample_values, savgol_smooth, standardize_values
+from .core import AnnotationTrace, RaterSet, savgol_smooth, standardize_values
 from .errors import DegenerateInputError, ParameterError
 from .metrics import moments
 
@@ -29,8 +29,8 @@ __all__ = [
 class PhysioConfig:
     """Physiology-substitution settings on top of :class:`FusionConfig`.
 
-    The smoothing window counts samples at the label rate, to which the
-    physiological signal is resampled: window 26 at 2 Hz smooths over 13 seconds.
+    The smoothing window counts samples at the label rate, at which the
+    physiological signal is sampled: window 26 at 2 Hz smooths over 13 seconds.
     """
 
     fusion: FusionConfig = field(default_factory=FusionConfig)
@@ -172,24 +172,24 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
     )
 
 
-def prepare_physio(eda: AnnotationTrace, label_rate_hz: float, config: PhysioConfig) -> AnnotationTrace:
-    """Resample, smooth, and standardize a physiological signal.
+def prepare_physio(eda: AnnotationTrace, rater_set: RaterSet, config: PhysioConfig) -> AnnotationTrace:
+    """The pseudo-rater of a physiological signal: sampled, smoothed, and standardized.
 
-    Order matters and is fixed: resample to the label rate first, then
-    Savitzky-Golay smoothing (even windows supported), then standardization.
+    Order matters and is fixed: the signal is read at the annotation
+    timestamps first (linear interpolation, holding its last value past its
+    end), then Savitzky-Golay smoothed (even windows supported), then
+    standardized.
     """
-    vals = resample_values(eda.values, eda.sample_rate_hz, label_rate_hz)
+    # the EDA times stay unrounded floats: eda.timestamps_ms() would round and copy every EDA sample
+    vals = np.interp(
+        rater_set.traces[0].timestamps_ms(), np.arange(len(eda)) * (1000.0 / eda.sample_rate_hz), eda.values
+    )
     vals, degenerate = standardize_values(savgol_smooth(vals, config.sg_window, config.sg_polyorder))
     if degenerate:
         warnings.warn(f"physiological trace {eda.rater_id!r} is constant; its weight will be 0")
-    return replace(eda, values=vals, sample_rate_hz=float(label_rate_hz))
-
-
-def _conform_length(vals: np.ndarray, n: int) -> np.ndarray:
-    """Trim or edge-hold values to exactly ``n`` samples."""
-    if vals.size >= n:
-        return vals[:n]
-    return np.concatenate([vals, np.full(n - vals.size, vals[-1])])
+    return AnnotationTrace(
+        rater_id=f"physio:{eda.rater_id}", sample_rate_hz=rater_set.sample_rate_hz, values=vals, kind=rater_set.kind
+    )
 
 
 def physio_fuse(
@@ -201,30 +201,11 @@ def physio_fuse(
     set; the annotator with the minimum weight (ties: lowest index) is
     dropped, the processed physiological signal joins as a pseudo-rater, and
     the fusion pipeline reruns on the substituted set.
-
-    An EDA trace spanning more than ten times the annotations is rejected
-    first: :func:`prepare_physio` resamples the whole span the EDA grid
-    claims, so without a bound two samples with a huge step would size
-    memory. Any fixed factor keeps that memory in proportion to the
-    annotations; ten leaves room for an EDA session that outlasts the
-    annotated part.
     """
     config = config or PhysioConfig()
-    span = rater_set.traces[0].duration_s
-    if eda.duration_s > 10 * span:
-        raise DegenerateInputError(
-            f"EDA trace {eda.rater_id!r} spans {eda.duration_s:g} s, more than ten times "
-            f"the {span:g} s of the annotations of recording {rater_set.recording_id!r}"
-        )
     ranking = raaw(rater_set, config.fusion)
     drop = int(np.argmin(ranking.weights))  # argmin takes the lowest index on ties
-    prepared = prepare_physio(eda, rater_set.sample_rate_hz, config)
-    pseudo = AnnotationTrace(
-        rater_id=f"physio:{eda.rater_id}",
-        sample_rate_hz=rater_set.sample_rate_hz,
-        values=_conform_length(prepared.values, rater_set.n_samples),
-        kind=rater_set.kind,
-    )
+    pseudo = prepare_physio(eda, rater_set, config)
     kept = [t for i, t in enumerate(rater_set.traces) if i != drop]
     substituted = RaterSet(recording_id=rater_set.recording_id, traces=(*kept, pseudo))
     gold = raaw(substituted, config.fusion)

@@ -8,7 +8,6 @@ import pytest
 from affectfuse.core import (
     AnnotationTrace,
     RaterSet,
-    resample_values,
     savgol_smooth,
     standardize_values,
 )
@@ -23,7 +22,6 @@ class TestAnnotationTrace:
     def test_basic_fields(self):
         t = trace([0.0, 1.0, 2.0])
         assert len(t) == 3
-        assert t.duration_s == pytest.approx(1.0)
         assert t.values.dtype == np.float64
 
     def test_values_are_read_only_copies(self):
@@ -102,30 +100,6 @@ class TestStandardize:
         z2, _ = standardize_values(3.5 * x - 2.0)
         np.testing.assert_allclose(z1, z2, atol=1e-12)
 
-
-class TestResample:
-    def test_upsample_worked_example(self):
-        out = resample_values(np.array([0.0, 1.0, 2.0, 3.0]), 1.0, 2.0)
-        np.testing.assert_allclose(out, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-
-    def test_downsample_takes_every_other(self):
-        x = np.arange(9, dtype=np.float64)
-        out = resample_values(x, 2.0, 1.0)
-        np.testing.assert_allclose(out, [0.0, 2.0, 4.0, 6.0, 8.0])
-
-    def test_identity_rate(self):
-        x = np.array([1.0, 4.0, 2.0])
-        np.testing.assert_array_equal(resample_values(x, 2.0, 2.0), x)
-
-    def test_output_length_formula(self):
-        # floor(duration * target) + 1 samples on the common grid
-        x = np.zeros(121)  # 60 s at 2 Hz
-        assert resample_values(x, 2.0, 4.0).size == 241
-        assert resample_values(x, 2.0, 1.0).size == 61
-
-    def test_single_sample_extends(self):
-        out = resample_values(np.array([3.0]), 2.0, 4.0)
-        np.testing.assert_array_equal(out, [3.0])
 
 class TestSavitzkyGolay:
     def test_window5_order2_interior_weights(self):

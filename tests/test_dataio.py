@@ -767,9 +767,18 @@ class TestCheckSameGrid:
 
 
 class TestUniformStep:
-    def test_wobbling_grid_gives_median_step(self):
-        assert uniform_step_ms(grid_timestamps_ms(10, 3.0)) == 333.0
+    def test_wobbling_grid_gives_mean_step(self):
+        assert uniform_step_ms(grid_timestamps_ms(10, 3.0)) == 3000 / 9
         assert uniform_step_ms(np.array([0, 500, 1000])) == 500.0
+
+    @pytest.mark.parametrize("rate", [3.0, 6.0, 7.0, 30.0])
+    @given(n=st.integers(2, 20_000))
+    @settings(max_examples=40, deadline=None)
+    def test_step_regenerates_a_wobbling_grid(self, rate, n):
+        # a whole-millisecond step, 333 ms at 3 Hz, would drift 1 ms every 3 steps
+        ts = grid_timestamps_ms(n, rate)
+        regenerated = grid_timestamps_ms(n, 1000.0 / uniform_step_ms(ts))
+        assert np.abs(regenerated - ts).max() <= 1
 
     @pytest.mark.parametrize(
         ("ts", "message"),
@@ -783,7 +792,7 @@ class TestUniformStep:
             uniform_step_ms(np.array(ts))
 
     @pytest.mark.parametrize(("ts", "step"), [([0, 100, 201, 300], 100.0), ([0, 100, 202], 101.0)])
-    def test_steps_within_one_ms_of_the_median_pass(self, ts, step):
+    def test_steps_within_one_ms_of_the_mean_pass(self, ts, step):
         assert uniform_step_ms(np.array(ts)) == step
 
     def test_memory_is_one_integer_step_array(self):

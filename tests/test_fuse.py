@@ -187,10 +187,11 @@ class TestRaaw:
 
 class TestPreparePhysio:
     def test_resample_smooth_standardize_order(self):
-        # a 1 kHz ramp downsampled to 2 Hz stays a ramp; after
+        # a 1 kHz ramp read at 2 Hz stays a ramp; after
         # standardization its ends are symmetric around zero
         eda = _trace(np.linspace(0.0, 9.0, 9001), rater="eda", rate=1000.0, kind="physio")
-        out = prepare_physio(eda, 2.0, PhysioConfig(sg_window=4, sg_polyorder=1))
+        rs = _rater_set([np.zeros(19), np.ones(19)], rate=2.0)  # 0 to 9 s at 2 Hz
+        out = prepare_physio(eda, rs, PhysioConfig(sg_window=4, sg_polyorder=1))
         assert out.sample_rate_hz == 2.0
         assert out.values.mean() == pytest.approx(0.0, abs=1e-12)
         assert out.values.std() == pytest.approx(1.0, abs=1e-12)
@@ -198,9 +199,45 @@ class TestPreparePhysio:
 
     def test_constant_signal_flagged(self):
         eda = _trace(np.full(2000, 4.2), rater="eda", rate=100.0, kind="physio")
+        rs = _rater_set([np.zeros(40), np.ones(40)], rate=2.0)
         with pytest.warns(UserWarning, match="constant"):
-            out = prepare_physio(eda, 2.0, PhysioConfig())
+            out = prepare_physio(eda, rs, PhysioConfig())
         assert np.allclose(out.values, 0.0)
+
+    def test_is_the_pseudo_rater_of_the_rater_set(self):
+        eda = _trace(np.arange(100.0), rater="eda", rate=10.0, kind="physio")
+        rs = _rater_set([np.zeros(30), np.ones(30)], rate=4.0, kind="arousal")
+        out = prepare_physio(eda, rs, PhysioConfig(sg_window=4, sg_polyorder=1))
+        assert (out.rater_id, out.sample_rate_hz, out.kind, len(out)) == ("physio:eda", 4.0, "arousal", 30)
+
+    @staticmethod
+    def _read(eda_values, eda_rate, n, rate):
+        """The standardized values of ``eda`` read on an ``n``-step grid at ``rate``: a line through each
+        window of 2 passes both samples, so smoothing leaves the values as read."""
+        eda = _trace(eda_values, rater="eda", rate=eda_rate, kind="physio")
+        rs = _rater_set([np.zeros(n), np.ones(n)], rate=rate)
+        return prepare_physio(eda, rs, PhysioConfig(sg_window=2, sg_polyorder=1)).values
+
+    def test_eda_slower_than_the_labels_is_interpolated_between_its_samples(self):
+        # 1 Hz EDA read at 2 Hz: the half-second steps fall halfway between samples
+        out = self._read([0.0, 1.0, 2.0, 3.0], 1.0, 7, 2.0)
+        expected = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        np.testing.assert_allclose(out, (expected - expected.mean()) / expected.std(), atol=1e-12)
+
+    def test_eda_faster_than_the_labels_is_read_at_the_label_timestamps(self):
+        out = self._read(np.arange(9.0), 2.0, 5, 1.0)
+        expected = np.array([0.0, 2.0, 4.0, 6.0, 8.0])
+        np.testing.assert_allclose(out, (expected - expected.mean()) / expected.std(), atol=1e-12)
+
+    def test_eda_ending_before_the_annotations_holds_its_last_value(self):
+        out = self._read([0.0, 1.0, 2.0], 2.0, 6, 2.0)
+        expected = np.array([0.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+        np.testing.assert_allclose(out, (expected - expected.mean()) / expected.std(), atol=1e-12)
+
+    def test_eda_longer_than_the_annotations_is_read_over_the_annotated_span(self):
+        out = self._read(np.r_[np.arange(5.0), np.full(100, 1e6)], 2.0, 5, 2.0)
+        expected = np.arange(5.0)
+        np.testing.assert_allclose(out, (expected - expected.mean()) / expected.std(), atol=1e-12)
 
 
 class TestPhysioFuse:
@@ -267,12 +304,6 @@ class TestPhysioFuse:
         idx = gold.metadata["rater_ids"].index("physio:eda")
         assert gold.weights[idx] == 0.0
         assert "physio:eda" in gold.metadata["degenerate_raters"]
-
-    def test_eda_spanning_over_ten_times_the_annotations_rejected(self):
-        rs, _ = self._setup(np.random.default_rng(24))  # 240 samples at 4 Hz: 59.75 s
-        eda = _trace([1.0, 2.0], rater="eda", rate=1 / 597.6, kind="physio")
-        with pytest.raises(ParameterError, match="'eda' spans 597.6 s, more than ten times the 59.75 s"):
-            physio_fuse(rs, eda)
 
     def test_single_rater_rejected(self):
         rs = _rater_set([np.arange(20.0)])
