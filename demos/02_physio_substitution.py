@@ -3,7 +3,7 @@
 Annotation-only fusion keeps every rater, however little the rater agrees
 with the rest. The physiology variant ranks the annotators, drops the one
 with the lowest fusion weight, and substitutes a processed electrodermal
-activity (EDA) signal as a pseudo-rater: its 1 kHz samples read at the
+activity (EDA) signal as a pseudo-rater: its 1 kHz file read at the
 annotation timestamps, Savitzky-Golay smoothed, standardized, then fused like
 anyone else.
 
@@ -12,9 +12,13 @@ anyone else.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from affectfuse.core import AnnotationTrace, RaterSet, standardize_values
+from affectfuse.dataio import read_physio_csv, write_annotation_csv
 from affectfuse.fuse import PhysioConfig, physio_fuse, raaw
 from affectfuse.metrics import ccc
 from affectfuse.synth import SynthConfig, gen_eda, gen_latent, gen_raters
@@ -29,12 +33,9 @@ bad = np.asarray(raters.traces[1].values).copy()
 rng = np.random.default_rng(0)
 bad = 0.3 * bad[::-1] + 0.7 * rng.standard_normal(bad.size)
 raters = RaterSet(
-    recording_id=raters.recording_id,
-    traces=(
-        raters.traces[0],
-        AnnotationTrace("r1", config.rate_hz, bad, raters.kind),
-        raters.traces[2],
-    ),
+    raters.recording_id,
+    (raters.traces[0], AnnotationTrace("r1", config.rate_hz, bad, raters.kind), raters.traces[2]),
+    raters.timestamps_ms,
 )
 
 print("=== annotator ranking ===")
@@ -45,7 +46,10 @@ for rater_id, weight in zip(ranking.metadata["rater_ids"], ranking.weights):
 print(f"\nEDA signal: {eda.values.size} samples at {eda.sample_rate_hz:.0f} Hz, "
       f"all non-negative (min {eda.values.min():.2f})")
 
-gold = physio_fuse(raters, eda, PhysioConfig())
+with tempfile.TemporaryDirectory() as tmp:  # the EDA is read from its file, at the annotation timestamps
+    eda_path = Path(tmp) / "eda.csv"
+    write_annotation_csv(eda_path, eda)
+    gold = physio_fuse(raters, read_physio_csv(eda_path, raters.timestamps_ms), PhysioConfig())
 meta = gold.metadata
 print("\n=== substituted fusion ===")
 print(f"  removed annotator: {meta['removed_rater']} (index {meta['removed_index']})")

@@ -41,7 +41,6 @@ import numpy as np
 
 from . import dataio, synth
 from .align import FusionConfig
-from .core import grid_timestamps_ms
 from .discretize import assign_nearest, fit_class_model, save_class_model, segment_features, validate_clusters
 from .errors import DataError, DegenerateInputError, NumericError, ParameterError
 from .fuse import PhysioConfig, agreement_stats, physio_fuse, raaw
@@ -360,7 +359,7 @@ def _fuse_worker(task: tuple[Path, str, str, FusionConfig | PhysioConfig, Path |
         with _data_of(ann_root / rec / kind):
             return rec, raaw(rater_set, config)
     eda_path = eda_dir / f"{rec}.csv"
-    eda = dataio.read_annotation_csv(eda_path, rater_id=eda_path.stem, kind="physio")
+    eda = dataio.read_physio_csv(eda_path, rater_set.timestamps_ms)
     with _data_of(ann_root / rec / kind, eda_path):
         return rec, physio_fuse(rater_set, eda, config)
 
@@ -386,8 +385,7 @@ def _run_fusion(args) -> int:
     with _data_of(args.annotations):
         mean, std = agreement_stats(golds)
     for rec, gold in zip(recordings, golds):
-        ts = grid_timestamps_ms(len(gold.values), gold.sample_rate_hz)
-        dataio.write_gold_csv(args.out / f"{rec}.csv", ts, gold.values, gold.sidecar())
+        dataio.write_gold_csv(args.out / f"{rec}.csv", gold.timestamps_ms, gold.values, gold.sidecar())
         _info(f"fused {rec} (agreement {gold.agreement_mean:.3f})")
         if args.dump_paths:
             for rid, path in zip(gold.metadata["rater_ids"], gold.alignment.paths):

@@ -24,8 +24,8 @@ KINDS = ("valence", "arousal", "physio")
 _CONST_RTOL = 1e-12
 
 
-def _as_readonly(values: np.ndarray) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+def _as_readonly(values, dtype=np.float64) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -37,10 +37,11 @@ def grid_timestamps_ms(n: int, rate_hz: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnnotationTrace:
-    """One continuous signal on a uniform time grid starting at t = 0.
+    """One rater's continuous signal: a value per timestamp of its :class:`RaterSet`'s grid.
 
-    ``values`` is copied and frozen at construction; traces are safe to share
-    across threads.
+    ``sample_rate_hz`` is the rate ``dataio.write_annotation_csv`` writes a lone
+    trace at, from t = 0; fusion never reads it. ``values`` is copied and
+    frozen at construction; traces are safe to share across threads.
     """
 
     rater_id: str
@@ -63,33 +64,31 @@ class AnnotationTrace:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def timestamps_ms(self) -> np.ndarray:
-        """Integer millisecond timestamps of the sample grid."""
-        return grid_timestamps_ms(len(self), self.sample_rate_hz)
-
 
 @dataclass(frozen=True)
 class RaterSet:
-    """All annotation traces of one recording for one signal kind."""
+    """All annotation traces of one recording for one signal kind, on one time grid: ``timestamps_ms``,
+    the int64 timestamps they were read or generated on. A gold standard fused from them is written at it."""
 
     recording_id: str
     traces: tuple[AnnotationTrace, ...]
+    timestamps_ms: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "traces", tuple(self.traces))
+        object.__setattr__(self, "timestamps_ms", _as_readonly(self.timestamps_ms, np.int64))
         if not self.traces:
             raise ParameterError("rater set needs at least one trace")
         first = self.traces[0]
-        for t in self.traces[1:]:
+        for t in self.traces:
             if t.kind != first.kind:
                 raise ParameterError(
                     f"mixed trace kinds in rater set {self.recording_id!r}: "
                     f"{t.kind!r} vs {first.kind!r}"
                 )
-            if t.sample_rate_hz != first.sample_rate_hz:
-                raise ParameterError(f"mixed sample rates in rater set {self.recording_id!r}")
-            if len(t) != len(first):
-                raise ParameterError(f"unequal trace lengths in rater set {self.recording_id!r}")
+            if len(t) != self.timestamps_ms.size:
+                raise ParameterError(f"trace {t.rater_id!r} of rater set {self.recording_id!r} has "
+                                     f"{len(t)} values for {self.timestamps_ms.size} timestamps")
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -99,12 +98,8 @@ class RaterSet:
         return self.traces[0].kind
 
     @property
-    def sample_rate_hz(self) -> float:
-        return self.traces[0].sample_rate_hz
-
-    @property
     def n_samples(self) -> int:
-        return len(self.traces[0])
+        return int(self.timestamps_ms.size)
 
     def matrix(self) -> np.ndarray:
         """Trace values stacked to shape (n_raters, n_samples)."""

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AnnotationTrace, RaterSet
+from .core import AnnotationTrace, RaterSet, grid_timestamps_ms
 from .errors import DataError, ParameterError
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "read_annotation_csv",
     "write_annotation_csv",
     "read_rater_set",
+    "read_physio_csv",
     "list_recordings",
     "read_feature_csv",
     "write_feature_csv",
@@ -351,48 +352,64 @@ def window(values: np.ndarray, spec: WindowSpec) -> list[tuple[int, np.ndarray]]
 # two-column signal CSVs
 
 
-def _read_grid(path: Path | str) -> tuple[np.ndarray, np.ndarray, float]:
+def _read_grid(path: Path | str, from_zero: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
     """Timestamps, values and step in ms of a ``timestamp_ms,value`` CSV; the two columns are
     strided fields of the table read, not copies.
 
-    The samples, at least 2, must lie on a uniform grid (see :func:`uniform_step_ms`).
+    The samples, at least 2, must lie on a uniform grid (see :func:`uniform_step_ms`), which
+    with ``from_zero`` starts at 0 ms.
     """
     table = _read_table(path, {"timestamp_ms,value": (np.int64, np.float64)})
+    ts = table["timestamp_ms"]
     try:
-        return table["timestamp_ms"], table["value"], uniform_step_ms(table["timestamp_ms"])
+        step = uniform_step_ms(ts)
     except ParameterError as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def read_annotation_csv(path: Path | str, rater_id: str, kind: str) -> AnnotationTrace:
-    """Load one rater's trace from a ``timestamp_ms,value`` CSV whose grid starts at 0 ms."""
-    ts, vals, step = _read_grid(path)  # AnnotationTrace copies the values field
-    if ts[0] != 0:
+    if from_zero and ts[0] != 0:
         raise DataError(f"{path}: the time grid starts at {ts[0]} ms, not 0")
-    try:
-        return AnnotationTrace(rater_id=rater_id, sample_rate_hz=1000.0 / step, values=vals, kind=kind)
-    except ParameterError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return ts, table["value"], step
+
+
+def read_annotation_csv(path: Path | str, rater_id: str, kind: str) -> tuple[np.ndarray, AnnotationTrace]:
+    """Timestamps and trace of one rater's ``timestamp_ms,value`` CSV whose grid starts at 0 ms; ``_read_grid``
+    rejects every fault of the file, so only a bad ``kind`` is left for the trace to reject."""
+    ts, vals, step = _read_grid(path, from_zero=True)  # AnnotationTrace copies the values field
+    return np.ascontiguousarray(ts), AnnotationTrace(rater_id, 1000.0 / step, vals, kind)
 
 
 def write_annotation_csv(path: Path | str, trace: AnnotationTrace) -> None:
-    # an AnnotationTrace holds int64 timestamps and float64 values already
-    write_table(path, "timestamp_ms,value", trace.timestamps_ms(), trace.values)
+    """Write a trace on the grid of its ``sample_rate_hz`` starting at 0 ms."""
+    write_table(path, "timestamp_ms,value", grid_timestamps_ms(len(trace), trace.sample_rate_hz), trace.values)
 
 
 def read_rater_set(annotations_dir: Path | str, recording_id: str, kind: str) -> RaterSet:
-    """Load ``<annotations_dir>/<recording_id>/<kind>/<rater_id>.csv`` into a RaterSet."""
+    """Load ``<annotations_dir>/<recording_id>/<kind>/<rater_id>.csv`` into a RaterSet.
+
+    Every file must hold the first file's timestamps (see :func:`check_same_grid`);
+    the set keeps that one grid.
+    """
     folder = Path(annotations_dir) / recording_id / kind
     if not folder.is_dir():
         raise DataError(f"no {kind!r} annotations for recording {recording_id!r} under {annotations_dir}")
     files = sorted(folder.glob("*.csv"))
     if not files:
         raise DataError(f"no annotation files in {folder}")
-    traces = tuple(read_annotation_csv(f, rater_id=f.stem, kind=kind) for f in files)
-    try:
-        return RaterSet(recording_id=recording_id, traces=traces)
-    except ParameterError as exc:
-        raise DataError(f"recording {recording_id!r}: {exc}") from exc
+    read = [read_annotation_csv(f, rater_id=f.stem, kind=kind) for f in files]
+    grid = read[0][0]
+    for f, (ts, _) in zip(files[1:], read[1:]):
+        check_same_grid(f, ts, files[0], grid)
+    return RaterSet(recording_id, [trace for _, trace in read], grid)
+
+
+def read_physio_csv(path: Path | str, timestamps_ms: np.ndarray) -> np.ndarray:
+    """A physiological ``timestamp_ms,value`` CSV, whose grid starts at 0 ms, read at ``timestamps_ms``: linear
+    interpolation between its samples, holding its last value past its end. Interpolating over only the rows around
+    a timestamp gives the values the whole file would, without a float copy of its timestamp column."""
+    ts, vals, _ = _read_grid(path, from_zero=True)
+    at = np.asarray(timestamps_ms, dtype=np.int64)
+    after = np.searchsorted(ts, at, side="right")
+    rows = np.unique(np.clip(np.concatenate([after - 1, after]), 0, ts.size - 1))
+    return np.interp(at, ts[rows], vals[rows])
 
 
 def list_recordings(annotations_dir: Path | str, kind: str) -> list[str]:

@@ -10,6 +10,7 @@ import numpy as np
 
 from .align import AlignmentResult, FusionConfig, multi_align
 from .core import AnnotationTrace, RaterSet, savgol_smooth, standardize_values
+from .dataio import uniform_step_ms
 from .errors import DegenerateInputError, ParameterError
 from .metrics import moments
 
@@ -40,7 +41,7 @@ class PhysioConfig:
 
 @dataclass(frozen=True)
 class GoldStandard:
-    """Fused annotation with its provenance: weights, alignment, agreement."""
+    """Fused annotation, a value per timestamp of its rater set, with its provenance: weights, alignment, agreement."""
 
     recording_id: str
     kind: str
@@ -49,16 +50,16 @@ class GoldStandard:
     alignment: AlignmentResult
     agreement_mean: float
     agreement_std: float
-    sample_rate_hz: float
+    timestamps_ms: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def sidecar(self) -> dict:
-        """The JSON sidecar of this gold standard's CSV: every field but ``values`` and ``alignment``,
-        with ``metadata`` merged in."""
+        """The JSON sidecar of this gold standard's CSV: every field but ``values``, ``alignment`` and
+        ``timestamps_ms``, whose rate (see :func:`uniform_step_ms`) it holds, with ``metadata`` merged in."""
         return {
             "recording_id": self.recording_id,
             "kind": self.kind,
-            "sample_rate_hz": self.sample_rate_hz,
+            "sample_rate_hz": 1000.0 / uniform_step_ms(self.timestamps_ms),
             "weights": self.weights.tolist(),
             "agreement_mean": self.agreement_mean,
             "agreement_std": self.agreement_std,
@@ -156,7 +157,7 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
         alignment=alignment,
         agreement_mean=agr_mean,
         agreement_std=agr_std,
-        sample_rate_hz=rater_set.sample_rate_hz,
+        timestamps_ms=rater_set.timestamps_ms,
         metadata={
             "fusion": asdict(config),
             "rater_ids": [t.rater_id for t in rater_set.traces],
@@ -172,42 +173,33 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
     )
 
 
-def prepare_physio(eda: AnnotationTrace, rater_set: RaterSet, config: PhysioConfig) -> AnnotationTrace:
-    """The pseudo-rater of a physiological signal: sampled, smoothed, and standardized.
-
-    Order matters and is fixed: the signal is read at the annotation
-    timestamps first (linear interpolation, holding its last value past its
-    end), then Savitzky-Golay smoothed (even windows supported), then
-    standardized.
-    """
-    # the EDA times stay unrounded floats: eda.timestamps_ms() would round and copy every EDA sample
-    vals = np.interp(
-        rater_set.traces[0].timestamps_ms(), np.arange(len(eda)) * (1000.0 / eda.sample_rate_hz), eda.values
-    )
-    vals, degenerate = standardize_values(savgol_smooth(vals, config.sg_window, config.sg_polyorder))
-    if degenerate:
-        warnings.warn(f"physiological trace {eda.rater_id!r} is constant; its weight will be 0")
-    return AnnotationTrace(
-        rater_id=f"physio:{eda.rater_id}", sample_rate_hz=rater_set.sample_rate_hz, values=vals, kind=rater_set.kind
-    )
+def prepare_physio(eda: np.ndarray, config: PhysioConfig) -> tuple[np.ndarray, bool]:
+    """The pseudo-rater values of a physiological signal read at the annotation timestamps (see
+    ``dataio.read_physio_csv``): Savitzky-Golay smoothed (even windows supported), then standardized.
+    Returns them with the constant flag of :func:`standardize_values`."""
+    return standardize_values(savgol_smooth(eda, config.sg_window, config.sg_polyorder))
 
 
-def physio_fuse(
-    rater_set: RaterSet, eda: AnnotationTrace, config: PhysioConfig | None = None
-) -> GoldStandard:
+def physio_fuse(rater_set: RaterSet, eda: np.ndarray, config: PhysioConfig | None = None) -> GoldStandard:
     """Gold standard with the least-agreeing annotator replaced by physiology.
 
+    ``eda`` is the physiological signal at the rater set's timestamps.
     Annotator weights are computed exactly as in :func:`raaw` on the original
     set; the annotator with the minimum weight (ties: lowest index) is
-    dropped, the processed physiological signal joins as a pseudo-rater, and
-    the fusion pipeline reruns on the substituted set.
+    dropped, the processed physiological signal joins as the pseudo-rater
+    ``physio:<recording_id>``, and the fusion pipeline reruns on the
+    substituted set.
     """
     config = config or PhysioConfig()
     ranking = raaw(rater_set, config.fusion)
     drop = int(np.argmin(ranking.weights))  # argmin takes the lowest index on ties
-    pseudo = prepare_physio(eda, rater_set, config)
+    values, degenerate = prepare_physio(eda, config)
+    if degenerate:
+        warnings.warn(f"recording {rater_set.recording_id!r}: physiological signal is constant; its weight will be 0")
+    rate_hz = 1000.0 / uniform_step_ms(rater_set.timestamps_ms)
+    pseudo = AnnotationTrace(f"physio:{rater_set.recording_id}", rate_hz, values, rater_set.kind)
     kept = [t for i, t in enumerate(rater_set.traces) if i != drop]
-    substituted = RaterSet(recording_id=rater_set.recording_id, traces=(*kept, pseudo))
+    substituted = RaterSet(rater_set.recording_id, (*kept, pseudo), rater_set.timestamps_ms)
     gold = raaw(substituted, config.fusion)
     gold.metadata.update(
         {
@@ -216,7 +208,7 @@ def physio_fuse(
             "annotator_weights": [float(w) for w in ranking.weights],
             "sg_window": config.sg_window,
             "sg_polyorder": config.sg_polyorder,
-            "target_hz": rater_set.sample_rate_hz,
+            "target_hz": rate_hz,
         }
     )
     return gold

@@ -113,7 +113,7 @@ def gen_raters(config: SynthConfig, latent: np.ndarray) -> tuple[RaterSet, np.nd
                 kind=config.kind,
             )
         )
-    return RaterSet(recording_id="synthetic", traces=tuple(traces)), lags
+    return RaterSet("synthetic", tuple(traces), grid_timestamps_ms(latent.size, config.rate_hz)), lags
 
 
 def gen_eda(config: SynthConfig, latent: np.ndarray) -> AnnotationTrace:
@@ -197,6 +197,11 @@ def write_corpus(
     repeated = next((name for i, name in enumerate(feature_sets) if name in feature_sets[:i]), None)
     if repeated is not None:
         raise ParameterError(f"feature set {repeated!r} is named twice")
+    ts = grid_timestamps_ms(config.n_samples, config.rate_hz)  # every recording's grid
+    try:  # the corpus's readers reject fewer than 2 or repeated timestamps: fail before writing a file
+        dataio.uniform_step_ms(ts)
+    except ParameterError as exc:
+        raise ParameterError(f"a {config.duration_s} s grid at {config.rate_hz} Hz: {exc}") from None
     out = Path(out_dir)
     recording_ids = [f"rec_{i:03d}" for i in range(n_recordings)]
     assignment = {rid: _split_for(i, n_recordings) for i, rid in enumerate(recording_ids)}
@@ -207,7 +212,6 @@ def write_corpus(
     for i, rid in enumerate(recording_ids):
         sub = _recording_config(config, i)
         latent = gen_latent(sub)
-        ts = grid_timestamps_ms(latent.size, sub.rate_hz)
         raters, _ = gen_raters(sub, latent)
         for trace in raters.traces:
             dataio.write_annotation_csv(

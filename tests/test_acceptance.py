@@ -20,7 +20,14 @@ import numpy as np
 from affectfuse.align import dtw, multi_align
 from affectfuse.cli import main as cli_main
 from affectfuse.core import AnnotationTrace, RaterSet, savgol_smooth, standardize_values
-from affectfuse.dataio import FeatureSequence, WindowSpec, align_to_labels, window
+from affectfuse.dataio import (
+    FeatureSequence,
+    WindowSpec,
+    align_to_labels,
+    read_physio_csv,
+    window,
+    write_annotation_csv,
+)
 from affectfuse.discretize import fit_pca, gmm_em, kmeans, validate_clusters
 from affectfuse.fuse import PhysioConfig, physio_fuse, raaw
 from affectfuse.metrics import ccc, pearson
@@ -134,6 +141,7 @@ def test_criterion_04_affine_invariance():
                 replace(t, values=rng.uniform(0.2, 3.0) * t.values + rng.uniform(-2.0, 2.0))
                 for t in raters.traces
             ),
+            timestamps_ms=raters.timestamps_ms,
         )
         worst = max(worst, float(np.max(np.abs(raaw(mapped).values - raaw(raters).values))))
     elapsed = time.perf_counter() - start
@@ -146,7 +154,7 @@ def test_criterion_04_affine_invariance():
 # 5: physiology substitution set size, removal rule, smoothing fidelity
 
 
-def test_criterion_05_physio_contract():
+def test_criterion_05_physio_contract(tmp_path):
     start = time.perf_counter()
     set_ok = True
     removal_ok = True
@@ -154,7 +162,8 @@ def test_criterion_05_physio_contract():
         config = SynthConfig(seed=500 + i, duration_s=60.0, n_raters=3)
         latent = gen_latent(config)
         raters, _ = gen_raters(config, latent)
-        eda = gen_eda(config, latent)
+        write_annotation_csv(tmp_path / "eda.csv", gen_eda(config, latent))
+        eda = read_physio_csv(tmp_path / "eda.csv", raters.timestamps_ms)
         gold = physio_fuse(raters, eda, PhysioConfig())
         ids = gold.metadata["rater_ids"]
         set_ok &= len(ids) == 3 and len(gold.weights) == 3

@@ -18,7 +18,7 @@ from affectfuse.align import (
     multi_align,
     warp_to_reference,
 )
-from affectfuse.core import AnnotationTrace, RaterSet, standardize_values
+from affectfuse.core import AnnotationTrace, RaterSet, grid_timestamps_ms, standardize_values
 from affectfuse.errors import ParameterError
 from affectfuse.metrics import pearson
 
@@ -35,7 +35,7 @@ def _rater_set(arrays, rate=4.0, kind="valence"):
         )
         for i, vals in enumerate(arrays)
     )
-    return RaterSet(recording_id="rec", traces=traces)
+    return RaterSet(recording_id="rec", traces=traces, timestamps_ms=grid_timestamps_ms(len(traces[0]), rate))
 
 
 def _noisy_rater_set():

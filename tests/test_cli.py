@@ -24,6 +24,7 @@ from affectfuse.dataio import (
     read_prediction_csv,
     read_segments_csv,
     write_feature_csv,
+    write_table,
 )
 from affectfuse.latefusion import REGRESSION_FUSION
 from affectfuse.seqmodel import evaluate, load_checkpoint
@@ -118,6 +119,17 @@ class TestSynth:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("duration", "rate", "message"), [
+        ("0.4", "2", "a 0.4 s grid at 2.0 Hz: a timestamp grid needs at least 2 timestamps"),
+        ("10", "1500", "a 10.0 s grid at 1500.0 Hz: timestamps must be strictly increasing"),
+    ], ids=["one-sample", "repeated-millisecond"])
+    def test_grid_its_readers_reject_exits_2_before_writing(self, tmp_path, capsys, duration, rate, message):
+        rc = main(["synth", "--out", str(tmp_path / "c"), "--recordings", "1", "--raters", "2",
+                   "--duration", duration, "--rate", rate, "--max-lag", "0"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_repeated_feature_set_exit_2_naming_it(self, tmp_path, capsys, source):
@@ -254,6 +266,22 @@ class TestRaaw:
         assert f"{tmp_path / 'data' / 'annotations' / 'rec_000' / 'arousal'}: " in captured.err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("command", ["raaw", "physio"])
+    def test_rater_file_on_a_drifting_clock_exit_3_naming_both_files(self, tmp_path, capsys, command):
+        assert main(["synth", "--out", str(tmp_path / "data"), "--recordings", "1", "--duration", "600",
+                     "--raters", "3", "--feature-dim", "2", "--seed", "3"]) == 0
+        folder = tmp_path / "data" / "annotations" / "rec_000" / "arousal"
+        _, values = read_gold_csv(folder / "r1.csv")
+        # 300.6 s by mid-file, yet every step is within 1 ms of the 500 ms mean: alone the file reads as uniform
+        drifted = np.r_[np.arange(601) * 501, 300_600 + np.arange(1, 601) * 499]
+        write_table(folder / "r1.csv", "timestamp_ms,value", drifted, values)
+        rc = main(_fusion_argv(command, tmp_path, tmp_path / "g"))
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"{folder / 'r1.csv'}: data row 2 is at 501 ms, but in {folder / 'r0.csv'} it is at 500 ms" \
+            in captured.err
+        assert not (tmp_path / "g").exists()
+
 
 class TestPhysio:
     def test_runs_and_records_substitution(self, corpus, tmp_path, capsys):
@@ -322,6 +350,20 @@ class TestThreeHertzGrid:
             ann_ts, _ = read_gold_csv(rater)
             np.testing.assert_array_equal(gold_ts, ann_ts)
         assert gold_ts[-1] == 300_000
+
+    @pytest.mark.parametrize("command", ["raaw", "physio"])
+    def test_short_recording_gold_keeps_every_annotation_timestamp(self, tmp_path, command):
+        # 62 rows, whose span over their steps is 3.0000491811341172 Hz: a grid regenerated
+        # from that rate puts 10 of them 1 ms off
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--recordings", "1", "--duration", "20.5", "--rate", "3",
+                     "--raters", "3", "--max-lag", "1", "--seed", "5"]) == 0
+        assert main(_fusion_argv(command, tmp_path, tmp_path / command)) == 0
+        gold_ts, _ = read_gold_csv(tmp_path / command / "rec_000.csv")
+        ann_ts, _ = read_gold_csv(data / "annotations" / "rec_000" / "arousal" / "r0.csv")
+        assert gold_ts.size == 62
+        np.testing.assert_array_equal(gold_ts, ann_ts)
+        assert _sidecar(tmp_path / command / "rec_000.csv")["sample_rate_hz"] == 3.0000491811341172
 
     @pytest.mark.parametrize("command", ["raaw", "physio"])
     def test_each_gold_step_takes_its_own_feature_frame(self, run, command):
@@ -2108,7 +2150,7 @@ class TestIntegerOptions:
 
 # Command shapes of the subcommand fuzz test; `fuzz_inputs` gives each its argv
 # (without --out) and the input file it replaces. `synth` reads no input file.
-FUZZ_SHAPES = ("raaw", "physio", "discretize", "discretize-segments", "train", "train-sent", "train-sent-segments",
+FUZZ_SHAPES = ("raaw", "raaw-second-rater", "physio", "discretize", "discretize-segments", "train", "train-sent", "train-sent-segments",
                "eval", "eval-labels", "fuse-late")
 
 
@@ -2128,6 +2170,8 @@ def fuzz_inputs(corpus, trained, tmp_path_factory):
     segments = ["--segments", str(data / "segments.csv")]
     shapes = {
         "raaw": (["raaw", *fusion], sorted((root / "annotations" / "rec_000" / "arousal").glob("*.csv"))[0]),
+        # checked against the first file's timestamps
+        "raaw-second-rater": (["raaw", *fusion], sorted((root / "annotations" / "rec_000" / "arousal").glob("*.csv"))[1]),
         "physio": (["physio", *fusion, "--eda", str(root / "eda")], root / "eda" / "rec_000.csv"),
         "discretize": (["discretize", "--gold", str(gold), *segments, "--target", "arousal"], gold / "rec_000.csv"),
         "discretize-segments": (["discretize", "--gold", str(gold), *segments, "--target", "arousal"],

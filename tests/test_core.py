@@ -32,11 +32,6 @@ class TestAnnotationTrace:
         with pytest.raises(ValueError):
             t.values[0] = 5.0
 
-    def test_timestamps_are_rounded_millis(self):
-        t = trace([0.0] * 5, rate=3.0)
-        assert t.timestamps_ms().tolist() == [0, 333, 667, 1000, 1333]
-        assert t.timestamps_ms().dtype == np.int64
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -62,21 +57,29 @@ class TestAnnotationTrace:
 
 class TestRaterSet:
     def test_groups_matching_traces(self):
-        rs = RaterSet("rec", (trace([0.0, 1.0]), trace([2.0, 3.0], rater="r1")))
+        rs = RaterSet("rec", (trace([0.0, 1.0]), trace([2.0, 3.0], rater="r1")), [0, 500])
         assert rs.kind == "arousal"
-        assert rs.sample_rate_hz == 2.0
         assert rs.n_samples == 2
         assert rs.matrix().shape == (2, 2)
 
-    def test_rejects_mixed_kind_rate_or_length(self):
+    def test_holds_its_grid_once_as_read_only_int64(self):
+        grid = np.array([0, 333, 667])
+        rs = RaterSet("rec", (trace([0.0, 1.0, 2.0]), trace([2.0, 3.0, 4.0], rater="r1")), grid)
+        grid[1] = 5
+        assert rs.timestamps_ms.dtype == np.int64
+        assert rs.timestamps_ms.tolist() == [0, 333, 667]
+        with pytest.raises(ValueError):
+            rs.timestamps_ms[0] = 1
+
+    def test_rejects_mixed_kind_or_length(self):
         with pytest.raises(ParameterError):
-            RaterSet("rec", (trace([0.0, 1.0]), trace([0.0, 1.0], kind="valence")))
+            RaterSet("rec", (trace([0.0, 1.0]), trace([0.0, 1.0], kind="valence")), [0, 500])
+        with pytest.raises(ParameterError, match="'r1' .* 3 values for 2 timestamps"):
+            RaterSet("rec", (trace([0.0, 1.0]), trace([0.0, 1.0, 2.0], rater="r1")), [0, 500])
         with pytest.raises(ParameterError):
-            RaterSet("rec", (trace([0.0, 1.0]), trace([0.0, 1.0], rate=4.0)))
+            RaterSet("rec", (trace([0.0, 1.0]),), [0, 500, 1000])
         with pytest.raises(ParameterError):
-            RaterSet("rec", (trace([0.0, 1.0]), trace([0.0, 1.0, 2.0])))
-        with pytest.raises(ParameterError):
-            RaterSet("rec", ())
+            RaterSet("rec", (), [0, 500])
 
 
 class TestStandardize:

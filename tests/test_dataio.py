@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from affectfuse import dataio
 from affectfuse.align import WarpPath
 from affectfuse.core import AnnotationTrace, grid_timestamps_ms
 from affectfuse.dataio import (
@@ -26,6 +27,7 @@ from affectfuse.dataio import (
     read_labels_csv,
     read_logits_csv,
     read_partition_csv,
+    read_physio_csv,
     read_prediction_csv,
     read_rater_set,
     read_segments_csv,
@@ -56,9 +58,10 @@ class TestAnnotationRoundTrip:
         )
         path = tmp_path / "r0.csv"
         write_annotation_csv(path, trace)
-        back = read_annotation_csv(path, rater_id="r0", kind="valence")
+        ts, back = read_annotation_csv(path, rater_id="r0", kind="valence")
         assert np.array_equal(back.values, trace.values)
         assert back.sample_rate_hz == 4.0
+        assert np.array_equal(ts, np.arange(37) * 250)
 
     def test_odd_rate_grid_wobble_tolerated(self, tmp_path):
         # 3 Hz -> 333/334 ms steps after rounding; the reader must accept it
@@ -67,8 +70,9 @@ class TestAnnotationRoundTrip:
         )
         path = tmp_path / "r0.csv"
         write_annotation_csv(path, trace)
-        back = read_annotation_csv(path, rater_id="r0", kind="arousal")
+        ts, back = read_annotation_csv(path, rater_id="r0", kind="arousal")
         assert back.sample_rate_hz == pytest.approx(3.0, rel=0.01)
+        assert np.array_equal(ts, grid_timestamps_ms(30, 3.0))  # the timestamps as read, not regenerated
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -120,6 +124,26 @@ class TestRaterSet:
         rs = read_rater_set(tmp_path, "rec1", "valence")
         assert [t.rater_id for t in rs.traces] == ["alpha", "mid", "zeta"]
         assert rs.recording_id == "rec1"
+        assert np.array_equal(rs.timestamps_ms, np.arange(20) * 500)
+
+    def test_keeps_a_wobbling_grid_as_read(self, tmp_path):
+        folder = tmp_path / "rec1" / "arousal"
+        for rid in ("r0", "r1"):
+            write_annotation_csv(folder / f"{rid}.csv", AnnotationTrace(rid, 3.0, np.arange(62.0), "arousal"))
+        assert np.array_equal(read_rater_set(tmp_path, "rec1", "arousal").timestamps_ms, grid_timestamps_ms(62, 3.0))
+
+    @pytest.mark.parametrize(("r1_ts", "message"), [
+        (np.r_[np.arange(601) * 501, 300_600 + np.arange(1, 601) * 499],
+         "data row 2 is at 501 ms, but in .*r0.csv it is at 500 ms"),
+        (np.arange(1200) * 500, "data row 1201 is missing, but in .*r0.csv it is at 600000 ms"),
+    ], ids=["drifting-clock", "shorter"])
+    def test_rater_file_on_another_grid_rejected(self, tmp_path, r1_ts, message):
+        # each step of the drifting file is within 1 ms of its 500 ms mean, so alone it reads as a uniform grid
+        folder = tmp_path / "rec1" / "arousal"
+        write_annotation_csv(folder / "r0.csv", AnnotationTrace("r0", 2.0, np.zeros(1201), "arousal"))
+        write_table(folder / "r1.csv", "timestamp_ms,value", r1_ts, np.zeros(r1_ts.size))
+        with pytest.raises(DataError, match="r1.csv: " + message):
+            read_rater_set(tmp_path, "rec1", "arousal")
 
     def test_missing_kind_directory(self, tmp_path):
         (tmp_path / "rec1").mkdir()
@@ -133,6 +157,76 @@ class TestRaterSet:
         assert list_recordings(tmp_path, "valence") == ["a", "b"]
         assert list_recordings(tmp_path, "arousal") == ["c"]
 
+
+
+class TestReadPhysio:
+    @staticmethod
+    def _read(tmp_path, values, step_ms, at):
+        path = tmp_path / "eda.csv"
+        write_table(path, "timestamp_ms,value", np.arange(len(values)) * step_ms, np.asarray(values, np.float64))
+        return read_physio_csv(path, np.asarray(at))
+
+    def test_slower_signal_is_interpolated_between_its_samples(self, tmp_path):
+        # 1 Hz samples read at 2 Hz: the half-second steps fall halfway between samples
+        out = self._read(tmp_path, [0.0, 1.0, 2.0, 3.0], 1000, np.arange(7) * 500)
+        np.testing.assert_array_equal(out, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+
+    def test_faster_signal_is_read_at_the_timestamps(self, tmp_path):
+        out = self._read(tmp_path, np.arange(9.0), 500, np.arange(5) * 1000)
+        np.testing.assert_array_equal(out, [0.0, 2.0, 4.0, 6.0, 8.0])
+
+    def test_signal_ending_early_holds_its_last_value(self, tmp_path):
+        out = self._read(tmp_path, [0.0, 1.0, 2.0], 500, np.arange(6) * 500)
+        np.testing.assert_array_equal(out, [0.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+
+    def test_longer_signal_is_read_over_the_timestamps_only(self, tmp_path):
+        out = self._read(tmp_path, np.r_[np.arange(5.0), np.full(100, 1e6)], 500, np.arange(5) * 500)
+        np.testing.assert_array_equal(out, np.arange(5.0))
+
+    @given(
+        step=st.integers(1, 40), wobble=st.lists(st.booleans(), min_size=1, max_size=300),
+        at=st.lists(st.integers(0, 15_000), max_size=50), seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_equals_interpolating_the_whole_file(self, tmp_path, step, wobble, at, seed):
+        ts = np.r_[0, np.cumsum(step + np.array(wobble, np.int64))]  # steps of step or step + 1 ms
+        values = np.random.default_rng(seed).normal(size=ts.size)
+        write_table(tmp_path / "eda.csv", "timestamp_ms,value", ts, values)
+        at = np.sort(np.r_[at, ts[:3]]).astype(np.int64)  # some timestamps fall on samples
+        assert np.array_equal(read_physio_csv(tmp_path / "eda.csv", at), np.interp(at, ts, values))
+
+    def test_grid_checks_of_a_signal_file(self, tmp_path):
+        path = tmp_path / "eda.csv"
+        path.write_text("timestamp_ms,value\n0,1.0\n100,2.0\n202,3.0\n300,4.0\n")
+        with pytest.raises(DataError, match="eda.csv: timestamps must form a uniform grid"):
+            read_physio_csv(path, [0, 100])
+        path.write_text("timestamp_ms,value\n1,1.0\n2,2.0\n")
+        with pytest.raises(DataError, match="eda.csv: the time grid starts at 1 ms, not 0"):
+            read_physio_csv(path, [0, 1])
+
+    def test_memory_after_the_grid_check_is_the_table(self, tmp_path, monkeypatch):
+        # a 10-minute 1 kHz file read at 2 Hz: its table takes 9.2 MiB, and a copy of a
+        # column, float times or values, 4.6 MiB more; the grid check's own integer steps
+        # are TestUniformStep's concern, so the peak is taken from the end of the check
+        path = tmp_path / "eda.csv"
+        values = np.random.default_rng(8).normal(size=600_001)
+        write_table(path, "timestamp_ms,value", np.arange(values.size), values)
+        at = np.arange(1201) * 500
+
+        def check_then_reset_peak(ts):
+            step = uniform_step_ms(ts)
+            tracemalloc.reset_peak()
+            return step
+
+        monkeypatch.setattr(dataio, "uniform_step_ms", check_then_reset_peak)
+        tracemalloc.start()
+        try:
+            out = read_physio_csv(path, at)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, values[at])
+        assert peak < 12 * 2**20
 
 class TestFeatureCsv:
     def test_frame_roundtrip(self, tmp_path):
@@ -345,6 +439,7 @@ class TestLogitsCsv:
 
 EVERY_READER = {
     "annotation": lambda p: read_annotation_csv(p, rater_id="r", kind="arousal"),
+    "physio": lambda p: read_physio_csv(p, [0, 250, 500]),
     "feature": lambda p: read_feature_csv(p, recording_id="rec", feature_set="x"),
     "gold": read_gold_csv,
     "prediction": read_prediction_csv,
@@ -357,6 +452,7 @@ EVERY_READER = {
 
 BEYOND_INT64 = {
     "annotation": "timestamp_ms,value\n0,0.1\n99999999999999999999999,0.2\n",
+    "physio": "timestamp_ms,value\n0,0.1\n99999999999999999999999,0.2\n",
     "feature": "timestamp_ms,f0\n0,0.1\n-99999999999999999999999,0.2\n",
     "gold": "timestamp_ms,value\n0,0.1\n99999999999999999999999,0.2\n",
     "prediction": "timestamp_ms,pred\n99999999999999999999999,0.2\n",
@@ -385,6 +481,7 @@ def test_every_reader_rejects_empty_file(tmp_path, reader, content):
 # A file each reader accepts.
 VALID = {
     "annotation": "timestamp_ms,value\n0,0.1\n500,0.2\n",
+    "physio": "timestamp_ms,value\n0,0.1\n500,0.2\n",
     "feature": "timestamp_ms,f0\n0,0.1\n",
     "gold": "timestamp_ms,value\n0,0.1\n500,0.2\n",
     "prediction": "timestamp_ms,pred\n0,0.1\n",
@@ -405,6 +502,7 @@ def test_every_reader_rejects_non_utf8_bytes(tmp_path, reader):
 
 NON_FINITE = {
     "annotation": "timestamp_ms,value\n0,0.1\n\n500,{v}\n1000,0.3\n",
+    "physio": "timestamp_ms,value\n0,0.1\n\n500,{v}\n1000,0.3\n",
     "feature": "timestamp_ms,f0,f1\n0,0.1,0.2\n500,0.1,{v}\n",
     "gold": "timestamp_ms,value\n0,0.1\n500,{v}\n",
     "prediction": "timestamp_ms,pred\n0,0.1\n500,{v}\n",
@@ -421,7 +519,7 @@ def test_every_float_reader_rejects_non_finite_values(tmp_path, reader, value):
         EVERY_READER[reader](path)
 
 
-@pytest.mark.parametrize("reader", ["annotation", "gold"])
+@pytest.mark.parametrize("reader", ["annotation", "gold", "physio"])
 def test_grid_readers_need_two_samples(tmp_path, reader):
     path = tmp_path / "one.csv"
     path.write_text("timestamp_ms,value\n0,0.5\n")
@@ -452,7 +550,7 @@ def test_reading_a_signal_never_holds_its_text(tmp_path):
     write_annotation_csv(path, AnnotationTrace(rater_id="eda", sample_rate_hz=1000.0, values=values, kind="physio"))
     tracemalloc.start()
     try:
-        trace = read_annotation_csv(path, rater_id="eda", kind="physio")
+        _, trace = read_annotation_csv(path, rater_id="eda", kind="physio")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -603,7 +701,7 @@ ROUND_TRIPS = {
         lambda p: write_annotation_csv(
             p, AnnotationTrace(rater_id="r", sample_rate_hz=4.0, values=AWKWARD, kind="arousal")
         ),
-        lambda p: read_annotation_csv(p, "r", "arousal").values,
+        lambda p: read_annotation_csv(p, "r", "arousal")[1].values,
         AWKWARD,
     ),
     "feature": (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from affectfuse.align import FusionConfig
-from affectfuse.core import AnnotationTrace, RaterSet
+from affectfuse.core import AnnotationTrace, RaterSet, grid_timestamps_ms
 from affectfuse.errors import DegenerateInputError, ParameterError
 from affectfuse.fuse import (
     PhysioConfig,
@@ -33,7 +33,7 @@ def _rater_set(arrays, rate=4.0, kind="valence", recording="rec"):
     traces = tuple(
         _trace(vals, rater=f"r{i}", rate=rate, kind=kind) for i, vals in enumerate(arrays)
     )
-    return RaterSet(recording_id=recording, traces=traces)
+    return RaterSet(recording_id=recording, traces=traces, timestamps_ms=grid_timestamps_ms(len(traces[0]), rate))
 
 
 def _sine_raters(rng, n=240, lags=(2, 0, -2), noise=0.02):
@@ -110,7 +110,8 @@ class TestRaaw:
         gold = raaw(rs)
         assert gold.recording_id == "rec"
         assert gold.kind == "valence"
-        assert gold.sample_rate_hz == 4.0
+        assert gold.timestamps_ms is rs.timestamps_ms
+        assert gold.sidecar()["sample_rate_hz"] == 4.0
         assert gold.values.shape == (240,)
         assert gold.weights.shape == (3,)
         assert gold.weights.sum() == pytest.approx(1.0)
@@ -186,58 +187,18 @@ class TestRaaw:
 
 
 class TestPreparePhysio:
-    def test_resample_smooth_standardize_order(self):
-        # a 1 kHz ramp read at 2 Hz stays a ramp; after
-        # standardization its ends are symmetric around zero
-        eda = _trace(np.linspace(0.0, 9.0, 9001), rater="eda", rate=1000.0, kind="physio")
-        rs = _rater_set([np.zeros(19), np.ones(19)], rate=2.0)  # 0 to 9 s at 2 Hz
-        out = prepare_physio(eda, rs, PhysioConfig(sg_window=4, sg_polyorder=1))
-        assert out.sample_rate_hz == 2.0
-        assert out.values.mean() == pytest.approx(0.0, abs=1e-12)
-        assert out.values.std() == pytest.approx(1.0, abs=1e-12)
-        assert out.values[0] == pytest.approx(-out.values[-1], abs=1e-9)
+    def test_smooth_then_standardize(self):
+        # a ramp stays a ramp; after standardization its ends are symmetric around zero
+        out, degenerate = prepare_physio(np.linspace(0.0, 9.0, 19), PhysioConfig(sg_window=4, sg_polyorder=1))
+        assert not degenerate
+        assert out.mean() == pytest.approx(0.0, abs=1e-12)
+        assert out.std() == pytest.approx(1.0, abs=1e-12)
+        assert out[0] == pytest.approx(-out[-1], abs=1e-9)
 
     def test_constant_signal_flagged(self):
-        eda = _trace(np.full(2000, 4.2), rater="eda", rate=100.0, kind="physio")
-        rs = _rater_set([np.zeros(40), np.ones(40)], rate=2.0)
-        with pytest.warns(UserWarning, match="constant"):
-            out = prepare_physio(eda, rs, PhysioConfig())
-        assert np.allclose(out.values, 0.0)
-
-    def test_is_the_pseudo_rater_of_the_rater_set(self):
-        eda = _trace(np.arange(100.0), rater="eda", rate=10.0, kind="physio")
-        rs = _rater_set([np.zeros(30), np.ones(30)], rate=4.0, kind="arousal")
-        out = prepare_physio(eda, rs, PhysioConfig(sg_window=4, sg_polyorder=1))
-        assert (out.rater_id, out.sample_rate_hz, out.kind, len(out)) == ("physio:eda", 4.0, "arousal", 30)
-
-    @staticmethod
-    def _read(eda_values, eda_rate, n, rate):
-        """The standardized values of ``eda`` read on an ``n``-step grid at ``rate``: a line through each
-        window of 2 passes both samples, so smoothing leaves the values as read."""
-        eda = _trace(eda_values, rater="eda", rate=eda_rate, kind="physio")
-        rs = _rater_set([np.zeros(n), np.ones(n)], rate=rate)
-        return prepare_physio(eda, rs, PhysioConfig(sg_window=2, sg_polyorder=1)).values
-
-    def test_eda_slower_than_the_labels_is_interpolated_between_its_samples(self):
-        # 1 Hz EDA read at 2 Hz: the half-second steps fall halfway between samples
-        out = self._read([0.0, 1.0, 2.0, 3.0], 1.0, 7, 2.0)
-        expected = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-        np.testing.assert_allclose(out, (expected - expected.mean()) / expected.std(), atol=1e-12)
-
-    def test_eda_faster_than_the_labels_is_read_at_the_label_timestamps(self):
-        out = self._read(np.arange(9.0), 2.0, 5, 1.0)
-        expected = np.array([0.0, 2.0, 4.0, 6.0, 8.0])
-        np.testing.assert_allclose(out, (expected - expected.mean()) / expected.std(), atol=1e-12)
-
-    def test_eda_ending_before_the_annotations_holds_its_last_value(self):
-        out = self._read([0.0, 1.0, 2.0], 2.0, 6, 2.0)
-        expected = np.array([0.0, 1.0, 2.0, 2.0, 2.0, 2.0])
-        np.testing.assert_allclose(out, (expected - expected.mean()) / expected.std(), atol=1e-12)
-
-    def test_eda_longer_than_the_annotations_is_read_over_the_annotated_span(self):
-        out = self._read(np.r_[np.arange(5.0), np.full(100, 1e6)], 2.0, 5, 2.0)
-        expected = np.arange(5.0)
-        np.testing.assert_allclose(out, (expected - expected.mean()) / expected.std(), atol=1e-12)
+        out, degenerate = prepare_physio(np.full(40, 4.2), PhysioConfig())
+        assert degenerate
+        assert np.allclose(out, 0.0)
 
 
 class TestPhysioFuse:
@@ -246,9 +207,7 @@ class TestPhysioFuse:
         # r2 drifts against the group so it earns the lowest weight
         arrays[2] = -0.8 * arrays[2] + rng.normal(0, 0.3, n)
         rs = _rater_set(arrays)
-        t = np.arange(n * 500) / 1000.0  # 1 kHz EDA for a 2-minute grid at 4 Hz... n*250 s
-        eda_vals = 5.0 + 2.0 * np.sin(2 * np.pi * t / 60.0)
-        eda = _trace(eda_vals, rater="eda", rate=1000.0, kind="physio")
+        eda = 5.0 + 2.0 * np.sin(2 * np.pi * (rs.timestamps_ms / 1000.0) / 60.0)  # read at the 4 Hz grid
         return rs, eda
 
     def test_lowest_weight_rater_replaced(self):
@@ -264,9 +223,14 @@ class TestPhysioFuse:
         rng = np.random.default_rng(21)
         rs, eda = self._setup(rng)
         gold = physio_fuse(rs, eda)
-        assert "physio:eda" in gold.metadata["rater_ids"]
+        assert "physio:rec" in gold.metadata["rater_ids"]
         assert len(gold.metadata["rater_ids"]) == 3
         assert gold.metadata["removed_rater"] not in gold.metadata["rater_ids"]
+
+    def test_gold_is_on_the_rater_set_grid(self):
+        rng = np.random.default_rng(21)
+        rs, eda = self._setup(rng)
+        assert np.array_equal(physio_fuse(rs, eda).timestamps_ms, rs.timestamps_ms)
 
     def test_metadata_records_processing_params(self):
         rng = np.random.default_rng(22)
@@ -286,30 +250,29 @@ class TestPhysioFuse:
             arrays = _sine_raters(rng, lags=(4, 1, -3), noise=0.15)
             rs = _rater_set(arrays)
             weights = raaw(rs).weights
-            eda = _trace(
-                3.0 + np.sin(np.arange(24000) / 3000.0),
-                rater="eda",
-                rate=100.0,
-                kind="physio",
-            )
+            eda = 3.0 + np.sin(rs.timestamps_ms / 30000.0)  # a 100 Hz signal's 3 + sin(k / 3000), read at 4 Hz
             gold = physio_fuse(rs, eda)
             assert gold.metadata["removed_index"] == int(np.argmin(weights))
 
     def test_constant_eda_gets_zero_weight(self):
         rng = np.random.default_rng(23)
         rs, _ = self._setup(rng)
-        eda = _trace(np.full(60000, 1.0), rater="eda", rate=250.0, kind="physio")
-        with pytest.warns(UserWarning):
-            gold = physio_fuse(rs, eda)
-        idx = gold.metadata["rater_ids"].index("physio:eda")
+        with pytest.warns(UserWarning, match="recording 'rec': physiological signal is constant"):
+            gold = physio_fuse(rs, np.full(rs.n_samples, 1.0))
+        idx = gold.metadata["rater_ids"].index("physio:rec")
         assert gold.weights[idx] == 0.0
-        assert "physio:eda" in gold.metadata["degenerate_raters"]
+        assert "physio:rec" in gold.metadata["degenerate_raters"]
+
+    def test_eda_of_another_length_rejected(self):
+        rng = np.random.default_rng(24)
+        rs, eda = self._setup(rng)
+        with pytest.raises(ParameterError, match="physio:rec"):
+            physio_fuse(rs, eda[:-1])
 
     def test_single_rater_rejected(self):
         rs = _rater_set([np.arange(20.0)])
-        eda = _trace(np.ones(100) + np.arange(100), rater="eda", rate=10.0, kind="physio")
         with pytest.raises(ParameterError):
-            physio_fuse(rs, eda)
+            physio_fuse(rs, np.arange(20.0))
 
 
 class TestAgreementStats:
