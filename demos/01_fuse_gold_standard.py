@@ -25,13 +25,13 @@ target = standardize_values(latent)[0]
 
 print("=== one recording, three raters ===")
 print(f"{config.duration_s:.0f} s at {config.rate_hz:.0f} Hz -> {config.n_samples} samples per trace")
-for trace, lag in zip(raters.traces, lags):
-    score = ccc(standardize_values(trace.values)[0], target)
-    print(f"  rater {trace.rater_id}: lag {lag:+d} samples ({lag / config.rate_hz:+.1f} s), "
+for rater_id, row, lag in zip(raters.rater_ids, raters.values, lags):
+    score = ccc(standardize_values(row)[0], target)
+    print(f"  rater {rater_id}: lag {lag:+d} samples ({lag / config.rate_hz:+.1f} s), "
           f"CCC vs latent {score:.4f}")
 
 # the naive baseline: average the raw traces as they are
-naive = raters.matrix().mean(axis=0)
+naive = raters.values.mean(axis=0)
 print("\nplain mean of the raw traces:")
 print(f"  CCC vs latent {ccc(naive, target):.4f}  (the lags pull the average apart)")
 

@@ -13,11 +13,12 @@ anyone else.
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from affectfuse.core import AnnotationTrace, RaterSet, standardize_values
+from affectfuse.core import standardize_values
 from affectfuse.dataio import read_physio_csv, write_annotation_csv
 from affectfuse.fuse import PhysioConfig, physio_fuse, raaw
 from affectfuse.metrics import ccc
@@ -29,14 +30,10 @@ raters, _ = gen_raters(config, latent)
 eda = gen_eda(config, latent)
 
 # sabotage one rater so the ranking has an obvious loser
-bad = np.asarray(raters.traces[1].values).copy()
 rng = np.random.default_rng(0)
-bad = 0.3 * bad[::-1] + 0.7 * rng.standard_normal(bad.size)
-raters = RaterSet(
-    raters.recording_id,
-    (raters.traces[0], AnnotationTrace("r1", config.rate_hz, bad, raters.kind), raters.traces[2]),
-    raters.timestamps_ms,
-)
+rows = raters.values.copy()
+rows[1] = 0.3 * rows[1, ::-1] + 0.7 * rng.standard_normal(raters.n_samples)
+raters = replace(raters, values=rows)
 
 print("=== annotator ranking ===")
 ranking = raaw(raters)

@@ -228,7 +228,7 @@ def multi_align(rater_set: RaterSet, config: FusionConfig | None = None) -> Alig
         raise ParameterError("reference must be 'mean' or a rater index")
     length = rater_set.n_samples
     band = default_band(length) if config.band is None else config.band
-    traces = np.stack([standardize_values(t.values)[0] for t in rater_set.traces])
+    traces = np.stack([standardize_values(row)[0] for row in rater_set.values])
 
     ref = traces[int(reference)] if fixed else traces.mean(axis=0)
     costs, deltas = [], []

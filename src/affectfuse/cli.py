@@ -366,12 +366,12 @@ def _fuse_worker(task: tuple[Path, str, str, FusionConfig | PhysioConfig, Path |
 
 def _run_fusion(args) -> int:
     """``raaw``, or ``physio`` with an EDA pseudo-rater, of every recording with ``--kind`` annotations."""
-    recordings = dataio.list_recordings(args.annotations, args.kind)
-    if not recordings:
-        raise DataError(f"no recordings with {args.kind!r} annotations under {args.annotations}")
     config = FusionConfig(max_iter=args.max_iter, tol=args.tol, band=args.band, reference=args.reference)
     if args.command == "physio":
         config = PhysioConfig(fusion=config, sg_window=args.sg_window, sg_polyorder=args.sg_order)
+    recordings = dataio.list_recordings(args.annotations, args.kind)
+    if not recordings:
+        raise DataError(f"no recordings with {args.kind!r} annotations under {args.annotations}")
     tasks = [(args.annotations, rec, args.kind, config, getattr(args, "eda", None)) for rec in recordings]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing, which one job never needs
@@ -469,6 +469,12 @@ def _write_run(out: Path, model: SequenceModel, history: TrainHistory, outputs, 
     return 0
 
 
+def _check_window(task: str, spec: dataio.WindowSpec | None) -> None:
+    """``fit``'s check of a regression window, made before any file is read."""
+    if task != "sent" and spec is not None and spec.window < 2:
+        raise ParameterError(f"a regression window needs at least 2 samples, got window {spec.window}")
+
+
 def _regression_training(args):
     """Aligned features and gold of every recording with both, by split in gold-file order."""
     if not args.gold or not args.partitions:
@@ -536,6 +542,7 @@ def cmd_train(args) -> int:
         window=args.window if args.window is not None else window_n,
         hop=args.hop if args.hop is not None else hop_n,
     )
+    _check_window(args.task, spec)
     # (inputs, targets and splits by item id, the config's head fields, prediction writer)
     read_items = _sent_training if args.task == "sent" else _regression_training
     files = (args.segments, args.labels) if args.task == "sent" else (args.gold, args.partitions)
@@ -726,6 +733,7 @@ def cmd_fuse_late(args) -> int:
         raise ParameterError("fuse-late --hop needs --window; without it each item is one full sequence")
     spec = dataio.WindowSpec(args.window, args.hop or args.window) if args.window is not None else None
     task = "sent" if args.task == "sent" else "regression"
+    _check_window(task, spec)
     # (inputs, targets and splits by item id, the config's head fields, prediction writer), as for train
     read_streams = _sent_streams if task == "sent" else _regression_streams
     gold_files = (args.gold_labels,) if task == "sent" else (args.gold, args.partitions)

@@ -37,12 +37,8 @@ def grid_timestamps_ms(n: int, rate_hz: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnnotationTrace:
-    """One rater's continuous signal: a value per timestamp of its :class:`RaterSet`'s grid.
-
-    ``sample_rate_hz`` is the rate ``dataio.write_annotation_csv`` writes a lone
-    trace at, from t = 0; fusion never reads it. ``values`` is copied and
-    frozen at construction; traces are safe to share across threads.
-    """
+    """One signal of a single ``timestamp_ms,value`` file, a rater's or a physiological one, that
+    ``dataio.write_annotation_csv`` writes at ``sample_rate_hz`` from t = 0. ``values`` is copied and frozen."""
 
     rater_id: str
     sample_rate_hz: float
@@ -67,43 +63,44 @@ class AnnotationTrace:
 
 @dataclass(frozen=True)
 class RaterSet:
-    """All annotation traces of one recording for one signal kind, on one time grid: ``timestamps_ms``,
-    the int64 timestamps they were read or generated on. A gold standard fused from them is written at it."""
+    """One recording's traces of one kind as a copied, read-only matrix: ``values`` has a row per rater of ``rater_ids``
+    and a column per int64 timestamp of ``timestamps_ms``, the grid they were read on, which their fused gold keeps."""
 
     recording_id: str
-    traces: tuple[AnnotationTrace, ...]
+    rater_ids: tuple[str, ...]
+    values: np.ndarray
+    kind: str
     timestamps_ms: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "traces", tuple(self.traces))
-        object.__setattr__(self, "timestamps_ms", _as_readonly(self.timestamps_ms, np.int64))
-        if not self.traces:
-            raise ParameterError("rater set needs at least one trace")
-        first = self.traces[0]
-        for t in self.traces:
-            if t.kind != first.kind:
-                raise ParameterError(
-                    f"mixed trace kinds in rater set {self.recording_id!r}: "
-                    f"{t.kind!r} vs {first.kind!r}"
-                )
-            if len(t) != self.timestamps_ms.size:
-                raise ParameterError(f"trace {t.rater_id!r} of rater set {self.recording_id!r} has "
-                                     f"{len(t)} values for {self.timestamps_ms.size} timestamps")
+        ids, ts = tuple(self.rater_ids), _as_readonly(self.timestamps_ms, np.int64)
+        if not ids or not ts.size or len(self.values) != len(ids):
+            raise ParameterError(f"rater set {self.recording_id!r} needs a timestamp and a row of values per rater id, "
+                                 f"at least one: got {len(self.values)} rows for {len(ids)} ids, {ts.size} timestamps")
+        try:
+            values = _as_readonly(self.values)
+        except ValueError:  # rows of unequal length, or a value that is no number
+            values = None
+        if values is None or values.shape != (len(ids), ts.size):
+            row = next((i for i, r in enumerate(self.values) if np.shape(r) != ts.shape), None)
+            if row is None:  # no row is off the grid, so a value is no number
+                raise ParameterError(f"rater set {self.recording_id!r} needs a row of {ts.size} numbers per rater id")
+            raise ParameterError(f"trace {ids[row]!r} of rater set {self.recording_id!r} has "
+                                 f"{np.size(self.values[row])} values for {ts.size} timestamps")
+        if self.kind not in KINDS:
+            raise ParameterError(f"unknown trace kind {self.kind!r}; expected one of {KINDS}")
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ParameterError(f"trace {ids[int(np.argmin(finite))]!r} contains non-finite values")
+        for name, value in (("rater_ids", ids), ("values", values), ("timestamps_ms", ts)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.traces)
-
-    @property
-    def kind(self) -> str:
-        return self.traces[0].kind
+        return len(self.rater_ids)
 
     @property
     def n_samples(self) -> int:
         return int(self.timestamps_ms.size)
-
-    def matrix(self) -> np.ndarray:
-        """Trace values stacked to shape (n_raters, n_samples)."""
-        return np.stack([t.values for t in self.traces])
 
 
 def standardize_values(x: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -145,7 +145,7 @@ def _write_text(path: Path | str, chunks: Iterable[str]) -> None:
         f.writelines(chunks)
 
 
-def _write_json(path: Path | str, obj: Mapping, indent: int) -> None:
+def _write_json(path: Path | str, obj: Mapping, indent: int | None = None) -> None:
     _write_text(path, [json.dumps(obj, indent=indent, sort_keys=True) + "\n"])
 
 
@@ -398,7 +398,7 @@ def read_rater_set(annotations_dir: Path | str, recording_id: str, kind: str) ->
     grid = read[0][0]
     for f, (ts, _) in zip(files[1:], read[1:]):
         check_same_grid(f, ts, files[0], grid)
-    return RaterSet(recording_id, [trace for _, trace in read], grid)
+    return RaterSet(recording_id, [f.stem for f in files], [trace.values for _, trace in read], kind, grid)
 
 
 def read_physio_csv(path: Path | str, timestamps_ms: np.ndarray) -> np.ndarray:
@@ -592,6 +592,6 @@ def read_model_file(path: Path | str, kind: str, build: Callable[[dict], object]
         raise ParameterError(f"{path}: {exc}") from None
 
 
-def write_model_file(path: Path | str, kind: str, payload: Mapping, indent: int) -> None:
-    """Write ``payload`` as a version-1 JSON model file of ``kind``, the format :func:`read_model_file` reads."""
-    _write_json(path, {**payload, "format_version": 1, "kind": kind}, indent)
+def write_model_file(path: Path | str, kind: str, payload: Mapping) -> None:
+    """Write ``payload`` on one line, which ``json`` encodes in C, as a version-1 JSON model file of ``kind``."""
+    _write_json(path, {**payload, "format_version": 1, "kind": kind})

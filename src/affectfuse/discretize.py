@@ -470,7 +470,7 @@ def save_class_model(path: Path | str, model: ClusterModel) -> None:
             k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in model.extras.items()
         },
     }
-    write_model_file(path, "class_model", payload, indent=2)
+    write_model_file(path, "class_model", payload)
 
 
 def load_class_model(path: Path | str) -> ClusterModel:

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .align import AlignmentResult, FusionConfig, multi_align
-from .core import AnnotationTrace, RaterSet, savgol_smooth, standardize_values
+from .core import RaterSet, savgol_smooth, standardize_values
 from .dataio import uniform_step_ms
 from .errors import DegenerateInputError, ParameterError
 from .metrics import moments
@@ -37,6 +37,10 @@ class PhysioConfig:
     fusion: FusionConfig = field(default_factory=FusionConfig)
     sg_window: int = 26
     sg_polyorder: int = 3
+
+    def __post_init__(self) -> None:
+        if self.sg_window < 2 or not 0 <= self.sg_polyorder < self.sg_window:  # savgol_smooth's checks, up front
+            raise ParameterError(f"polyorder {self.sg_polyorder} must be >= 0 and < window {self.sg_window} (>= 2)")
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,8 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
             f"recording {rater_set.recording_id!r}: fusion needs at least 2 raters, "
             f"got {len(rater_set)}"
         )
-    std_values, flags = zip(*(standardize_values(t.values) for t in rater_set.traces))
-    degenerate = [t.rater_id for t, flag in zip(rater_set.traces, flags) if flag]
+    std_values, flags = zip(*map(standardize_values, rater_set.values))
+    degenerate = [rid for rid, flag in zip(rater_set.rater_ids, flags) if flag]
     pre_mean, pre_std = _pairwise_agreement(np.stack(std_values), rater_set.recording_id)
     alignment = multi_align(rater_set, config)
     weights = ewe_weights(alignment.warped)
@@ -160,7 +164,7 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
         timestamps_ms=rater_set.timestamps_ms,
         metadata={
             "fusion": asdict(config),
-            "rater_ids": [t.rater_id for t in rater_set.traces],
+            "rater_ids": list(rater_set.rater_ids),
             "pre_agreement_mean": pre_mean,
             "pre_agreement_std": pre_std,
             "degenerate_raters": degenerate,
@@ -193,22 +197,20 @@ def physio_fuse(rater_set: RaterSet, eda: np.ndarray, config: PhysioConfig | Non
     config = config or PhysioConfig()
     ranking = raaw(rater_set, config.fusion)
     drop = int(np.argmin(ranking.weights))  # argmin takes the lowest index on ties
-    values, degenerate = prepare_physio(eda, config)
+    physio, degenerate = prepare_physio(eda, config)
     if degenerate:
         warnings.warn(f"recording {rater_set.recording_id!r}: physiological signal is constant; its weight will be 0")
-    rate_hz = 1000.0 / uniform_step_ms(rater_set.timestamps_ms)
-    pseudo = AnnotationTrace(f"physio:{rater_set.recording_id}", rate_hz, values, rater_set.kind)
-    kept = [t for i, t in enumerate(rater_set.traces) if i != drop]
-    substituted = RaterSet(rater_set.recording_id, (*kept, pseudo), rater_set.timestamps_ms)
-    gold = raaw(substituted, config.fusion)
+    ids = [*rater_set.rater_ids[:drop], *rater_set.rater_ids[drop + 1 :], f"physio:{rater_set.recording_id}"]
+    rows = [*np.delete(rater_set.values, drop, axis=0), physio]
+    gold = raaw(RaterSet(rater_set.recording_id, ids, rows, rater_set.kind, rater_set.timestamps_ms), config.fusion)
     gold.metadata.update(
         {
-            "removed_rater": rater_set.traces[drop].rater_id,
+            "removed_rater": rater_set.rater_ids[drop],
             "removed_index": drop,
             "annotator_weights": [float(w) for w in ranking.weights],
             "sg_window": config.sg_window,
             "sg_polyorder": config.sg_polyorder,
-            "target_hz": rate_hz,
+            "target_hz": 1000.0 / uniform_step_ms(rater_set.timestamps_ms),
         }
     )
     return gold

@@ -519,7 +519,7 @@ def save_checkpoint(path: Path | str, model: SequenceModel) -> None:
         "config": asdict(model.config),
         "params": {n: model.params[n].tolist() for n in model.param_names},
     }
-    write_model_file(path, "sequence_model", payload, indent=1)
+    write_model_file(path, "sequence_model", payload)
 
 
 def load_checkpoint(path: Path | str) -> SequenceModel:

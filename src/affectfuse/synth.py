@@ -97,7 +97,7 @@ def gen_raters(config: SynthConfig, latent: np.ndarray) -> tuple[RaterSet, np.nd
     rng = _rng(config, _RATERS)
     latent = np.asarray(latent, dtype=np.float64)
     max_lag = int(round(config.max_lag_s * config.rate_hz))
-    traces = []
+    rows = []
     lags = np.empty(config.n_raters, dtype=np.int64)
     for k in range(config.n_raters):
         lag = int(rng.integers(-max_lag, max_lag + 1)) if max_lag else 0
@@ -105,15 +105,9 @@ def gen_raters(config: SynthConfig, latent: np.ndarray) -> tuple[RaterSet, np.nd
         offset = config.scale_jitter * rng.uniform(-1.0, 1.0)
         noise = config.noise_sigma * rng.standard_normal(latent.size)
         lags[k] = lag
-        traces.append(
-            AnnotationTrace(
-                rater_id=f"r{k}",
-                sample_rate_hz=config.rate_hz,
-                values=_shift_hold(latent, lag) * scale + offset + noise,
-                kind=config.kind,
-            )
-        )
-    return RaterSet("synthetic", tuple(traces), grid_timestamps_ms(latent.size, config.rate_hz)), lags
+        rows.append(_shift_hold(latent, lag) * scale + offset + noise)
+    ids = [f"r{k}" for k in range(config.n_raters)]
+    return RaterSet("synthetic", ids, rows, config.kind, grid_timestamps_ms(latent.size, config.rate_hz)), lags
 
 
 def gen_eda(config: SynthConfig, latent: np.ndarray) -> AnnotationTrace:
@@ -213,10 +207,8 @@ def write_corpus(
         sub = _recording_config(config, i)
         latent = gen_latent(sub)
         raters, _ = gen_raters(sub, latent)
-        for trace in raters.traces:
-            dataio.write_annotation_csv(
-                out / "annotations" / rid / sub.kind / f"{trace.rater_id}.csv", trace
-            )
+        for rater_id, row in zip(raters.rater_ids, raters.values):
+            dataio.write_gold_csv(out / "annotations" / rid / sub.kind / f"{rater_id}.csv", ts, row)
         dataio.write_annotation_csv(out / "eda" / f"{rid}.csv", gen_eda(sub, latent))
         for si, fset in enumerate(feature_sets):
             feats = dataio.FeatureSequence(

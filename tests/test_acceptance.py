@@ -9,7 +9,7 @@ the contract and are asserted alongside the numeric bars.
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import importlib.util
 import io
 import time
 from dataclasses import replace
@@ -19,7 +19,7 @@ import numpy as np
 
 from affectfuse.align import dtw, multi_align
 from affectfuse.cli import main as cli_main
-from affectfuse.core import AnnotationTrace, RaterSet, savgol_smooth, standardize_values
+from affectfuse.core import savgol_smooth, standardize_values
 from affectfuse.dataio import (
     FeatureSequence,
     WindowSpec,
@@ -35,6 +35,13 @@ from affectfuse.seqmodel import RegressorConfig, SequenceModel, train
 from affectfuse.synth import SynthConfig, gen_eda, gen_features, gen_latent, gen_raters
 
 from _oracles import adjusted_rand_index, brute_dtw_cost, direct_ccc, direct_pearson
+
+# acceptance 10 runs the digest tool's command table and compares its two runs with the tool's hasher
+_spec = importlib.util.spec_from_file_location(
+    "refactor_digest", Path(__file__).resolve().parents[1] / "tools" / "refactor_digest.py"
+)
+DIGEST_TOOL = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(DIGEST_TOOL)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -108,7 +115,7 @@ def test_criterion_03_lag_recovery():
         raters, _ = gen_raters(config, latent)
         target = standardize_values(latent)[0]
         gold_scores.append(ccc(raaw(raters).values, target))
-        naive_scores.append(ccc(raters.matrix().mean(axis=0), target))
+        naive_scores.append(ccc(raters.values.mean(axis=0), target))
     med_gold = float(np.median(gold_scores))
     med_naive = float(np.median(naive_scores))
     elapsed = time.perf_counter() - start
@@ -135,13 +142,8 @@ def test_criterion_04_affine_invariance():
         latent = gen_latent(config)
         raters, _ = gen_raters(config, latent)
         rng = np.random.default_rng(9000 + i)
-        mapped = RaterSet(
-            recording_id=raters.recording_id,
-            traces=tuple(
-                replace(t, values=rng.uniform(0.2, 3.0) * t.values + rng.uniform(-2.0, 2.0))
-                for t in raters.traces
-            ),
-            timestamps_ms=raters.timestamps_ms,
+        mapped = replace(
+            raters, values=[rng.uniform(0.2, 3.0) * row + rng.uniform(-2.0, 2.0) for row in raters.values]
         )
         worst = max(worst, float(np.max(np.abs(raaw(mapped).values - raaw(raters).values))))
     elapsed = time.perf_counter() - start
@@ -382,68 +384,21 @@ def _cli(args: list[str]) -> dict[str, str]:
     return values
 
 
-def _pipeline(root: Path) -> dict[str, float]:
-    _cli(
-        [
-            "synth", "--out", str(root / "data"), "--recordings", "8", "--duration", "120",
-            "--rate", "2", "--raters", "4", "--feature-dim", "6", "--seed", "101",
-        ]
-    )
-    _cli(
-        [
-            "raaw", "--annotations", str(root / "data" / "annotations"),
-            "--kind", "arousal", "--out", str(root / "gold"),
-        ]
-    )
-    scores = {}
-    for fset in ("modal_a", "modal_b"):
-        vals = _cli(
-            [
-                "train", "--task", "stress",
-                "--features", str(root / "data" / "features" / fset),
-                "--gold", str(root / "gold"),
-                "--partitions", str(root / "data" / "partitions.csv"),
-                "--out", str(root / fset),
-                "--window", "40", "--hop", "20", "--hidden", "32", "--lr", "2e-3",
-                "--batch", "8", "--epochs", "100", "--patience", "30", "--seed", "101",
-            ]
-        )
-        scores[fset] = float(vals["devel_ccc"])
-    vals = _cli(
-        [
-            "fuse-late", "--task", "stress",
-            "--streams", str(root / "modal_a" / "preds"), str(root / "modal_b" / "preds"),
-            "--gold", str(root / "gold"),
-            "--partitions", str(root / "data" / "partitions.csv"),
-            "--out", str(root / "fused"),
-            "--window", "60", "--hop", "30", "--batch", "2",
-            "--epochs", "150", "--patience", "150", "--seed", "101",
-        ]
-    )
-    scores["fused"] = float(vals["devel_ccc"])
-    vals = _cli(
-        ["eval", "--pred", str(root / "fused" / "preds" / "devel"), "--gold", str(root / "gold")]
-    )
-    scores["eval"] = float(vals["ccc"])
-    return scores
-
-
-def _tree_digest(root: Path) -> list[tuple[str, str]]:
-    return [
-        (str(p.relative_to(root)), hashlib.sha256(p.read_bytes()).hexdigest())
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    ]
+def _acc10(root: Path) -> list[dict[str, str]]:
+    """Each ``ACC10`` command of ``tools/refactor_digest.py`` run in-process under ``root``: its key=value lines."""
+    return [_cli([a.replace("{R}", str(root)) for a in argv]) for argv in DIGEST_TOOL.ACC10]
 
 
 def test_criterion_10_end_to_end(tmp_path):
     start = time.perf_counter()
-    first = _pipeline(tmp_path / "run_a")
-    second = _pipeline(tmp_path / "run_b")
+    runs = _acc10(tmp_path / "run_a")
+    _acc10(tmp_path / "run_b")
+    first = {Path(vals["out"]).name: float(vals["devel_ccc"]) for vals in runs if "devel_ccc" in vals}
+    first["eval"] = float(runs[-1]["ccc"])
     best_stream = max(first["modal_a"], first["modal_b"])
     learnable = first["fused"] >= best_stream - 0.01
     eval_consistent = abs(first["eval"] - first["fused"]) < 1e-6
-    identical = _tree_digest(tmp_path / "run_a") == _tree_digest(tmp_path / "run_b")
+    identical = DIGEST_TOOL.file_digests(tmp_path / "run_a") == DIGEST_TOOL.file_digests(tmp_path / "run_b")
     elapsed = time.perf_counter() - start
     ok = learnable and eval_consistent and identical
     _report(

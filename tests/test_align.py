@@ -18,7 +18,7 @@ from affectfuse.align import (
     multi_align,
     warp_to_reference,
 )
-from affectfuse.core import AnnotationTrace, RaterSet, grid_timestamps_ms, standardize_values
+from affectfuse.core import RaterSet, grid_timestamps_ms, standardize_values
 from affectfuse.errors import ParameterError
 from affectfuse.metrics import pearson
 
@@ -26,16 +26,8 @@ from _oracles import brute_dtw_cost, full_table_dtw
 
 
 def _rater_set(arrays, rate=4.0, kind="valence"):
-    traces = tuple(
-        AnnotationTrace(
-            rater_id=f"r{i}",
-            sample_rate_hz=rate,
-            values=np.asarray(vals, dtype=np.float64),
-            kind=kind,
-        )
-        for i, vals in enumerate(arrays)
-    )
-    return RaterSet(recording_id="rec", traces=traces, timestamps_ms=grid_timestamps_ms(len(traces[0]), rate))
+    ids = [f"r{i}" for i in range(len(arrays))]
+    return RaterSet("rec", ids, arrays, kind, grid_timestamps_ms(len(arrays[0]), rate))
 
 
 def _noisy_rater_set():
@@ -346,7 +338,7 @@ class TestMultiAlign:
 
     def test_median_reference_minimises_cost_for_fixed_paths(self):
         rs = _noisy_rater_set()
-        traces = np.stack([standardize_values(t.values)[0] for t in rs.traces])
+        traces = np.stack([standardize_values(row)[0] for row in rs.values])
         result = multi_align(rs, FusionConfig(max_iter=1))
         ref_idx = np.concatenate([p.pairs[:, 1] for p in result.paths])
         values = np.concatenate([tr[p.pairs[:, 0]] for tr, p in zip(traces, result.paths)])
@@ -374,7 +366,7 @@ class TestMultiAlign:
         # mean of the two standardized samples mapped to it
         rs = _rater_set([np.arange(6.0), np.arange(6.0) ** 2])
         result = multi_align(rs, FusionConfig(max_iter=1, band=0))
-        std = np.stack([standardize_values(t.values)[0] for t in rs.traces])
+        std = np.stack([standardize_values(row)[0] for row in rs.values])
         assert np.allclose(result.reference, std.mean(axis=0), rtol=0, atol=1e-15)
 
     def test_grid_length_matches_input(self):
@@ -399,7 +391,7 @@ class TestMultiAlign:
         assert result.objective == (sum(p.cost for p in result.paths),)
         assert result.max_delta == (0.0,)
         # rater 1 is the reference, unchanged by the round: its standardized trace
-        std1 = standardize_values(rs.traces[1].values)[0]
+        std1 = standardize_values(rs.values[1])[0]
         assert np.array_equal(result.reference, std1)
         assert np.allclose(result.warped[1], (base - base.mean()) / base.std())
         # the round count does not matter: the fixed reference stops after one round

@@ -2148,6 +2148,27 @@ class TestIntegerOptions:
         assert unbounded == {(command, "--seed") for command in MINIMAL_ARGV}
 
 
+# Settings that are bad only with another option, and the message each exits 2 with.
+CROSS_OPTIONS = {
+    "physio": (["--sg-window", "4", "--sg-order", "5"], "polyorder 5 must be >= 0 and < window 4"),
+    "train": (["--gold", "{t}/gold", "--partitions", "{t}/p.csv", "--window", "1"],
+              "a regression window needs at least 2 samples, got window 1"),
+    "fuse-late": (["--gold", "{t}/gold", "--partitions", "{t}/p.csv", "--window", "1"],
+                  "a regression window needs at least 2 samples, got window 1"),
+}
+
+
+@pytest.mark.parametrize("command", list(CROSS_OPTIONS))
+def test_cross_option_parameters_exit_2_before_any_file_is_read(tmp_path, capsys, command):
+    # none of the inputs exists: reading any would exit 3
+    extra, message = CROSS_OPTIONS[command]
+    argv = [command] + [a.replace("{t}", str(tmp_path)) for a in MINIMAL_ARGV[command] + extra]
+    rc = main(argv)
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # Command shapes of the subcommand fuzz test; `fuzz_inputs` gives each its argv
 # (without --out) and the input file it replaces. `synth` reads no input file.
 FUZZ_SHAPES = ("raaw", "raaw-second-rater", "physio", "discretize", "discretize-segments", "train", "train-sent", "train-sent-segments",

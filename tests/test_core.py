@@ -55,31 +55,66 @@ class TestAnnotationTrace:
             )
 
 
+def rater_set(rows, timestamps_ms, ids=None, kind="arousal"):
+    ids = [f"r{i}" for i in range(len(rows))] if ids is None else ids
+    return RaterSet("rec", ids, rows, kind, timestamps_ms)
+
+
 class TestRaterSet:
     def test_groups_matching_traces(self):
-        rs = RaterSet("rec", (trace([0.0, 1.0]), trace([2.0, 3.0], rater="r1")), [0, 500])
+        rs = rater_set([[0.0, 1.0], [2.0, 3.0]], [0, 500])
         assert rs.kind == "arousal"
         assert rs.n_samples == 2
-        assert rs.matrix().shape == (2, 2)
+        assert rs.values.shape == (2, 2)
 
     def test_holds_its_grid_once_as_read_only_int64(self):
         grid = np.array([0, 333, 667])
-        rs = RaterSet("rec", (trace([0.0, 1.0, 2.0]), trace([2.0, 3.0, 4.0], rater="r1")), grid)
+        rs = rater_set([[0.0, 1.0, 2.0], [2.0, 3.0, 4.0]], grid)
         grid[1] = 5
         assert rs.timestamps_ms.dtype == np.int64
         assert rs.timestamps_ms.tolist() == [0, 333, 667]
         with pytest.raises(ValueError):
             rs.timestamps_ms[0] = 1
 
-    def test_rejects_mixed_kind_or_length(self):
-        with pytest.raises(ParameterError):
-            RaterSet("rec", (trace([0.0, 1.0]), trace([0.0, 1.0], kind="valence")), [0, 500])
+    def test_values_are_read_only_float64_copies(self):
+        rows = np.array([[0, 1], [2, 3]])
+        rs = rater_set(rows, [0, 500], ids=("a", "b"))
+        rows[0, 0] = 99
+        assert rs.values.dtype == np.float64
+        assert rs.values.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert rs.rater_ids == ("a", "b")
+        with pytest.raises(ValueError):
+            rs.values[0, 0] = 5.0
+
+    def test_rejects_rows_off_the_grid(self):
         with pytest.raises(ParameterError, match="'r1' .* 3 values for 2 timestamps"):
-            RaterSet("rec", (trace([0.0, 1.0]), trace([0.0, 1.0, 2.0], rater="r1")), [0, 500])
-        with pytest.raises(ParameterError):
-            RaterSet("rec", (trace([0.0, 1.0]),), [0, 500, 1000])
-        with pytest.raises(ParameterError):
-            RaterSet("rec", (), [0, 500])
+            rater_set([[0.0, 1.0], [0.0, 1.0, 2.0]], [0, 500])
+        with pytest.raises(ParameterError, match="'r0' .* 2 values for 3 timestamps"):
+            rater_set([[0.0, 1.0]], [0, 500, 1000])
+
+    @pytest.mark.parametrize(("rows", "timestamps_ms"), [(np.empty((0, 2)), [0, 500]), ([[]], [])],
+                             ids=["no-rater", "no-timestamp"])
+    def test_rejects_no_rater_or_no_timestamp(self, rows, timestamps_ms):
+        with pytest.raises(ParameterError, match="at least one"):
+            rater_set(rows, timestamps_ms)
+
+    def test_rejects_a_value_that_is_no_number(self):
+        with pytest.raises(ParameterError, match="'rec' needs a row of 2 numbers per rater id"):
+            rater_set([[0.0, 1.0], ["x", 2.0]], [0, 500])
+
+    @pytest.mark.parametrize("ids", [("r0",), ("r0", "r1", "r2")])
+    def test_rejects_an_id_count_other_than_the_row_count(self, ids):
+        with pytest.raises(ParameterError, match=f"got 2 rows for {len(ids)} ids, 2 timestamps"):
+            rater_set([[0.0, 1.0], [2.0, 3.0]], [0, 500], ids=ids)
+
+    def test_rejects_an_unknown_kind(self):
+        with pytest.raises(ParameterError, match="unknown trace kind 'joy'"):
+            rater_set([[0.0, 1.0]], [0, 500], kind="joy")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_row_naming_its_rater(self, bad):
+        with pytest.raises(ParameterError, match="trace 'r1' contains non-finite values"):
+            rater_set([[0.0, 1.0], [2.0, bad], [bad, 0.0]], [0, 500])
 
 
 class TestStandardize:

@@ -122,7 +122,7 @@ class TestRaterSet:
             )
             write_annotation_csv(folder / f"{rid}.csv", trace)
         rs = read_rater_set(tmp_path, "rec1", "valence")
-        assert [t.rater_id for t in rs.traces] == ["alpha", "mid", "zeta"]
+        assert list(rs.rater_ids) == ["alpha", "mid", "zeta"]
         assert rs.recording_id == "rec1"
         assert np.array_equal(rs.timestamps_ms, np.arange(20) * 500)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from affectfuse.align import FusionConfig
-from affectfuse.core import AnnotationTrace, RaterSet, grid_timestamps_ms
+from affectfuse.core import RaterSet, grid_timestamps_ms
 from affectfuse.errors import DegenerateInputError, ParameterError
 from affectfuse.fuse import (
     PhysioConfig,
@@ -20,20 +20,9 @@ from affectfuse.fuse import (
 from affectfuse.metrics import pearson
 
 
-def _trace(values, rater="r0", rate=4.0, kind="valence"):
-    return AnnotationTrace(
-        rater_id=rater,
-        sample_rate_hz=rate,
-        values=np.asarray(values, dtype=np.float64),
-        kind=kind,
-    )
-
-
 def _rater_set(arrays, rate=4.0, kind="valence", recording="rec"):
-    traces = tuple(
-        _trace(vals, rater=f"r{i}", rate=rate, kind=kind) for i, vals in enumerate(arrays)
-    )
-    return RaterSet(recording_id=recording, traces=traces, timestamps_ms=grid_timestamps_ms(len(traces[0]), rate))
+    ids = [f"r{i}" for i in range(len(arrays))]
+    return RaterSet(recording, ids, arrays, kind, grid_timestamps_ms(len(arrays[0]), rate))
 
 
 def _sine_raters(rng, n=240, lags=(2, 0, -2), noise=0.02):

@@ -68,7 +68,7 @@ class TestGenRaters:
         cfg = SynthConfig(seed=3, n_raters=4)
         rs, lags = gen_raters(cfg, gen_latent(cfg))
         assert len(rs) == 4
-        assert [t.rater_id for t in rs.traces] == ["r0", "r1", "r2", "r3"]
+        assert list(rs.rater_ids) == ["r0", "r1", "r2", "r3"]
         assert lags.shape == (4,)
 
     def test_lags_within_configured_bound(self):
@@ -83,8 +83,8 @@ class TestGenRaters:
             cfg = SynthConfig(seed=seed, max_lag_s=2.0, rate_hz=2.0, noise_sigma=0.05)
             latent = gen_latent(cfg)
             rs, lags = gen_raters(cfg, latent)
-            for trace, lag in zip(rs.traces, lags):
-                found = _best_lag(trace.values, latent, 8)
+            for row, lag in zip(rs.values, lags):
+                found = _best_lag(row, latent, 8)
                 assert abs(found - lag) <= 1
 
     def test_zero_max_lag(self):
@@ -205,7 +205,7 @@ class TestWriteCorpus:
         write_corpus(cfg, tmp_path, n_recordings=2)
         rs0 = read_rater_set(tmp_path / "annotations", "rec_000", "arousal")
         rs1 = read_rater_set(tmp_path / "annotations", "rec_001", "arousal")
-        assert not np.allclose(rs0.traces[0].values, rs1.traces[0].values)
+        assert not np.allclose(rs0.values[0], rs1.values[0])
 
     def test_rejects_bad_parameters(self, tmp_path):
         cfg = SynthConfig(seed=17, duration_s=30.0)

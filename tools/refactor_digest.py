@@ -162,12 +162,17 @@ def run_path(src: Path, root: Path, commands: list[list[str]]) -> list[str]:
     return lines
 
 
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):  # 1 MiB at a time: a file is never held whole
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def file_digests(root: Path) -> list[str]:
-    return [
-        f"{p.relative_to(root)} {hashlib.sha256(p.read_bytes()).hexdigest()}"
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    ]
+    """One ``path sha256`` line per file under ``root``, in sorted path order."""
+    return [f"{p.relative_to(root)} {_sha256(p)}" for p in sorted(root.rglob("*")) if p.is_file()]
 
 
 def run_all(src: Path, work: Path) -> list[str]:
