@@ -14,12 +14,20 @@ __all__ = ["FusionConfig", "WarpPath", "AlignmentResult", "dtw", "default_band",
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Alignment settings of :func:`multi_align`, and so of :func:`affectfuse.fuse.raaw`."""
+    """Alignment settings of :func:`multi_align` (and so of :func:`affectfuse.fuse.raaw`), checked when built."""
 
     max_iter: int = 20
     tol: float = 1e-4
     band: int | None = None  # None -> 10% of the sequence length
     reference: str | int = "mean"
+
+    def __post_init__(self) -> None:
+        if self.max_iter < 1:
+            raise ParameterError("max_iter must be >= 1")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
+        if self.reference != "mean" and not (isinstance(self.reference, (int, np.integer)) and self.reference >= 0):
+            raise ParameterError(f"reference must be 'mean' or a rater index >= 0, got {self.reference!r}")
 
 
 @dataclass(frozen=True)
@@ -217,15 +225,9 @@ def multi_align(rater_set: RaterSet, config: FusionConfig | None = None) -> Alig
     max_iter, tol, reference = config.max_iter, config.tol, config.reference
     if len(rater_set) < 2:
         raise DegenerateInputError("multi_align needs at least 2 traces")
-    if max_iter < 1:
-        raise ParameterError("max_iter must be >= 1")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ParameterError(f"tol must be positive and finite, got {tol}")
-    fixed = isinstance(reference, (int, np.integer))
-    if fixed and not 0 <= reference < len(rater_set):
+    fixed = reference != "mean"
+    if fixed and reference >= len(rater_set):
         raise ParameterError(f"reference rater index {reference} out of range")
-    if not fixed and reference != "mean":
-        raise ParameterError("reference must be 'mean' or a rater index")
     length = rater_set.n_samples
     band = default_band(length) if config.band is None else config.band
     traces = np.stack([standardize_values(row)[0] for row in rater_set.values])

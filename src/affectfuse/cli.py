@@ -46,7 +46,7 @@ from .errors import DataError, DegenerateInputError, NumericError, ParameterErro
 from .fuse import PhysioConfig, agreement_stats, physio_fuse, raaw
 from .latefusion import REGRESSION_FUSION, SENT_FUSION
 from .metrics import ScoreReport, ccc, macro_f1, partition_ccc
-from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, fit, save_checkpoint
+from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, check_window, fit, save_checkpoint
 
 __all__ = ["main", "build_parser"]
 
@@ -175,6 +175,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_at_least(low: float, strict: bool = False):
+    """argparse type of a float option that must be finite and at least ``low``, or above it with ``strict``."""
+    def parse(text: str) -> float:
+        value = _finite(text)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _reference(text: str) -> str | int:
     """argparse type of ``--reference``: ``mean`` or a rater index."""
     if text == "mean":
@@ -292,8 +303,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--hidden", type=_int_at_least(1), default=64)
     p.add_argument("--layers", type=_int_at_least(1), default=1)
     p.add_argument("--bidirectional", action="store_true")
-    p.add_argument("--lr", type=_finite, default=None, help="default: mid-grid for the task")
-    p.add_argument("--l2", type=_finite, default=0.0)
+    p.add_argument("--lr", type=_finite_at_least(0, strict=True), default=None, help="default: mid-grid for the task")
+    p.add_argument("--l2", type=_finite_at_least(0), default=0.0)
     register(p, cmd_train)
 
     p = sub.add_parser("eval", help="score prediction directories")
@@ -469,12 +480,6 @@ def _write_run(out: Path, model: SequenceModel, history: TrainHistory, outputs, 
     return 0
 
 
-def _check_window(task: str, spec: dataio.WindowSpec | None) -> None:
-    """``fit``'s check of a regression window, made before any file is read."""
-    if task != "sent" and spec is not None and spec.window < 2:
-        raise ParameterError(f"a regression window needs at least 2 samples, got window {spec.window}")
-
-
 def _regression_training(args):
     """Aligned features and gold of every recording with both, by split in gold-file order."""
     if not args.gold or not args.partitions:
@@ -542,7 +547,7 @@ def cmd_train(args) -> int:
         window=args.window if args.window is not None else window_n,
         hop=args.hop if args.hop is not None else hop_n,
     )
-    _check_window(args.task, spec)
+    check_window(args.task != "sent", spec)  # before any file is read
     # (inputs, targets and splits by item id, the config's head fields, prediction writer)
     read_items = _sent_training if args.task == "sent" else _regression_training
     files = (args.segments, args.labels) if args.task == "sent" else (args.gold, args.partitions)
@@ -733,7 +738,7 @@ def cmd_fuse_late(args) -> int:
         raise ParameterError("fuse-late --hop needs --window; without it each item is one full sequence")
     spec = dataio.WindowSpec(args.window, args.hop or args.window) if args.window is not None else None
     task = "sent" if args.task == "sent" else "regression"
-    _check_window(task, spec)
+    check_window(task != "sent", spec)
     # (inputs, targets and splits by item id, the config's head fields, prediction writer), as for train
     read_streams = _sent_streams if task == "sent" else _regression_streams
     gold_files = (args.gold_labels,) if task == "sent" else (args.gold, args.partitions)

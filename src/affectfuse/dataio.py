@@ -352,14 +352,14 @@ def window(values: np.ndarray, spec: WindowSpec) -> list[tuple[int, np.ndarray]]
 # two-column signal CSVs
 
 
-def _read_grid(path: Path | str, from_zero: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
-    """Timestamps, values and step in ms of a ``timestamp_ms,value`` CSV; the two columns are
+def _read_grid(path: Path | str, column: str = "value", from_zero: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+    """Timestamps, values and step in ms of a ``timestamp_ms,<column>`` CSV; the two columns are
     strided fields of the table read, not copies.
 
     The samples, at least 2, must lie on a uniform grid (see :func:`uniform_step_ms`), which
     with ``from_zero`` starts at 0 ms.
     """
-    table = _read_table(path, {"timestamp_ms,value": (np.int64, np.float64)})
+    table = _read_table(path, {f"timestamp_ms,{column}": (np.int64, np.float64)})
     ts = table["timestamp_ms"]
     try:
         step = uniform_step_ms(ts)
@@ -367,7 +367,7 @@ def _read_grid(path: Path | str, from_zero: bool = False) -> tuple[np.ndarray, n
         raise DataError(f"{path}: {exc}") from exc
     if from_zero and ts[0] != 0:
         raise DataError(f"{path}: the time grid starts at {ts[0]} ms, not 0")
-    return ts, table["value"], step
+    return ts, table[column], step
 
 
 def read_annotation_csv(path: Path | str, rater_id: str, kind: str) -> tuple[np.ndarray, AnnotationTrace]:
@@ -481,8 +481,8 @@ def write_prediction_csv(path: Path | str, timestamps_ms: np.ndarray, preds: np.
 
 
 def read_prediction_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
-    table = _read_table(path, {"timestamp_ms,pred": (np.int64, np.float64)})
-    return np.ascontiguousarray(table["timestamp_ms"]), np.ascontiguousarray(table["pred"])
+    ts, preds, _ = _read_grid(path, "pred")
+    return np.ascontiguousarray(ts), np.ascontiguousarray(preds)
 
 
 def check_same_grid(path: Path | str, timestamps_ms: np.ndarray, grid_path: Path | str, grid_ms: np.ndarray) -> None:

@@ -37,6 +37,7 @@ __all__ = [
     "cross_entropy_loss",
     "train",
     "evaluate",
+    "check_window",
     "fit",
     "save_checkpoint",
     "load_checkpoint",
@@ -464,6 +465,12 @@ def train(
     return history
 
 
+def check_window(regression: bool, window_spec: WindowSpec | None) -> None:
+    """The rule :func:`fit` holds a train window to: a regression window needs at least 2 samples."""
+    if regression and window_spec is not None and window_spec.window < 2:
+        raise ParameterError(f"a regression window needs at least 2 samples, got window {window_spec.window}")
+
+
 def fit(
     config: RegressorConfig,
     inputs: Mapping[str, np.ndarray],
@@ -476,14 +483,13 @@ def fit(
 
     ``targets``: each train and devel item's per-step gold (regression) or class label;
     ``splits``: each split's item ids, in order; "train" and "devel" must be non-empty.
-    With ``window_spec`` train items are cut into windows: a regression window (at least
-    2 samples long) keeps its gold slice and is dropped below 2 samples, a class window
+    With ``window_spec`` train items are cut into windows: a regression window (see
+    :func:`check_window`) keeps its gold slice and is dropped below 2 samples, a class window
     keeps the item's label. Devel items stay whole for early stopping (see :func:`train`).
     ``outputs``: split -> item id -> output on the item.
     """
     regression = config.head == "regression"
-    if regression and window_spec is not None and window_spec.window < 2:
-        raise ParameterError(f"a regression window needs at least 2 samples, got window {window_spec.window}")
+    check_window(regression, window_spec)
     for split in ("train", "devel"):
         if not splits.get(split):
             raise DegenerateInputError(f"fit needs a non-empty {split!r} split")

@@ -412,6 +412,12 @@ class TestMultiAlign:
         with pytest.raises(ParameterError):
             multi_align(rs, FusionConfig(reference="median"))
 
+    @pytest.mark.parametrize("reference", [-1, np.int64(-1)])
+    def test_negative_reference_rejected_when_built(self, reference):
+        # no rater set is needed to tell that no rater has a negative index
+        with pytest.raises(ParameterError, match="reference must be 'mean' or a rater index >= 0"):
+            FusionConfig(reference=reference)
+
     def test_affine_invariance(self):
         # standardization inside the alignment makes per-rater affine
         # transforms irrelevant

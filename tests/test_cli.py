@@ -1457,6 +1457,57 @@ class TestBadInputExitCodes:
         assert rc == 3
         assert f"{bad}: a timestamp grid needs at least 2 timestamps" in captured.err
 
+    def test_annotation_kind_folder_without_files_exit_3(self, tmp_path, capsys):
+        folder = tmp_path / "ann" / "rec_000" / "arousal"
+        folder.mkdir(parents=True)
+        rc = main(["raaw", "--annotations", str(tmp_path / "ann"), "--kind", "arousal", "--out", str(tmp_path / "g")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: no annotation files in {folder}" in captured.err
+        assert not (tmp_path / "g").exists()
+
+    def test_word_ending_before_its_start_exit_3(self, corpus, tmp_path, capsys):
+        features = tmp_path / "words"
+        shutil.copytree(corpus / "data" / "features" / "modal_a", features)
+        bad = features / "rec_000.csv"
+        bad.write_text("start_ms,end_ms,f0\n0,400,0.1\n500,499,0.2\n")
+        argv = _train_argv(corpus, tmp_path / "out")
+        argv[argv.index("--features") + 1] = str(features)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {bad}: word end timestamps must be >= start timestamps" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_segment_with_a_negative_start_exit_3(self, corpus, tmp_path, capsys):
+        segments = tmp_path / "segments.csv"
+        header, first, *rest = (corpus / "data" / "segments.csv").read_text().splitlines()
+        seg_id, rec, _, end, split = first.split(",")
+        segments.write_text("\n".join([header, f"{seg_id},{rec},-1,{end},{split}", *rest]) + "\n")
+        rc = main(["discretize", "--gold", str(corpus / "gold"), "--segments", str(segments), "--target", "arousal",
+                   "--out", str(tmp_path / "l.csv")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {segments}: segment {seg_id!r}: negative start" in captured.err
+        assert not (tmp_path / "l.csv").exists()
+
+    def test_test_split_stream_running_backwards_exit_3(self, corpus, trained, tmp_path, capsys):
+        # test items have no gold to be paired with, and both streams agree, so only the reader can catch it
+        streams = [tmp_path / fset for fset in ("modal_a", "modal_b")]
+        for stream in streams:
+            shutil.copytree(trained / stream.name / "preds", stream)
+            bad = sorted((stream / "test").glob("*.csv"))[0]
+            ts, preds = read_prediction_csv(bad)
+            write_table(bad, "timestamp_ms,pred", ts[::-1], preds)
+        rc = main(["fuse-late", "--task", "stress", "--streams", *map(str, streams), "--gold", str(corpus / "gold"),
+                   "--partitions", str(corpus / "data" / "partitions.csv"), "--out", str(tmp_path / "f"),
+                   "--epochs", "1"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        first = sorted((streams[0] / "test").glob("*.csv"))[0]
+        assert f"data error: {first}: timestamps must be strictly increasing" in captured.err
+        assert not (tmp_path / "f").exists()
+
 
     def test_eda_spanning_far_beyond_the_annotations_runs_in_bounded_memory(self, corpus, tmp_path, capsys):
         # two samples 10^10 ms apart: the EDA is read at the annotation timestamps, not over the span it claims
@@ -2158,15 +2209,35 @@ CROSS_OPTIONS = {
 }
 
 
-@pytest.mark.parametrize("command", list(CROSS_OPTIONS))
-def test_cross_option_parameters_exit_2_before_any_file_is_read(tmp_path, capsys, command):
+# Settings bad in themselves that no integer bound catches: a float option's own bound, or the check of the
+# config the subcommand builds from its options. Each case's command, extra argv and message.
+SETTING_BOUNDS = {
+    "raaw--tol": ("raaw", ["--tol", "0"], "tol must be positive and finite, got 0.0"),
+    "raaw--reference": ("raaw", ["--reference", "-1"], "reference must be 'mean' or a rater index >= 0, got -1"),
+    "train--lr": ("train", ["--gold", "{t}/gold", "--partitions", "{t}/p.csv", "--lr", "-1"],
+                  "argument --lr: must be > 0, got -1.0"),
+    "train--l2": ("train", ["--gold", "{t}/gold", "--partitions", "{t}/p.csv", "--l2", "-1"],
+                  "argument --l2: must be >= 0, got -1.0"),
+}
+
+
+def _exits_2_before_any_file_is_read(tmp_path, capsys, command, extra, message):
     # none of the inputs exists: reading any would exit 3
-    extra, message = CROSS_OPTIONS[command]
     argv = [command] + [a.replace("{t}", str(tmp_path)) for a in MINIMAL_ARGV[command] + extra]
     rc = main(argv)
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", list(CROSS_OPTIONS))
+def test_cross_option_parameters_exit_2_before_any_file_is_read(tmp_path, capsys, command):
+    _exits_2_before_any_file_is_read(tmp_path, capsys, command, *CROSS_OPTIONS[command])
+
+
+@pytest.mark.parametrize("case", list(SETTING_BOUNDS))
+def test_setting_out_of_bounds_exit_2_before_any_file_is_read(tmp_path, capsys, case):
+    _exits_2_before_any_file_is_read(tmp_path, capsys, *SETTING_BOUNDS[case])
 
 
 # Command shapes of the subcommand fuzz test; `fuzz_inputs` gives each its argv

@@ -484,7 +484,7 @@ VALID = {
     "physio": "timestamp_ms,value\n0,0.1\n500,0.2\n",
     "feature": "timestamp_ms,f0\n0,0.1\n",
     "gold": "timestamp_ms,value\n0,0.1\n500,0.2\n",
-    "prediction": "timestamp_ms,pred\n0,0.1\n",
+    "prediction": "timestamp_ms,pred\n0,0.1\n500,0.2\n",
     "partition": "recording_id,partition\nr,train\n",
     "segments": "segment_id,recording_id,start_ms,end_ms,partition\ns0,r,0,500,train\n",
     "labels": "segment_id,class\ns0,1\n",
@@ -519,11 +519,26 @@ def test_every_float_reader_rejects_non_finite_values(tmp_path, reader, value):
         EVERY_READER[reader](path)
 
 
-@pytest.mark.parametrize("reader", ["annotation", "gold", "physio"])
+GRID_READERS = ["annotation", "gold", "physio", "prediction"]
+
+
+@pytest.mark.parametrize("reader", GRID_READERS)
 def test_grid_readers_need_two_samples(tmp_path, reader):
     path = tmp_path / "one.csv"
-    path.write_text("timestamp_ms,value\n0,0.5\n")
+    path.write_text(VALID[reader].splitlines()[0] + "\n0,0.5\n")
     with pytest.raises(DataError, match="one.csv: a timestamp grid needs at least 2 timestamps"):
+        EVERY_READER[reader](path)
+
+
+@pytest.mark.parametrize(("rows", "message"), [
+    ("0,0.1\n500,0.2\n500,0.3\n", "timestamps must be strictly increasing"),
+    ("0,0.1\n500,0.2\n1200,0.3\n", "timestamps must form a uniform grid"),
+], ids=["repeated", "non-uniform"])
+@pytest.mark.parametrize("reader", GRID_READERS)
+def test_grid_readers_reject_a_grid_off_its_step(tmp_path, reader, rows, message):
+    path = tmp_path / "off.csv"
+    path.write_text(VALID[reader].splitlines()[0] + "\n" + rows)
+    with pytest.raises(DataError, match=f"off.csv: {message}"):
         EVERY_READER[reader](path)
 
 
