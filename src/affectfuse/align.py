@@ -227,7 +227,8 @@ def multi_align(rater_set: RaterSet, config: FusionConfig | None = None) -> Alig
         raise DegenerateInputError("multi_align needs at least 2 traces")
     fixed = reference != "mean"
     if fixed and reference >= len(rater_set):
-        raise ParameterError(f"reference rater index {reference} out of range")
+        raise DegenerateInputError(f"reference rater index {reference} out of range: "
+                                   f"rater set {rater_set.recording_id!r} has {len(rater_set)} raters")
     length = rater_set.n_samples
     band = default_band(length) if config.band is None else config.band
     traces = np.stack([standardize_values(row)[0] for row in rater_set.values])

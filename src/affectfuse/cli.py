@@ -645,24 +645,6 @@ def cmd_eval(args) -> int:
 # fuse-late
 
 
-def _stream_names(stream_dirs: list[Path]) -> list[str]:
-    """Short unique labels for stream directories (parent-qualified on clashes)."""
-    names = []
-    for i, d in enumerate(stream_dirs):
-        base = d.name or f"stream{i}"
-        if sum(1 for s in stream_dirs if (s.name or "") == base) > 1 and d.parent.name:
-            base = f"{d.parent.name}_{base}"
-        names.append(base)
-    unique: list[str] = []
-    for name in names:
-        candidate, bump = name, 0
-        while candidate in unique:
-            bump += 1
-            candidate = f"{name}{bump}"
-        unique.append(candidate)
-    return unique
-
-
 def _regression_streams(args):
     """Per-recording traces of every stream stacked in ``--streams`` order, over recordings all streams
     cover, and the train and devel gold; each stream file and gold file must be on the first stream's grid."""
@@ -758,7 +740,7 @@ def cmd_fuse_late(args) -> int:
             **head,
         )
         model, history, outputs = fit(config, inputs, targets, splits, spec)
-    return _write_run(args.out, model, history, outputs, write_preds, streams=",".join(_stream_names(args.streams)))
+    return _write_run(args.out, model, history, outputs, write_preds, streams=",".join(map(str, args.streams)))
 
 
 # ---------------------------------------------------------------------------

@@ -92,11 +92,11 @@ def segment_features(values, target: str) -> np.ndarray:
     mean = x.mean()
     below = x < mean
     above = x > mean
+    quantiles = [k for k in names if k[0] == "q"]  # "q10" is the 0.10 quantile; one call sorts x once for all
     feats = {
+        **dict(zip(quantiles, np.quantile(x, [int(k[1:]) / 100 for k in quantiles]).tolist())),
         "median": float(np.median(x)),
         "std": float(x.std()),
-        "q10": float(np.quantile(x, 0.10)),
-        "q90": float(np.quantile(x, 0.90)),
         "rel_energy": float(np.sum(x**2) / n),
         "rel_sum_of_changes": float(np.sum(np.abs(np.diff(x))) / (n - 1)),
         "rel_peaks": float(np.sum((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])) / n),
@@ -106,18 +106,7 @@ def segment_features(values, target: str) -> np.ndarray:
     }
     if target == "valence":
         _, counts = np.unique(x, return_counts=True)
-        feats.update(
-            {
-                "mean": float(mean),
-                "q5": float(np.quantile(x, 0.05)),
-                "q25": float(np.quantile(x, 0.25)),
-                "q33": float(np.quantile(x, 0.33)),
-                "q66": float(np.quantile(x, 0.66)),
-                "q75": float(np.quantile(x, 0.75)),
-                "q95": float(np.quantile(x, 0.95)),
-                "reoccurring_share": float(counts[counts > 1].sum() / n),
-            }
-        )
+        feats.update(mean=float(mean), reoccurring_share=float(counts[counts > 1].sum() / n))
     return np.asarray([feats[k] for k in names])
 
 

@@ -12,7 +12,8 @@ class ParameterError(ValueError):
 
 class DegenerateInputError(ParameterError):
     """Well-formed values too few or too degenerate for the computation: a constant signal, too few
-    raters, rows or distinct points, an empty split. CLI exit code 3, where the values come from files."""
+    raters (also for a reference rater index), rows or distinct points, an empty split. CLI exit code 3,
+    where the values come from files."""
 
 
 class DataError(RuntimeError):

@@ -19,7 +19,7 @@ from affectfuse.align import (
     warp_to_reference,
 )
 from affectfuse.core import RaterSet, grid_timestamps_ms, standardize_values
-from affectfuse.errors import ParameterError
+from affectfuse.errors import DegenerateInputError, ParameterError
 from affectfuse.metrics import pearson
 
 from _oracles import brute_dtw_cost, full_table_dtw
@@ -404,7 +404,7 @@ class TestMultiAlign:
 
     def test_reference_index_out_of_range(self):
         rs = _rater_set([np.arange(5.0), np.arange(5.0) * 2])
-        with pytest.raises(ParameterError):
+        with pytest.raises(DegenerateInputError, match="index 2 out of range: rater set 'rec' has 2 raters"):
             multi_align(rs, FusionConfig(reference=2))
 
     def test_unknown_reference_mode_rejected(self):

@@ -804,8 +804,8 @@ def _logit_streams(root: Path, names, width: int = 5) -> Path:
 
 
 class TestFuseLateSentStreams:
-    def test_clashing_names_keep_every_stream(self, tmp_path, monkeypatch, capsys):
-        # relative dirs have no parent to qualify with: a, a, a1 must not collapse
+    def test_streams_line_lists_the_directories_as_given(self, tmp_path, monkeypatch, capsys):
+        # in order, a directory passed twice named twice, and no label that names no directory
         monkeypatch.chdir(tmp_path)
         _logit_streams(tmp_path, ["a", "a1"])
         rc = main(
@@ -814,7 +814,7 @@ class TestFuseLateSentStreams:
         )
         captured = capsys.readouterr()
         assert rc == 0, captured.err
-        assert _values(captured.out)["streams"] == "a,a1,a11"
+        assert _values(captured.out)["streams"] == "a,a,a1"
         model = json.loads((tmp_path / "fused" / "model.json").read_text())
         assert model["config"]["input_dim"] == 3 * 5
 
@@ -932,8 +932,7 @@ class TestFuseLateRegression:
         assert rc == 0
         vals = _values(captured.out)
         assert "devel_ccc" in vals
-        # parent-qualified names since both roots end in "preds"
-        assert vals["streams"] == "modal_a_preds,modal_b_preds"
+        assert vals["streams"] == f"{trained / 'modal_a' / 'preds'},{trained / 'modal_b' / 'preds'}"
         for split in ("train", "devel", "test"):
             assert sorted((tmp_path / "fused" / "preds" / split).glob("*.csv"))
 
@@ -1603,6 +1602,17 @@ class TestDegenerateDataExit3:
         assert f"data error: {ann}: agreement undefined for every recording" in captured.err
         assert "Traceback" not in captured.err
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_reference_past_the_raters_exit_3_naming_the_recording(self, corpus, tmp_path, capsys, jobs):
+        ann = corpus / "data" / "annotations"
+        rc = main(["raaw", "--annotations", str(ann), "--kind", "arousal", "--out", str(tmp_path / "g"),
+                   "--reference", "3", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert (f"data error: {ann / 'rec_000' / 'arousal'}: reference rater index 3 out of range: "
+                "rater set 'rec_000' has 3 raters") in captured.err
+        assert "Traceback" not in captured.err and not (tmp_path / "g").exists()
 
     def test_physio_recording_shorter_than_the_smoothing_window_exit_3(self, tmp_path, capsys):
         # 10 s at 2 Hz is 21 label steps, fewer than the default --sg-window of 26

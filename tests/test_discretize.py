@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectfuse import discretize
 from affectfuse.discretize import (
@@ -62,6 +64,18 @@ class TestSegmentFeatureVector:
         feats = _named([0.0, 1.0, 2.0, 3.0], "arousal")
         assert feats["q10"] == pytest.approx(0.3)
         assert feats["q90"] == pytest.approx(2.7)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-1e3, 1e3), min_size=2, max_size=79))
+    def test_quantiles_equal_one_quantile_call_each(self, values):
+        # the one call per segment must give each quantile bit for bit, ties included
+        levels = {"q5": 0.05, "q10": 0.10, "q25": 0.25, "q33": 0.33, "q66": 0.66, "q75": 0.75, "q90": 0.90, "q95": 0.95}
+        x = np.asarray(values)
+        for target in ("arousal", "valence"):
+            feats = _named(x, target)
+            quantiles = {k: v for k, v in feats.items() if k in levels}
+            assert len(quantiles) == (2 if target == "arousal" else 8)
+            assert quantiles == {k: np.quantile(x, levels[k]) for k in quantiles}
 
     def test_peaks_are_strict_local_maxima(self):
         feats = _named([0.0, 1.0, 0.0, 2.0, 2.0, 0.0, 3.0, 0.0], "arousal")
