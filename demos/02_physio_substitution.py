@@ -32,7 +32,7 @@ eda = gen_eda(config, latent)
 # sabotage one rater so the ranking has an obvious loser
 rng = np.random.default_rng(0)
 rows = raters.values.copy()
-rows[1] = 0.3 * rows[1, ::-1] + 0.7 * rng.standard_normal(raters.n_samples)
+rows[1] = 0.3 * rows[1, ::-1] + 0.7 * rng.standard_normal(raters.timestamps_ms.size)
 raters = replace(raters, values=rows)
 
 print("=== annotator ranking ===")

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RaterSet, standardize_values
 from .errors import DegenerateInputError, ParameterError
 
 __all__ = ["FusionConfig", "WarpPath", "AlignmentResult", "dtw", "default_band", "multi_align", "warp_to_reference"]
@@ -200,13 +199,13 @@ def default_band(length: int) -> int:
     return max(1, int(round(0.1 * length)))
 
 
-def multi_align(rater_set: RaterSet, config: FusionConfig | None = None) -> AlignmentResult:
-    """Align all traces of a rater set onto one common time grid.
+def multi_align(traces: np.ndarray, config: FusionConfig | None = None) -> AlignmentResult:
+    """Align the rows of a (raters, samples) float matrix onto one common time grid.
 
     Iterative reference-based scheme: the reference starts as the mean of the
-    (defensively re-standardized) traces; every trace is DTW-warped onto it,
-    and each reference sample becomes the median of all samples, pooled over
-    the traces, that the paths map to it. This minimises
+    traces; every trace is DTW-warped onto it, and each reference sample
+    becomes the median of all samples, pooled over the traces, that the paths
+    map to it. This minimises
     J = sum_k sum_{(i, j) in path k} |x_k[i] - r[j]| by turns: DTW picks the
     cheapest paths for the reference, the median minimises J index by index
     for those paths, so a round's summed path cost (``objective``) never rises
@@ -216,22 +215,22 @@ def multi_align(rater_set: RaterSet, config: FusionConfig | None = None) -> Alig
     or after ``config.max_iter`` rounds (``"max_iter"``). ``warped`` holds each
     trace's per-index averages under the last paths, on the input's grid.
 
-    ``config.reference=k`` (an integer rater index) fixes the reference to
-    rater k's trace: one round warps every trace onto it and stops
+    The traces are aligned as given: :func:`affectfuse.fuse.raaw` standardizes
+    them first. ``config.reference=k`` (an integer rater index) fixes the
+    reference to row k: one round warps every trace onto it and stops
     (``stop_reason="converged"``, ``max_delta`` 0). ``config.band`` defaults
     to 10% of the sequence length.
     """
     config = config or FusionConfig()
     max_iter, tol, reference = config.max_iter, config.tol, config.reference
-    if len(rater_set) < 2:
+    traces = np.asarray(traces, dtype=np.float64)
+    if len(traces) < 2:
         raise DegenerateInputError("multi_align needs at least 2 traces")
     fixed = reference != "mean"
-    if fixed and reference >= len(rater_set):
-        raise DegenerateInputError(f"reference rater index {reference} out of range: "
-                                   f"rater set {rater_set.recording_id!r} has {len(rater_set)} raters")
-    length = rater_set.n_samples
+    if fixed and reference >= len(traces):
+        raise DegenerateInputError(f"reference rater index {reference} out of range for {len(traces)} raters")
+    length = traces.shape[1]
     band = default_band(length) if config.band is None else config.band
-    traces = np.stack([standardize_values(row)[0] for row in rater_set.values])
 
     ref = traces[int(reference)] if fixed else traces.mean(axis=0)
     costs, deltas = [], []

@@ -41,6 +41,7 @@ import numpy as np
 
 from . import dataio, synth
 from .align import FusionConfig
+from .core import KINDS
 from .discretize import assign_nearest, fit_class_model, save_class_model, segment_features, validate_clusters
 from .errors import DataError, DegenerateInputError, NumericError, ParameterError
 from .fuse import PhysioConfig, agreement_stats, physio_fuse, raaw
@@ -217,7 +218,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 def _add_fusion_options(sp: argparse.ArgumentParser, kind: str) -> None:
     """Options of ``raaw`` and ``physio``; ``kind`` is the command's default annotation kind."""
     sp.add_argument("--annotations", type=_data_path, required=True, help="root with <rec>/<kind>/*.csv")
-    sp.add_argument("--kind", default=kind, choices=("valence", "arousal", "physio"))
+    sp.add_argument("--kind", default=kind, choices=KINDS)
     sp.add_argument("--out", type=_data_path, required=True, help="directory for <rec>.csv gold files")
     sp.add_argument("--max-iter", type=_int_at_least(1), default=20)
     sp.add_argument("--tol", type=_finite, default=1e-4)
@@ -266,7 +267,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--feature-dim", type=_int_at_least(1), default=8)
     p.add_argument("--feature-noise", type=_finite, default=0.1)
     p.add_argument("--feature-sets", type=_feature_sets, default="modal_a,modal_b", help="comma-separated set names")
-    p.add_argument("--kind", default="arousal", choices=("valence", "arousal", "physio"))
+    p.add_argument("--kind", default="arousal", choices=KINDS)
     register(p, cmd_synth)
 
     p = sub.add_parser("raaw", help="fuse rater annotations into gold standards")

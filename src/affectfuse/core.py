@@ -98,21 +98,22 @@ class RaterSet:
     def __len__(self) -> int:
         return len(self.rater_ids)
 
-    @property
-    def n_samples(self) -> int:
-        return int(self.timestamps_ms.size)
-
 
 def standardize_values(x: np.ndarray) -> tuple[np.ndarray, bool]:
     """Zero-mean unit-variance copy of ``x`` with population (1/N) moments.
 
     Returns ``(standardized, degenerate)``; a constant input maps to all
-    zeros with ``degenerate=True`` instead of dividing by zero.
+    zeros with ``degenerate=True`` instead of dividing by zero. Finite values
+    whose moments overflow float64 raise :class:`DegenerateInputError`.
     """
     x = np.asarray(x, dtype=np.float64)
-    mu = x.mean()
-    sigma = x.std()
-    if np.ptp(x) == 0.0 or sigma <= _CONST_RTOL * max(1.0, abs(mu)):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves sigma non-finite, rejected below
+        mu, sigma, span = x.mean(), x.std(), np.ptp(x)
+    if span == 0.0:
+        return np.zeros_like(x), True
+    if not np.isfinite(sigma):
+        raise DegenerateInputError(f"values of magnitude up to {np.abs(x).max():g} overflow float64 moments")
+    if sigma <= _CONST_RTOL * max(1.0, abs(mu)):
         return np.zeros_like(x), True
     return (x - mu) / sigma, False
 

@@ -139,10 +139,14 @@ def _check_unique(path: Path | str, ids: Sequence[str]) -> None:
 
 
 def _write_text(path: Path | str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path``, making its directories; an OS refusal is a ParameterError naming it."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:
-        f.writelines(chunks)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w") as f:
+            f.writelines(chunks)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from None
 
 
 def _write_json(path: Path | str, obj: Mapping, indent: int | None = None) -> None:

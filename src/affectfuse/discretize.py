@@ -72,6 +72,7 @@ def _longest_run(mask: np.ndarray) -> int:
     return best
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow leaves a feature non-finite, rejected at the end
 def segment_features(values, target: str) -> np.ndarray:
     """The feature vector of a gold-standard slice, in :func:`feature_names` order.
 
@@ -80,7 +81,8 @@ def segment_features(values, target: str) -> np.ndarray:
     ``length - 1`` (the number of steps). Streak and count features compare
     strictly against the segment mean; peaks are strict local maxima of
     support 1. The reoccurring share is the fraction of samples whose value
-    occurs more than once.
+    occurs more than once. Finite values whose features overflow float64
+    raise :class:`DegenerateInputError`.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
@@ -107,7 +109,10 @@ def segment_features(values, target: str) -> np.ndarray:
     if target == "valence":
         _, counts = np.unique(x, return_counts=True)
         feats.update(mean=float(mean), reoccurring_share=float(counts[counts > 1].sum() / n))
-    return np.asarray([feats[k] for k in names])
+    out = np.asarray([feats[k] for k in names])
+    if not np.isfinite(out).all():
+        raise DegenerateInputError(f"segment values of magnitude up to {np.abs(x).max():g} overflow float64 features")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +243,6 @@ def kmeans(x: np.ndarray, k: int, seed: int = 101) -> tuple[np.ndarray, np.ndarr
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-        inertia = _inertia(x, centres, labels)
         if best is None or inertia < best[0]:
             best = (inertia, centres.copy(), labels.copy())
     assert best is not None

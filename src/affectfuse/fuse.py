@@ -18,7 +18,6 @@ __all__ = [
     "PhysioConfig",
     "GoldStandard",
     "ewe_weights",
-    "ewe_fuse",
     "raaw",
     "prepare_physio",
     "physio_fuse",
@@ -71,15 +70,15 @@ class GoldStandard:
         }
 
 
-def ewe_weights(traces: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluator-weighted-estimator weights for a set of equal-length traces.
+def ewe_weights(traces: np.ndarray) -> np.ndarray:
+    """Evaluator-weighted-estimator weights of the rows of a (traces, samples) matrix.
 
     Each trace's raw weight is its Pearson correlation with the mean of the
     other traces, clipped at zero; weights are normalized to sum to 1. A
     constant trace, or one whose mean-of-others is constant, gets raw weight
     0. If no trace earns positive weight the fallback is uniform.
     """
-    mat = np.stack(traces).astype(np.float64, copy=False)
+    mat = np.asarray(traces, dtype=np.float64)
     k, n = mat.shape
     if k < 2:
         raise ParameterError("ewe_weights needs at least 2 traces")
@@ -94,17 +93,6 @@ def ewe_weights(traces: Sequence[np.ndarray]) -> np.ndarray:
         warnings.warn("no trace has positive inter-rater correlation; using uniform weights")
         return np.full(k, 1.0 / k)
     return raw / raw.sum()
-
-
-def ewe_fuse(traces: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """Weighted sum of traces; weights must be non-negative and sum to 1."""
-    mat = np.stack(traces).astype(np.float64, copy=False)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size != mat.shape[0]:
-        raise ParameterError(f"got {w.size} weights for {mat.shape[0]} traces")
-    if w.min() < 0.0 or abs(w.sum() - 1.0) > 1e-9:
-        raise ParameterError("weights must be non-negative and sum to 1")
-    return w @ mat
 
 
 def _pairwise_agreement(mat: np.ndarray, recording_id: str) -> tuple[float, float]:
@@ -134,10 +122,12 @@ def _pairwise_agreement(mat: np.ndarray, recording_id: str) -> tuple[float, floa
 def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandard:
     """Fuse a rater set into one gold standard.
 
-    Pipeline: standardize every trace, align all traces onto a common grid
-    (iterative reference-based warping), weight the aligned traces by their
-    agreement with the others, and fuse by weighted sum. Inter-rater
-    agreement is reported on the aligned traces; the pre-alignment numbers
+    Pipeline: standardize every trace once (a trace whose moments overflow
+    float64 raises :class:`DegenerateInputError` naming it), align the
+    standardized traces onto a common grid (iterative reference-based
+    warping), weight the aligned traces by their agreement with the others,
+    and fuse by weighted sum. Inter-rater agreement is reported on the
+    aligned traces; the pre-alignment numbers, on the standardized traces,
     are kept in ``metadata``, with the alignment settings under ``fusion``.
     """
     config = config or FusionConfig()
@@ -146,12 +136,18 @@ def raaw(rater_set: RaterSet, config: FusionConfig | None = None) -> GoldStandar
             f"recording {rater_set.recording_id!r}: fusion needs at least 2 raters, "
             f"got {len(rater_set)}"
         )
-    std_values, flags = zip(*map(standardize_values, rater_set.values))
-    degenerate = [rid for rid, flag in zip(rater_set.rater_ids, flags) if flag]
-    pre_mean, pre_std = _pairwise_agreement(np.stack(std_values), rater_set.recording_id)
-    alignment = multi_align(rater_set, config)
+    std_values, degenerate = np.empty(rater_set.values.shape), []
+    for rid, row, out in zip(rater_set.rater_ids, rater_set.values, std_values):
+        try:
+            out[:], flag = standardize_values(row)
+        except DegenerateInputError as exc:  # moments past float64's range
+            raise DegenerateInputError(f"trace {rid!r}: {exc}") from None
+        if flag:
+            degenerate.append(rid)
+    pre_mean, pre_std = _pairwise_agreement(std_values, rater_set.recording_id)
+    alignment = multi_align(std_values, config)
     weights = ewe_weights(alignment.warped)
-    values = ewe_fuse(alignment.warped, weights)
+    values = weights @ alignment.warped
     agr_mean, agr_std = _pairwise_agreement(alignment.warped, rater_set.recording_id)
     return GoldStandard(
         recording_id=rater_set.recording_id,

@@ -21,22 +21,6 @@ __all__ = [
 ]
 
 
-def _check_pair(pred, gold, name: str) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(pred, dtype=np.float64)
-    g = np.asarray(gold, dtype=np.float64)
-    if p.ndim != 1 or g.ndim != 1:
-        raise ParameterError(f"{name}: inputs must be 1-d")
-    if p.size != g.size:
-        raise ParameterError(f"{name}: length mismatch {p.size} vs {g.size}")
-    if p.size < 2:
-        raise ParameterError(f"{name}: need at least 2 samples, got {p.size}")
-    if np.ptp(p) == 0.0:
-        raise DegenerateInputError(f"{name} undefined: prediction is constant")
-    if np.ptp(g) == 0.0:
-        raise DegenerateInputError(f"{name} undefined: reference is constant")
-    return p, g
-
-
 class Moments(NamedTuple):
     """Population moments of a pair of equal-length float64 sequences."""
 
@@ -64,21 +48,42 @@ def moments(p: np.ndarray, g: np.ndarray) -> Moments:
     return Moments(mp, mg, dp, dg, (dp**2).mean(), (dg**2).mean(), (dp * dg).mean())
 
 
+def _pair_moments(pred, gold, name: str) -> Moments:
+    """:func:`moments` of two 1-d sequences of one length, at least 2, neither constant, whose variances are finite."""
+    p = np.asarray(pred, dtype=np.float64)
+    g = np.asarray(gold, dtype=np.float64)
+    if p.ndim != 1 or g.ndim != 1:
+        raise ParameterError(f"{name}: inputs must be 1-d")
+    if p.size != g.size:
+        raise ParameterError(f"{name}: length mismatch {p.size} vs {g.size}")
+    if p.size < 2:
+        raise ParameterError(f"{name}: need at least 2 samples, got {p.size}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a variance non-finite, rejected below
+        m, spans = moments(p, g), (np.ptp(p), np.ptp(g))
+    for which, span, var in zip(("prediction", "reference"), spans, (m.var_p, m.var_g)):
+        if span == 0.0:
+            raise DegenerateInputError(f"{name} undefined: {which} is constant")
+        if not np.isfinite(var):
+            raise DegenerateInputError(f"{name} undefined: the {which}'s moments are not finite in float64")
+    return m
+
+
 def ccc(pred, gold) -> float:
     """Concordance correlation coefficient with population (1/N) moments.
 
     2*cov / (var_pred + var_gold + (mean_pred - mean_gold)^2). Unlike Pearson
     correlation it punishes bias and scale disagreement, so a collapsed or
-    offset prediction cannot score 1. Constant inputs raise
-    :class:`DegenerateInputError` rather than silently scoring 0.
+    offset prediction cannot score 1. Constant inputs, and inputs whose moments
+    overflow float64, raise :class:`DegenerateInputError` rather than silently
+    scoring 0 or NaN.
     """
-    m = moments(*_check_pair(pred, gold, "ccc"))
+    m = _pair_moments(pred, gold, "ccc")
     return float(2.0 * m.cov / (m.var_p + m.var_g + (m.mean_p - m.mean_g) ** 2))
 
 
 def pearson(pred, gold) -> float:
     """Population product-moment correlation of two sequences."""
-    return moments(*_check_pair(pred, gold, "pearson")).correlation()
+    return _pair_moments(pred, gold, "pearson").correlation()
 
 
 def macro_f1(pred, gold, n_classes: int = 5) -> float:

@@ -172,7 +172,7 @@ def test_criterion_05_physio_contract(tmp_path):
         set_ok &= any(r.startswith("physio:") for r in ids)
         set_ok &= gold.metadata["removed_rater"] not in ids
         # independent ranking: standardize + align + EWE by the definition
-        aligned = multi_align(raters)
+        aligned = multi_align(np.stack([standardize_values(row)[0] for row in raters.values]))
         raw = []
         for k in range(len(raters)):
             others = np.delete(aligned.warped, k, axis=0).mean(axis=0)

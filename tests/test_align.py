@@ -18,25 +18,25 @@ from affectfuse.align import (
     multi_align,
     warp_to_reference,
 )
-from affectfuse.core import RaterSet, grid_timestamps_ms, standardize_values
+from affectfuse.core import standardize_values
 from affectfuse.errors import DegenerateInputError, ParameterError
 from affectfuse.metrics import pearson
 
 from _oracles import brute_dtw_cost, full_table_dtw
 
 
-def _rater_set(arrays, rate=4.0, kind="valence"):
-    ids = [f"r{i}" for i in range(len(arrays))]
-    return RaterSet("rec", ids, arrays, kind, grid_timestamps_ms(len(arrays[0]), rate))
+def _standardized(arrays):
+    """The matrix ``fuse.raaw`` hands ``multi_align``: each row standardized."""
+    return np.stack([standardize_values(a)[0] for a in arrays])
 
 
-def _noisy_rater_set():
+def _noisy_traces():
     """Four lagged noisy walks that need 6 rounds to converge."""
     rng = np.random.default_rng(1)
     n = int(rng.integers(40, 120))
     base = np.cumsum(rng.normal(size=n))
     arrays = [np.roll(base, int(rng.integers(-4, 5))) + rng.normal(0, 0.5, n) for _ in range(4)]
-    return _rater_set(arrays, rate=2.0, kind="arousal")
+    return _standardized(arrays)
 
 
 def _alternating_paths(monkeypatch, n=10):
@@ -52,7 +52,7 @@ def _alternating_paths(monkeypatch, n=10):
         return paths[(len(calls) - 1) // 3 % 2]
 
     monkeypatch.setattr(align, "dtw", stub)
-    return _rater_set(list(np.random.default_rng(4).normal(size=(3, n))))
+    return _standardized(list(np.random.default_rng(4).normal(size=(3, n))))
 
 
 def _assert_non_increasing(objective):
@@ -72,7 +72,7 @@ def _rater_case(draw):
         base = np.cumsum(rng.normal(size=length))
         arrays = [np.roll(base, int(rng.integers(-3, 4))) + rng.normal(0, 0.5, length)
                   for _ in range(n_raters)]
-    return _rater_set(list(arrays)), draw(st.sampled_from([None, 0, 1, 3]))
+    return _standardized(list(arrays)), draw(st.sampled_from([None, 0, 1, 3]))
 
 
 class TestDtw:
@@ -209,8 +209,8 @@ class TestObjectiveNeverRises:
     @settings(max_examples=150)
     @given(_rater_case())
     def test_objective_non_increasing(self, case):
-        rs, band = case
-        result = multi_align(rs, FusionConfig(band=band))
+        traces, band = case
+        result = multi_align(traces, FusionConfig(band=band))
         assert len(result.objective) == len(result.max_delta) == result.iterations
         _assert_non_increasing(result.objective)
         assert (result.max_delta[-1] < 1e-4) == result.converged
@@ -268,9 +268,9 @@ class TestMultiAlign:
         t = np.arange(400) / 4.0
         base = np.sin(2 * np.pi * t / 23.0) + 0.5 * np.sin(2 * np.pi * t / 7.0)
         lag = 6
-        rs = _rater_set([base[lag:], base[:-lag]])
+        traces = _standardized([base[lag:], base[:-lag]])
         raw_cc = pearson(base[lag:], base[:-lag])
-        result = multi_align(rs)
+        result = multi_align(traces)
         cc = pearson(result.warped[0], result.warped[1])
         assert cc >= 0.99
         assert cc > raw_cc
@@ -279,14 +279,14 @@ class TestMultiAlign:
         rng = np.random.default_rng(21)
         t = np.arange(300)
         base = np.sin(2 * np.pi * t / 60.0)
-        rs = _rater_set(
+        traces = _standardized(
             [
                 np.roll(base, 3) + rng.normal(0, 0.02, 300),
                 base + rng.normal(0, 0.02, 300),
                 np.roll(base, -3) + rng.normal(0, 0.02, 300),
             ]
         )
-        result = multi_align(rs, FusionConfig(max_iter=10))
+        result = multi_align(traces, FusionConfig(max_iter=10))
         assert result.converged
         assert result.stop_reason == "converged"
         assert result.iterations <= 10
@@ -302,23 +302,23 @@ class TestMultiAlign:
         if case == "converges":
             rng = np.random.default_rng(21)
             base = np.sin(2 * np.pi * np.arange(300) / 60.0)
-            rs = _rater_set([np.roll(base, s) + rng.normal(0, 0.02, 300) for s in (3, 0, -3)])
+            traces = _standardized([np.roll(base, s) + rng.normal(0, 0.02, 300) for s in (3, 0, -3)])
         elif case == "alternates":
-            rs = _alternating_paths(monkeypatch)
+            traces = _alternating_paths(monkeypatch)
         else:
-            rs = _noisy_rater_set()
+            traces = _noisy_traces()
         calls = []
         inner_dtw = align.dtw
         monkeypatch.setattr(align, "dtw", lambda *a, **k: calls.append(1) or inner_dtw(*a, **k))
-        result = multi_align(rs, FusionConfig(max_iter=max_iter))
+        result = multi_align(traces, FusionConfig(max_iter=max_iter))
         assert result.stop_reason == stop_reason
-        assert len(calls) == len(rs) * result.iterations
+        assert len(calls) == len(traces) * result.iterations
 
     def test_equal_cost_paths_stall(self, monkeypatch):
         # rounds alternate between two paths of equal cost: J cannot fall,
         # while the reference keeps moving between their two medians
-        rs = _alternating_paths(monkeypatch)
-        result = multi_align(rs, FusionConfig(max_iter=20))
+        traces = _alternating_paths(monkeypatch)
+        result = multi_align(traces, FusionConfig(max_iter=20))
         assert result.stop_reason == "stalled"
         assert not result.converged
         assert result.iterations == 2
@@ -327,8 +327,8 @@ class TestMultiAlign:
 
     @pytest.mark.parametrize("max_iter", [1, 3, 20])
     def test_round_diagnostics(self, max_iter):
-        rs = _noisy_rater_set()
-        result = multi_align(rs, FusionConfig(max_iter=max_iter))
+        traces = _noisy_traces()
+        result = multi_align(traces, FusionConfig(max_iter=max_iter))
         assert len(result.objective) == len(result.max_delta) == result.iterations
         assert result.iterations <= max_iter
         # the last entry is the summed cost of the paths the result holds
@@ -337,9 +337,8 @@ class TestMultiAlign:
         assert (result.max_delta[-1] < 1e-4) == (result.stop_reason == "converged")
 
     def test_median_reference_minimises_cost_for_fixed_paths(self):
-        rs = _noisy_rater_set()
-        traces = np.stack([standardize_values(row)[0] for row in rs.values])
-        result = multi_align(rs, FusionConfig(max_iter=1))
+        traces = _noisy_traces()
+        result = multi_align(traces, FusionConfig(max_iter=1))
         ref_idx = np.concatenate([p.pairs[:, 1] for p in result.paths])
         values = np.concatenate([tr[p.pairs[:, 0]] for tr, p in zip(traces, result.paths)])
 
@@ -354,8 +353,8 @@ class TestMultiAlign:
         slack = 1e-12 * best
         for scale in (1e-6, 1e-3, 1e-1):
             for _ in range(20):
-                assert best <= cost(result.reference + rng.normal(0, scale, rs.n_samples)) + slack
-            for j in rng.choice(rs.n_samples, size=10, replace=False):
+                assert best <= cost(result.reference + rng.normal(0, scale, traces.shape[1])) + slack
+            for j in rng.choice(traces.shape[1], size=10, replace=False):
                 for step in (-scale, scale):
                     moved = result.reference.copy()
                     moved[j] += step
@@ -364,53 +363,53 @@ class TestMultiAlign:
     def test_even_count_median_is_midpoint(self):
         # two raters on the identity path: each reference sample is the
         # mean of the two standardized samples mapped to it
-        rs = _rater_set([np.arange(6.0), np.arange(6.0) ** 2])
-        result = multi_align(rs, FusionConfig(max_iter=1, band=0))
-        std = np.stack([standardize_values(row)[0] for row in rs.values])
+        rows = [np.arange(6.0), np.arange(6.0) ** 2]
+        result = multi_align(_standardized(rows), FusionConfig(max_iter=1, band=0))
+        std = np.stack([standardize_values(row)[0] for row in rows])
         assert np.allclose(result.reference, std.mean(axis=0), rtol=0, atol=1e-15)
 
     def test_grid_length_matches_input(self):
         rng = np.random.default_rng(22)
-        rs = _rater_set([rng.normal(size=120), rng.normal(size=120)])
-        result = multi_align(rs)
+        traces = _standardized([rng.normal(size=120), rng.normal(size=120)])
+        result = multi_align(traces)
         assert result.warped.shape == (2, 120)
         assert result.reference.shape == (120,)
 
     def test_integer_reference_selects_single_pass(self, monkeypatch):
         rng = np.random.default_rng(31)
         base = np.cumsum(rng.normal(size=200))
-        rs = _rater_set([np.roll(base, 2), base, base[::-1]])
+        traces = _standardized([np.roll(base, 2), base, base[::-1]])
         calls = []
         inner_dtw = align.dtw
         monkeypatch.setattr(align, "dtw", lambda *a, **k: calls.append(1) or inner_dtw(*a, **k))
-        result = multi_align(rs, FusionConfig(reference=1))
-        assert len(calls) == len(rs)  # one round: one dtw call per trace
+        result = multi_align(traces, FusionConfig(reference=1))
+        assert len(calls) == len(traces)  # one round: one dtw call per trace
         assert result.converged
         assert result.stop_reason == "converged"
         assert result.iterations == 1
         assert result.objective == (sum(p.cost for p in result.paths),)
         assert result.max_delta == (0.0,)
         # rater 1 is the reference, unchanged by the round: its standardized trace
-        std1 = standardize_values(rs.values[1])[0]
+        std1 = standardize_values(base)[0]
         assert np.array_equal(result.reference, std1)
         assert np.allclose(result.warped[1], (base - base.mean()) / base.std())
         # the round count does not matter: the fixed reference stops after one round
         for max_iter in (1, 20):
-            again = multi_align(rs, FusionConfig(max_iter=max_iter, reference=1))
+            again = multi_align(traces, FusionConfig(max_iter=max_iter, reference=1))
             assert np.array_equal(again.warped, result.warped)
             assert np.array_equal(again.reference, result.reference)
             assert [p.pairs.tolist() for p in again.paths] == [p.pairs.tolist() for p in result.paths]
             assert (again.iterations, again.objective, again.max_delta) == (1, result.objective, (0.0,))
 
     def test_reference_index_out_of_range(self):
-        rs = _rater_set([np.arange(5.0), np.arange(5.0) * 2])
-        with pytest.raises(DegenerateInputError, match="index 2 out of range: rater set 'rec' has 2 raters"):
-            multi_align(rs, FusionConfig(reference=2))
+        traces = _standardized([np.arange(5.0), np.arange(5.0) * 2])
+        with pytest.raises(DegenerateInputError, match="index 2 out of range for 2 raters"):
+            multi_align(traces, FusionConfig(reference=2))
 
     def test_unknown_reference_mode_rejected(self):
-        rs = _rater_set([np.arange(5.0), np.arange(5.0) * 2])
+        traces = _standardized([np.arange(5.0), np.arange(5.0) * 2])
         with pytest.raises(ParameterError):
-            multi_align(rs, FusionConfig(reference="median"))
+            multi_align(traces, FusionConfig(reference="median"))
 
     @pytest.mark.parametrize("reference", [-1, np.int64(-1)])
     def test_negative_reference_rejected_when_built(self, reference):
@@ -418,37 +417,22 @@ class TestMultiAlign:
         with pytest.raises(ParameterError, match="reference must be 'mean' or a rater index >= 0"):
             FusionConfig(reference=reference)
 
-    def test_affine_invariance(self):
-        # standardization inside the alignment makes per-rater affine
-        # transforms irrelevant
-        rng = np.random.default_rng(41)
-        t = np.arange(250)
-        base = np.sin(2 * np.pi * t / 50.0)
-        raw = [
-            np.roll(base, 2) + rng.normal(0, 0.01, 250),
-            base + rng.normal(0, 0.01, 250),
-        ]
-        scaled = [5.0 * raw[0] - 3.0, 0.1 * raw[1] + 42.0]
-        r1 = multi_align(_rater_set(raw))
-        r2 = multi_align(_rater_set(scaled))
-        assert np.allclose(r1.warped, r2.warped, atol=1e-9)
-
     def test_requires_two_traces(self):
         with pytest.raises(ParameterError):
-            multi_align(_rater_set([np.arange(10.0)]))
+            multi_align(_standardized([np.arange(10.0)]))
 
     def test_bad_iteration_parameters(self):
-        rs = _rater_set([np.arange(8.0), np.arange(8.0) ** 2])
+        traces = _standardized([np.arange(8.0), np.arange(8.0) ** 2])
         with pytest.raises(ParameterError):
-            multi_align(rs, FusionConfig(max_iter=0))
+            multi_align(traces, FusionConfig(max_iter=0))
         with pytest.raises(ParameterError):
-            multi_align(rs, FusionConfig(tol=0.0))
+            multi_align(traces, FusionConfig(tol=0.0))
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
     def test_non_finite_tol_rejected(self, tol):
-        rs = _rater_set([np.arange(8.0), np.arange(8.0) ** 2])
+        traces = _standardized([np.arange(8.0), np.arange(8.0) ** 2])
         with pytest.raises(ParameterError, match="tol must be positive and finite"):
-            multi_align(rs, FusionConfig(tol=tol))
+            multi_align(traces, FusionConfig(tol=tol))
 
 
 class TestDefaultBand:

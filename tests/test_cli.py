@@ -1610,8 +1610,8 @@ class TestDegenerateDataExit3:
                    "--reference", "3", "--jobs", jobs])
         captured = capsys.readouterr()
         assert rc == 3
-        assert (f"data error: {ann / 'rec_000' / 'arousal'}: reference rater index 3 out of range: "
-                "rater set 'rec_000' has 3 raters") in captured.err
+        assert (f"data error: {ann / 'rec_000' / 'arousal'}: reference rater index 3 out of range "
+                "for 3 raters") in captured.err
         assert "Traceback" not in captured.err and not (tmp_path / "g").exists()
 
     def test_physio_recording_shorter_than_the_smoothing_window_exit_3(self, tmp_path, capsys):
@@ -1735,6 +1735,64 @@ class TestDegenerateDataExit3:
         assert f"data error: {streams[0]}: {streams[1]}: {gold}: {partitions}: late fusion has no item" in captured.err
         assert "Traceback" not in captured.err
         assert not (tmp_path / "f").exists()
+
+
+def _overflowing(path: Path, column: str = "value") -> None:
+    """Rewrite a ``timestamp_ms,<column>`` CSV's values to alternate 1e308 and -1e308: finite, but their moments
+    overflow float64."""
+    header, *rows = path.read_text().splitlines()
+    assert header == f"timestamp_ms,{column}"
+    values = (f"{r.partition(',')[0]},{'-' if k % 2 else ''}1e308" for k, r in enumerate(rows))
+    path.write_text("\n".join([header, *values]) + "\n")
+
+
+class TestFloat64Overflow:
+    """Finite values whose moments overflow float64 exit 3, naming the file or its directory."""
+
+    def _exit_3(self, capsys, argv, *named):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"data error: {': '.join(map(str, named))}: " in captured.err
+        assert "Traceback" not in captured.err
+        return captured
+
+    def test_rater_file(self, corpus, tmp_path, capsys):
+        ann = tmp_path / "ann"
+        shutil.copytree(corpus / "data" / "annotations" / "rec_000", ann / "rec_000")
+        _overflowing(ann / "rec_000" / "arousal" / "r1.csv")
+        self._exit_3(capsys, ["raaw", "--annotations", str(ann), "--kind", "arousal", "--out", str(tmp_path / "g")],
+                     ann / "rec_000" / "arousal", "trace 'r1'")
+        assert not (tmp_path / "g").exists()
+
+    def test_eda_file(self, corpus, tmp_path, capsys):
+        ann, eda = tmp_path / "ann", tmp_path / "eda" / "rec_000.csv"
+        shutil.copytree(corpus / "data" / "annotations" / "rec_000", ann / "rec_000")
+        eda.parent.mkdir()
+        shutil.copy(corpus / "data" / "eda" / "rec_000.csv", eda)
+        _overflowing(eda)
+        self._exit_3(capsys, ["physio", "--annotations", str(ann), "--kind", "arousal", "--eda", str(eda.parent),
+                              "--out", str(tmp_path / "g")], ann / "rec_000" / "arousal", eda)
+        assert not (tmp_path / "g").exists()
+
+    def test_gold_file(self, corpus, tmp_path, capsys):
+        gold = tmp_path / "gold"
+        shutil.copytree(corpus / "gold", gold)
+        segments = corpus / "data" / "segments.csv"
+        first = read_segments_csv(segments)[0]
+        _overflowing(gold / f"{first.recording_id}.csv")
+        self._exit_3(capsys, ["discretize", "--gold", str(gold), "--segments", str(segments), "--target", "arousal",
+                              "--out", str(tmp_path / "labels.csv")],
+                     segments, f"segment {first.segment_id!r}", gold / f"{first.recording_id}.csv")
+        assert not (tmp_path / "labels.csv").exists()
+
+    def test_prediction_file(self, corpus, trained, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        shutil.copytree(trained / "modal_a" / "preds" / "devel", pred)
+        _overflowing(sorted(pred.glob("*.csv"))[0], column="pred")
+        captured = self._exit_3(capsys, ["eval", "--pred", str(pred), "--gold", str(corpus / "gold")],
+                                pred, corpus / "gold")
+        assert "ccc=" not in captured.out
 
 
 def _shift_rows(path: Path, by_ms: int) -> None:
@@ -2136,6 +2194,44 @@ class TestPathOptions:
         assert rc == 2
         assert "expected a path, got ''" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+
+# a run of each writing option of PATH_OPTIONS that reaches its writes; {B} is a path under a regular file
+_FUSION_ARGV = ["--annotations", "{C}/data/annotations", "--kind", "arousal"]
+_DISCRETIZE_ARGV = ["--gold", "{C}/gold", "--segments", "{C}/data/segments.csv", "--target", "arousal",
+                    "--method", "kmeans"]
+WRITING_ARGV = {
+    ("synth", "--out"): ["synth", "--out", "{B}", "--recordings", "1", "--duration", "10", "--raters", "2"],
+    ("raaw", "--out"): ["raaw", *_FUSION_ARGV, "--out", "{B}"],
+    ("raaw", "--dump-paths"): ["raaw", *_FUSION_ARGV, "--out", "{t}/gold", "--dump-paths", "{B}"],
+    ("physio", "--out"): ["physio", *_FUSION_ARGV, "--eda", "{C}/data/eda", "--out", "{B}"],
+    ("physio", "--dump-paths"): ["physio", *_FUSION_ARGV, "--eda", "{C}/data/eda", "--out", "{t}/gold",
+                                 "--dump-paths", "{B}"],
+    ("discretize", "--out"): ["discretize", *_DISCRETIZE_ARGV, "--out", "{B}"],
+    ("discretize", "--model-out"): ["discretize", *_DISCRETIZE_ARGV, "--out", "{t}/labels.csv", "--model-out", "{B}"],
+    ("train", "--out"): ["train", "--task", "stress", "--features", "{C}/data/features/modal_a", "--gold", "{C}/gold",
+                         "--partitions", "{C}/data/partitions.csv", "--out", "{B}", "--window", "30", "--hop", "15",
+                         "--hidden", "4", "--epochs", "1"],
+    ("fuse-late", "--out"): ["fuse-late", "--task", "stress", "--streams", "{T}/modal_a/preds", "{T}/modal_b/preds",
+                             "--gold", "{C}/gold", "--partitions", "{C}/data/partitions.csv", "--out", "{B}",
+                             "--epochs", "1"],
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(("command", "flag"), [pytest.param(c, f, id=f"{c}{f}") for c, f in PATH_OPTIONS
+                                                   if f in ("--out", "--dump-paths", "--model-out")])
+    def test_path_under_a_regular_file_exit_2_naming_it(self, corpus, trained, tmp_path, capsys, command, flag):
+        (tmp_path / "file").write_text("")
+        blocked = tmp_path / "file" / "x"
+        argv = WRITING_ARGV[(command, flag)]
+        for key, path in {"{B}": blocked, "{C}": corpus, "{T}": trained, "{t}": tmp_path}.items():
+            argv = [a.replace(key, str(path)) for a in argv]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"error: cannot write {blocked}" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def _float_options() -> list:

@@ -64,7 +64,7 @@ class TestRaterSet:
     def test_groups_matching_traces(self):
         rs = rater_set([[0.0, 1.0], [2.0, 3.0]], [0, 500])
         assert rs.kind == "arousal"
-        assert rs.n_samples == 2
+        assert rs.timestamps_ms.size == 2
         assert rs.values.shape == (2, 2)
 
     def test_holds_its_grid_once_as_read_only_int64(self):

@@ -11,7 +11,6 @@ from affectfuse.errors import DegenerateInputError, ParameterError
 from affectfuse.fuse import (
     PhysioConfig,
     agreement_stats,
-    ewe_fuse,
     ewe_weights,
     physio_fuse,
     prepare_physio,
@@ -76,22 +75,6 @@ class TestEweWeights:
             ewe_weights([np.array([1.0]), np.array([2.0])])
 
 
-class TestEweFuse:
-    def test_weighted_sum(self):
-        traces = [np.array([0.0, 2.0]), np.array([4.0, 6.0])]
-        fused = ewe_fuse(traces, np.array([0.25, 0.75]))
-        assert np.allclose(fused, [3.0, 5.0])
-
-    def test_rejects_bad_weights(self):
-        traces = [np.zeros(3), np.ones(3)]
-        with pytest.raises(ParameterError):
-            ewe_fuse(traces, np.array([0.5, 0.6]))
-        with pytest.raises(ParameterError):
-            ewe_fuse(traces, np.array([-0.5, 1.5]))
-        with pytest.raises(ParameterError):
-            ewe_fuse(traces, np.array([1.0]))
-
-
 class TestRaaw:
     def test_gold_standard_fields(self):
         rng = np.random.default_rng(10)
@@ -105,6 +88,28 @@ class TestRaaw:
         assert gold.weights.shape == (3,)
         assert gold.weights.sum() == pytest.approx(1.0)
         assert np.all(np.isfinite(gold.values))
+
+    def test_gold_is_the_weighted_sum_of_the_warped_traces(self):
+        # the weights are non-negative and sum to 1; the gold is exactly their weighted sum
+        rng = np.random.default_rng(10)
+        gold = raaw(_rater_set(_sine_raters(rng)))
+        assert gold.weights.min() >= 0.0 and abs(gold.weights.sum() - 1.0) <= 1e-9
+        assert np.array_equal(gold.values, gold.weights @ gold.alignment.warped)
+
+    def test_affine_invariance(self):
+        # raaw standardizes each rater before the alignment, so per-rater
+        # affine transforms are irrelevant
+        rng = np.random.default_rng(41)
+        t = np.arange(250)
+        base = np.sin(2 * np.pi * t / 50.0)
+        raw = [
+            np.roll(base, 2) + rng.normal(0, 0.01, 250),
+            base + rng.normal(0, 0.01, 250),
+        ]
+        scaled = [5.0 * raw[0] - 3.0, 0.1 * raw[1] + 42.0]
+        r1 = raaw(_rater_set(raw)).alignment
+        r2 = raaw(_rater_set(scaled)).alignment
+        assert np.allclose(r1.warped, r2.warped, atol=1e-9)
 
     def test_metadata_keys(self):
         rng = np.random.default_rng(11)
@@ -247,7 +252,7 @@ class TestPhysioFuse:
         rng = np.random.default_rng(23)
         rs, _ = self._setup(rng)
         with pytest.warns(UserWarning, match="recording 'rec': physiological signal is constant"):
-            gold = physio_fuse(rs, np.full(rs.n_samples, 1.0))
+            gold = physio_fuse(rs, np.full(rs.timestamps_ms.size, 1.0))
         idx = gold.metadata["rater_ids"].index("physio:rec")
         assert gold.weights[idx] == 0.0
         assert "physio:rec" in gold.metadata["degenerate_raters"]
