@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
 
-__all__ = ["FusionConfig", "WarpPath", "AlignmentResult", "dtw", "default_band", "multi_align", "warp_to_reference"]
+__all__ = ["FusionConfig", "WarpPath", "AlignmentResult", "dtw", "default_band", "multi_align"]
 
 
 @dataclass(frozen=True)
@@ -177,26 +177,15 @@ def dtw(a, b, band: int | None = None) -> WarpPath:
     return WarpPath(pairs=pairs, cost=cost)
 
 
-def warp_to_reference(values: np.ndarray, path: WarpPath, grid_length: int) -> np.ndarray:
-    """Project ``values`` onto the reference grid of ``path``.
-
-    Source samples mapped to the same reference index are averaged, so the
-    output always has ``grid_length`` samples with no holes.
-    """
-    src = path.pairs[:, 0]
-    ref = path.pairs[:, 1]
-    if ref.max() >= grid_length:
-        raise ParameterError("path reference indices exceed the target grid")
-    totals = np.bincount(ref, weights=np.asarray(values, dtype=np.float64)[src], minlength=grid_length)
-    counts = np.bincount(ref, minlength=grid_length)
-    if counts.min() == 0:
-        raise ParameterError("warp path does not cover the full reference grid")
-    return totals / counts
-
-
 def default_band(length: int) -> int:
     """Default Sakoe-Chiba radius: 10% of the sequence length, at least 1."""
     return max(1, int(round(0.1 * length)))
+
+
+def _path_stack(traces: np.ndarray, paths: tuple[WarpPath, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of ``paths``, in path order: its reference index and the source value it maps."""
+    ref_idx = np.concatenate([p.pairs[:, 1] for p in paths])
+    return ref_idx, np.concatenate([tr[p.pairs[:, 0]] for tr, p in zip(traces, paths)])
 
 
 def multi_align(traces: np.ndarray, config: FusionConfig | None = None) -> AlignmentResult:
@@ -212,8 +201,9 @@ def multi_align(traces: np.ndarray, config: FusionConfig | None = None) -> Align
     beyond dtw's tie tolerance. The loop stops when the largest reference
     change (``max_delta``) drops below ``config.tol`` (``stop_reason="converged"``),
     when J falls by no more than ``TIE_RTOL * max(1, J)`` (``"stalled"``)
-    or after ``config.max_iter`` rounds (``"max_iter"``). ``warped`` holds each
-    trace's per-index averages under the last paths, on the input's grid.
+    or after ``config.max_iter`` rounds (``"max_iter"``). ``warped`` holds, on
+    the input's grid, the mean of each trace's samples that its last path maps
+    to each reference index; a ``dtw`` path reaches every index.
 
     The traces are aligned as given: :func:`affectfuse.fuse.raaw` standardizes
     them first. ``config.reference=k`` (an integer rater index) fixes the
@@ -238,12 +228,12 @@ def multi_align(traces: np.ndarray, config: FusionConfig | None = None) -> Align
         paths = tuple(dtw(tr, ref, band=band) for tr in traces)
         new_ref = ref  # a rater's trace stays the reference: the first round converges
         if not fixed:  # pooled median per reference index: the middle of its sorted run
-            ref_idx = np.concatenate([p.pairs[:, 1] for p in paths])
-            values = np.concatenate([tr[p.pairs[:, 0]] for tr, p in zip(traces, paths)])
+            ref_idx, values = _path_stack(traces, paths)
             values = values[np.lexsort((values, ref_idx))]
             counts = np.bincount(ref_idx, minlength=length)
             start = np.cumsum(counts) - counts
             new_ref = 0.5 * (values[start + (counts - 1) // 2] + values[start + counts // 2])
+            del ref_idx, values  # not held through the next round's dtw tables
         deltas.append(float(np.max(np.abs(new_ref - ref))))
         costs.append(float(sum(p.cost for p in paths)))
         ref = new_ref
@@ -251,7 +241,10 @@ def multi_align(traces: np.ndarray, config: FusionConfig | None = None) -> Align
         stop_reason = "converged" if deltas[-1] < tol else "stalled" if stalled else "max_iter"
         if stop_reason != "max_iter":
             break
-    warped = np.stack([warp_to_reference(tr, p, length) for tr, p in zip(traces, paths)])
+    ref_idx, values = _path_stack(traces, paths)
+    # one bin per (row, reference index), summed in path order
+    flat = np.repeat(np.arange(len(paths)) * length, [len(p.pairs) for p in paths]) + ref_idx
+    warped = (np.bincount(flat, values, traces.size) / np.bincount(flat, minlength=traces.size)).reshape(traces.shape)
     return AlignmentResult(
         warped=warped, paths=paths, reference=ref, iterations=len(costs), stop_reason=stop_reason,
         objective=tuple(costs), max_delta=tuple(deltas),

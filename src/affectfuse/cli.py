@@ -396,6 +396,7 @@ def _run_fusion(args) -> int:
     golds = [results[rec] for rec in recordings]
     with _data_of(args.annotations):
         mean, std = agreement_stats(golds)
+    dataio._make_dirs(*filter(None, (args.out, args.dump_paths)))  # an unwritable one exits 2 before any file
     for rec, gold in zip(recordings, golds):
         dataio.write_gold_csv(args.out / f"{rec}.csv", gold.timestamps_ms, gold.values, gold.sidecar())
         _info(f"fused {rec} (agreement {gold.agreement_mean:.3f})")

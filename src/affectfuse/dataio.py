@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -138,15 +139,29 @@ def _check_unique(path: Path | str, ids: Sequence[str]) -> None:
             raise DataError(f"{path}: segment {seg_id!r} in data rows {first_row[seg_id]} and {row}")
 
 
+@contextmanager
+def _writing(path: Path | str):
+    """The one mapping of a write's OS refusal: a ParameterError naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from None
+
+
+def _make_dirs(*paths: Path | str) -> None:
+    """Make each directory of ``paths`` with its parents, so a command can refuse before its first file."""
+    for path in paths:
+        with _writing(path):
+            Path(path).mkdir(parents=True, exist_ok=True)
+
+
 def _write_text(path: Path | str, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to ``path``, making its directories; an OS refusal is a ParameterError naming it."""
     path = Path(path)
-    try:
+    with _writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w") as f:
             f.writelines(chunks)
-    except OSError as exc:
-        raise ParameterError(f"cannot write {path}: {exc}") from None
 
 
 def _write_json(path: Path | str, obj: Mapping, indent: int | None = None) -> None:

@@ -353,6 +353,18 @@ def full_table_dtw(a, b, band=None):
     return WarpPath(pairs=pairs, cost=cost)
 
 
+def warp_row(values, path, grid_length: int) -> np.ndarray:
+    """One trace projected onto the reference grid of its ``WarpPath``.
+
+    The package's first warp, one row at a time: the source samples the path
+    maps to a reference index are summed in path order and divided by their
+    count.
+    """
+    src, ref = path.pairs[:, 0], path.pairs[:, 1]
+    totals = np.bincount(ref, weights=np.asarray(values, dtype=np.float64)[src], minlength=grid_length)
+    return totals / np.bincount(ref, minlength=grid_length)
+
+
 def loop_align_to_labels(features, label_timestamps_ms) -> np.ndarray:
     """``dataio.align_to_labels`` one label step at a time, in Python integers.
 

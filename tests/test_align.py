@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,13 +16,12 @@ from affectfuse.align import (
     default_band,
     dtw,
     multi_align,
-    warp_to_reference,
 )
 from affectfuse.core import standardize_values
 from affectfuse.errors import DegenerateInputError, ParameterError
 from affectfuse.metrics import pearson
 
-from _oracles import brute_dtw_cost, full_table_dtw
+from _oracles import brute_dtw_cost, full_table_dtw, warp_row
 
 
 def _standardized(arrays):
@@ -238,27 +237,34 @@ class TestWarpPath:
             WarpPath(pairs=np.array([[0, 0], [0, 0]]), cost=0.0)
 
 
-class TestWarpToReference:
-    def test_repeated_reference_index_averages(self):
-        # reference step 0 receives source samples 0 and 1 -> their mean
-        path = WarpPath(pairs=np.array([[0, 0], [1, 0], [2, 1]]), cost=0.0)
-        warped = warp_to_reference(np.array([2.0, 4.0, 5.0]), path, 2)
-        assert np.allclose(warped, [3.0, 5.0])
+@st.composite
+def _warp_case(draw):
+    n_rows = draw(st.integers(2, 6))
+    length = draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # small integers: ties make paths hold one reference index for several source samples
+        traces = rng.integers(0, 4, size=(n_rows, length)).astype(float)
+    else:
+        traces = np.cumsum(rng.normal(size=(n_rows, length)), axis=1)
+    # an offset makes every sum of several samples round, so a changed summation order shows
+    traces += draw(st.sampled_from([0.0, 1e12]))
+    return traces, draw(st.just("mean") | st.integers(0, n_rows - 1))
 
-    def test_uncovered_reference_tail_rejected(self):
-        path = WarpPath(pairs=np.array([[0, 0], [1, 1]]), cost=0.0)
-        with pytest.raises(ParameterError):
-            warp_to_reference(np.array([1.0, 2.0]), path, 3)
 
-    def test_path_overrunning_grid_rejected(self):
-        path = WarpPath(pairs=np.array([[0, 0], [1, 1]]), cost=0.0)
-        with pytest.raises(ParameterError):
-            warp_to_reference(np.array([1.0, 2.0]), path, 1)
-
-    def test_identity_path_roundtrip(self):
-        x = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        path = dtw(x, x, band=5)
-        assert np.array_equal(warp_to_reference(x, path, 5), x)
+class TestWarpedMatchesPerRowOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_warp_case())
+    # source samples 0 and 1 share reference index 0: their mean, 3
+    @example(case=(np.array([[2.0, 4.0, 9.0], [3.0, 9.0, 9.0]]), 1))
+    # equal rows: identity paths, so each row comes back as it was
+    @example(case=(np.tile([3.0, 1.0, 4.0, 1.0, 5.0], (2, 1)), "mean"))
+    def test_warped_is_each_rows_warp_on_its_path(self, case):
+        traces, reference = case
+        result = multi_align(traces, FusionConfig(reference=reference))
+        want = np.stack([warp_row(tr, p, traces.shape[1]) for tr, p in zip(traces, result.paths)])
+        assert result.warped.shape == traces.shape
+        assert result.warped.tobytes() == want.tobytes()
 
 
 class TestMultiAlign:

@@ -2233,6 +2233,15 @@ class TestUnwritableOutput:
         assert f"error: cannot write {blocked}" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["raaw", "physio"])
+    def test_unwritable_dump_paths_leave_no_gold_file(self, corpus, tmp_path, command):
+        (tmp_path / "file").write_text("")
+        argv = WRITING_ARGV[(command, "--dump-paths")]
+        for key, path in {"{B}": tmp_path / "file" / "x", "{C}": corpus, "{t}": tmp_path}.items():
+            argv = [a.replace(key, str(path)) for a in argv]
+        assert main(argv) == 2
+        assert [p for p in (tmp_path / "gold").rglob("*") if p.is_file()] == []
+
 
 def _float_options() -> list:
     """(command, flag, config key) of each synth, raaw, physio and train option whose type makes "0.5" a float."""
@@ -2348,8 +2357,8 @@ def test_setting_out_of_bounds_exit_2_before_any_file_is_read(tmp_path, capsys, 
 
 # Command shapes of the subcommand fuzz test; `fuzz_inputs` gives each its argv
 # (without --out) and the input file it replaces. `synth` reads no input file.
-FUZZ_SHAPES = ("raaw", "raaw-second-rater", "physio", "discretize", "discretize-segments", "train", "train-sent", "train-sent-segments",
-               "eval", "eval-labels", "fuse-late")
+FUZZ_SHAPES = ("raaw", "raaw-second-rater", "physio", "discretize", "discretize-segments", "train", "train-partitions",
+               "train-sent", "train-sent-segments", "eval", "eval-labels", "eval-gold-labels", "fuse-late", "fuse-late-gold")
 
 
 @pytest.fixture(scope="module")
@@ -2366,6 +2375,9 @@ def fuzz_inputs(corpus, trained, tmp_path_factory):
     fit = ["--gold", str(gold), "--partitions", str(data / "partitions.csv"), "--epochs", "1", "--batch", "8"]
     features = ["--features", str(data / "features" / "modal_a"), "--hidden", "4"]
     segments = ["--segments", str(data / "segments.csv")]
+    gold_labels = root / "gold_labels.csv"
+    shutil.copy(labels, gold_labels)
+    late = ["fuse-late", "--task", "stress", *fit, "--streams", str(preds), str(trained / "modal_b" / "preds")]
     shapes = {
         "raaw": (["raaw", *fusion], sorted((root / "annotations" / "rec_000" / "arousal").glob("*.csv"))[0]),
         # checked against the first file's timestamps
@@ -2376,14 +2388,17 @@ def fuzz_inputs(corpus, trained, tmp_path_factory):
                                 data / "segments.csv"),
         "train": (["train", "--task", "stress", *fit, *features, "--window", "30"],
                   data / "features" / "modal_a" / "rec_000.csv"),
+        "train-partitions": (["train", "--task", "stress", *fit, *features, "--window", "30"], data / "partitions.csv"),
         "train-sent": (["train", "--task", "sent", *features, *segments, "--labels", str(labels), "--epochs", "1"],
                        labels),
         "train-sent-segments": (["train", "--task", "sent", *features, *segments, "--labels", str(labels),
                                  "--epochs", "1"], data / "segments.csv"),
         "eval": (["eval", "--pred", str(preds / "devel"), "--gold", str(gold)], sorted((preds / "devel").glob("*"))[0]),
         "eval-labels": (["eval", "--pred-labels", str(labels), "--gold-labels", str(labels)], labels),
-        "fuse-late": (["fuse-late", "--task", "stress", *fit, "--streams", str(preds), str(trained / "modal_b" / "preds")],
-                      sorted((preds / "train").glob("*"))[0]),
+        # its own copy of the labels, so --pred-labels stays intact
+        "eval-gold-labels": (["eval", "--pred-labels", str(labels), "--gold-labels", str(gold_labels)], gold_labels),
+        "fuse-late": (late, sorted((preds / "train").glob("*"))[0]),
+        "fuse-late-gold": (late, gold / "rec_000.csv"),
     }
     assert set(shapes) == set(FUZZ_SHAPES)
     return root / "out", shapes
