@@ -264,6 +264,8 @@ class TestWarpedMatchesPerRowOracle:
         result = multi_align(traces, FusionConfig(reference=reference))
         want = np.stack([warp_row(tr, p, traces.shape[1]) for tr, p in zip(traces, result.paths)])
         assert result.warped.shape == traces.shape
+        # dtw's paths reach every reference index, so no bin is left empty
+        assert np.isfinite(result.warped).all()
         assert result.warped.tobytes() == want.tobytes()
 
 
@@ -373,6 +375,18 @@ class TestMultiAlign:
         result = multi_align(_standardized(rows), FusionConfig(max_iter=1, band=0))
         std = np.stack([standardize_values(row)[0] for row in rows])
         assert np.allclose(result.reference, std.mean(axis=0), rtol=0, atol=1e-15)
+
+    def test_repeated_reference_index_averages(self):
+        # row 0's path maps source samples 0 and 1 to reference index 0
+        result = multi_align(np.array([[2.0, 4.0, 9.0], [3.0, 9.0, 9.0]]), FusionConfig(reference=1))
+        assert result.paths[0].pairs.tolist() == [[0, 0], [1, 0], [2, 1], [2, 2]]
+        assert result.warped.tolist() == [[3.0, 9.0, 9.0], [3.0, 9.0, 9.0]]
+
+    def test_identity_path_roundtrip(self):
+        x = np.tile([3.0, 1.0, 4.0, 1.0, 5.0], (2, 1))
+        result = multi_align(x)
+        assert all(p.pairs.tolist() == [[i, i] for i in range(5)] for p in result.paths)
+        assert np.array_equal(result.warped, x)
 
     def test_grid_length_matches_input(self):
         rng = np.random.default_rng(22)
