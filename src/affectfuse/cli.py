@@ -6,13 +6,17 @@ corpus, ``raaw`` and ``physio`` fuse annotations into gold standards,
 one sequence model on one feature set, ``eval`` scores prediction
 directories, and ``fuse-late`` stacks several prediction streams.
 
-``train`` and ``fuse-late`` both fit through :func:`affectfuse.seqmodel.fit`
-(``fuse-late`` with the shapes of :mod:`affectfuse.latefusion`, on its streams
-stacked per item) and share one output tail: ``model.json``, ``history.csv``,
-``preds/`` and the devel metric line. Only reading the items and writing the
-predictions depend on the task: gold grids and per-recording traces for
-wilder, stress and physio; labelled segments (or per-segment logits) and
-class labels for sent.
+``train`` and ``fuse-late`` are one fit command over
+:func:`affectfuse.seqmodel.fit`. Each keeps only its window rule, its model
+shape (``train``'s ``--hidden``, ``--layers``, ``--bidirectional``, ``--lr``
+and ``--l2``, or a fixed shape of :mod:`affectfuse.latefusion`) and its
+readers: gold grids and per-recording traces for wilder, stress and physio;
+labelled segments (or per-segment logits) for sent. Both log one ``epoch N:``
+line per epoch, write ``model.json``, ``history.csv`` and ``preds/``, and
+print the devel metric, ``best_epoch``, ``epochs_run``, any keys of their own
+and ``out``. The ``preds/`` layout depends on the head alone: per-step traces
+``<split>/<rec>.csv``, or ``<split>_labels.csv`` and ``<split>_logits.csv``,
+so either command's output is a ``fuse-late --streams`` input.
 
 Conventions shared by every subcommand:
   * progress goes to stderr, machine-readable ``key=value`` lines to stdout
@@ -47,7 +51,7 @@ from .errors import DataError, DegenerateInputError, NumericError, ParameterErro
 from .fuse import PhysioConfig, agreement_stats, physio_fuse, raaw
 from .latefusion import REGRESSION_FUSION, SENT_FUSION
 from .metrics import ScoreReport, ccc, macro_f1, partition_ccc
-from .seqmodel import RegressorConfig, SequenceModel, TrainHistory, check_window, fit, save_checkpoint
+from .seqmodel import RegressorConfig, check_window, fit, save_checkpoint
 
 __all__ = ["main", "build_parser"]
 
@@ -69,11 +73,6 @@ def _info(msg: str) -> None:
 
 def _emit(key: str, value) -> None:
     print(f"{key}={value}")
-
-
-def _metric_key(config: RegressorConfig) -> str:
-    """Stdout key of a model's devel score: macro F1 or CCC by its head."""
-    return "devel_f1" if config.head == "classification" else "devel_ccc"
 
 
 @contextmanager
@@ -452,7 +451,7 @@ def cmd_discretize(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# train
+# train and fuse-late: one fit command
 
 
 def _write_traces(ts_by_rec: dict[str, np.ndarray], outputs: dict, preds_dir: Path) -> None:
@@ -462,23 +461,40 @@ def _write_traces(ts_by_rec: dict[str, np.ndarray], outputs: dict, preds_dir: Pa
             dataio.write_prediction_csv(preds_dir / split / f"{rec}.csv", ts_by_rec[rec], preds[rec])
 
 
-def _write_labels(outputs: dict, preds_dir: Path, logits: bool = False) -> None:
-    """``<split>_labels.csv``, the argmax of each logit row, per split; with ``logits`` also ``<split>_logits.csv``."""
+def _write_labels(outputs: dict, preds_dir: Path) -> None:
+    """``<split>_labels.csv``, the argmax of each logit row, and ``<split>_logits.csv``, per split."""
     for split, rows in outputs.items():
         dataio.write_labels_csv(preds_dir / f"{split}_labels.csv", {i: int(np.argmax(v)) for i, v in rows.items()})
-        if logits:
-            dataio.write_logits_csv(preds_dir / f"{split}_logits.csv", rows)
+        dataio.write_logits_csv(preds_dir / f"{split}_logits.csv", rows)
 
 
-def _write_run(out: Path, model: SequenceModel, history: TrainHistory, outputs, write_preds, **extra) -> int:
-    """Output tail of ``train`` and ``fuse-late``: files, then the metric, ``extra`` and ``out`` lines."""
-    save_checkpoint(out / "model.json", model)
-    history.write_csv(out / "history.csv")
-    write_preds(outputs, out / "preds")
-    _emit(_metric_key(model.config), repr(round(history.best_metric(), 6)))
+def _fit_run(args, spec: dataio.WindowSpec | None, read_items, files, shape: dict, **extra) -> int:
+    """``train`` and ``fuse-late`` after their own checks: the items ``read_items`` gives, fitted by a model of
+    ``shape`` with one stderr line per epoch, then ``model.json``, ``history.csv`` and ``preds/`` under ``--out``,
+    and the devel metric, ``best_epoch``, ``epochs_run``, ``extra`` and ``out`` lines. A data fault names ``files``."""
+    # (inputs, targets and splits by item id, the config's head fields, prediction writer)
+    inputs, targets, splits, head, write_preds = read_items(args)
+    metric = "devel_f1" if head["head"] == "classification" else "devel_ccc"
+    with _data_of(*files):
+        if not inputs:  # train's readers raise first
+            raise DegenerateInputError("late fusion has no item to size its model from")
+        config = RegressorConfig(input_dim=next(iter(inputs.values())).shape[1], batch_size=args.batch,
+                                 max_epochs=args.epochs, patience=args.patience, seed=args.seed, **shape, **head)
+        _info(f"{args.command} {args.task}: {config.head} model, dim {config.input_dim}, hidden {config.hidden_dim}, "
+              f"{len(splits.get('train', ()))} train items")
+        model, history, outputs = fit(
+            config, inputs, targets, splits, spec,
+            progress=lambda e, l, m: _info(f"epoch {e}: loss {l:.4f} {metric} {m:.4f}"),
+        )
+    save_checkpoint(args.out / "model.json", model)
+    history.write_csv(args.out / "history.csv")
+    write_preds(outputs, args.out / "preds")
+    _emit(metric, repr(round(history.best_metric(), 6)))
+    _emit("best_epoch", history.best_epoch)
+    _emit("epochs_run", len(history.rows))
     for key, value in extra.items():
         _emit(key, value)
-    _emit("out", out)
+    _emit("out", args.out)
     return 0
 
 
@@ -540,7 +556,7 @@ def _sent_training(args):
     splits = {s: tuple(seg.segment_id for seg in segments if seg.partition == s) for s in dataio.SPLITS}
     splits = {s: ids for s, ids in splits.items() if ids}
     head = {"head": "classification", "n_classes": max(max(labels.values()) + 1, 5)}
-    return inputs, labels, splits, head, partial(_write_labels, logits=True)
+    return inputs, labels, splits, head, _write_labels
 
 
 def cmd_train(args) -> int:
@@ -549,38 +565,12 @@ def cmd_train(args) -> int:
         window=args.window if args.window is not None else window_n,
         hop=args.hop if args.hop is not None else hop_n,
     )
-    check_window(args.task != "sent", spec)  # before any file is read
-    # (inputs, targets and splits by item id, the config's head fields, prediction writer)
-    read_items = _sent_training if args.task == "sent" else _regression_training
-    files = (args.segments, args.labels) if args.task == "sent" else (args.gold, args.partitions)
-    inputs, targets, splits, head, write_preds = read_items(args)
-    config = RegressorConfig(
-        input_dim=next(iter(inputs.values())).shape[1],
-        hidden_dim=args.hidden,
-        layers=args.layers,
-        bidirectional=args.bidirectional,
-        learning_rate=args.lr if args.lr is not None else lr,
-        l2_penalty=args.l2,
-        batch_size=args.batch,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        seed=args.seed,
-        **head,
-    )
-    metric = _metric_key(config)
-    _info(
-        f"training {args.task} {config.head} model: dim {config.input_dim}, "
-        f"hidden {config.hidden_dim}, {len(splits.get('train', ()))} train items"
-    )
-    with _data_of(args.features, *files):
-        model, history, outputs = fit(
-            config, inputs, targets, splits, spec,
-            progress=lambda e, l, m: _info(f"epoch {e}: loss {l:.4f} {metric} {m:.4f}"),
-        )
-    return _write_run(
-        args.out, model, history, outputs, write_preds,
-        best_epoch=history.best_epoch, epochs_run=len(history.rows),
-    )
+    sent = args.task == "sent"
+    check_window(not sent, spec)  # before any file is read
+    shape = dict(hidden_dim=args.hidden, layers=args.layers, bidirectional=args.bidirectional,
+                 learning_rate=args.lr if args.lr is not None else lr, l2_penalty=args.l2)
+    files = (args.features, *((args.segments, args.labels) if sent else (args.gold, args.partitions)))
+    return _fit_run(args, spec, _sent_training if sent else _regression_training, files, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +649,9 @@ def _regression_streams(args):
     for split in dataio.SPLITS:
         for rec in partition.recordings(split):
             paths = [d / split / f"{rec}.csv" for d in args.streams]
-            if not all(p.is_file() for p in paths):
+            missing = next((p for p in paths if not p.is_file()), None)
+            if missing is not None:
+                _info(f"skipping {rec}: no {missing}")
                 continue
             splits.setdefault(split, []).append(rec)
             traces = []
@@ -721,28 +713,13 @@ def cmd_fuse_late(args) -> int:
     if args.hop is not None and args.window is None:
         raise ParameterError("fuse-late --hop needs --window; without it each item is one full sequence")
     spec = dataio.WindowSpec(args.window, args.hop or args.window) if args.window is not None else None
-    task = "sent" if args.task == "sent" else "regression"
-    check_window(task != "sent", spec)
-    # (inputs, targets and splits by item id, the config's head fields, prediction writer), as for train
-    read_streams = _sent_streams if task == "sent" else _regression_streams
-    gold_files = (args.gold_labels,) if task == "sent" else (args.gold, args.partitions)
-    inputs, targets, splits, head, write_preds = read_streams(args)
-
-    _info(f"fusing {len(args.streams)} {task} streams over {len(inputs)} items")
-    with _data_of(*args.streams, *gold_files):
-        if not inputs:
-            raise DegenerateInputError("late fusion has no item to size its model from")
-        config = RegressorConfig(
-            input_dim=next(iter(inputs.values())).shape[1],
-            seed=args.seed,
-            max_epochs=args.epochs,
-            patience=args.patience,
-            batch_size=args.batch,
-            **(SENT_FUSION if task == "sent" else REGRESSION_FUSION),
-            **head,
-        )
-        model, history, outputs = fit(config, inputs, targets, splits, spec)
-    return _write_run(args.out, model, history, outputs, write_preds, streams=",".join(map(str, args.streams)))
+    sent = args.task == "sent"
+    check_window(not sent, spec)
+    files = (*args.streams, *((args.gold_labels,) if sent else (args.gold, args.partitions)))
+    return _fit_run(
+        args, spec, _sent_streams if sent else _regression_streams, files,
+        SENT_FUSION if sent else REGRESSION_FUSION, streams=",".join(map(str, args.streams)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Exception types shared across the toolkit, and the finite-field check of its configs."""
+"""Exception types shared across the toolkit, and the finite-field and array-size checks of its configs."""
 
 import math
 from dataclasses import fields
 
-__all__ = ["ParameterError", "DegenerateInputError", "DataError", "NumericError", "require_finite"]
+import numpy as np
+
+__all__ = ["ParameterError", "DegenerateInputError", "DataError", "NumericError", "require_finite", "require_count"]
 
 
 class ParameterError(ValueError):
@@ -30,3 +32,10 @@ def require_finite(config) -> None:
         value = getattr(config, f.name)
         if f.type == "float" and not math.isfinite(value):
             raise ParameterError(f"{f.name} must be finite, got {value!r}")
+
+
+def require_count(what: str, count: float) -> None:
+    """Reject a count of float64 values, ``what``, that is not finite or is more than numpy can index."""
+    limit = np.iinfo(np.intp).max // 8
+    if not math.isfinite(count) or count > limit:
+        raise ParameterError(f"{what}: {count:.4g} float64 values, more than numpy can index ({limit})")

@@ -17,6 +17,7 @@ checked against finite differences and a per-sequence step-loop reference.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataio import WindowSpec, read_model_file, window, write_model_file, write_table
-from .errors import DegenerateInputError, NumericError, ParameterError, require_finite
+from .errors import DegenerateInputError, NumericError, ParameterError, require_count, require_finite
 from .metrics import macro_f1, moments
 
 __all__ = [
@@ -136,7 +137,9 @@ class SequenceModel:
         n_out = 1 if config.head == "regression" else config.n_classes
         self.shapes.update(head_W=(out_dim, n_out), head_b=(n_out,))
         self.param_names = list(self.shapes)
-        self._ends = np.cumsum([int(np.prod(shape)) for shape in self.shapes.values()])
+        sizes = [math.prod(shape) for shape in self.shapes.values()]  # Python ints: np.prod wraps in int64
+        require_count(f"a model with hidden_dim {h} and layers {config.layers}", sum(sizes))
+        self._ends = np.cumsum(sizes)
         self.theta = np.zeros(self._ends[-1])
         self.params = self.named(self.theta)
         if params is None:

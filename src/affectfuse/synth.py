@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dataio
 from .core import AnnotationTrace, RaterSet, grid_timestamps_ms
-from .errors import ParameterError, require_finite
+from .errors import ParameterError, require_count, require_finite
 
 __all__ = ["SynthConfig", "gen_latent", "gen_raters", "gen_eda", "gen_features", "write_corpus"]
 
@@ -52,6 +52,8 @@ class SynthConfig:
             raise ParameterError("max_lag_s must not exceed 20% of the duration")
         if self.feature_dim < 1:
             raise ParameterError("feature_dim must be >= 1")
+        require_count(f"a {self.duration_s} s grid at {self.rate_hz} Hz", self.duration_s * self.rate_hz + 1)
+        require_count(f"a {self.duration_s} s EDA signal at {EDA_RATE_HZ} Hz", self.duration_s * EDA_RATE_HZ + 1)
 
     @property
     def n_samples(self) -> int:

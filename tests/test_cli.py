@@ -147,6 +147,15 @@ class TestSynth:
     def test_unknown_subcommand_exits_2(self):
         assert main(["mystery"]) == 2
 
+    @pytest.mark.parametrize("extra", [["--duration", "1e308"], ["--duration", "1e200"], ["--rate", "1e300"]])
+    def test_sample_count_numpy_cannot_index_exit_2_before_writing(self, tmp_path, capsys, extra):
+        rc = main(["synth", "--out", str(tmp_path / "c"), "--recordings", "1", *extra])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "float64 values, more than numpy can index" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "c").exists()
+
 
 class TestRaaw:
     def test_gold_files_with_sidecars(self, corpus, capsys):
@@ -609,6 +618,15 @@ class TestTrainRegression:
         assert rc == 4
         assert "numeric error:" in captured.err
 
+    @pytest.mark.parametrize("hidden", ["3000000000", str(10**30)])
+    def test_model_numpy_cannot_index_exit_2(self, corpus, tmp_path, capsys, hidden):
+        rc = main(_train_argv(corpus, tmp_path / "m") + ["--hidden", hidden])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"error: a model with hidden_dim {hidden} and layers 1: " in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "m").exists()
+
 
 class TestEvalRegression:
     def test_scores_predictions(self, corpus, trained, capsys):
@@ -975,6 +993,75 @@ class TestFuseLateRegression:
             ]
         )
         assert rc == 2
+
+
+class TestOneFitTail:
+    """``train`` and ``fuse-late`` print one tail, log every epoch and write one ``preds/`` layout per head."""
+
+    @staticmethod
+    def _argv(case: str, corpus: Path, trained: Path, tmp_path: Path) -> list[str]:
+        if case == "train-regression":
+            return _train_argv(corpus, tmp_path / "out") + ["--epochs", "3", "--hidden", "4"]
+        if case == "fuse-late-regression":
+            return ["fuse-late", "--task", "stress", "--streams", str(trained / "modal_a" / "preds"),
+                    str(trained / "modal_b" / "preds"), "--gold", str(corpus / "gold"),
+                    "--partitions", str(corpus / "data" / "partitions.csv"), "--out", str(tmp_path / "out"),
+                    "--epochs", "3", "--batch", "2"]
+        if case == "train-sent":
+            segments = corpus / "data" / "segments.csv"
+            labels = {seg.segment_id: i % 5 for i, seg in enumerate(read_segments_csv(segments))}
+            write_table(tmp_path / "labels.csv", "segment_id,class", list(labels), list(labels.values()))
+            return ["train", "--task", "sent", "--features", str(corpus / "data" / "features" / "modal_a"),
+                    "--segments", str(segments), "--labels", str(tmp_path / "labels.csv"),
+                    "--out", str(tmp_path / "out"), "--hidden", "4", "--epochs", "3", "--batch", "8"]
+        labels = _logit_streams(tmp_path, ["a", "b"])
+        return ["fuse-late", "--task", "sent", "--streams", str(tmp_path / "a"), str(tmp_path / "b"),
+                "--gold-labels", str(labels), "--out", str(tmp_path / "out"), "--epochs", "3", "--batch", "4"]
+
+    @pytest.mark.parametrize("case", ["train-regression", "fuse-late-regression", "train-sent", "fuse-late-sent"])
+    def test_metric_best_epoch_epochs_run_own_keys_out(self, corpus, trained, tmp_path, capsys, case):
+        rc = main(self._argv(case, corpus, trained, tmp_path))
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        metric = "devel_f1" if case.endswith("sent") else "devel_ccc"
+        own = ["streams"] if case.startswith("fuse-late") else []
+        assert [line.partition("=")[0] for line in captured.out.splitlines()] == [
+            metric, "best_epoch", "epochs_run", *own, "out"]
+        vals = _values(captured.out)
+        history = np.loadtxt(tmp_path / "out" / "history.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert int(vals["epochs_run"]) == len(history)
+        best = int(vals["best_epoch"])
+        assert best == int(history[np.argmax(history[:, 2]), 0])
+        assert float(vals[metric]) == round(history[best - 1, 2], 6)
+        logged = [line.partition(":")[0] for line in captured.err.splitlines() if line.startswith("epoch ")]
+        assert logged == [f"epoch {int(epoch)}" for epoch in history[:, 0]]
+
+    def test_fused_sent_run_is_a_streams_input(self, tmp_path, capsys):
+        labels = _logit_streams(tmp_path, ["a", "b"])
+        fuse = ["fuse-late", "--task", "sent", "--gold-labels", str(labels), "--epochs", "1", "--batch", "4"]
+        assert main([*fuse, "--streams", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(tmp_path / "f")]) == 0
+        for split in ("train", "devel"):
+            assert (tmp_path / "f" / "preds" / f"{split}_logits.csv").is_file()
+            assert (tmp_path / "f" / "preds" / f"{split}_labels.csv").is_file()
+        rc = main([*fuse, "--streams", str(tmp_path / "f" / "preds"), str(tmp_path / "a"), "--out", str(tmp_path / "g")])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert json.loads((tmp_path / "g" / "model.json").read_text())["config"]["input_dim"] == 2 * 5
+
+    def test_fuse_late_names_each_recording_it_skips(self, corpus, trained, tmp_path, capsys):
+        streams = [tmp_path / "a", tmp_path / "b"]
+        shutil.copytree(trained / "modal_a" / "preds", streams[0])
+        shutil.copytree(trained / "modal_b" / "preds", streams[1])
+        missing = streams[1] / "test" / "rec_007.csv"
+        missing.unlink()
+        rc = main(["fuse-late", "--task", "stress", "--streams", *map(str, streams), "--gold", str(corpus / "gold"),
+                   "--partitions", str(corpus / "data" / "partitions.csv"), "--out", str(tmp_path / "f"),
+                   "--epochs", "1", "--batch", "2"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert f"skipping rec_007: no {missing}\n" in captured.err
+        assert "skipping" not in captured.out
+        assert not (tmp_path / "f" / "preds" / "test").exists()
 
 
 class TestConfigFile:
@@ -2358,7 +2445,8 @@ def test_setting_out_of_bounds_exit_2_before_any_file_is_read(tmp_path, capsys, 
 # Command shapes of the subcommand fuzz test; `fuzz_inputs` gives each its argv
 # (without --out) and the input file it replaces. `synth` reads no input file.
 FUZZ_SHAPES = ("raaw", "raaw-second-rater", "physio", "discretize", "discretize-segments", "train", "train-partitions",
-               "train-sent", "train-sent-segments", "eval", "eval-labels", "eval-gold-labels", "fuse-late", "fuse-late-gold")
+               "train-sent", "train-sent-segments", "eval", "eval-labels", "eval-gold-labels", "fuse-late", "fuse-late-gold",
+               "fuse-late-second-stream", "fuse-late-partitions", "fuse-late-sent")
 
 
 @pytest.fixture(scope="module")
@@ -2378,6 +2466,9 @@ def fuzz_inputs(corpus, trained, tmp_path_factory):
     gold_labels = root / "gold_labels.csv"
     shutil.copy(labels, gold_labels)
     late = ["fuse-late", "--task", "stress", *fit, "--streams", str(preds), str(trained / "modal_b" / "preds")]
+    logit_labels = _logit_streams(root / "logits", ["a", "b"])
+    late_sent = ["fuse-late", "--task", "sent", "--streams", str(root / "logits" / "a"), str(root / "logits" / "b"),
+                 "--gold-labels", str(logit_labels), "--epochs", "1", "--batch", "4"]
     shapes = {
         "raaw": (["raaw", *fusion], sorted((root / "annotations" / "rec_000" / "arousal").glob("*.csv"))[0]),
         # checked against the first file's timestamps
@@ -2399,6 +2490,10 @@ def fuzz_inputs(corpus, trained, tmp_path_factory):
         "eval-gold-labels": (["eval", "--pred-labels", str(labels), "--gold-labels", str(gold_labels)], gold_labels),
         "fuse-late": (late, sorted((preds / "train").glob("*"))[0]),
         "fuse-late-gold": (late, gold / "rec_000.csv"),
+        # checked against the first stream's file
+        "fuse-late-second-stream": (late, sorted((trained / "modal_b" / "preds" / "devel").glob("*"))[0]),
+        "fuse-late-partitions": (late, data / "partitions.csv"),
+        "fuse-late-sent": (late_sent, root / "logits" / "b" / "train_logits.csv"),
     }
     assert set(shapes) == set(FUZZ_SHAPES)
     return root / "out", shapes

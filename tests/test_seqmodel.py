@@ -89,6 +89,13 @@ class TestInit:
         )
         assert SequenceModel(cfg).param_count() == 717
 
+    @pytest.mark.parametrize("hidden", [3_000_000_000, 10**30])
+    def test_layout_numpy_cannot_index_rejected(self, hidden):
+        # U alone holds 4 * hidden**2 values: past int64 for 3e9, where np.prod would wrap negative
+        message = rf"^a model with hidden_dim {hidden} and layers 1: \S+ float64 values, more than numpy can index"
+        with pytest.raises(ParameterError, match=message):
+            SequenceModel(RegressorConfig(input_dim=3, hidden_dim=hidden))
+
     def test_deterministic_init(self):
         cfg = RegressorConfig(input_dim=3, hidden_dim=8, seed=9)
         m1, m2 = SequenceModel(cfg), SequenceModel(cfg)

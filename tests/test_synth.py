@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,19 @@ class TestGenFeatures:
         basis = np.stack([latent, latent**2]).T
         coef, *_ = np.linalg.lstsq(basis, feats, rcond=None)
         assert np.allclose(basis @ coef, feats, atol=1e-10)
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize(("duration", "rate", "message"), [
+        (1e308, 2.0, "a 1e+308 s grid at 2.0 Hz: inf float64 values"),
+        (1e200, 2.0, "a 1e+200 s grid at 2.0 Hz: 2e+200 float64 values"),
+        (300.0, 1e300, "a 300.0 s grid at 1e+300 Hz: 3e+302 float64 values"),
+        # the label grid (1e13 samples) is indexable, the 1 kHz EDA is not
+        (1e16, 1e-3, "a 1e+16 s EDA signal at 1000.0 Hz: 1e+19 float64 values"),
+    ], ids=["overflow", "huge-duration", "huge-rate", "eda-only"])
+    def test_count_numpy_cannot_index_rejected_when_built(self, duration, rate, message):
+        with pytest.raises(ParameterError, match=re.escape(message) + ", more than numpy can index"):
+            SynthConfig(duration_s=duration, rate_hz=rate, max_lag_s=0.0)
 
 
 class TestWriteCorpus:
